@@ -309,11 +309,17 @@ int main(int argc, char** argv) {
                      remote.status().ToString().c_str());
         return 1;
       }
+      // Deterministic fields only: pruned_by_bound / verified_count are
+      // timing-dependent under sharding (see SearchResult), so each side is
+      // only checked for adding up to candidates_evaluated.
       bool same = remote->status == net::WireStatus::kOk &&
                   remote->matches.size() == local->matches.size() &&
                   remote->candidates_evaluated == local->candidates_evaluated &&
                   remote->prefiltered_out == local->prefiltered_out &&
-                  remote->pruned_by_bound == local->pruned_by_bound;
+                  remote->pruned_by_bound + remote->verified_count ==
+                      remote->candidates_evaluated &&
+                  local->pruned_by_bound + local->verified_count ==
+                      local->candidates_evaluated;
       for (size_t m = 0; same && m < local->matches.size(); ++m) {
         same = remote->matches[m].graph_id == local->matches[m].graph_id &&
                remote->matches[m].phi_score == local->matches[m].phi_score &&

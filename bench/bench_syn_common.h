@@ -76,7 +76,8 @@ inline Status RunSynTimingBench(bool scale_free, const BenchFlags& flags) {
       }
       row.push_back(TimeCell(per_pair * db_size));
     }
-    // GBDA: full scans with a cold engine per query.
+    // GBDA: full scans (bound pruning off, Algorithm 1 as published) with a
+    // cold engine per query.
     for (int64_t tau : {10, 20, 30}) {
       double total = 0.0;
       const size_t num_queries = std::min<size_t>(ds.queries.size(), 3);
@@ -85,6 +86,7 @@ inline Status RunSynTimingBench(bool scale_free, const BenchFlags& flags) {
         SearchOptions opts;
         opts.tau_hat = tau;
         opts.gamma = 0.9;
+        opts.early_termination = false;
         Result<SearchResult> result = search.Query(ds.queries[q], opts);
         if (!result.ok()) return result.status();
         total += result->seconds;

@@ -3,8 +3,9 @@
 // database and emits one machine-readable JSON object on stdout: per-config
 // wall time, QPS, mean latency, counters, and speedups vs the single-thread
 // config and the serial GbdaSearch loop. Before sweeping, the first config's
-// results are checked bit-identical against the serial engine so the numbers
-// can never come from a diverging concurrent path.
+// results are checked bit-identical against the serial engine's exhaustive
+// scan (early_termination off) so the numbers can never come from a
+// diverging concurrent path or a result-changing prune.
 //
 // --top-k=N switches to the pruned-vs-exhaustive ranking sweep
 // (docs/BENCHMARKS.md, "Pruned top-k sweep"): every config runs QueryTopKBatch
@@ -295,9 +296,9 @@ int main(int argc, char** argv) {
   if (flags.top_k > 0) {
     // ---- Pruned top-k sweep (docs/BENCHMARKS.md, "Pruned top-k sweep") ----
     SearchOptions pruned_options = search_options;
-    pruned_options.topk_early_termination = true;
+    pruned_options.early_termination = true;
     SearchOptions exhaustive_options = search_options;
-    exhaustive_options.topk_early_termination = false;
+    exhaustive_options.early_termination = false;
 
     // Exhaustive serial reference: the source of truth every config (both
     // pruned and exhaustive runs) must reproduce bit-identically.
@@ -413,7 +414,8 @@ int main(int argc, char** argv) {
             "\"pruned_wall_seconds\": %.6f, \"exhaustive_wall_seconds\": %.6f, "
             "\"prune_speedup\": %.3f, \"qps\": %.2f, "
             "\"mean_latency_seconds\": %.6f, \"candidates_evaluated\": %zu, "
-            "\"pruned_by_bound\": %zu, \"speedup_vs_serial_exhaustive\": %.3f}",
+            "\"pruned_by_bound\": %zu, \"verified_count\": %zu, "
+            "\"speedup_vs_serial_exhaustive\": %.3f}",
             first_config ? "" : ",\n", threads, service.num_shards(),
             batch_size, pruned_wall, exhaustive_wall,
             pruned_wall > 0 ? exhaustive_wall / pruned_wall : 0.0,
@@ -422,6 +424,7 @@ int main(int argc, char** argv) {
                 : 0.0,
             pruned_stats.MeanLatencySeconds(),
             pruned_stats.candidates_evaluated, pruned_stats.pruned_by_bound,
+            pruned_stats.verified_count,
             pruned_wall > 0 ? serial_wall / pruned_wall : 0.0);
         first_config = false;
       }
@@ -432,8 +435,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Serial reference: one engine, one query at a time — the pre-service
-  // code path, also the source of truth for the equivalence check.
+  // Serial reference: one engine, one query at a time, every candidate
+  // scored — Algorithm 1 as published, also the source of truth for the
+  // equivalence check (so the service's pruned scan is gated against it).
+  SearchOptions exhaustive_options = search_options;
+  exhaustive_options.early_termination = false;
   std::vector<SearchResult> serial_results;
   serial_results.reserve(queries.size());
   double serial_wall;
@@ -441,7 +447,7 @@ int main(int argc, char** argv) {
     GbdaSearch serial(&dataset->db, &*index);
     WallTimer timer;
     for (const Graph& query : queries) {
-      Result<SearchResult> r = serial.Query(query, search_options);
+      Result<SearchResult> r = serial.Query(query, exhaustive_options);
       if (!r.ok()) {
         std::fprintf(stderr, "serial query: %s\n", r.status().ToString().c_str());
         return 1;
@@ -538,6 +544,7 @@ int main(int argc, char** argv) {
                   "\"batch_size\": %zu, \"wall_seconds\": %.6f, "
                   "\"qps\": %.2f, \"mean_latency_seconds\": %.6f, "
                   "\"candidates_evaluated\": %zu, \"prefiltered_out\": %zu, "
+                  "\"pruned_by_bound\": %zu, \"verified_count\": %zu, "
                   "\"matches_returned\": %zu, "
                   "\"speedup_vs_1thread\": %.3f, "
                   "\"speedup_vs_serial\": %.3f}",
@@ -545,7 +552,8 @@ int main(int argc, char** argv) {
                   batch_size, wall,
                   wall > 0 ? static_cast<double>(queries.size()) / wall : 0.0,
                   stats.MeanLatencySeconds(), stats.candidates_evaluated,
-                  stats.prefiltered_out, stats.matches_returned, speedup_1t,
+                  stats.prefiltered_out, stats.pruned_by_bound,
+                  stats.verified_count, stats.matches_returned, speedup_1t,
                   wall > 0 ? serial_wall / wall : 0.0);
       first_config = false;
     }

@@ -50,8 +50,7 @@ Status AnnSearchTopK(const AnnContext& ann, const ScanContext& ctx,
   const size_t window = std::max(ctx.options.search_window_size, k);
   const std::vector<uint32_t> visited = NavigateProximityGraph(
       ann.graph(), ann.store(),
-      Span<const uint64_t>(ctx.query_profile.branch_keys.data(),
-                           ctx.query_profile.branch_keys.size()),
+      Span<const uint64_t>(ctx.query_fps.data(), ctx.query_fps.size()),
       window);
   result->candidates_visited += visited.size();
   // The same PR-5 early termination the exhaustive ranking scan arms: only
@@ -59,7 +58,7 @@ Status AnnSearchTopK(const AnnContext& ann, const ScanContext& ctx,
   // the survivors still contain its exact top-k. k >= |visited| can never
   // prune; skip the witness bookkeeping like the full scan does.
   const bool early_terminate =
-      ctx.options.topk_early_termination && k < visited.size();
+      ctx.options.early_termination && k < visited.size();
   ScanBounds bounds(k);
   GBDA_RETURN_IF_ERROR(ScanCandidateList(ctx, index, prefilter, visited,
                                          posterior, result,

@@ -63,10 +63,10 @@ class AnnContext {
 /// exhaustive top-k with bit-exact scores; with a window >= corpus size it
 /// IS the exhaustive top-k (the repair pass guarantees full reachability).
 ///
-/// `ctx` must be a ranking context (apply_gamma == false) prepared with
-/// options.approximate set, against the same index/corpus the context's
-/// store was built from; `k >= 1`. Fills candidates_visited (navigation),
-/// verified_count / pruned_by_bound (verification) and the deterministic
+/// `ctx` must be a ranking context (apply_gamma == false) prepared against
+/// the same index/corpus the context's store was built from; `k >= 1`.
+/// Fills candidates_visited (navigation), verified_count /
+/// pruned_by_bound (verification) and the deterministic
 /// candidates_evaluated / prefiltered_out counters over the visited set.
 /// Thread-compatible under ScanRange's rules (own posterior + result per
 /// concurrent call).

@@ -119,16 +119,9 @@ Result<ScanContext> PrepareScan(const Graph& query,
       }
     }
   }
-  // Ranking scans that may arm early termination build the profile even
-  // without the prefilter: the pruning bound sharpens its GBD lower bound
-  // through it whenever candidate profiles are available (see ScanRange).
-  // Approximate ranking scans always need it — the proximity-graph
-  // navigation keys off the profile's sorted branch fingerprints. A
-  // disarmed exhaustive ranking scan (topk_early_termination off, or no
-  // bounds passed) never reads it, so it skips the build.
-  if (options.use_prefilter ||
-      (!apply_gamma &&
-       (options.topk_early_termination || options.approximate))) {
+  // Only the prefilter's Passes reads the profile: the bounds and the
+  // approximate navigation take the query side from query_fps.
+  if (options.use_prefilter) {
     // Reuses the branches extracted above instead of a second pass.
     ctx.query_profile = BuildFilterProfile(query, ctx.query_branches);
   }
@@ -174,7 +167,7 @@ struct ListedIds {
 };
 
 /// One evaluation loop for both entry points: candidate admission, the
-/// two-tier early-termination bound, the branch-merge + posterior scoring
+/// two-tier pruning bound, the branch-merge + posterior scoring
 /// and the witness bookkeeping are shared verbatim, so a match appended for
 /// id X is bit-identical whichever sequence listed X — the property
 /// approximate mode's "subset with exact scores" contract rests on.
@@ -197,14 +190,20 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // context paired with a different backing than it was prepared against
   // (it can only disable, never wrongly enable).
   const bool fp_exact = ctx.fp_exact && columns.exactness_certified();
-  // Early termination applies only to ranking scans (every candidate is a
-  // match, so the k-th best match is a pruning witness); a threshold scan
-  // must score every surviving candidate. The ctx flag is part of the
-  // guard: a context prepared with topk_early_termination off skipped the
-  // query-profile build, and arming tier 2 against that empty profile
-  // would prune unsoundly.
-  const bool prune = bounds != nullptr && !ctx.apply_gamma &&
-                     bounds->k() > 0 && ctx.options.topk_early_termination;
+  // Stage B skips a candidate whose Phi upper bound is strictly below a
+  // floor, in one of two shapes. A ranking scan (every candidate is a
+  // match) prunes against its k-th-best witness, from `bounds`. A threshold
+  // scan prunes against gamma itself: Step 4 rejects every Phi < gamma, and
+  // the suffix tables hold the engine's own Phi doubles, so "bound < gamma"
+  // only skips candidates Step 4 rejects. gamma never moves, so each skip is
+  // a function of the candidate alone. gamma <= 0 or NaN never arms: no
+  // bound (every Phi is >= 0) compares strictly below it.
+  const bool rank_prune = options.early_termination && bounds != nullptr &&
+                          !ctx.apply_gamma && bounds->k() > 0;
+  const double gamma_floor =
+      options.early_termination && ctx.apply_gamma && options.gamma > 0.0
+          ? options.gamma
+          : -std::numeric_limits<double>::infinity();
   // The k best (phi_score, gbd) pairs appended by THIS call under the
   // SearchMatchRankBefore order (ids never matter: pruning tests are
   // strictly-worse only), root = local k-th best. Keeping gbd alongside phi
@@ -246,12 +245,13 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // "strictly worse" (kCapUnset = not yet derived, -1 = nothing provable).
   // Valid only for the witness it was derived from; witnesses only improve
   // (tighten), so a stale cap is sound — it merely prunes less — and the
-  // cache is invalidated whenever the witness moves.
+  // cache is invalidated whenever the witness moves. The gamma floor never
+  // moves, so a threshold scan derives each size's cap once.
   constexpr int64_t kCapUnset = std::numeric_limits<int64_t>::min();
   std::vector<int64_t> tier2_cap;
   double last_kth_phi = -1.0;
   int64_t last_kth_gbd = -1;
-  double last_shared = -std::numeric_limits<double>::infinity();
+  double last_floor = -std::numeric_limits<double>::infinity();
   // Only the no-gamma, no-prefilter scan has a known match count (every
   // candidate); under the gamma cut or the prefilter the accepted set is
   // small in real workloads, so a modest reservation avoids the early
@@ -314,9 +314,10 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // ranking stays bit-identical (the same argument that makes the
   // cross-shard witness — stale in exactly the same way — sound).
   // candidates_evaluated / prefiltered_out are stage-A facts and keep
-  // their determinism contract; pruned_by_bound / verified_count move with
-  // the block boundary but were already excluded from the bit-identity
-  // gates (see SearchResult).
+  // their determinism contract; on ranking scans pruned_by_bound /
+  // verified_count move with the block boundary but were already excluded
+  // from the bit-identity gates (see SearchResult). The gamma floor is the
+  // same in every block, so threshold counts do not move.
   //
   // Warm-up schedule: blocks double from 16 to 128. The witness only arms
   // at a block boundary, so a fixed 128 would leave small corpora (or the
@@ -357,14 +358,15 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     const size_t admitted = blk_ids.size();
 
     // -- Stage B: batched bounds under the block-frozen witness ------------
-    bool do_prune = false;
+    // phi_floor: gamma on a threshold scan, the cross-shard k-th-best phi
+    // on a ranking scan, -infinity when disarmed.
     bool local_full = false;
-    double shared_phi = -std::numeric_limits<double>::infinity();
-    if (prune) {
+    double phi_floor = gamma_floor;
+    if (rank_prune) {
       local_full = local_topk.size() >= bounds->k();
-      shared_phi = bounds->threshold();
-      do_prune = local_full || shared_phi >= 0.0;
+      phi_floor = bounds->threshold();
     }
+    const bool do_prune = local_full || phi_floor >= 0.0;
     if (do_prune) {
       for (size_t j = 0; j < admitted; ++j) {
         blk_sizes[j] = columns.present()
@@ -382,19 +384,20 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       const double kth_phi = local_full ? local_topk.top().phi : -1.0;
       const int64_t kth_gbd = local_full ? local_topk.top().gbd : -1;
       if (kth_phi != last_kth_phi || kth_gbd != last_kth_gbd ||
-          shared_phi != last_shared) {
+          phi_floor != last_floor) {
         std::fill(tier2_cap.begin(), tier2_cap.end(), kCapUnset);
         last_kth_phi = kth_phi;
         last_kth_gbd = kth_gbd;
-        last_shared = shared_phi;
+        last_floor = phi_floor;
       }
-      // True when the candidate provably ranks strictly after a witness
-      // of k matches under SearchMatchRankBefore: its best reachable
-      // phi_score is strictly below a witness phi, or ties the local
-      // witness while its gbd can only be strictly larger. Ties in both
-      // must be evaluated — the id tie-break is not bounded.
+      // True when the candidate's best reachable phi_score is strictly
+      // below the floor (a threshold scan's Step 4 rejects it; a ranking
+      // scan has k better matches), or when it ranks strictly after the
+      // local witness of k matches under SearchMatchRankBefore: it ties
+      // the witness phi while its gbd can only be strictly larger. Ties in
+      // both must be evaluated — the id tie-break is not bounded.
       const auto strictly_worse = [&](double phi_ub, int64_t phi_lb) {
-        if (phi_ub < shared_phi) return true;
+        if (phi_ub < phi_floor) return true;
         if (!local_full) return false;
         const Witness& kth = local_topk.top();
         return phi_ub < kth.phi || (phi_ub == kth.phi && phi_lb > kth.gbd);
@@ -552,7 +555,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       }
       if (!ctx.apply_gamma || score >= options.gamma) {
         result->matches.push_back(SearchMatch{id, score, phi});
-        if (prune) {
+        if (rank_prune) {
           // Fold the match into the local top-k and publish the k-th-best
           // phi whenever the full heap's root improves — one shard's strong
           // hits then prune the other shards' tails through the shared
@@ -641,14 +644,15 @@ Result<SearchResult> GbdaSearch::Scan(const Graph& query,
   // query reading the pointer while another thread's call_once is
   // constructing it would be an unsynchronized read.
   //
-  // k >= corpus can never prune (no k strictly-better matches exist), so
-  // such scans skip the heap bookkeeping entirely and run exhaustively.
+  // Threshold scans arm their gamma floor from ctx alone (no bounds). k >=
+  // corpus can never prune (no k strictly-better matches exist), so such
+  // ranking scans skip the heap bookkeeping entirely and run exhaustively.
   const bool early_terminate = !apply_gamma && top_k != kScanAllMatches &&
                                top_k < db_->size() &&
-                               options.topk_early_termination;
-  // Armed ranking scans build the prefilter too: its profiles sharpen the
-  // early-termination bound (see ScanRange) even when the pass/fail layer
-  // stays off — one lazy O(corpus) build, amortized across all queries.
+                               options.early_termination;
+  // Armed ranking scans build the prefilter too: on an index without
+  // candidate columns its profiles are tier 2's candidate-side keys (see
+  // ScanRange) — one lazy O(corpus) build, amortized across all queries.
   const Prefilter* prefilter = nullptr;
   if (options.use_prefilter || early_terminate) {
     std::call_once(prefilter_once_,

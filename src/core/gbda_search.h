@@ -61,16 +61,17 @@ struct SearchOptions {
   /// provable GED > tau_hat are skipped, so no true match is lost while
   /// spurious accepts of provably-far graphs disappear.
   bool use_prefilter = false;
-  /// Top-k queries only: skip a candidate's branch intersection and
-  /// posterior evaluation when a sound Phi upper bound (a cheap GBD lower
-  /// bound pushed through PosteriorEngine::PhiSuffixMax) is STRICTLY below
-  /// the running k-th-best phi_score. Bit-identical to the exhaustive scan —
-  /// matches, ordering, tie-breaks and the candidates/prefilter counters all
-  /// stay unchanged; only SearchResult::pruned_by_bound (and wall time)
-  /// varies. Set false to force the exhaustive reference scan, e.g. for
-  /// equivalence testing (tests/topk_prune_equivalence_test.cc). Ignored by
-  /// threshold queries, which must score every surviving candidate.
-  bool topk_early_termination = true;
+  /// Bound pruning: skip a candidate's branch intersection and posterior
+  /// evaluation when a sound Phi upper bound (a cheap GBD lower bound pushed
+  /// through PosteriorEngine::PhiSuffixMax) is STRICTLY below a floor — gamma
+  /// on a threshold query (never armed when gamma <= 0 or NaN), the running
+  /// k-th-best phi_score on a top-k query. Bit-identical to the exhaustive
+  /// scan — matches, ordering, tie-breaks and the candidates/prefilter
+  /// counters all stay unchanged; only SearchResult::pruned_by_bound /
+  /// verified_count (and wall time) vary. Set false to force the exhaustive
+  /// reference scan, e.g. for equivalence testing
+  /// (tests/prune_equivalence_test.cc) or to time Algorithm 1 as published.
+  bool early_termination = true;
   /// Top-k queries only: navigate the proximity graph (src/ann) instead of
   /// scanning every candidate, then verify each visited candidate with the
   /// exact posterior arithmetic (ScanCandidateList). The result is a SUBSET
@@ -177,11 +178,13 @@ struct SearchResult {
   size_t candidates_evaluated = 0;
   /// Candidates removed by the prefilter (0 when it is disabled).
   size_t prefiltered_out = 0;
-  /// Candidates whose branch intersection + posterior evaluation the top-k
-  /// early-termination bound skipped (subset of candidates_evaluated; 0 for
-  /// threshold queries and exhaustive scans). Timing-dependent under
-  /// sharding — the shared threshold tightens in worker order — so it is
-  /// excluded from the bit-identity contract.
+  /// Candidates whose branch intersection + posterior evaluation the bound
+  /// pruning skipped (subset of candidates_evaluated; 0 for exhaustive
+  /// scans). On a threshold query the floor is gamma, which never moves, so
+  /// every skip is a function of the candidate alone and the count is the
+  /// same on serial, sharded and snapshot scans. On a top-k query it is
+  /// timing-dependent under sharding — the shared witness tightens in
+  /// worker order. Excluded from the bit-identity contract either way.
   size_t pruned_by_bound = 0;
   /// Approximate mode only: candidates the proximity-graph navigation
   /// visited and handed to verification (0 for exhaustive scans). Like
@@ -189,10 +192,10 @@ struct SearchResult {
   /// comparisons the equivalence gates run.
   size_t candidates_visited = 0;
   /// Candidates whose branch intersection + posterior were actually
-  /// computed (i.e. not skipped by the early-termination bound). Equals
+  /// computed (i.e. not skipped by the bound). Equals
   /// candidates_evaluated - pruned_by_bound on every path; tracked
   /// explicitly so approximate-mode verification cost is visible per query.
-  /// Timing-dependent under sharding, excluded from determinism gates.
+  /// Moves with pruned_by_bound, so excluded from determinism gates.
   size_t verified_count = 0;
 };
 
@@ -248,10 +251,10 @@ struct ScanContext {
   BranchSetRef query_ref;
 
   /// The query's branch fingerprints, sorted ascending — the query side of
-  /// every kernel call: the tier-2 capped intersection cut, and (when
-  /// fp_exact below holds) the exact fingerprint-scoring path. Always
-  /// built; same content as query_profile.branch_keys when that profile
-  /// exists.
+  /// every kernel call: the tier-2 capped intersection cut, (when fp_exact
+  /// below holds) the exact fingerprint-scoring path, and the approximate
+  /// navigation's entry keys. Always built; same content as
+  /// query_profile.branch_keys when that profile exists.
   std::vector<uint64_t> query_fps;
   /// True when fingerprint intersections against THIS index are provably
   /// exact for this query: the index's columns carry the corpus-injectivity
@@ -264,10 +267,8 @@ struct ScanContext {
   /// multisets themselves).
   bool fp_exact = false;
 
-  /// Built when the prefilter is on, and for every ranking scan
-  /// (apply_gamma == false): the top-k early-termination bound reads the
-  /// query's vertex-label multiset through it when candidate profiles are
-  /// available.
+  /// Built only when the prefilter is on: Prefilter::Passes is its one
+  /// reader (the bounds and the navigation read query_fps).
   FilterProfile query_profile;
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
 };
@@ -286,28 +287,35 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// matches to result->matches (in ascending id order) and accumulating
 /// candidates_evaluated / prefiltered_out, so per-shard results sum to the
 /// serial scan's counters. `prefilter` may be null when
-/// ctx.options.use_prefilter is false; when non-null its profiles also
-/// sharpen the early-termination bound below, independent of
-/// use_prefilter (the dynamic serving path always has them at hand).
-/// Thread-compatible: concurrent calls are safe when each uses its own
-/// `posterior` and `result` (the index, prefilter and ctx are only read;
-/// `bounds` is internally synchronized).
+/// ctx.options.use_prefilter is false; when non-null on an index without
+/// candidate columns, its profiles are tier 2's candidate-side keys below,
+/// independent of use_prefilter (the dynamic serving path always has them
+/// at hand). Thread-compatible: concurrent calls are safe when each uses
+/// its own `posterior` and `result` (the index, prefilter and ctx are only
+/// read; `bounds` is internally synchronized).
 ///
-/// `bounds` non-null enables top-k early termination on a ranking scan
-/// (ctx.apply_gamma == false, bounds->k() >= 1; any other configuration
-/// scans exhaustively): the call keeps a bounded heap of the k best
-/// (phi_score, gbd) pairs it has appended under SearchMatchRankBefore, and
-/// skips a candidate — counting it in pruned_by_bound instead of scoring
-/// it — when the candidate provably ranks strictly after that witness (or
-/// after the cross-shard phi witness in bounds->threshold()). The proof
-/// pushes a GBD lower bound — from multiset sizes (tier 1, O(1)), then
-/// from profile branch-fingerprint intersections when `prefilter` is
-/// non-null (tier 2, capped early-exit merge) — through
-/// PosteriorEngine::PhiSuffixMax; a tie in the bounded phi falls through
-/// to the gbd tie-break, so pruning stays live even when the k-th best
-/// phi_score is exactly 0. Every skip is provably outside the query's
-/// global top-k, so downstream SortTopK truncation reproduces the
-/// exhaustive ranking bit-identically (see ScanBounds).
+/// With ctx.options.early_termination on, the scan skips a candidate —
+/// counting it in pruned_by_bound instead of scoring it — when a sound Phi
+/// upper bound proves it out. The proof pushes a GBD lower bound — from
+/// multiset sizes (tier 1, O(1)), then from branch-fingerprint
+/// intersections against the index's columns or `prefilter`'s profiles
+/// (tier 2, capped early-exit merge) — through PosteriorEngine::PhiSuffixMax.
+///
+/// A threshold scan (ctx.apply_gamma) needs no `bounds`: gamma > 0 is a
+/// fixed floor, and a candidate whose bound is strictly below it is one
+/// Step 4 rejects anyway. Each skip depends on the candidate
+/// alone, so pruned_by_bound is the same however the range is split.
+///
+/// A ranking scan (ctx.apply_gamma == false) prunes only when `bounds` is
+/// non-null with bounds->k() >= 1: the call keeps a bounded heap of the k
+/// best (phi_score, gbd) pairs it has appended under
+/// SearchMatchRankBefore, and skips a candidate that provably ranks
+/// strictly after that witness (or after the cross-shard phi witness in
+/// bounds->threshold()); a tie in the bounded phi falls through to the gbd
+/// tie-break, so pruning stays live even when the k-th best phi_score is
+/// exactly 0. Every skip is provably outside the query's global top-k, so
+/// downstream SortTopK truncation reproduces the exhaustive ranking
+/// bit-identically (see ScanBounds).
 Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
@@ -322,10 +330,10 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
 /// (src/ann navigates, this call scores); counters accumulate like
 /// ScanRange's, plus verified_count for candidates actually scored.
 ///
-/// `bounds` non-null arms the same PR-5 admissible early termination as
-/// ScanRange (ranking scans only): a candidate provably ranking strictly
-/// after the k-th-best witness is counted in pruned_by_bound instead of
-/// scored. Skips are sound within the listed set — the surviving matches
+/// Prunes under the same rules as ScanRange; on a ranking scan with
+/// `bounds` non-null, a candidate provably ranking strictly after the
+/// k-th-best witness is counted in pruned_by_bound instead of scored.
+/// Skips are sound within the listed set — the surviving matches
 /// always contain the exact top-k OF THE LISTED CANDIDATES — so
 /// approximate-mode results stay a subset of the exhaustive ranking with
 /// exact scores. Thread-compatible under the same rules as ScanRange.
@@ -365,7 +373,7 @@ class GbdaSearch {
   /// smaller GBD, then id). Useful when the caller wants a ranking rather
   /// than a yes/no set. k == 0 returns an empty result without scanning
   /// (see kScanAllMatches for the sentinel/zero distinction). Runs the
-  /// early-terminated scan unless options.topk_early_termination is off —
+  /// early-terminated scan unless options.early_termination is off —
   /// bit-identical either way.
   Result<SearchResult> QueryTopK(const Graph& query, size_t k,
                                  const SearchOptions& options);
@@ -376,7 +384,7 @@ class GbdaSearch {
  private:
   /// Shared scan: evaluates Phi for every (or every surviving) candidate.
   /// `top_k` != kScanAllMatches arms early termination on ranking scans
-  /// (when options.topk_early_termination is set); the result is still the
+  /// (when options.early_termination is set); the result is still the
   /// full untruncated match list — QueryTopK sorts and truncates it.
   Result<SearchResult> Scan(const Graph& query, const SearchOptions& options,
                             bool apply_gamma,

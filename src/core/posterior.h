@@ -46,7 +46,7 @@ class PosteriorEngine {
   /// tau_hat > tau_max.
   Result<double> Phi(int64_t v, int64_t phi, int64_t tau_hat);
 
-  /// Monotone pruning hook for top-k early termination (docs/ARCHITECTURE.md,
+  /// Monotone pruning hook for bound pruning (docs/ARCHITECTURE.md,
   /// "Serving layer"). Phi is not monotone in phi (the GMM prior Lambda2 in
   /// the denominator can dip), so the sound majorant is the suffix maximum:
   /// returns T with T[p] = max over phi' in [p, cap] of Phi(v, phi', tau_hat),

@@ -34,7 +34,7 @@ struct FilterProfile {
   /// distinct branch types) — an admissible common-branch upper bound, and
   /// through GBD = max(|V1|, |V2|) - |B_G1 ∩ B_G2| an admissible GBD lower
   /// bound, at a uint64 two-pointer merge instead of the full
-  /// lexicographic branch merge. Feeds the top-k early-termination scan
+  /// lexicographic branch merge. Feeds the bound-pruning scan
   /// (CommonBranchUpperBound; docs/ARCHITECTURE.md, "Serving layer").
   std::vector<uint64_t> branch_keys;
 };
@@ -70,7 +70,7 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b);
 /// overcount the true branch intersection — admissible. Through
 /// GBD = max(|V1|, |V2|) - |B_G1 ∩ B_G2| this is exactly a GBD lower bound:
 ///   GBD >= max(|V1|, |V2|) - CommonBranchUpperBound,
-/// the cheap per-candidate bound the top-k early-termination scan feeds into
+/// the cheap per-candidate bound the bound-pruning scan feeds into
 /// PosteriorEngine::PhiSuffixMax (docs/ARCHITECTURE.md, "Serving layer").
 /// O(n) two-pointer uint64 merge — no branch or edge-label storage is
 /// touched.

@@ -166,7 +166,7 @@ void EncodeSearchOptions(const SearchOptions& options, BinaryWriter* writer) {
   writer->PutU64(options.seed);
   uint32_t flags = 0;
   if (options.use_prefilter) flags |= 1u;
-  if (options.topk_early_termination) flags |= 2u;
+  if (options.early_termination) flags |= 2u;
   if (options.approximate) flags |= 4u;
   writer->PutU32(flags);
   writer->PutU64(options.search_window_size);
@@ -194,7 +194,7 @@ Result<SearchOptions> DecodeSearchOptions(BinaryReader* reader) {
         reader->DescribeHere("unknown search option flags"));
   }
   options.use_prefilter = (*flags & 1u) != 0;
-  options.topk_early_termination = (*flags & 2u) != 0;
+  options.early_termination = (*flags & 2u) != 0;
   options.approximate = (*flags & 4u) != 0;
   Result<uint64_t> window = reader->GetU64();
   if (!window.ok()) return window.status();

@@ -132,9 +132,8 @@ class DynamicGbdaService {
 
   Result<SearchResult> Query(const Graph& query, const SearchOptions& options);
   /// Top-k ranking over the pinned snapshot. Runs the early-terminated
-  /// scan — the snapshot's prefilter profiles always sharpen the pruning
-  /// bound, independent of options.use_prefilter — unless
-  /// options.topk_early_termination is off; bit-identical either way.
+  /// scan unless options.early_termination is off; bit-identical either
+  /// way.
   /// k == 0 is a defined-empty result (API-boundary decision, no scan; see
   /// core/gbda_search.h on kScanAllMatches vs k == 0).
   Result<SearchResult> QueryTopK(const Graph& query, size_t k,

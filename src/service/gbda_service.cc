@@ -87,7 +87,7 @@ void ServiceCounters::Collect(const std::string& labels,
                       "Candidates rejected by the layered prefilter", labels,
                       static_cast<double>(prefiltered_out.Value()));
   AppendCounterFamily(out, "gbda_service_pruned_by_bound_total",
-                      "Posterior evaluations skipped by top-k early termination",
+                      "Posterior evaluations skipped by bound pruning",
                       labels, static_cast<double>(pruned_by_bound.Value()));
   AppendCounterFamily(out, "gbda_service_candidates_visited_total",
                       "Nodes visited by the approximate navigator", labels,
@@ -194,15 +194,17 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
         "database is tombstoned: the frozen scan cannot serve a mutated "
         "corpus — use DynamicGbdaService");
   }
-  // Profiles are also the early-termination bound's teeth (ScanRange
-  // sharpens its GBD lower bound through them without ever consulting
-  // Passes), so an armed ranking scan builds them even when the prefilter
-  // itself is off — one lazy O(corpus) build, amortized across all
-  // queries. Mirrors ParallelScanBatch's arming condition exactly (incl.
-  // k >= corpus, which never prunes), so the build never runs unread.
+  // On an index without candidate columns the profiles are tier 2's
+  // candidate-side keys (ScanRange reads them without ever consulting
+  // Passes; with columns it reads the columns instead), so an armed ranking
+  // scan builds them even when the prefilter itself is off — one lazy
+  // O(corpus) build, amortized across all queries. Mirrors
+  // ParallelScanBatch's arming condition (incl. k >= corpus, which never
+  // prunes). Threshold scans prune against gamma with tier 1 alone on such
+  // an index unless the prefilter is on.
   const bool pruned_ranking = top_k != kScanAllMatches && !apply_gamma &&
                               top_k < shards_.num_graphs() &&
-                              options.topk_early_termination;
+                              options.early_termination;
   // Approximate navigation serves concrete-k rankings only: threshold
   // queries are defined over the whole corpus, and a clamped k of 0 (empty
   // corpus) already has a defined-empty exhaustive answer.

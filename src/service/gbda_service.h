@@ -55,7 +55,7 @@ struct ServiceStats {
   size_t batches_served = 0;  // QueryBatch / QueryTopKBatch calls
   size_t candidates_evaluated = 0;
   size_t prefiltered_out = 0;
-  /// Posterior evaluations skipped by top-k early termination (subset of
+  /// Posterior evaluations skipped by bound pruning (subset of
   /// candidates_evaluated; see SearchResult::pruned_by_bound).
   size_t pruned_by_bound = 0;
   /// Nodes the approximate navigator visited (0 for exhaustive queries) and
@@ -159,7 +159,7 @@ class GbdaService {
   /// (phi_score desc, gbd asc, id asc) tie-breaking. Each shard truncates
   /// to its local top-k before the global merge re-ranks. Runs the
   /// early-terminated scan (shards share the running k-th-best bound)
-  /// unless options.topk_early_termination is off — results are identical
+  /// unless options.early_termination is off — results are identical
   /// either way. k == 0 is defined as an empty result (validated here at
   /// the API boundary, no scan runs; see core/gbda_search.h on the
   /// kScanAllMatches sentinel vs k == 0).

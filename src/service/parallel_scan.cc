@@ -23,7 +23,7 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
   // corpus can never prune, so it skips the bookkeeping.
   const bool early_terminate =
       !apply_gamma && top_k != kScanAllMatches &&
-      top_k < env.shards->num_graphs() && options.topk_early_termination;
+      top_k < env.shards->num_graphs() && options.early_termination;
 
   struct QueryJob {
     ScanContext ctx;

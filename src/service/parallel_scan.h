@@ -51,14 +51,15 @@ struct ParallelScanEnv {
 /// `seconds` is that query's latency from batch submission to its last
 /// shard completing.
 ///
-/// Ranking calls (apply_gamma == false with a real top_k) run with top-k
-/// early termination unless options.topk_early_termination is off: each
-/// query job owns one ScanBounds, shared by that query's shard tasks
-/// through ParallelScanEnv's fan-out, so the k-th-best phi_score witnessed
-/// by any shard prunes the other shards' tails via a relaxed atomic. The
-/// merged output stays bit-identical to the exhaustive scan — only
-/// SearchResult::pruned_by_bound and timing vary (see core/gbda_search.h,
-/// ScanBounds).
+/// Unless options.early_termination is off, every shard task prunes
+/// (see core/gbda_search.h, ScanRange). Threshold calls need no shared
+/// state: gamma is each task's fixed floor, so their pruned_by_bound sums
+/// to the serial scan's. Ranking calls (apply_gamma == false with a real
+/// top_k) give each query job one ScanBounds, shared by that query's shard
+/// tasks through ParallelScanEnv's fan-out, so the k-th-best phi_score
+/// witnessed by any shard prunes the other shards' tails via a relaxed
+/// atomic. The merged output stays bit-identical to the exhaustive scan —
+/// only SearchResult::pruned_by_bound and timing vary (see ScanBounds).
 Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
                                                     Span<Graph> queries,
                                                     const SearchOptions& options,
@@ -70,8 +71,8 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
 /// navigation is a global walk, so sharding it would change which
 /// candidates it visits. `env.shards` is unused; `env.prefilter` plays its
 /// usual two roles inside the verification scan (admission when
-/// options.use_prefilter, bound sharpening when early termination is
-/// armed). top_k must be a real k (not 0, not kScanAllMatches) — callers
+/// options.use_prefilter, tier 2's candidate keys when the index has no
+/// columns). top_k must be a real k (not 0, not kScanAllMatches) — callers
 /// route those to the exhaustive path. Returned matches are a subset of
 /// the exhaustive top-k with bit-exact scores; only the match SET is
 /// approximate (see ann/navigator.h).

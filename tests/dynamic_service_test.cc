@@ -272,7 +272,7 @@ TEST_F(DynamicServiceTest, TauZeroAndTopKZeroOnSnapshotPath) {
     // Pruned and exhaustive rankings agree at the tau boundary (the
     // snapshot path always sharpens the bound through its profiles).
     SearchOptions exhaustive = opts;
-    exhaustive.topk_early_termination = false;
+    exhaustive.early_termination = false;
     Result<SearchResult> pruned = dyn.QueryTopK(query, 3, opts);
     Result<SearchResult> reference = dyn.QueryTopK(query, 3, exhaustive);
     ASSERT_TRUE(pruned.ok());

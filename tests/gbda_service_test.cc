@@ -379,7 +379,7 @@ TEST_F(GbdaServiceTest, TauZeroServesExactBranchDuplicatesOnly) {
       // The ranking path at the tau boundary: pruned top-k must equal the
       // exhaustive ranking here too.
       SearchOptions exhaustive = opts;
-      exhaustive.topk_early_termination = false;
+      exhaustive.early_termination = false;
       Result<SearchResult> top_pruned = service.QueryTopK(query, 5, opts);
       Result<SearchResult> top_exhaustive =
           service.QueryTopK(query, 5, exhaustive);

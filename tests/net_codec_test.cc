@@ -40,7 +40,7 @@ SearchOptions SampleOptions() {
   options.v1_sample_alpha = 3;
   options.seed = 42;
   options.use_prefilter = true;
-  options.topk_early_termination = true;
+  options.early_termination = true;
   options.approximate = true;
   options.search_window_size = 96;
   return options;
@@ -204,8 +204,8 @@ TEST(NetCodecTest, TopKRequestRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded->options.v1_sample_alpha, original.options.v1_sample_alpha);
   EXPECT_EQ(decoded->options.seed, original.options.seed);
   EXPECT_EQ(decoded->options.use_prefilter, original.options.use_prefilter);
-  EXPECT_EQ(decoded->options.topk_early_termination,
-            original.options.topk_early_termination);
+  EXPECT_EQ(decoded->options.early_termination,
+            original.options.early_termination);
   EXPECT_EQ(decoded->options.approximate, original.options.approximate);
   EXPECT_EQ(decoded->options.search_window_size,
             original.options.search_window_size);

@@ -199,7 +199,7 @@ TEST_F(GbdaSearchTest, TauZeroQueryEndToEnd) {
   SearchOptions pruned;
   pruned.tau_hat = 0;
   SearchOptions exhaustive = pruned;
-  exhaustive.topk_early_termination = false;
+  exhaustive.early_termination = false;
   Result<SearchResult> a = search_->QueryTopK(query, 5, pruned);
   Result<SearchResult> b = search_->QueryTopK(query, 5, exhaustive);
   ASSERT_TRUE(a.ok());
