@@ -1,17 +1,15 @@
-// Cold-start bench: open -> first-query latency and resident memory for the
-// two index artifact formats (docs/BENCHMARKS.md, "Cold-start bench").
+// Cold-start bench: open -> first-query latency and resident memory of a
+// mapped v3 artifact (docs/BENCHMARKS.md, "Cold-start bench").
+// GbdaIndexView::Open maps the file, validates the header, offset tables
+// and columns, and decodes the two prior blobs; the branch arena and the
+// candidate columns are served in place.
 //
-//   v2  GbdaIndex::LoadFromFile  — full stream decode, one heap allocation
-//                                  per branch multiset;
-//   v3  GbdaIndexView::Open      — mmap + header/offset validation + prior
-//                                  decode, branch arena served in place.
-//
-// Both artifacts are generated from the same freshly built index, then each
-// format is opened and queried `--iters` times. Before any number is
-// reported, full query results through the v3 view are checked bit-identical
-// (ids, phi bits, GBD, counters) to results through the decoded v2 index —
-// the bench aborts non-zero on divergence, so the latency figures can never
-// come from a diverging read path.
+// The artifact is written from a freshly built in-memory index, then opened
+// and queried `--iters` times. Before any number is reported, full query
+// results through the mapped view are checked bit-identical (ids, phi bits,
+// GBD, counters) to GbdaSearch over the in-memory index the artifact was
+// written from — the bench aborts non-zero on divergence, so the latency
+// figures can never come from a diverging read path.
 //
 // Emits one JSON object on stdout; schema in docs/BENCHMARKS.md.
 //
@@ -44,11 +42,7 @@ using bench::ProfileByName;
 namespace {
 
 struct Flags {
-  // The benchmark corpus: full-scale AASD (38K graphs, ~43 MB artifact),
-  // where the acceptance number lives — v3 open -> first query is >= 10x
-  // lower than the v2 decode. Smaller scales shrink the decode while the
-  // per-query posterior warmup stays constant, so the ratio drops with
-  // --scale; quote speedups at scale 1.0.
+  // The benchmark corpus: full-scale AASD (38K graphs, ~59 MiB artifact).
   std::string profile = "aasd";
   double scale = 1.0;
   size_t iters = 5;
@@ -109,14 +103,13 @@ double Median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
-/// The two generated artifacts, removed on ANY exit (including Die paths) —
-/// they are ~43 MB each on the default corpus, and docs/BENCHMARKS.md
-/// promises they do not outlive the run.
-std::string g_v2_path, g_v3_path;
+/// The generated artifact, removed on ANY exit (including Die paths) — it
+/// is ~59 MiB on the default corpus, and docs/BENCHMARKS.md promises it
+/// does not outlive the run.
+std::string g_artifact_path;
 
-void RemoveArtifacts() {
-  if (!g_v2_path.empty()) std::remove(g_v2_path.c_str());
-  if (!g_v3_path.empty()) std::remove(g_v3_path.c_str());
+void RemoveArtifact() {
+  if (!g_artifact_path.empty()) std::remove(g_artifact_path.c_str());
 }
 
 struct ColdStartSample {
@@ -130,19 +123,19 @@ struct ColdStartSample {
   std::exit(1);
 }
 
-/// One timed cold start through either format. `open` returns an opened
-/// IndexReader (plus keeps its backing alive); the first query runs through
+/// One timed cold start: map the artifact, then run the first query through
 /// a fresh GbdaSearch over the shared database.
-template <typename OpenFn>
 ColdStartSample TimeColdStart(const GraphDatabase& db,
                               const std::vector<Graph>& queries,
-                              const SearchOptions& options, OpenFn open) {
+                              const SearchOptions& options,
+                              const std::string& path) {
   ColdStartSample sample;
   const size_t rss_before = CurrentRssBytes();
   WallTimer timer;
-  auto opened = open();  // unique_ptr-like holder exposing reader()
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  if (!view.ok()) Die(view.status().ToString());
   sample.open_seconds = timer.Seconds();
-  GbdaSearch search(&db, opened.reader);
+  GbdaSearch search(&db, &*view);
   Result<SearchResult> first = search.Query(queries[0], options);
   if (!first.ok()) Die(first.status().ToString());
   sample.open_first_query_seconds = timer.Seconds();
@@ -152,18 +145,7 @@ ColdStartSample TimeColdStart(const GraphDatabase& db,
   return sample;
 }
 
-struct OpenedV2 {
-  std::unique_ptr<GbdaIndex> index;
-  const IndexReader* reader = nullptr;
-};
-
-struct OpenedV3 {
-  std::unique_ptr<GbdaIndexView> view;
-  const IndexReader* reader = nullptr;
-};
-
-void PrintStats(const char* key, const std::vector<ColdStartSample>& samples,
-                bool trailing_comma) {
+void PrintStats(const char* key, const std::vector<ColdStartSample>& samples) {
   std::vector<double> open, open_first;
   std::vector<double> rss;
   for (const ColdStartSample& s : samples) {
@@ -174,9 +156,8 @@ void PrintStats(const char* key, const std::vector<ColdStartSample>& samples,
   std::printf(
       "  \"%s\": {\"open_seconds_median\": %.6f, "
       "\"open_first_query_seconds_median\": %.6f, "
-      "\"rss_delta_bytes_median\": %.0f}%s\n",
-      key, Median(open), Median(open_first), Median(rss),
-      trailing_comma ? "," : "");
+      "\"rss_delta_bytes_median\": %.0f},\n",
+      key, Median(open), Median(open_first), Median(rss));
 }
 
 }  // namespace
@@ -201,41 +182,35 @@ int main(int argc, char** argv) {
   Result<GbdaIndex> built = GbdaIndex::Build(db, index_options);
   if (!built.ok()) Die(built.status().ToString());
 
-  const std::string stem = flags.dir + "/gbda_coldstart_" +
-                           std::to_string(static_cast<long long>(getpid()));
-  const std::string v2_path = stem + ".v2.idx";
-  const std::string v3_path = stem + ".v3.idx";
-  g_v2_path = v2_path;
-  g_v3_path = v3_path;
-  std::atexit(RemoveArtifacts);
-  Status v2_saved = built->SaveToFile(v2_path);
-  if (!v2_saved.ok()) Die(v2_saved.ToString());
-  Status v3_saved = WriteArenaFile(*built, v3_path);
-  if (!v3_saved.ok()) Die(v3_saved.ToString());
+  const std::string path = flags.dir + "/gbda_coldstart_" +
+                           std::to_string(static_cast<long long>(getpid())) +
+                           ".v3.idx";
+  g_artifact_path = path;
+  std::atexit(RemoveArtifact);
+  Status saved = WriteArenaFile(*built, path);
+  if (!saved.ok()) Die(saved.ToString());
 
   SearchOptions options;
   options.tau_hat = flags.tau_hat;
   options.gamma = flags.gamma;
 
-  // ---- Equivalence gate: v3 view results must be bit-identical to the
-  // decoded v2 index before any latency figure is trusted.
+  // ---- Equivalence gate: results through the mapped view must be
+  // bit-identical to the in-memory index the artifact was written from
+  // before any latency figure is trusted.
   {
-    Result<GbdaIndex> decoded = GbdaIndex::LoadFromFile(v2_path);
-    if (!decoded.ok()) Die(decoded.status().ToString());
-    Result<GbdaIndexView> view = GbdaIndexView::Open(v3_path);
+    Result<GbdaIndexView> view = GbdaIndexView::Open(path);
     if (!view.ok()) Die(view.status().ToString());
-    GbdaSearch search_decoded(&db, &*decoded);
+    GbdaSearch search_built(&db, &*built);
     GbdaSearch search_view(&db, &*view);
     for (size_t q = 0; q < num_queries; ++q) {
-      Result<SearchResult> a =
-          search_decoded.Query(dataset->queries[q], options);
+      Result<SearchResult> a = search_built.Query(dataset->queries[q], options);
       Result<SearchResult> b = search_view.Query(dataset->queries[q], options);
       if (!a.ok()) Die(a.status().ToString());
       if (!b.ok()) Die(b.status().ToString());
       if (a->matches.size() != b->matches.size() ||
           a->candidates_evaluated != b->candidates_evaluated ||
           a->prefiltered_out != b->prefiltered_out) {
-        Die("v2/v3 divergence: result shape differs on query " +
+        Die("built/mapped divergence: result shape differs on query " +
             std::to_string(q));
       }
       for (size_t i = 0; i < a->matches.size(); ++i) {
@@ -243,60 +218,29 @@ int main(int argc, char** argv) {
             std::memcmp(&a->matches[i].phi_score, &b->matches[i].phi_score,
                         sizeof(double)) != 0 ||
             a->matches[i].gbd != b->matches[i].gbd) {
-          Die("v2/v3 divergence: match " + std::to_string(i) + " of query " +
-              std::to_string(q) + " differs");
+          Die("built/mapped divergence: match " + std::to_string(i) +
+              " of query " + std::to_string(q) + " differs");
         }
       }
     }
   }
 
   // ---- Timed cold starts.
-  std::vector<ColdStartSample> v2_samples, v3_samples;
+  std::vector<ColdStartSample> samples;
   for (size_t it = 0; it < flags.iters; ++it) {
-    v2_samples.push_back(TimeColdStart(db, dataset->queries, options, [&] {
-      Result<GbdaIndex> loaded = GbdaIndex::LoadFromFile(v2_path);
-      if (!loaded.ok()) Die(loaded.status().ToString());
-      OpenedV2 opened;
-      opened.index = std::make_unique<GbdaIndex>(std::move(*loaded));
-      opened.reader = opened.index.get();
-      return opened;
-    }));
-    v3_samples.push_back(TimeColdStart(db, dataset->queries, options, [&] {
-      Result<GbdaIndexView> view = GbdaIndexView::Open(v3_path);
-      if (!view.ok()) Die(view.status().ToString());
-      OpenedV3 opened;
-      opened.view = std::make_unique<GbdaIndexView>(std::move(*view));
-      opened.reader = opened.view.get();
-      return opened;
-    }));
+    samples.push_back(TimeColdStart(db, dataset->queries, options, path));
   }
 
-  std::vector<double> v2_of, v3_of;
-  for (const ColdStartSample& s : v2_samples) {
-    v2_of.push_back(s.open_first_query_seconds);
-  }
-  for (const ColdStartSample& s : v3_samples) {
-    v3_of.push_back(s.open_first_query_seconds);
-  }
-  const double v2_median = Median(v2_of);
-  const double v3_median = Median(v3_of);
-  const double speedup = v3_median > 0.0 ? v2_median / v3_median : 0.0;
-
-  std::ifstream v2_file(v2_path, std::ios::binary | std::ios::ate);
-  std::ifstream v3_file(v3_path, std::ios::binary | std::ios::ate);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
   std::printf("{\n");
   std::printf(
       "  \"profile\": \"%s\", \"scale\": %.4f, \"num_graphs\": %zu, "
       "\"iters\": %zu, \"tau_hat\": %lld,\n",
       flags.profile.c_str(), flags.scale, db.size(), flags.iters,
       static_cast<long long>(flags.tau_hat));
-  std::printf(
-      "  \"v2_file_bytes\": %lld, \"v3_file_bytes\": %lld,\n",
-      static_cast<long long>(v2_file.tellg()),
-      static_cast<long long>(v3_file.tellg()));
-  PrintStats("v2_decode", v2_samples, true);
-  PrintStats("v3_map", v3_samples, true);
-  std::printf("  \"open_first_query_speedup\": %.2f,\n", speedup);
+  std::printf("  \"file_bytes\": %lld,\n",
+              static_cast<long long>(file.tellg()));
+  PrintStats("v3_map", samples);
   std::printf("  \"equivalence\": \"bit-identical\"\n}\n");
-  return 0;  // artifacts removed by the atexit hook
+  return 0;  // artifact removed by the atexit hook
 }

@@ -202,9 +202,8 @@ int main(int argc, char** argv) {
   }
   const size_t k = std::min(flags.k, corpus);
 
-  // Warm everything both timed passes share — prefilter profiles, engine
-  // memos, and the proximity graph — so per-window walls measure steady
-  // state.
+  // Warm everything both timed passes share — engine memos and the
+  // proximity graph — so per-window walls measure steady state.
   Status warmed = service.WarmAnnGraph();
   if (!warmed.ok()) {
     std::fprintf(stderr, "ann graph: %s\n", warmed.ToString().c_str());

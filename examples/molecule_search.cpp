@@ -1,8 +1,8 @@
 // Molecule similarity search: the bio-informatics scenario of the paper's
 // introduction. Builds an AIDS-profile molecule database, runs the offline
-// stage (branch index + priors), persists the index, reloads it, and answers
-// similarity queries with GBDA, printing the top matches with their
-// posterior scores.
+// stage (branch index + priors), persists the index as a v3 arena, maps it
+// back, and answers similarity queries with GBDA over the mapped artifact,
+// printing the top matches with their posterior scores.
 
 #include <algorithm>
 #include <cstdio>
@@ -11,6 +11,8 @@
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
+#include "storage/index_arena.h"
+#include "storage/index_view.h"
 
 using namespace gbda;
 
@@ -46,21 +48,23 @@ int main() {
               costs.pairs_sampled,
               HumanSeconds(costs.ged_prior_seconds).c_str());
 
-  // Persist and reload, as a production service would at startup.
-  const std::string path = "/tmp/gbda_molecules.idx";
-  if (Status st = index->SaveToFile(path); !st.ok()) {
-    std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
+  // Persist, then map the artifact back, as a production service would at
+  // startup: the branch arena and candidate columns are served in place.
+  const std::string path = "/tmp/gbda_molecules.v3";
+  if (Status st = WriteArenaFile(*index, path); !st.ok()) {
+    std::fprintf(stderr, "write: %s\n", st.ToString().c_str());
     return 1;
   }
-  Result<GbdaIndex> loaded = GbdaIndex::LoadFromFile(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load: %s\n", loaded.status().ToString().c_str());
+  Result<GbdaIndexView> mapped = GbdaIndexView::Open(path);
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "open: %s\n", mapped.status().ToString().c_str());
     return 1;
   }
-  std::printf("Index persisted to %s and reloaded.\n\n", path.c_str());
+  std::printf("Index written to %s and mapped (%zu bytes).\n\n", path.c_str(),
+              mapped->file_bytes());
 
   // Online stage: Algorithm 1 for a handful of query molecules.
-  GbdaSearch search(&dataset->db, &*loaded);
+  GbdaSearch search(&dataset->db, &*mapped);
   SearchOptions opts;
   opts.tau_hat = 5;
   opts.gamma = 0.8;

@@ -23,54 +23,12 @@ ProximityGraphRef ProximityGraph::ref() const {
   return r;
 }
 
-FingerprintStore FingerprintStore::FromPrefilter(const Prefilter& prefilter) {
-  FingerprintStore store;
-  const size_t n = prefilter.size();
-  store.offsets_.assign(n + 1, 0);
-  size_t total = 0;
-  for (size_t id = 0; id < n; ++id) {
-    total += prefilter.profile(id).branch_keys.size();
-  }
-  store.pool_.reserve(total);
-  for (size_t id = 0; id < n; ++id) {
-    const std::vector<uint64_t>& keys = prefilter.profile(id).branch_keys;
-    store.pool_.insert(store.pool_.end(), keys.begin(), keys.end());
-    store.offsets_[id + 1] = store.pool_.size();
-  }
-  return store;
-}
-
 FingerprintStore FingerprintStore::FromIndex(const IndexReader& index) {
   FingerprintStore store;
   const size_t n = index.num_graphs();
-  store.offsets_.assign(n + 1, 0);
-  // When the backing carries candidate columns (mapped v3 artifact or a
-  // materialised cache), the per-graph sorted fingerprints already exist in
-  // exactly the layout this store needs — copy the blob instead of
-  // recomputing every hash. Bit-identical by construction: the column is
-  // the same deterministic function of the branch data as the loop below.
   const CandidateColumns columns = index.columns();
-  if (columns.present()) {
-    const uint64_t total = columns.fp_offsets[n];
-    store.pool_.assign(columns.fp_keys, columns.fp_keys + total);
-    store.offsets_.assign(columns.fp_offsets, columns.fp_offsets + n + 1);
-    return store;
-  }
-  for (size_t id = 0; id < n; ++id) {
-    const BranchSetRef branches = index.branch_set(id);
-    const size_t begin = store.pool_.size();
-    for (size_t b = 0; b < branches.size(); ++b) {
-      const Span<const LabelId> labels = branches.edge_labels(b);
-      store.pool_.push_back(
-          BranchFingerprint(branches.root(b), labels.data(), labels.size()));
-    }
-    // Branch multisets are stored in lexicographic (root, labels) order, not
-    // fingerprint order; sort per graph so the two-pointer distance merge
-    // sees ascending keys — the same order BuildFilterProfile produces.
-    std::sort(store.pool_.begin() + static_cast<ptrdiff_t>(begin),
-              store.pool_.end());
-    store.offsets_[id + 1] = store.pool_.size();
-  }
+  store.offsets_.assign(columns.fp_offsets, columns.fp_offsets + n + 1);
+  store.pool_.assign(columns.fp_keys, columns.fp_keys + columns.fp_offsets[n]);
   return store;
 }
 

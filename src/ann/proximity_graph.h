@@ -2,7 +2,8 @@
 /// Sub-linear candidate generation for approximate top-k
 /// (docs/ARCHITECTURE.md, "Approximate candidate navigation"): a
 /// Vamana-style proximity graph over the corpus, with graphs embedded by
-/// their FilterProfile branch-fingerprint multisets and compared under
+/// their branch-fingerprint multisets (the fp_keys candidate column) and
+/// compared under
 ///   FingerprintDistance(a, b) = max(|Ka|, |Kb|) - |Ka ∩ Kb|,
 /// the fingerprint-space mirror of GBD (Definition 4). The offline builder
 /// (randomized insertion + greedy search + RobustPrune, degree-bounded)
@@ -25,7 +26,6 @@
 #include "common/result.h"
 #include "common/span.h"
 #include "core/index_reader.h"
-#include "core/prefilter.h"
 
 namespace gbda {
 
@@ -76,23 +76,17 @@ struct ProximityGraph {
 
 /// Flat per-node sorted-fingerprint store the builder and the navigator
 /// compute distances over: node i's keys are the ascending branch
-/// fingerprints of corpus graph i (FilterProfile::branch_keys). One
-/// contiguous pool, so distance evaluations stay cache-friendly.
+/// fingerprints of corpus graph i. One contiguous pool, so distance
+/// evaluations stay cache-friendly.
 class FingerprintStore {
  public:
   FingerprintStore() = default;
 
-  /// Copies every profile's branch_keys out of a built Prefilter — the
-  /// cheap path when profiles already exist (both services hold them).
-  static FingerprintStore FromPrefilter(const Prefilter& prefilter);
-
-  /// Fingerprints each graph's branch multiset straight from the index —
-  /// the path for mapped artifacts, where no Graph objects or profiles
-  /// exist. When the backing exposes candidate columns (index.columns())
-  /// the per-graph sorted fingerprint blob is copied wholesale; otherwise
-  /// each branch is hashed (BranchFingerprint) and sorted per graph.
-  /// Either way produces exactly the keys FromPrefilter would: the
-  /// fingerprints hash the same (root, edge-label multiset) content.
+  /// Copies the index's fp_offsets / fp_keys columns (index.columns()) —
+  /// the keys the scan's tier 2 and PrepareScan's query_fps are built
+  /// from, so build-time and query-time geometry agree by construction.
+  /// Works for every backing: a mapped artifact, an owned index or a
+  /// dynamic snapshot.
   static FingerprintStore FromIndex(const IndexReader& index);
 
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }

@@ -71,15 +71,18 @@ const char* KernelImplName(KernelImpl impl);
 /// alignment is a throughput property, not a requirement).
 struct ScanKernels {
   /// Multiset intersection count of two ascending uint64 key arrays:
-  /// sum over distinct keys of min(multiplicity_a, multiplicity_b).
-  /// Exactly CommonBranchUpperBound's arithmetic (core/prefilter.h).
+  /// sum over distinct keys of min(multiplicity_a, multiplicity_b). Over
+  /// two graphs' sorted branch fingerprints this is the admissible
+  /// common-branch upper bound of tier 2 (core/prefilter.h,
+  /// BranchFingerprint).
   int64_t (*intersect_count)(const uint64_t* a, size_t na, const uint64_t* b,
                              size_t nb);
   /// Decision form: true iff intersect_count(a, b) <= cap (cap < 0 is
-  /// always false). Early-exits in both directions like
-  /// CommonBranchUpperBoundAtMost; the decision — not the visit order — is
-  /// the contract, so the AVX2 variant may schedule its exits differently
-  /// and still return the identical boolean.
+  /// always false). Early-exits in both directions — as soon as the
+  /// intersection exceeds cap, or as soon as the remaining tails cannot
+  /// lift it above cap; the decision — not the visit order — is the
+  /// contract, so the AVX2 variant may schedule its exits differently and
+  /// still return the identical boolean.
   bool (*intersect_at_most)(const uint64_t* a, size_t na, const uint64_t* b,
                             size_t nb, int64_t cap);
   /// Batched tier-1 size bound: out_lb[i] = |query_size - sizes[i]| for

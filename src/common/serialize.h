@@ -91,14 +91,15 @@ class BinaryReader {
   size_t position() const { return pos_; }
   /// Bytes left to decode. Decoders validate on-disk element counts against
   /// this before allocating (a corrupt count must never drive a huge
-  /// allocation; see GbdaIndex::LoadFromFile).
+  /// allocation; see the wire decoders in net/codec.cc).
   size_t remaining() const { return data_.size() - pos_; }
 
   /// The artifact name failures are attributed to ("" when unnamed).
   const std::string& source() const { return source_; }
   /// "<what> at byte <offset> of <source>" — the error wording used by this
   /// reader's own failures, reusable by decoders layered on top of it (e.g.
-  /// GbdaIndex::LoadFromFile) so the whole decode path reports uniformly.
+  /// the wire codec, net/codec.cc) so the whole decode path reports
+  /// uniformly.
   std::string Describe(const std::string& what, size_t offset) const {
     std::string msg = "binary decode: " + what + " at byte " +
                       std::to_string(offset);

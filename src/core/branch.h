@@ -40,7 +40,7 @@ using BranchMultiset = std::vector<Branch>;
 /// Non-owning view of one sorted branch multiset, the unit the scan contract
 /// (core/index_reader.h) hands to GBD evaluation. Two backings share one
 /// code path:
-///   - owned: a BranchMultiset held by a decoded GbdaIndex;
+///   - owned: a BranchMultiset held by a GbdaIndex;
 ///   - flat:  arena slices of a mapped v3 artifact (storage/index_view.h) —
 ///     parallel root / label-offset arrays plus a shared label pool, read in
 ///     place with zero deserialization.

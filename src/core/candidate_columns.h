@@ -2,11 +2,11 @@
 /// The owned form of the SoA candidate columns (core/index_reader.h) and
 /// the one materialisation routine every backing shares: the v3 arena
 /// writer persists exactly what BuildCandidateColumns computes
-/// (storage/index_arena.cc), and a decoded GbdaIndex materialises the same
-/// columns on the fly so dynamic snapshots and v2-loaded indexes feed the
-/// batched kernels too. One deterministic function of the branch data, so
-/// an artifact's columns and an on-the-fly build are bit-identical — the
-/// property the cross-backing equivalence suites rest on.
+/// (storage/index_arena.cc), and an owned GbdaIndex — including every
+/// dynamic snapshot — materialises the same columns lazily on first use.
+/// One deterministic function of the branch data, so an artifact's columns
+/// and an on-the-fly build are bit-identical — the property the
+/// cross-backing equivalence suites rest on.
 /// See docs/ARCHITECTURE.md, "Scan kernels & column layout".
 
 #pragma once

@@ -1,40 +1,17 @@
 #include "core/gbda_index.h"
 
 #include <cmath>
-#include <fstream>
 #include <numeric>
 #include <set>
-#include <sstream>
 
-#include "common/crc32.h"
-#include "common/serialize.h"
 #include "common/timer.h"
 
 namespace gbda {
 namespace {
 
-// v2 persists the full GbdPriorOptions (GMM fit knobs + probability floor),
-// so RefitGbdPrior on a loaded index runs the exact arithmetic Build would.
-constexpr uint32_t kIndexVersion = 2;
-
-// Integrity footer appended after the v2 payload: per-section CRC32 sums
-// over the byte ranges [0, header_end), [header_end, branches_end),
-// [branches_end, gbd_end), [gbd_end, ged_end). The read side is backward
-// compatible — a footer-less payload (pre-footer writer) still loads — but
-// when the footer is present every checksum must verify, so a flipped bit
-// anywhere in the artifact is caught at load time instead of surfacing as a
-// silently wrong query result.
-constexpr uint32_t kFooterMagic = 0x47424346;  // "GBCF"
-constexpr uint32_t kFooterSectionCount = 4;
-static_assert(kIndexV2FooterBytes ==
-                  2 * sizeof(uint32_t) + kFooterSectionCount * sizeof(uint32_t),
-              "exported footer size must match the footer layout");
-const char* const kFooterSectionNames[kFooterSectionCount] = {
-    "header", "branches", "gbd_prior", "ged_prior"};
-
 // Plausibility bounds for on-disk header fields. A hostile file can claim
 // any value; these only need to admit every index this library can build.
-// (kMaxPlausibleTau is shared with the GED-prior decoder; the loader
+// (kMaxPlausibleTau is shared with the GED-prior decoder; the arena loader
 // cross-checks the two headers for equality.)
 constexpr int64_t kMaxPlausibleLabels = int64_t{1} << 32;  // LabelId is u32
 // Both feed int fields of GmmFitOptions, so the bounds must stay below
@@ -49,11 +26,6 @@ size_t BranchMultisetBytes(const BranchMultiset& ms) {
   }
   return bytes;
 }
-
-// Minimum encoded footprint of one record, used to validate on-disk counts
-// against the bytes actually remaining before any allocation happens.
-constexpr size_t kMinGraphRecordBytes = 8;    // u64 branch count
-constexpr size_t kMinBranchRecordBytes = 12;  // u32 root + u64 vector length
 
 }  // namespace
 
@@ -120,39 +92,6 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
   index.ged_prior_->EagerBuild(sizes);
   index.costs_.ged_prior_seconds = timer.Seconds();
   index.costs_.ged_prior_bytes = index.ged_prior_->MemoryBytes();
-  return index;
-}
-
-Result<GbdaIndex> GbdaIndex::FromParts(const GbdaIndexOptions& options,
-                                       int64_t num_vertex_labels,
-                                       int64_t num_edge_labels,
-                                       std::vector<BranchMultiset> branches,
-                                       GbdPrior gbd_prior,
-                                       GedPriorTable ged_prior) {
-  Status header_ok = ValidatePersistedIndexHeader(
-      options, num_vertex_labels, num_edge_labels, /*avg_vertices=*/0.0);
-  if (!header_ok.ok()) {
-    return Status::InvalidArgument("index from parts: " + header_ok.message());
-  }
-  if (ged_prior.tau_max() != options.tau_max ||
-      ged_prior.num_vertex_labels() != num_vertex_labels ||
-      ged_prior.num_edge_labels() != num_edge_labels) {
-    return Status::InvalidArgument(
-        "index from parts: GED prior header disagrees with the index header");
-  }
-  GbdaIndex index;
-  index.options_ = options;
-  index.num_vertex_labels_ = num_vertex_labels;
-  index.num_edge_labels_ = num_edge_labels;
-  index.branches_.reserve(branches.size());
-  for (BranchMultiset& ms : branches) {
-    index.vertex_sum_ += static_cast<double>(ms.size());
-    index.branches_.push_back(
-        std::make_shared<const BranchMultiset>(std::move(ms)));
-  }
-  index.num_live_ = index.branches_.size();
-  index.gbd_prior_ = std::make_shared<const GbdPrior>(std::move(gbd_prior));
-  index.ged_prior_ = std::make_shared<GedPriorTable>(std::move(ged_prior));
   return index;
 }
 
@@ -251,76 +190,6 @@ GbdaIndex GbdaIndex::CompactView(std::vector<size_t>* live_ids_out) const {
   return dense;
 }
 
-Status GbdaIndex::SaveToFile(const std::string& path) const {
-  if (num_live_ != branches_.size()) {
-    return Status::FailedPrecondition(
-        "index save: tombstoned indexes cannot be persisted");
-  }
-  // The format has no staleness field: a loaded index always reports
-  // gbd_staleness() == 0, so persisting a drifted Lambda2 would silently
-  // lose the drift marker. Refit (or Flush through the dynamic service)
-  // before saving.
-  if (gbd_staleness_ != 0) {
-    return Status::FailedPrecondition(
-        "index save: Lambda2 is stale (mutations since last fit); refit "
-        "before persisting");
-  }
-  BinaryWriter writer;
-  writer.PutU32(kIndexV2Magic);
-  writer.PutU32(kIndexVersion);
-  writer.PutI64(options_.tau_max);
-  writer.PutU64(options_.gbd_prior.num_sample_pairs);
-  writer.PutU64(options_.seed);
-  // v2: the remaining GbdPriorOptions, so a later RefitGbdPrior on the
-  // loaded index reproduces Build's arithmetic exactly.
-  writer.PutDouble(options_.gbd_prior.probability_floor);
-  writer.PutI64(options_.gbd_prior.gmm.num_components);
-  writer.PutI64(options_.gbd_prior.gmm.max_iterations);
-  writer.PutDouble(options_.gbd_prior.gmm.tolerance);
-  writer.PutDouble(options_.gbd_prior.gmm.stddev_floor);
-  writer.PutU64(options_.gbd_prior.gmm.seed);
-  writer.PutI64(num_vertex_labels_);
-  writer.PutI64(num_edge_labels_);
-  writer.PutDouble(avg_vertices());
-  const size_t header_end = writer.buffer().size();
-  writer.PutU64(branches_.size());
-  for (const auto& ms_ptr : branches_) {
-    const BranchMultiset& ms = *ms_ptr;
-    writer.PutU64(ms.size());
-    for (const Branch& b : ms) {
-      writer.PutU32(b.root);
-      writer.PutPodVector(b.edge_labels);
-    }
-  }
-  const size_t branches_end = writer.buffer().size();
-  gbd_prior_->Serialize(&writer);
-  const size_t gbd_end = writer.buffer().size();
-  ged_prior_->Serialize(&writer);
-  const size_t ged_end = writer.buffer().size();
-
-  // Integrity footer: one CRC32 per section (header / branches / priors).
-  // Compatibility is one-way by design: this loader accepts both footered
-  // and footer-less v2 payloads, but pre-footer builds reject a footered
-  // artifact as "trailing bytes" — re-reading new artifacts with old
-  // binaries requires stripping the last kIndexV2FooterBytes.
-  const char* bytes = writer.buffer().data();
-  const uint32_t crcs[kFooterSectionCount] = {
-      Crc32(bytes, header_end),
-      Crc32(bytes + header_end, branches_end - header_end),
-      Crc32(bytes + branches_end, gbd_end - branches_end),
-      Crc32(bytes + gbd_end, ged_end - gbd_end)};
-  writer.PutU32(kFooterMagic);
-  writer.PutU32(kFooterSectionCount);
-  for (uint32_t crc : crcs) writer.PutU32(crc);
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(writer.buffer().data(),
-            static_cast<std::streamsize>(writer.buffer().size()));
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
 Status ValidatePersistedIndexHeader(const GbdaIndexOptions& options,
                                     int64_t num_vertex_labels,
                                     int64_t num_edge_labels,
@@ -350,169 +219,6 @@ Status ValidatePersistedIndexHeader(const GbdaIndexOptions& options,
     return Status::InvalidArgument("implausible avg_vertices");
   }
   return Status::OK();
-}
-
-Result<GbdaIndex> GbdaIndex::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-  BinaryReader reader(data, path);
-  // Every structural complaint names the artifact and the byte offset of
-  // the offending record (BinaryReader's own failures already do).
-  const auto fail = [&reader](const std::string& what) {
-    return Status::InvalidArgument(
-        reader.Describe("index load: " + what, reader.position()));
-  };
-
-  Result<uint32_t> magic = reader.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kIndexV2Magic) {
-    return Status::InvalidArgument("not a GBDA index file: " + path);
-  }
-  Result<uint32_t> version = reader.GetU32();
-  if (!version.ok()) return version.status();
-  if (*version != kIndexVersion) {
-    return Status::NotSupported(
-        "unsupported index version " + std::to_string(*version) + " in " +
-        path + " (this build reads v2 streams; v3 arenas open through "
-        "GbdaIndexView)");
-  }
-
-  GbdaIndex index;
-  Result<int64_t> tau_max = reader.GetI64();
-  if (!tau_max.ok()) return tau_max.status();
-  index.options_.tau_max = *tau_max;
-  Result<uint64_t> pairs = reader.GetU64();
-  if (!pairs.ok()) return pairs.status();
-  index.options_.gbd_prior.num_sample_pairs = *pairs;
-  Result<uint64_t> seed = reader.GetU64();
-  if (!seed.ok()) return seed.status();
-  index.options_.seed = *seed;
-  Result<double> prob_floor = reader.GetDouble();
-  if (!prob_floor.ok()) return prob_floor.status();
-  Result<int64_t> ncomp = reader.GetI64();
-  if (!ncomp.ok()) return ncomp.status();
-  Result<int64_t> iters = reader.GetI64();
-  if (!iters.ok()) return iters.status();
-  Result<double> tol = reader.GetDouble();
-  if (!tol.ok()) return tol.status();
-  Result<double> sd_floor = reader.GetDouble();
-  if (!sd_floor.ok()) return sd_floor.status();
-  Result<uint64_t> gmm_seed = reader.GetU64();
-  if (!gmm_seed.ok()) return gmm_seed.status();
-  if (*ncomp < 1 || *ncomp > kMaxPlausibleComponents || *iters < 1 ||
-      *iters > kMaxPlausibleIterations) {
-    // Validated before the narrowing casts below; everything else funnels
-    // through ValidatePersistedIndexHeader once the fields are assembled.
-    return fail("implausible prior options");
-  }
-  index.options_.gbd_prior.probability_floor = *prob_floor;
-  index.options_.gbd_prior.gmm.num_components = static_cast<int>(*ncomp);
-  index.options_.gbd_prior.gmm.max_iterations = static_cast<int>(*iters);
-  index.options_.gbd_prior.gmm.tolerance = *tol;
-  index.options_.gbd_prior.gmm.stddev_floor = *sd_floor;
-  index.options_.gbd_prior.gmm.seed = *gmm_seed;
-  Result<int64_t> lv = reader.GetI64();
-  if (!lv.ok()) return lv.status();
-  Result<int64_t> le = reader.GetI64();
-  if (!le.ok()) return le.status();
-  index.num_vertex_labels_ = *lv;
-  index.num_edge_labels_ = *le;
-  Result<double> avg_v = reader.GetDouble();
-  if (!avg_v.ok()) return avg_v.status();
-  Status header_ok = ValidatePersistedIndexHeader(
-      index.options_, index.num_vertex_labels_, index.num_edge_labels_,
-      *avg_v);
-  if (!header_ok.ok()) return fail(header_ok.message());
-  const size_t header_end = reader.position();
-
-  Result<uint64_t> num_graphs = reader.GetU64();
-  if (!num_graphs.ok()) return num_graphs.status();
-  // Every graph record occupies at least its branch-count word, so a count
-  // exceeding remaining/8 cannot be honest. Checking BEFORE resize keeps a
-  // hostile 16-byte file from demanding gigabytes.
-  if (*num_graphs > reader.remaining() / kMinGraphRecordBytes) {
-    return Status::OutOfRange(reader.Describe(
-        "index load: graph count exceeds file size", header_end));
-  }
-  index.branches_.reserve(static_cast<size_t>(*num_graphs));
-  for (uint64_t i = 0; i < *num_graphs; ++i) {
-    const size_t graph_at = reader.position();
-    Result<uint64_t> count = reader.GetU64();
-    if (!count.ok()) return count.status();
-    if (*count > reader.remaining() / kMinBranchRecordBytes) {
-      return Status::OutOfRange(reader.Describe(
-          "index load: branch count of graph " + std::to_string(i) +
-              " exceeds file size",
-          graph_at));
-    }
-    BranchMultiset ms;
-    ms.resize(static_cast<size_t>(*count));
-    for (uint64_t j = 0; j < *count; ++j) {
-      Result<uint32_t> root = reader.GetU32();
-      if (!root.ok()) return root.status();
-      Result<std::vector<LabelId>> labels = reader.GetPodVector<LabelId>();
-      if (!labels.ok()) return labels.status();
-      ms[j].root = *root;
-      ms[j].edge_labels = std::move(*labels);
-    }
-    index.vertex_sum_ += static_cast<double>(ms.size());
-    index.branches_.push_back(
-        std::make_shared<const BranchMultiset>(std::move(ms)));
-  }
-  index.num_live_ = index.branches_.size();
-  const size_t branches_end = reader.position();
-
-  Result<GbdPrior> prior = GbdPrior::Deserialize(&reader);
-  if (!prior.ok()) return prior.status();
-  index.gbd_prior_ = std::make_shared<const GbdPrior>(std::move(*prior));
-  const size_t gbd_end = reader.position();
-  Result<GedPriorTable> ged = GedPriorTable::Deserialize(&reader);
-  if (!ged.ok()) return ged.status();
-  // The embedded prior carries its own header; a crafted file could pass
-  // both independent plausibility checks with inconsistent values and then
-  // serve silently wrong scores (e.g. zero GED mass above the embedded
-  // tau_max while the index admits larger tau_hat).
-  if (ged->tau_max() != index.options_.tau_max ||
-      ged->num_vertex_labels() != index.num_vertex_labels_ ||
-      ged->num_edge_labels() != index.num_edge_labels_) {
-    return fail("GED prior header disagrees with the index header");
-  }
-  index.ged_prior_ = std::make_shared<GedPriorTable>(std::move(*ged));
-  const size_t ged_end = reader.position();
-
-  // Optional integrity footer (see SaveToFile). Footer-less payloads load
-  // for backward compatibility; anything else trailing is rejected, and a
-  // present footer must verify section by section.
-  if (reader.remaining() == 0) return index;
-  if (reader.remaining() != kIndexV2FooterBytes) {
-    return fail("trailing bytes after index");
-  }
-  Result<uint32_t> footer_magic = reader.GetU32();
-  if (!footer_magic.ok()) return footer_magic.status();
-  if (*footer_magic != kFooterMagic) return fail("trailing bytes after index");
-  Result<uint32_t> footer_sections = reader.GetU32();
-  if (!footer_sections.ok()) return footer_sections.status();
-  if (*footer_sections != kFooterSectionCount) {
-    return fail("unexpected footer section count");
-  }
-  const size_t bounds[kFooterSectionCount + 1] = {0, header_end, branches_end,
-                                                  gbd_end, ged_end};
-  for (size_t s = 0; s < kFooterSectionCount; ++s) {
-    Result<uint32_t> stored = reader.GetU32();
-    if (!stored.ok()) return stored.status();
-    const uint32_t actual =
-        Crc32(data.data() + bounds[s], bounds[s + 1] - bounds[s]);
-    if (actual != *stored) {
-      return Status::DataLoss(reader.Describe(
-          "index load: CRC32 mismatch in section '" +
-              std::string(kFooterSectionNames[s]) + "'",
-          bounds[s]));
-    }
-  }
-  return index;
 }
 
 Status ValidateIndexForDatabase(const GraphDatabase& db,

@@ -5,7 +5,9 @@
 /// branch multiset of every database graph (Section III), the GMM prior of
 /// GBD values Lambda2 (Section V-B), and the Jeffreys prior of GED values
 /// Lambda3 (Section V-C). It also records the offline time/space costs
-/// reported in Tables IV-V and supports binary save/load.
+/// reported in Tables IV-V. Persistence lives in the storage engine: the v3
+/// arena (storage/index_arena.h) is the one artifact format, written by
+/// WriteArenaFile and served in place by GbdaIndexView.
 ///
 /// Beyond the paper's frozen-database stage, the index supports incremental
 /// maintenance for a corpus that changes under live traffic
@@ -71,15 +73,6 @@ struct OfflineCosts {
 /// The branch multiset of a tombstoned slot (see GbdaIndex::RemoveGraphs).
 inline const BranchMultiset kEmptyBranchMultiset{};
 
-/// First word of every v2 stream artifact ("GBDA" in little-endian bytes).
-/// Exported so tooling (gbda_indexctl) routes artifacts by magic with the
-/// loader's own constant rather than a copy that could drift.
-inline constexpr uint32_t kIndexV2Magic = 0x47424441;
-/// Byte size of the v2 integrity footer appended by SaveToFile (footer
-/// magic + section count + one CRC32 per section). LoadFromFile accepts
-/// payloads without it (pre-footer artifacts) but verifies it when present.
-inline constexpr size_t kIndexV2FooterBytes = 6 * sizeof(uint32_t);
-
 /// The offline artifact of GBDA: precomputed branch multisets for every
 /// database graph (Section III requires them stored with the graphs), the
 /// GMM prior of GBDs (Lambda2) and the Jeffreys prior of GEDs (Lambda3).
@@ -97,19 +90,6 @@ class GbdaIndex : public IndexReader {
   /// stay alive while the index is in use.
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
-
-  /// Assembles an index from already-decoded artifact parts — the storage
-  /// engine's v3 -> v2 materialization path (storage/index_view.h). Performs
-  /// the same cross-checks LoadFromFile runs on a v2 stream: plausible
-  /// header fields and a GED-prior header that agrees with the index header.
-  /// The assembled index reports gbd_staleness() == 0, like any loaded
-  /// artifact.
-  static Result<GbdaIndex> FromParts(const GbdaIndexOptions& options,
-                                     int64_t num_vertex_labels,
-                                     int64_t num_edge_labels,
-                                     std::vector<BranchMultiset> branches,
-                                     GbdPrior gbd_prior,
-                                     GedPriorTable ged_prior);
 
   const BranchMultiset& branches(size_t graph_id) const {
     return branches_[graph_id] ? *branches_[graph_id] : kEmptyBranchMultiset;
@@ -196,12 +176,6 @@ class GbdaIndex : public IndexReader {
   /// assuming Lambda2 is fresh (gbd_staleness() == 0).
   GbdaIndex CompactView(std::vector<size_t>* live_ids_out) const;
 
-  /// Binary persistence of the full offline artifact. Tombstoned or
-  /// Lambda2-stale indexes cannot be saved (the format carries neither
-  /// liveness nor staleness): refit first, or persist a fresh rebuild.
-  Status SaveToFile(const std::string& path) const;
-  static Result<GbdaIndex> LoadFromFile(const std::string& path);
-
  private:
   GbdaIndex() = default;
 
@@ -237,17 +211,17 @@ class GbdaIndex : public IndexReader {
 
 /// The construction-time agreement check of every (database, index) consumer
 /// (GbdaSearch, GbdaService, DynamicGbdaService): an index built over a
-/// different database generation — e.g. a stale SaveToFile artifact — would
+/// different database generation — e.g. a stale persisted artifact — would
 /// otherwise drive out-of-bounds branch and prefilter lookups during scans.
 /// Accepts any IndexReader, so a mapped v3 artifact is checked the same way
-/// as a decoded index.
+/// as an owned index.
 Status ValidateIndexForDatabase(const GraphDatabase& db,
                                 const IndexReader& index);
 
-/// Shared plausibility validation of persisted index header fields, used by
-/// both the v2 stream loader (LoadFromFile) and the v3 arena loader
-/// (storage/index_view.cc). A hostile artifact can claim any value; these
-/// bounds only need to admit every index this library can build.
+/// Plausibility validation of persisted index header fields, run by the v3
+/// arena header parser (storage/index_arena.cc, ParseArenaHeader). A hostile
+/// artifact can claim any value; these bounds only need to admit every
+/// index this library can build.
 Status ValidatePersistedIndexHeader(const GbdaIndexOptions& options,
                                     int64_t num_vertex_labels,
                                     int64_t num_edge_labels,

@@ -121,10 +121,7 @@ Result<ScanContext> PrepareScan(const Graph& query,
   }
   // Only the prefilter's Passes reads the profile: the bounds and the
   // approximate navigation take the query side from query_fps.
-  if (options.use_prefilter) {
-    // Reuses the branches extracted above instead of a second pass.
-    ctx.query_profile = BuildFilterProfile(query, ctx.query_branches);
-  }
+  if (options.use_prefilter) ctx.query_profile = BuildFilterProfile(query);
 
   // GBDA-V1 replaces the pair-specific |V'1| by a database average estimated
   // from alpha sampled graphs. Sampled once per query so every shard of the
@@ -288,21 +285,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     return max_size - common_ub;
   };
-  // Candidate-side sorted fingerprint keys for the tier-2 cut: the column
-  // blob when the backing provides one (zero pointer chases), the
-  // prefilter profile otherwise. Tier 2 is live whenever either source
-  // exists — columns arm it even on scans that never built a Prefilter.
-  const bool have_fps = columns.present() || prefilter != nullptr;
-  const auto candidate_fps = [&](size_t id, size_t* n) -> const uint64_t* {
-    if (columns.present()) {
-      const uint64_t lo = columns.fp_offsets[id];
-      *n = static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-      return columns.fp_keys + lo;
-    }
-    const std::vector<uint64_t>& keys = prefilter->profile(id).branch_keys;
-    *n = keys.size();
-    return keys.data();
-  };
   const uint64_t* query_keys = ctx.query_fps.data();
   const size_t query_keys_n = ctx.query_fps.size();
 
@@ -369,10 +351,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     const bool do_prune = local_full || phi_floor >= 0.0;
     if (do_prune) {
       for (size_t j = 0; j < admitted; ++j) {
-        blk_sizes[j] = columns.present()
-                           ? columns.sizes[blk_ids[j]]
-                           : static_cast<uint32_t>(
-                                 index.branch_set(blk_ids[j]).size());
+        blk_sizes[j] = columns.sizes[blk_ids[j]];
       }
       // Tier 1 for the whole block in one kernel sweep: for non-weighted
       // variants the bound is exactly |query size - candidate size|.
@@ -450,9 +429,13 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         // Tier 1 costs two array loads; tier 2 a capped kernel merge,
         // still far cheaper than the full scoring it stands in for.
         bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
-        if (!pruned && have_fps && table_by_size[g_size] != nullptr) {
-          size_t cn = 0;
-          const uint64_t* ck = candidate_fps(id, &cn);
+        if (!pruned && table_by_size[g_size] != nullptr) {
+          // The candidate's sorted fingerprints, straight from the fp_keys
+          // column (zero pointer chases).
+          const uint64_t lo = columns.fp_offsets[id];
+          const size_t cn =
+              static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
+          const uint64_t* ck = columns.fp_keys + lo;
           if (options.variant == GbdaVariant::kWeightedGbd) {
             // VGBD's rounding makes the phi_lb <-> common-cap inversion
             // fiddly; take the exact counting merge instead.
@@ -640,21 +623,17 @@ Result<SearchResult> GbdaSearch::Scan(const Graph& query,
   Result<ScanContext> ctx =
       PrepareScan(query, options, apply_gamma, CorpusRef(db_), *index_);
   if (!ctx.ok()) return ctx.status();
-  // Touch prefilter_ only on the use_prefilter branch: a non-prefiltered
-  // query reading the pointer while another thread's call_once is
-  // constructing it would be an unsynchronized read.
-  //
   // Threshold scans arm their gamma floor from ctx alone (no bounds). k >=
   // corpus can never prune (no k strictly-better matches exist), so such
   // ranking scans skip the heap bookkeeping entirely and run exhaustively.
   const bool early_terminate = !apply_gamma && top_k != kScanAllMatches &&
                                top_k < db_->size() &&
                                options.early_termination;
-  // Armed ranking scans build the prefilter too: on an index without
-  // candidate columns its profiles are tier 2's candidate-side keys (see
-  // ScanRange) — one lazy O(corpus) build, amortized across all queries.
+  // Touch prefilter_ only on the use_prefilter branch: a non-prefiltered
+  // query reading the pointer while another thread's call_once is
+  // constructing it would be an unsynchronized read.
   const Prefilter* prefilter = nullptr;
-  if (options.use_prefilter || early_terminate) {
+  if (options.use_prefilter) {
     std::call_once(prefilter_once_,
                    [this] { prefilter_ = std::make_unique<Prefilter>(db_); });
     prefilter = prefilter_.get();

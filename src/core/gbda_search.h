@@ -15,7 +15,7 @@
 /// the serial scan; see docs/ARCHITECTURE.md, "Serving layer".
 ///
 /// Both halves consume the index through the IndexReader contract
-/// (core/index_reader.h), so a decoded GbdaIndex and a mapped v3 artifact
+/// (core/index_reader.h), so an owned GbdaIndex and a mapped v3 artifact
 /// (storage/index_view.h) serve queries through one code path with
 /// bit-identical results.
 
@@ -253,8 +253,7 @@ struct ScanContext {
   /// The query's branch fingerprints, sorted ascending — the query side of
   /// every kernel call: the tier-2 capped intersection cut, (when fp_exact
   /// below holds) the exact fingerprint-scoring path, and the approximate
-  /// navigation's entry keys. Always built; same content as
-  /// query_profile.branch_keys when that profile exists.
+  /// navigation's entry keys. Always built.
   std::vector<uint64_t> query_fps;
   /// True when fingerprint intersections against THIS index are provably
   /// exact for this query: the index's columns carry the corpus-injectivity
@@ -286,20 +285,18 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// Evaluates candidates with ids in [begin, end), appending accepted
 /// matches to result->matches (in ascending id order) and accumulating
 /// candidates_evaluated / prefiltered_out, so per-shard results sum to the
-/// serial scan's counters. `prefilter` may be null when
-/// ctx.options.use_prefilter is false; when non-null on an index without
-/// candidate columns, its profiles are tier 2's candidate-side keys below,
-/// independent of use_prefilter (the dynamic serving path always has them
-/// at hand). Thread-compatible: concurrent calls are safe when each uses
-/// its own `posterior` and `result` (the index, prefilter and ctx are only
-/// read; `bounds` is internally synchronized).
+/// serial scan's counters. `prefilter` serves admission only: it is read
+/// only when ctx.options.use_prefilter is set and may be null otherwise.
+/// Thread-compatible: concurrent calls are safe when each uses its own
+/// `posterior` and `result` (the index, prefilter and ctx are only read;
+/// `bounds` is internally synchronized).
 ///
 /// With ctx.options.early_termination on, the scan skips a candidate —
 /// counting it in pruned_by_bound instead of scoring it — when a sound Phi
 /// upper bound proves it out. The proof pushes a GBD lower bound — from
 /// multiset sizes (tier 1, O(1)), then from branch-fingerprint
-/// intersections against the index's columns or `prefilter`'s profiles
-/// (tier 2, capped early-exit merge) — through PosteriorEngine::PhiSuffixMax.
+/// intersections against the index's fp_keys column (tier 2, capped
+/// early-exit merge) — through PosteriorEngine::PhiSuffixMax.
 ///
 /// A threshold scan (ctx.apply_gamma) needs no `bounds`: gamma > 0 is a
 /// fixed floor, and a candidate whose bound is strictly below it is one
@@ -351,10 +348,10 @@ Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
 class GbdaSearch {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
-  /// (graph counts and per-graph branch sizes), e.g. a stale LoadFromFile
+  /// (graph counts and per-graph branch sizes), e.g. a stale persisted
   /// artifact. Prefer this over the raw constructor whenever the index
-  /// provenance is not statically known. Accepts any IndexReader — a
-  /// decoded GbdaIndex or a mapped GbdaIndexView.
+  /// provenance is not statically known. Accepts any IndexReader — an
+  /// owned GbdaIndex or a mapped GbdaIndexView.
   static Result<std::unique_ptr<GbdaSearch>> Create(const GraphDatabase* db,
                                                     const IndexReader* index);
 

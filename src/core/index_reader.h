@@ -3,7 +3,7 @@
 /// (PrepareScan / ScanRange), the posterior-engine construction and the
 /// serving layer consume. Two implementations exist:
 ///
-///   - GbdaIndex (core/gbda_index.h): the decoded, heap-owning index the
+///   - GbdaIndex (core/gbda_index.h): the heap-owning index the
 ///     offline stage builds and the dynamic corpus maintains incrementally;
 ///   - GbdaIndexView (storage/index_view.h): a non-owning view over a mapped
 ///     v3 arena artifact that serves branch multisets in place, with zero
@@ -36,14 +36,15 @@ struct GbdaIndexOptions;
 ///
 ///   - a mapped v3 arena exposes its column sections in place (64-byte
 ///     aligned by the format; storage/index_view.h);
-///   - a decoded GbdaIndex (and thus every dynamic snapshot) materialises
+///   - an owned GbdaIndex (and thus every dynamic snapshot) materialises
 ///     the same columns on the fly from its branch multisets, lazily and
 ///     once (core/candidate_columns.h).
 ///
 /// All pointers are non-owning; they stay valid while the index lives and
-/// is not mutated (the same lifetime branch_set() refs have). A default
-/// (empty) value means the backing provides no columns — e.g. a pre-column
-/// v3 artifact — and consumers fall back to branch_set() pointer walks.
+/// is not mutated (the same lifetime branch_set() refs have). Every backing
+/// provides sizes, fp_offsets and fp_keys — the arena makes sections 8..10
+/// mandatory — and they are the scan's only candidate-side fingerprint
+/// copy. Only the exactness directory is optional.
 struct CandidateColumns {
   /// sizes[g] = |B_g| (= |V_g| for ordinary graphs), the branch count of
   /// graph g; num_graphs() entries. The tier-1 size-bound column.
@@ -53,7 +54,7 @@ struct CandidateColumns {
   /// fingerprint per branch).
   const uint64_t* fp_offsets = nullptr;
   /// One packed blob of per-graph ASCENDING branch-fingerprint keys
-  /// (FilterProfile::branch_keys semantics: FNV-1a over root + ascending
+  /// (BranchFingerprint, core/prefilter.h: FNV-1a over root + ascending
   /// edge-label multiset); total-branch entries.
   const uint64_t* fp_keys = nullptr;
   /// Optional collision directory certifying fingerprint EXACTNESS for this
@@ -64,12 +65,15 @@ struct CandidateColumns {
   /// INJECTIVE corpus-wide, so a query whose own branches also pass the
   /// collision audit (PrepareScan) may compute exact branch intersections
   /// as fingerprint intersections. nullptr when the corpus has a collision
-  /// (astronomically rare at 64 bits) or the backing predates the columns.
+  /// (astronomically rare at 64 bits) or the artifact omits the directory.
   const uint64_t* fp_unique = nullptr;
   const uint64_t* fp_rep = nullptr;
   uint64_t num_distinct = 0;
 
-  /// The tier-1/tier-2 columns are usable (sizes + fingerprint blob).
+  /// All three column pointers are non-null. False only for a backing
+  /// with no branches to describe (e.g. a zero-graph owned index, whose
+  /// column vectors are empty); every range a scan would read through a
+  /// null pointer there is empty.
   bool present() const {
     return sizes != nullptr && fp_offsets != nullptr && fp_keys != nullptr;
   }
@@ -90,29 +94,28 @@ class IndexReader {
   /// num_live() == num_graphs().
   virtual size_t num_live() const = 0;
   /// Mutations absorbed since Lambda2 was last fit (always 0 for persisted
-  /// artifacts: both formats refuse to encode a drifted prior).
+  /// artifacts: the arena writer refuses to encode a drifted prior).
   virtual size_t gbd_staleness() const = 0;
 
   /// The branch multiset of graph `id` as a non-owning view; empty for a
   /// tombstoned slot. Valid while the index outlives the ref.
   virtual BranchSetRef branch_set(size_t id) const = 0;
 
-  /// The SoA candidate columns of this backing (see CandidateColumns), or
-  /// an empty value when it provides none — consumers must handle both.
+  /// The SoA candidate columns of this backing (see CandidateColumns).
   /// Implementations must keep this safe for concurrent readers; returned
   /// pointers follow branch_set()'s lifetime rules.
-  virtual CandidateColumns columns() const { return CandidateColumns(); }
+  virtual CandidateColumns columns() const = 0;
 
-  /// The offline-stage options this index was built with (persisted by both
-  /// artifact formats so a converted or reloaded index refits Lambda2 with
-  /// Build's exact arithmetic).
+  /// The offline-stage options this index was built with (persisted by the
+  /// arena so a reopened index refits Lambda2 with Build's exact
+  /// arithmetic).
   virtual const GbdaIndexOptions& options() const = 0;
 
   virtual int64_t tau_max() const = 0;
   virtual int64_t num_vertex_labels() const = 0;
   virtual int64_t num_edge_labels() const = 0;
   /// Mean vertex count over live graphs (the GBDA-V1 size estimate's
-  /// database-level analogue; persisted in both formats).
+  /// database-level analogue; persisted in the arena header).
   virtual double avg_vertices() const = 0;
 
   /// The GMM prior of GBD values (Lambda2). Immutable and shared.

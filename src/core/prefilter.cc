@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/kernels.h"
-
 namespace gbda {
 namespace {
 
@@ -49,8 +47,7 @@ uint64_t BranchFingerprint(LabelId root,
   return BranchFingerprint(root, edge_labels.data(), edge_labels.size());
 }
 
-FilterProfile BuildFilterProfile(const Graph& g,
-                                 const BranchMultiset& branches) {
+FilterProfile BuildFilterProfile(const Graph& g) {
   FilterProfile p;
   p.num_vertices = static_cast<int64_t>(g.num_vertices());
   p.num_edges = static_cast<int64_t>(g.num_edges());
@@ -64,36 +61,7 @@ FilterProfile BuildFilterProfile(const Graph& g,
     p.edge_labels.push_back(e.label);
   }
   std::sort(p.edge_labels.begin(), p.edge_labels.end());
-  p.branch_keys.reserve(branches.size());
-  for (const Branch& branch : branches) {
-    p.branch_keys.push_back(BranchFingerprint(branch.root, branch.edge_labels));
-  }
-  std::sort(p.branch_keys.begin(), p.branch_keys.end());
   return p;
-}
-
-FilterProfile BuildFilterProfile(const Graph& g) {
-  return BuildFilterProfile(g, ExtractBranches(g));
-}
-
-// Both bounds delegate to the scalar kernel table (common/kernels.h), the
-// single reference implementation of the sorted-fingerprint merge; the
-// runtime-dispatched scan path calls the same entry points through
-// GetScanKernels, so there is exactly one source of truth for the semantics.
-int64_t CommonBranchUpperBound(const FilterProfile& a,
-                               const FilterProfile& b) {
-  const std::vector<uint64_t>& ka = a.branch_keys;
-  const std::vector<uint64_t>& kb = b.branch_keys;
-  return GetScanKernels(KernelImpl::kScalar)
-      .intersect_count(ka.data(), ka.size(), kb.data(), kb.size());
-}
-
-bool CommonBranchUpperBoundAtMost(const FilterProfile& a,
-                                  const FilterProfile& b, int64_t cap) {
-  const std::vector<uint64_t>& ka = a.branch_keys;
-  const std::vector<uint64_t>& kb = b.branch_keys;
-  return GetScanKernels(KernelImpl::kScalar)
-      .intersect_at_most(ka.data(), ka.size(), kb.data(), kb.size(), cap);
 }
 
 int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b) {
@@ -145,8 +113,7 @@ size_t Prefilter::MemoryBytes() const {
   for (const auto& p : profiles_) {
     bytes += sizeof(FilterProfile) +
              p->vertex_labels.capacity() * sizeof(LabelId) +
-             p->edge_labels.capacity() * sizeof(LabelId) +
-             p->branch_keys.capacity() * sizeof(uint64_t);
+             p->edge_labels.capacity() * sizeof(LabelId);
   }
   return bytes;
 }

@@ -9,8 +9,8 @@ namespace gbda::net {
 namespace {
 
 /// Shared tail check: every message decoder calls this last so a payload
-/// with valid fields followed by junk is rejected, exactly like the
-/// artifact loaders (core/gbda_index.cc LoadFromFile).
+/// with valid fields followed by junk is rejected, exactly like the arena's
+/// prior-section decoders (storage/index_view.cc).
 Status RejectTrailing(const BinaryReader& reader) {
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(

@@ -256,11 +256,10 @@ Status DynamicGbdaService::Flush(SnapshotInfo* published) {
 Status DynamicGbdaService::EnsureSnapshotAnn(const Snapshot& snap) const {
   AnnState* state = snap.ann.get();
   std::call_once(state->once, [this, &snap, state] {
-    // Built from the snapshot's own prefilter profiles: the dense ids the
-    // graph navigates are exactly this generation's corpus positions.
+    // Built from the snapshot's own index: the dense ids the graph
+    // navigates are exactly this generation's corpus positions.
     Result<AnnContext> ctx = AnnContext::Build(
-        FingerprintStore::FromPrefilter(*snap.prefilter),
-        options_.service.ann_build);
+        FingerprintStore::FromIndex(*snap.index), options_.service.ann_build);
     if (ctx.ok()) {
       state->ctx = std::make_unique<const AnnContext>(std::move(*ctx));
     } else {

@@ -161,7 +161,7 @@ class DynamicGbdaService {
   size_t num_live() const { return snapshot_info().num_live; }
 
   /// Ensures the CURRENT snapshot's approximate-navigation context exists,
-  /// building it from the snapshot's prefilter with
+  /// building it from the snapshot index's fingerprint column with
   /// ServiceOptions::ann_build (see GbdaService::WarmAnnGraph). Each
   /// published generation owns its own lazily-built context — the corpus it
   /// navigates is exactly that generation's — so a warm is per-generation:

@@ -148,11 +148,8 @@ const Prefilter* GbdaService::EnsurePrefilter() {
 
 Status GbdaService::WarmAnnGraph() {
   std::call_once(ann_once_, [this] {
-    // The fingerprint store reuses the prefilter's per-graph sorted branch
-    // keys — the same keys the navigator compares against the query profile
-    // at search time, so build-time and query-time geometry agree.
-    Result<AnnContext> ctx = AnnContext::Build(
-        FingerprintStore::FromPrefilter(*EnsurePrefilter()), ann_build_);
+    Result<AnnContext> ctx =
+        AnnContext::Build(FingerprintStore::FromIndex(*index_), ann_build_);
     if (ctx.ok()) {
       ann_ = std::make_unique<const AnnContext>(std::move(*ctx));
     } else {
@@ -166,8 +163,8 @@ Status GbdaService::AdoptAnnGraph(const ProximityGraphRef& graph) {
   bool ran = false;
   std::call_once(ann_once_, [this, &graph, &ran] {
     ran = true;
-    Result<AnnContext> ctx = AnnContext::Adopt(
-        FingerprintStore::FromPrefilter(*EnsurePrefilter()), graph);
+    Result<AnnContext> ctx =
+        AnnContext::Adopt(FingerprintStore::FromIndex(*index_), graph);
     if (ctx.ok()) {
       ann_ = std::make_unique<const AnnContext>(std::move(*ctx));
     } else {
@@ -194,26 +191,15 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
         "database is tombstoned: the frozen scan cannot serve a mutated "
         "corpus — use DynamicGbdaService");
   }
-  // On an index without candidate columns the profiles are tier 2's
-  // candidate-side keys (ScanRange reads them without ever consulting
-  // Passes; with columns it reads the columns instead), so an armed ranking
-  // scan builds them even when the prefilter itself is off — one lazy
-  // O(corpus) build, amortized across all queries. Mirrors
-  // ParallelScanBatch's arming condition (incl. k >= corpus, which never
-  // prunes). Threshold scans prune against gamma with tier 1 alone on such
-  // an index unless the prefilter is on.
-  const bool pruned_ranking = top_k != kScanAllMatches && !apply_gamma &&
-                              top_k < shards_.num_graphs() &&
-                              options.early_termination;
   // Approximate navigation serves concrete-k rankings only: threshold
   // queries are defined over the whole corpus, and a clamped k of 0 (empty
   // corpus) already has a defined-empty exhaustive answer.
   const bool approximate = options.approximate && !apply_gamma &&
                            top_k != kScanAllMatches && top_k > 0;
-  const Prefilter* prefilter = options.use_prefilter || pruned_ranking ||
-                                       approximate
-                                   ? EnsurePrefilter()
-                                   : nullptr;
+  // The prefilter only admits candidates; tier 2 and the navigator read
+  // the index's fp_keys column.
+  const Prefilter* prefilter =
+      options.use_prefilter ? EnsurePrefilter() : nullptr;
   ParallelScanEnv env{&pool_, &shards_, index_, prefilter, CorpusRef(db_),
                       &engines_};
   if (approximate) {

@@ -129,16 +129,17 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
 
 /// Concurrent sharded query engine over a prebuilt index. The index is
 /// consumed through the IndexReader contract (core/index_reader.h), so the
-/// service serves equally from a decoded GbdaIndex and from a zero-copy
+/// service serves equally from an owned GbdaIndex and from a zero-copy
 /// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
 /// are bit-identical either way. Thread-safe: concurrent public calls are
 /// allowed (they share the pool and the per-worker engines; statistics are
-/// mutex-guarded). `db` and `index` must outlive the service and the index
-/// must have been built over exactly this database.
+/// lock-free sharded counters, see ServiceCounters). `db` and `index` must
+/// outlive the service and the index must have been built over exactly
+/// this database.
 class GbdaService {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
-  /// (graph counts and per-graph branch sizes), e.g. a stale LoadFromFile
+  /// (graph counts and per-graph branch sizes), e.g. a stale persisted
   /// artifact — an undetected mismatch would drive out-of-bounds branch and
   /// prefilter lookups in the shard scans.
   static Result<std::unique_ptr<GbdaService>> Create(
@@ -227,10 +228,11 @@ class GbdaService {
                                              const SearchOptions& options,
                                              bool apply_gamma, size_t top_k);
 
-  /// The layered prefilter, built on the first batch that enables it:
-  /// profile extraction is O(corpus) and cold-start sensitive (the mapped
-  /// v3 serving path opens in microseconds; an eager prefilter would put a
-  /// corpus-sized decode right back into startup). Thread-safe via
+  /// The layered prefilter, built on the first batch with
+  /// SearchOptions::use_prefilter — its only reader is admission. Profile
+  /// extraction is O(corpus) and cold-start sensitive (the mapped v3
+  /// serving path opens in microseconds; an eager prefilter would put a
+  /// corpus-sized pass right back into startup). Thread-safe via
   /// call_once; returns a stable pointer.
   const Prefilter* EnsurePrefilter();
 

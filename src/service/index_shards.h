@@ -2,12 +2,12 @@
 /// Static partitioning of a GbdaIndex for shard-parallel scans. Graph ids
 /// are split into contiguous, near-equal ranges; each ShardView bundles the
 /// id range with a read-only view of the branch store, which is all a
-/// worker needs to run core ScanRange over its slice (the per-batch
-/// Prefilter travels in ParallelScanEnv — it may be built lazily by the
-/// owner, after the shards). Because shards are contiguous and ascending,
-/// concatenating per-shard results in shard order reproduces the serial
-/// scan's id order exactly — the determinism contract of the serving layer
-/// (docs/ARCHITECTURE.md, "Serving layer").
+/// worker needs to run core ScanRange over its slice (the optional
+/// admission Prefilter travels separately in ParallelScanEnv). Because
+/// shards are contiguous and ascending, concatenating per-shard results in
+/// shard order reproduces the serial scan's id order exactly — the
+/// determinism contract of the serving layer (docs/ARCHITECTURE.md,
+/// "Serving layer").
 
 #pragma once
 
@@ -23,7 +23,7 @@ namespace gbda {
 /// into the shared index. Ids are positions in the partitioned index
 /// (absolute database ids for a frozen database, dense live positions for a
 /// dynamic snapshot). The index is consumed through the IndexReader contract,
-/// so shards partition a decoded GbdaIndex and a mapped v3 artifact alike.
+/// so shards partition an owned GbdaIndex and a mapped v3 artifact alike.
 class ShardView {
  public:
   ShardView(size_t shard_id, size_t begin, size_t end,

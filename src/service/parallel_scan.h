@@ -32,9 +32,10 @@ struct ParallelScanEnv {
   ThreadPool* pool;
   const IndexShards* shards;
   const IndexReader* index;
-  /// The layered prefilter for this batch; may be null when no query in
-  /// the batch enables it (core ScanRange only dereferences it under
-  /// SearchOptions::use_prefilter), so owners can build it lazily.
+  /// The layered prefilter for this batch, read for admission only; may be
+  /// null when the batch does not enable it (core ScanRange only
+  /// dereferences it under SearchOptions::use_prefilter), so owners can
+  /// build it lazily.
   const Prefilter* prefilter;
   CorpusRef corpus;
   /// One PosteriorEngine replica per pool worker plus a trailing spare
@@ -69,10 +70,9 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
 /// The approximate ranking fan-out: one pool task PER QUERY (not per
 /// shard) running ann/AnnSearchTopK over the whole corpus — beam
 /// navigation is a global walk, so sharding it would change which
-/// candidates it visits. `env.shards` is unused; `env.prefilter` plays its
-/// usual two roles inside the verification scan (admission when
-/// options.use_prefilter, tier 2's candidate keys when the index has no
-/// columns). top_k must be a real k (not 0, not kScanAllMatches) — callers
+/// candidates it visits. `env.shards` is unused; `env.prefilter` admits
+/// candidates inside the verification scan when options.use_prefilter is
+/// set. top_k must be a real k (not 0, not kScanAllMatches) — callers
 /// route those to the exhaustive path. Returned matches are a subset of
 /// the exhaustive top-k with bit-exact scores; only the match SET is
 /// approximate (see ann/navigator.h).

@@ -6,7 +6,6 @@
 
 #include "common/crc32.h"
 #include "common/serialize.h"
-#include "core/candidate_columns.h"
 
 namespace gbda {
 namespace {
@@ -65,10 +64,10 @@ Result<std::string> BuildArena(const IndexReader& index,
     return Status::FailedPrecondition(
         "arena build: tombstoned indexes cannot be persisted");
   }
-  // Mirrors the v2 writer: the format has no staleness field, so a drifted
-  // Lambda2 must be refit first. The empty index is the one exception — its
-  // prior cannot be refit (a fit needs >= 2 graphs) and is vacuously
-  // consistent with the (empty) corpus.
+  // The format has no staleness field, so a drifted Lambda2 must be refit
+  // first. The empty index is the one exception — its prior cannot be refit
+  // (a fit needs >= 2 graphs) and is vacuously consistent with the (empty)
+  // corpus.
   if (index.gbd_staleness() != 0 && num_graphs != 0) {
     return Status::FailedPrecondition(
         "arena build: Lambda2 is stale (mutations since last fit); refit "
@@ -115,18 +114,11 @@ Result<std::string> BuildArena(const IndexReader& index,
     ann_blob = SerializeProximityGraph(*ann_graph);
   }
 
-  // Candidate columns: taken from the backing when it already exposes them
-  // (a mapped view re-persists its own sections byte-identically; an owned
-  // index hands over its lazy cache), built fresh otherwise — e.g. when
-  // converting a pre-column artifact. Either way the bytes equal what
-  // BuildCandidateColumns computes, because that function is deterministic
-  // in the branch data and every backing's columns come from it.
-  OwnedCandidateColumns built_columns;
-  CandidateColumns columns = index.columns();
-  if (!columns.present()) {
-    built_columns = BuildCandidateColumns(index);
-    columns = built_columns.View();
-  }
+  // Candidate columns come from the backing: a mapped view re-persists its
+  // own sections byte-identically, an owned index hands over its lazy
+  // cache. Both hold what BuildCandidateColumns computes — a deterministic
+  // function of the branch data.
+  const CandidateColumns columns = index.columns();
 
   struct SectionBytes {
     uint32_t id;
@@ -261,10 +253,10 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
                       "endianness tag mismatch (artifact written on a "
                       "foreign-endian host)");
   }
-  // Variable since the ann_graph section landed: the mandatory six, plus
-  // any trailing optional sections (capped so a corrupt count cannot drive
-  // a huge table read). Pre-ann artifacts declare exactly six and parse
-  // unchanged.
+  // The canonical six plus the trailing sections (capped so a corrupt
+  // count cannot drive a huge table read). The floor is six rather than
+  // nine so a pre-column artifact reaches the missing-section check below
+  // and its error names what to do.
   const uint32_t section_count = *reader.GetU32();
   if (section_count < kArenaSectionCount ||
       section_count > kMaxArenaSectionCount) {
@@ -303,7 +295,7 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
   info.total_branches = *reader.GetU64();
   info.total_labels = *reader.GetU64();
   // Validated before the narrowing casts; the rest funnels through the
-  // shared v2/v3 header plausibility check.
+  // shared header plausibility check.
   if (ncomp < 1 || ncomp > std::numeric_limits<int>::max() || iters < 1 ||
       iters > std::numeric_limits<int>::max()) {
     return ArenaError(source, "implausible prior options");
@@ -342,7 +334,7 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
     sec.crc32 = *reader.GetU32();
     (void)*reader.GetU32();  // reserved
     if (s < kArenaSectionCount) {
-      // Mandatory six: exactly ids 1..6 in order.
+      // Canonical six: exactly ids 1..6 in order.
       if (sec.id != s + 1) {
         return ArenaError(source, "section table not in canonical order");
       }
@@ -406,24 +398,28 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
     info.sections.push_back(sec);
   }
 
-  // Cross-section structure of the candidate columns: 8..10 travel as a
-  // group, and the exactness directory is a parallel pair requiring them.
-  const bool has_sizes = info.FindSection(kSecGraphSizes) != nullptr;
-  const bool has_fp_offsets = info.FindSection(kSecFpOffsets) != nullptr;
-  const bool has_fp_keys = info.FindSection(kSecFpKeys) != nullptr;
-  if (has_sizes != has_fp_offsets || has_sizes != has_fp_keys) {
-    return ArenaError(source, "partial candidate-column section group");
+  // The candidate columns 8..10 are mandatory: fp_keys is the only copy of
+  // the branch fingerprints the scan and the navigator read.
+  std::string missing;
+  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys}) {
+    if (info.FindSection(id) == nullptr) {
+      missing += std::string(missing.empty() ? "" : ", ") +
+                 ArenaSectionName(id) + " (" + std::to_string(id) + ")";
+    }
   }
+  if (!missing.empty()) {
+    return Status::InvalidArgument(
+        "index arena: " + source +
+        " lacks the mandatory candidate-column section(s) " + missing +
+        "; rebuild the artifact from its database (gbda_indexctl build)");
+  }
+  // The optional exactness directory is a parallel pair.
   const ArenaSectionInfo* fp_unique = info.FindSection(kSecFpUnique);
   const ArenaSectionInfo* fp_rep = info.FindSection(kSecFpRep);
   if ((fp_unique != nullptr) != (fp_rep != nullptr)) {
     return ArenaError(source, "partial exactness-directory section pair");
   }
   if (fp_unique != nullptr) {
-    if (!has_sizes) {
-      return ArenaError(source,
-                        "exactness directory without candidate columns");
-    }
     if (fp_unique->length != fp_rep->length) {
       return ArenaError(source,
                         "fp_unique and fp_rep lengths disagree (the "
@@ -476,7 +472,6 @@ Status ValidateArenaOffsets(std::string_view data, const ArenaInfo& info,
 Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
                             const std::string& source) {
   const ArenaSectionInfo* sizes = info.FindSection(kSecGraphSizes);
-  if (sizes == nullptr) return Status::OK();  // pre-column artifact
   const ArenaSectionInfo* fp_offsets = info.FindSection(kSecFpOffsets);
   const ArenaSectionInfo* branch_start = &info.sections[0];
   // graph_sizes must be the branch_start deltas (which also proves each

@@ -1,13 +1,13 @@
 /// \file index_arena.h
-/// The v3 index artifact: a single relocatable arena of offset-based tables
-/// designed to be mmap'ed and queried in place (docs/ARCHITECTURE.md,
-/// "Storage engine"). Where the v2 stream interleaves per-graph records —
-/// forcing a full decode with one heap allocation per branch — v3 lays the
-/// same state out as four flat arrays plus two small prior blobs:
+/// The v3 index artifact, the one persisted form of a GBDA index: a single
+/// relocatable arena of offset-based tables designed to be mmap'ed and
+/// queried in place (docs/ARCHITECTURE.md, "Storage engine"). It lays the
+/// offline state out as four flat branch arrays, two small prior blobs and
+/// the SoA candidate columns, so opening it never decodes per branch:
 ///
 ///   offset 0                                    (all integers little-endian)
 ///   +--------------------------------------------------------------+
-///   | magic 'GBA3' | version 3 | endian tag | section count N >= 6 |
+///   | magic 'GBA3' | version 3 | endian tag | section count N >= 9 |
 ///   | file_bytes u64 | meta_crc u32 | reserved u32                 |
 ///   +-- meta block (covered by meta_crc) --------------------------+
 ///   | tau_max, GbdPriorOptions fields, seed, |L_V|, |L_E|,         |
@@ -23,20 +23,24 @@
 ///   | 6 ged_prior     serialized GedPriorTable blob (Lambda3)      |
 ///   | 7 ann_graph     optional proximity graph (ann/proximity_-    |
 ///   |                 graph.h payload), mmap'd by approximate mode |
-///   | 8..12 candidate columns (SoA, read in place by the batched   |
+///   | 8..10 candidate columns (SoA, read in place by the batched   |
 ///   |                 scan kernels): graph_sizes / fp_offsets /    |
-///   |                 fp_keys, plus the optional fp_unique+fp_rep  |
-///   |                 exactness directory (see ArenaSectionId)     |
+///   |                 fp_keys — MANDATORY                          |
+///   | 11..12          optional fp_unique+fp_rep exactness          |
+///   |                 directory (see ArenaSectionId)               |
 ///   +--------------------------------------------------------------+
 ///
-/// The first six sections are mandatory and canonical; trailing sections
-/// are OPTIONAL with strictly increasing ids. A reader structurally
-/// validates (and CRC-covers) every trailing section but SKIPS ids it does
-/// not know — forward compatibility: an artifact written by a newer build
-/// with an extra section still opens here, minus that section's feature.
-/// A known-id trailing section with an unreadable payload (e.g. an
-/// ann_graph from a future format revision) degrades the same way on the
-/// serving path instead of failing the open.
+/// The first six sections are canonical (ids 1..6 in order); trailing
+/// sections follow with strictly increasing ids. Of those, the
+/// candidate-column group 8..10 is mandatory: an artifact without it fails
+/// at open with a request to rebuild (fp_keys is the index's only copy of
+/// the branch fingerprints). Everything else trailing is OPTIONAL. A reader
+/// structurally validates (and CRC-covers) every trailing section but SKIPS
+/// ids it does not know — forward compatibility: an artifact written by a
+/// newer build with an extra section still opens here, minus that
+/// section's feature. A known-id optional section with an unreadable
+/// payload (e.g. an ann_graph from a future format revision) degrades the
+/// same way on the serving path instead of failing the open.
 ///
 /// Graph g's branch multiset is branches [branch_start[g], branch_start[g+1])
 /// and branch b's edge labels are labels [label_start[b], label_start[b+1]) —
@@ -74,7 +78,8 @@ inline constexpr uint32_t kArenaMagic = 0x33414247;  // "GBA3"
 inline constexpr uint32_t kArenaVersion = 3;
 /// Written as 0x01020304; a big-endian writer would produce 0x04030201.
 inline constexpr uint32_t kArenaEndianTag = 0x01020304;
-/// The mandatory canonical sections every artifact carries (ids 1..6).
+/// The canonical sections every artifact leads with (ids 1..6, in order;
+/// the mandatory column group 8..10 follows among the trailing sections).
 inline constexpr uint32_t kArenaSectionCount = 6;
 /// Sanity cap on the declared section count: far above anything this
 /// format family will ever need, low enough that a corrupt count cannot
@@ -82,9 +87,10 @@ inline constexpr uint32_t kArenaSectionCount = 6;
 inline constexpr uint32_t kMaxArenaSectionCount = 64;
 inline constexpr size_t kArenaSectionAlign = 64;
 
-/// Section ids. Ids 1..6 are mandatory and appear in exactly this order;
-/// higher ids are optional trailing sections in strictly increasing order
-/// (unknown ones are skipped by readers — see the file comment).
+/// Section ids. Ids 1..6 appear first in exactly this order; higher ids are
+/// trailing sections in strictly increasing order. 8..10 are mandatory;
+/// the rest are optional (unknown ones are skipped by readers — see the
+/// file comment).
 enum ArenaSectionId : uint32_t {
   kSecBranchStart = 1,
   kSecRoots = 2,
@@ -97,10 +103,10 @@ enum ArenaSectionId : uint32_t {
   /// built with one (gbda_indexctl build --ann / graph).
   kSecAnnGraph = 7,
   /// SoA candidate columns (core/index_reader.h, CandidateColumns): the
-  /// batched scan kernels read these in place. Written as a GROUP — 8..10
-  /// are either all present or all absent (column-aware writers always emit
-  /// them; pre-column artifacts have none and readers fall back to branch
-  /// walks):
+  /// batched scan kernels read these in place. MANDATORY as a group — the
+  /// writer always emits all three and ParseArenaHeader rejects an artifact
+  /// missing any of them (a zero-graph artifact lists them with empty
+  /// graph_sizes / fp_keys payloads):
   ///   8  graph_sizes  u32[num_graphs]        per-graph branch counts
   ///   9  fp_offsets   u64[num_graphs + 1]    == branch_start (one
   ///                                          fingerprint per branch)
@@ -109,8 +115,8 @@ enum ArenaSectionId : uint32_t {
   kSecGraphSizes = 8,
   kSecFpOffsets = 9,
   kSecFpKeys = 10,
-  /// The exactness directory (also a both-or-neither pair, requiring
-  /// 8..10): ascending distinct fingerprints over the whole corpus plus one
+  /// The optional exactness directory (a both-or-neither pair): ascending
+  /// distinct fingerprints over the whole corpus plus one
   /// representative branch each, packed (graph_id << 32 | branch_index).
   /// Emitted only when the fingerprint -> branch-content mapping is
   /// injective corpus-wide, which lets audited queries score candidates on
@@ -133,8 +139,8 @@ constexpr size_t ArenaHeaderBytes(uint32_t section_count) {
   return kArenaPreambleBytes + kArenaMetaScalarBytes +
          section_count * kArenaSectionEntryBytes;
 }
-/// Header size of a minimal (six-section) artifact — the smallest valid
-/// file, and the layout every pre-ann writer produced.
+/// Header size of the six canonical entries alone: a lower bound on every
+/// artifact's header (each also lists the mandatory column group).
 inline constexpr size_t kArenaHeaderBytes = ArenaHeaderBytes(kArenaSectionCount);
 
 // -- Parsed header -----------------------------------------------------------
@@ -165,7 +171,8 @@ struct ArenaInfo {
   std::vector<ArenaSectionInfo> sections;
 
   /// The table entry with the given id, or nullptr when absent (optional
-  /// trailing sections; the canonical six are always sections[id - 1]).
+  /// trailing sections; the canonical six are always sections[id - 1], and
+  /// a parsed header always holds 8..10).
   const ArenaSectionInfo* FindSection(uint32_t id) const {
     for (const ArenaSectionInfo& sec : sections) {
       if (sec.id == id) return &sec;
@@ -176,29 +183,33 @@ struct ArenaInfo {
 
 // -- Building / inspecting ---------------------------------------------------
 
-/// Serializes `index` (any IndexReader — a decoded GbdaIndex or another
-/// mapped view) into a v3 arena. Fails on tombstoned indexes and, mirroring
-/// the v2 writer, on a stale Lambda2 (the format carries no staleness) —
-/// except for the empty index, whose prior is vacuously unfittable and is
-/// persisted as-is. A non-null `ann_graph` (which must cover exactly
-/// index.num_graphs() nodes) is appended as the optional ann_graph section;
-/// null writes the minimal six-section artifact, byte-identical to what
-/// pre-ann builds produced.
+/// Serializes `index` (any IndexReader — an owned GbdaIndex or a mapped
+/// view) into a v3 arena: the six canonical sections, the optional
+/// ann_graph, the mandatory candidate columns and, when the corpus
+/// certifies it, the exactness directory. Fails on tombstoned indexes and
+/// on a stale Lambda2 (the format carries no staleness) — except for the
+/// empty index, whose prior is vacuously unfittable and is persisted as-is.
+/// A non-null `ann_graph` (which must cover exactly index.num_graphs()
+/// nodes) is written as section 7; null omits it.
 Result<std::string> BuildArena(const IndexReader& index,
                                const ProximityGraph* ann_graph = nullptr);
 
-/// BuildArena + atomic-ish write (whole buffer, single ofstream).
+/// BuildArena, then one write of the whole buffer over `path` (truncating).
+/// Neither atomic nor fsynced: a crash mid-write can leave a torn file under
+/// `path`, which the header's file_bytes check and the CRCs reject at open.
 Status WriteArenaFile(const IndexReader& index, const std::string& path,
                       const ProximityGraph* ann_graph = nullptr);
 
 /// Parses and validates the fixed header of `data` (a whole mapped
 /// artifact): magic/version/endianness, meta CRC, header plausibility
 /// (core ValidatePersistedIndexHeader), and the section table's structural
-/// invariants (canonical order for the mandatory six, strictly increasing
+/// invariants (canonical order for the leading six, strictly increasing
 /// ids / 64-byte alignment / in-bounds for trailing sections, lengths
-/// consistent with the graph/branch/label counts). Unknown trailing
-/// sections pass — they are recorded in the table and otherwise skipped
-/// (forward compatibility). Does NOT touch section payloads.
+/// consistent with the graph/branch/label counts, the mandatory column
+/// group 8..10 present — InvalidArgument naming the missing sections
+/// otherwise). Unknown trailing sections pass — they are recorded in the
+/// table and otherwise skipped (forward compatibility). Does NOT touch
+/// section payloads.
 Result<ArenaInfo> ParseArenaHeader(std::string_view data,
                                    const std::string& source);
 
@@ -210,15 +221,16 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
 Status ValidateArenaOffsets(std::string_view data, const ArenaInfo& info,
                             const std::string& source);
 
-/// Validates the candidate-column sections (8..12) when present — the
-/// serving-safety companion to ValidateArenaOffsets for the column scan
-/// path: graph_sizes must equal the branch_start deltas (and hence fit
-/// u32), fp_offsets must equal branch_start elementwise, fp_unique must be
-/// strictly ascending, and every fp_rep entry must name an in-bounds branch
-/// (graph_id < num_graphs, branch_index < that graph's size) — the check
-/// that makes the query-side collision audit's branch_set() dereferences
-/// in-bounds. A no-op for artifacts without columns. Runs at every view
-/// open and under `gbda_indexctl verify`.
+/// Validates the candidate-column sections (8..10, and 11..12 when
+/// present) — the serving-safety companion to ValidateArenaOffsets for the
+/// column scan path: graph_sizes must equal the branch_start deltas (and
+/// hence fit u32), fp_offsets must equal branch_start elementwise,
+/// fp_unique must be strictly ascending, and every fp_rep entry must name
+/// an in-bounds branch (graph_id < num_graphs, branch_index < that graph's
+/// size) — the check that makes the query-side collision audit's
+/// branch_set() dereferences in-bounds. `info` must come from
+/// ParseArenaHeader. Runs at every view open and under
+/// `gbda_indexctl verify`.
 Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
                             const std::string& source);
 

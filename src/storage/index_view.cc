@@ -22,7 +22,7 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   if (!offsets_ok.ok()) return offsets_ok;
   // Same serving-safety standard for the candidate-column sections: after
   // this, every column sweep and every fp_rep dereference the scan performs
-  // is in-bounds. No-op for pre-column artifacts.
+  // is in-bounds.
   Status columns_ok = ValidateArenaColumns(data, *info, path);
   if (!columns_ok.ok()) return columns_ok;
   if (open_options.verify_checksums) {
@@ -51,24 +51,20 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   view.labels_ =
       reinterpret_cast<const LabelId*>(base + info->sections[3].offset);
 
-  // Candidate columns, served in place like the branch arena. Absent on
-  // pre-column artifacts: columns() then returns an empty value and the
-  // scan falls back to branch walks (no on-the-fly build here — a view's
-  // cold-start stays O(header + offsets + priors)).
-  if (const ArenaSectionInfo* sec = info->FindSection(kSecGraphSizes)) {
-    view.columns_.sizes =
-        reinterpret_cast<const uint32_t*>(base + sec->offset);
-    view.columns_.fp_offsets = reinterpret_cast<const uint64_t*>(
-        base + info->FindSection(kSecFpOffsets)->offset);
-    view.columns_.fp_keys = reinterpret_cast<const uint64_t*>(
-        base + info->FindSection(kSecFpKeys)->offset);
-    if (const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique)) {
-      view.columns_.fp_unique =
-          reinterpret_cast<const uint64_t*>(base + uniq->offset);
-      view.columns_.fp_rep = reinterpret_cast<const uint64_t*>(
-          base + info->FindSection(kSecFpRep)->offset);
-      view.columns_.num_distinct = uniq->length / sizeof(uint64_t);
-    }
+  // Candidate columns, served in place like the branch arena (the header
+  // parse guarantees 8..10; the exactness directory is optional).
+  view.columns_.sizes = reinterpret_cast<const uint32_t*>(
+      base + info->FindSection(kSecGraphSizes)->offset);
+  view.columns_.fp_offsets = reinterpret_cast<const uint64_t*>(
+      base + info->FindSection(kSecFpOffsets)->offset);
+  view.columns_.fp_keys = reinterpret_cast<const uint64_t*>(
+      base + info->FindSection(kSecFpKeys)->offset);
+  if (const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique)) {
+    view.columns_.fp_unique =
+        reinterpret_cast<const uint64_t*>(base + uniq->offset);
+    view.columns_.fp_rep = reinterpret_cast<const uint64_t*>(
+        base + info->FindSection(kSecFpRep)->offset);
+    view.columns_.num_distinct = uniq->length / sizeof(uint64_t);
   }
 
   // The prior blobs are the only decoded state: both are small (a GMM plus
@@ -98,8 +94,11 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
       return Status::InvalidArgument(
           reader.DescribeHere("trailing bytes after GED prior section"));
     }
-    // Same cross-check as the v2 loader: both headers pass their own
-    // plausibility checks, but they must also agree with each other.
+    // The embedded prior carries its own header; both pass their own
+    // plausibility checks, but they must also agree with each other — a
+    // crafted artifact could otherwise serve silently wrong scores (e.g.
+    // zero GED mass above the embedded tau_max while the index admits a
+    // larger tau_hat).
     if (ged->tau_max() != view.options_.tau_max ||
         ged->num_vertex_labels() != view.num_vertex_labels_ ||
         ged->num_edge_labels() != view.num_edge_labels_) {
@@ -127,39 +126,6 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
 
   view.file_ = std::move(*mapped);
   return view;
-}
-
-Result<GbdaIndex> GbdaIndexView::Materialize() const {
-  std::vector<BranchMultiset> branches;
-  branches.reserve(num_graphs_);
-  for (size_t g = 0; g < num_graphs_; ++g) {
-    const BranchSetRef set = branch_set(g);
-    BranchMultiset ms;
-    ms.resize(set.size());
-    for (size_t b = 0; b < set.size(); ++b) {
-      ms[b].root = set.root(b);
-      const Span<const LabelId> labels = set.edge_labels(b);
-      ms[b].edge_labels.assign(labels.begin(), labels.end());
-    }
-    branches.push_back(std::move(ms));
-  }
-  // Re-decode the priors rather than copying: GedPriorTable is move-only
-  // (it owns a row-cache lock), and a fresh decode of the same bytes is
-  // bit-identical to what Open produced — including the cached-row set, so
-  // a v3 -> v2 -> v3 roundtrip preserves the artifact's warm rows.
-  BinaryWriter gbd_blob;
-  gbd_prior_->Serialize(&gbd_blob);
-  BinaryReader gbd_reader(gbd_blob.buffer(), path() + " [gbd_prior]");
-  Result<GbdPrior> gbd = GbdPrior::Deserialize(&gbd_reader);
-  if (!gbd.ok()) return gbd.status();
-  BinaryWriter ged_blob;
-  ged_prior_->Serialize(&ged_blob);
-  BinaryReader ged_reader(ged_blob.buffer(), path() + " [ged_prior]");
-  Result<GedPriorTable> ged = GedPriorTable::Deserialize(&ged_reader);
-  if (!ged.ok()) return ged.status();
-  return GbdaIndex::FromParts(options_, num_vertex_labels_, num_edge_labels_,
-                              std::move(branches), std::move(*gbd),
-                              std::move(*ged));
 }
 
 }  // namespace gbda

@@ -5,17 +5,18 @@
 ///
 /// Open() maps the file, validates the header and the two offset tables
 /// (the check that makes unchecked per-branch access in-bounds), and
-/// decodes only the two small prior blobs — the branch arena, which
-/// dominates artifact size, is served in place through BranchSetRef. Cold
-/// start is therefore O(header + offsets + priors) instead of the v2
-/// loader's O(total branches) decode with one heap allocation per branch,
-/// and concurrent replicas mapping the same artifact share its pages
-/// through the OS page cache (bench/bench_coldstart.cc quantifies both).
+/// decodes only the two small prior blobs — the branch arena and the
+/// candidate columns, which dominate artifact size, are served in place.
+/// Cold start is therefore O(header + offsets + priors), never a
+/// per-branch decode, and concurrent replicas mapping the same artifact
+/// share its pages through the OS page cache (bench/bench_coldstart.cc
+/// measures open -> first query and RSS).
 ///
-/// Queries through a view are bit-identical to queries through the decoded
-/// GbdaIndex of the same artifact (tests/index_view_equivalence_test.cc):
-/// GbdaSearch, GbdaService and DynamicGbdaService snapshots consume the
-/// IndexReader interface, so the view plugs into all of them unchanged.
+/// Queries through a view are bit-identical to queries through the
+/// in-memory GbdaIndex the artifact was written from
+/// (tests/index_view_equivalence_test.cc): GbdaSearch, GbdaService and
+/// DynamicGbdaService snapshots consume the IndexReader interface, so the
+/// view plugs into all of them unchanged.
 ///
 /// Lifetime: the view owns its mapping; BranchSetRefs handed out by
 /// branch_set() and the priors returned by gbd_prior()/mutable_ged_prior()
@@ -61,8 +62,8 @@ class GbdaIndexView : public IndexReader {
   // -- IndexReader -----------------------------------------------------------
   size_t num_graphs() const override { return num_graphs_; }
   size_t num_live() const override { return num_graphs_; }
-  /// Persisted artifacts never encode a drifted Lambda2 (both writers
-  /// refuse), so a view is always fresh.
+  /// Persisted artifacts never encode a drifted Lambda2 (the writer
+  /// refuses), so a view is always fresh.
   size_t gbd_staleness() const override { return 0; }
   BranchSetRef branch_set(size_t id) const override {
     const uint64_t first = branch_start_[id];
@@ -78,9 +79,8 @@ class GbdaIndexView : public IndexReader {
   GedPriorTable* mutable_ged_prior() const override {
     return ged_prior_.get();
   }
-  /// The mapped candidate-column sections, zero-copy (empty for a
-  /// pre-column artifact — consumers then fall back to branch walks).
-  /// Validated at open by ValidateArenaColumns.
+  /// The mapped candidate-column sections, zero-copy. Validated at open by
+  /// ValidateArenaColumns.
   CandidateColumns columns() const override { return columns_; }
 
   // -- View-specific ---------------------------------------------------------
@@ -99,14 +99,6 @@ class GbdaIndexView : public IndexReader {
   /// while the view lives; zero-copy, like branch_set().
   const ProximityGraphRef& ann_graph() const { return ann_graph_; }
 
-  /// Decodes the mapped arena into an owning GbdaIndex — the v3 -> v2
-  /// conversion path of gbda_indexctl, and an escape hatch for callers that
-  /// need incremental maintenance (AddGraph/RemoveGraphs) on top of a
-  /// mapped artifact. The result answers queries bit-identically to this
-  /// view. The ann_graph section, if any, is NOT carried over (GbdaIndex
-  /// has no slot for it; rebuild with gbda_indexctl graph when needed).
-  Result<GbdaIndex> Materialize() const;
-
  private:
   GbdaIndexView() = default;
 
@@ -123,8 +115,7 @@ class GbdaIndexView : public IndexReader {
   const uint32_t* roots_ = nullptr;
   const uint64_t* label_start_ = nullptr;
   const LabelId* labels_ = nullptr;
-  /// Typed pointers into the mapped column sections (all nullptr when the
-  /// artifact predates them).
+  /// Typed pointers into the mapped column sections.
   CandidateColumns columns_;
   /// Parsed at open when the optional ann_graph section is present and
   /// readable; points into the mapping.

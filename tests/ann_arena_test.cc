@@ -6,6 +6,7 @@
 // real artifact's trailing section id to a future one and re-opens it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -168,12 +169,13 @@ TEST_F(AnnArenaTest, ViewExposesTheMappedGraph) {
   EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
 }
 
-TEST_F(AnnArenaTest, MaterializeDropsTheGraph) {
+TEST_F(AnnArenaTest, RepersistWithoutAGraphDropsIt) {
+  // Re-persisting a mapped view without handing BuildArena a graph omits
+  // the optional section (the view's own mapped graph is not copied).
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
-  Result<GbdaIndex> materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  Result<std::string> rebuilt = BuildArena(*materialized);
+  ASSERT_TRUE(view->has_ann_graph());
+  Result<std::string> rebuilt = BuildArena(*view);
   ASSERT_TRUE(rebuilt.ok());
   Result<ArenaInfo> info = ParseArenaHeader(*rebuilt, "rebuilt");
   ASSERT_TRUE(info.ok());
@@ -185,21 +187,22 @@ TEST_F(AnnArenaTest, MaterializeDropsTheGraph) {
 // ---------------------------------------------------------------------------
 
 TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
-  // Simulate an artifact from a future build: relabel every
-  // candidate-column entry with ids this reader does not know (43...).
-  // Trailing ids must stay strictly increasing, so the group after the
-  // ann_graph entry is the one that can take fresh ids. This doubles as
-  // the column-fallback regression: a view without columns serves through
-  // branch walks, bit-identically.
+  // Simulate an artifact from a future build: relabel the optional
+  // exactness directory (fp_unique / fp_rep, the last two entries) with ids
+  // this reader does not know (43, 44). Trailing ids must stay strictly
+  // increasing, so the tail of the table is what can take fresh ids.
   std::string future = ReadFile(*arena_path_);
   Result<ArenaInfo> original = ParseArenaHeader(future, *arena_path_);
   ASSERT_TRUE(original.ok());
+  ASSERT_NE(original->FindSection(kSecFpUnique), nullptr)
+      << "the fixture corpus must certify exactness";
   uint32_t next_id = 43;
   for (size_t s = kArenaSectionCount; s < original->sections.size(); ++s) {
-    if (original->sections[s].id >= kSecGraphSizes) {
+    if (original->sections[s].id >= kSecFpUnique) {
       PatchU32(&future, SectionEntryOffset(s, 0), next_id++);
     }
   }
+  ASSERT_EQ(next_id, 45u);
   FixMetaCrc(&future);
   const std::string path = ::testing::TempDir() + "/ann_arena_future.v3";
   WriteFile(path, future);
@@ -207,8 +210,9 @@ TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
   Result<ArenaInfo> info = ParseArenaHeader(future, path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_NE(info->FindSection(43), nullptr);
-  EXPECT_EQ(info->FindSection(kSecGraphSizes), nullptr);
-  EXPECT_EQ(info->FindSection(kSecFpKeys), nullptr);
+  EXPECT_NE(info->FindSection(44), nullptr);
+  EXPECT_EQ(info->FindSection(kSecFpUnique), nullptr);
+  EXPECT_EQ(info->FindSection(kSecFpRep), nullptr);
   // Checksum verification still covers the unknown payloads.
   EXPECT_TRUE(VerifyArenaChecksums(future, *info, path).ok());
 
@@ -217,26 +221,32 @@ TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
   Result<GbdaIndexView> view = GbdaIndexView::Open(path, verify);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_TRUE(view->has_ann_graph());
-  EXPECT_FALSE(view->columns().present());
+  EXPECT_FALSE(view->columns().exactness_certified());
 
-  // Minus the skipped feature, the artifact serves bit-identically.
+  // Minus the skipped feature, the artifact serves bit-identically: the
+  // reference scores by fingerprint, the relabeled copy through the
+  // branch-merge path.
   Result<GbdaIndexView> reference = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->columns().exactness_certified());
   GbdaSearch future_search(&dataset_->db, &*view);
   GbdaSearch reference_search(&dataset_->db, &*reference);
   SearchOptions options;
   options.tau_hat = 5;
-  Result<SearchResult> a =
-      future_search.QueryTopK(dataset_->queries[0], 5, options);
-  Result<SearchResult> b =
-      reference_search.QueryTopK(dataset_->queries[0], 5, options);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->matches.size(), b->matches.size());
-  for (size_t i = 0; i < a->matches.size(); ++i) {
-    EXPECT_EQ(a->matches[i].graph_id, b->matches[i].graph_id);
-    EXPECT_EQ(a->matches[i].phi_score, b->matches[i].phi_score);
-    EXPECT_EQ(a->matches[i].gbd, b->matches[i].gbd);
+  const size_t num_queries = std::min<size_t>(dataset_->queries.size(), 3);
+  for (size_t q = 0; q < num_queries; ++q) {
+    Result<SearchResult> a =
+        future_search.QueryTopK(dataset_->queries[q], 5, options);
+    Result<SearchResult> b =
+        reference_search.QueryTopK(dataset_->queries[q], 5, options);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->matches.size(), b->matches.size()) << "query " << q;
+    for (size_t i = 0; i < a->matches.size(); ++i) {
+      EXPECT_EQ(a->matches[i].graph_id, b->matches[i].graph_id);
+      EXPECT_EQ(a->matches[i].phi_score, b->matches[i].phi_score);
+      EXPECT_EQ(a->matches[i].gbd, b->matches[i].gbd);
+    }
   }
 }
 

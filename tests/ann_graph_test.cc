@@ -1,6 +1,7 @@
 // The offline half of approximate candidate navigation (src/ann):
-// FingerprintDistance, the FingerprintStore's two construction paths, the
-// Vamana-style builder's invariants, the section serialize/parse round trip
+// FingerprintDistance, the FingerprintStore's keys (the index's fp_keys
+// column) against an independent fingerprinting, the Vamana-style
+// builder's invariants, the section serialize/parse round trip
 // and the beam navigator's determinism/termination properties — including
 // the degenerate corpora (identical fingerprints, collision-heavy label
 // soups) where a naive nearest-neighbor walk could cycle.
@@ -11,12 +12,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "ann/navigator.h"
+#include "core/branch.h"
 #include "core/gbda_index.h"
+#include "core/gbda_search.h"
 #include "core/prefilter.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/graph_database.h"
@@ -81,6 +85,27 @@ void ExpectCsrInvariants(const ProximityGraph& g, size_t expected_nodes) {
   EXPECT_EQ(CountReachable(g.ref()), expected_nodes);
 }
 
+// Builds the offline index of `db` (small prior budget: only the branch
+// data matters here).
+std::unique_ptr<GbdaIndex> BuildIndex(const GraphDatabase& db) {
+  GbdaIndexOptions options;
+  options.tau_max = 6;
+  options.gbd_prior.num_sample_pairs = 200;
+  Result<GbdaIndex> index = GbdaIndex::Build(db, options);
+  if (!index.ok()) {
+    ADD_FAILURE() << index.status().ToString();
+    return nullptr;
+  }
+  return std::make_unique<GbdaIndex>(std::move(*index));
+}
+
+// The fingerprint store of `db`, copied out of its index's fp_keys column
+// (FromIndex copies, so the index need not outlive the store).
+FingerprintStore StoreOf(const GraphDatabase& db) {
+  const std::unique_ptr<GbdaIndex> index = BuildIndex(db);
+  return index ? FingerprintStore::FromIndex(*index) : FingerprintStore();
+}
+
 // A corpus of `copies` structurally identical graphs: every node carries the
 // SAME fingerprint multiset, so all pairwise distances are 0 — the
 // worst case for tie-breaking in both the builder and the navigator.
@@ -137,35 +162,30 @@ TEST(FingerprintDistanceTest, DuplicateKeysCountWithMultiplicity) {
 // FingerprintStore
 // ---------------------------------------------------------------------------
 
-TEST(FingerprintStoreTest, FromPrefilterAndFromIndexAgree) {
+TEST(FingerprintStoreTest, FromIndexMatchesIndependentFingerprints) {
   DatasetProfile profile = GrecProfile(0.03);
   profile.seed = 23;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  GbdaIndexOptions options;
-  options.tau_max = 6;
-  options.gbd_prior.num_sample_pairs = 200;
-  Result<GbdaIndex> index = GbdaIndex::Build(ds->db, options);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::unique_ptr<GbdaIndex> index = BuildIndex(ds->db);
+  ASSERT_NE(index, nullptr);
+  const FingerprintStore store = FingerprintStore::FromIndex(*index);
 
-  const Prefilter prefilter(&ds->db);
-  const FingerprintStore from_profiles =
-      FingerprintStore::FromPrefilter(prefilter);
-  const FingerprintStore from_index = FingerprintStore::FromIndex(*index);
-
-  // The two construction paths (FilterProfile branch_keys vs fingerprinting
-  // the index's flat branch arrays) must yield identical keys — the
-  // services build from profiles, the tooling from artifacts, and both must
-  // navigate the same space.
-  ASSERT_EQ(from_profiles.size(), ds->db.size());
-  ASSERT_EQ(from_index.size(), ds->db.size());
+  // The store copies the index's fp_keys column — the one fingerprint copy
+  // the scan's tier 2 and the navigator both read. Check it against an
+  // independent computation: fingerprint every branch of a fresh
+  // ExtractBranches of the stored graph, then sort.
+  ASSERT_EQ(store.size(), ds->db.size());
   for (size_t g = 0; g < ds->db.size(); ++g) {
-    const Span<const uint64_t> a = from_profiles.keys(g);
-    const Span<const uint64_t> b = from_index.keys(g);
-    ASSERT_EQ(a.size(), b.size()) << "graph " << g;
-    EXPECT_TRUE(std::is_sorted(a.begin(), a.end())) << "graph " << g;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "graph " << g << " key " << i;
+    std::vector<uint64_t> expected;
+    for (const Branch& b : ExtractBranches(ds->db.graph(g))) {
+      expected.push_back(BranchFingerprint(b.root, b.edge_labels));
+    }
+    std::sort(expected.begin(), expected.end());
+    const Span<const uint64_t> keys = store.keys(g);
+    ASSERT_EQ(keys.size(), expected.size()) << "graph " << g;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(keys[i], expected[i]) << "graph " << g << " key " << i;
     }
   }
 }
@@ -175,9 +195,7 @@ TEST(FingerprintStoreTest, FromPrefilterAndFromIndexAgree) {
 // ---------------------------------------------------------------------------
 
 TEST(ProximityGraphBuildTest, RejectsInvalidParams) {
-  GraphDatabase db = IdenticalCorpus(4);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(4));
 
   AnnBuildParams params;
   params.graph_degree = 0;
@@ -198,8 +216,7 @@ TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
   profile.seed = 31;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  const Prefilter prefilter(&ds->db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(ds->db);
 
   AnnBuildParams params;
   params.graph_degree = 8;
@@ -220,9 +237,7 @@ TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
 TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
   // Every pairwise distance is 0: the builder must still produce a valid,
   // fully reachable, deterministic graph (ties broken by id).
-  GraphDatabase db = IdenticalCorpus(12);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(12));
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -236,9 +251,7 @@ TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
 
 TEST(ProximityGraphBuildTest, TinyCorpus) {
   // Fewer nodes than the degree bound: the graph degenerates gracefully.
-  GraphDatabase db = IdenticalCorpus(2);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(2));
   Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   ExpectCsrInvariants(*graph, 2);
@@ -249,9 +262,7 @@ TEST(ProximityGraphBuildTest, TinyCorpus) {
 // ---------------------------------------------------------------------------
 
 TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
-  GraphDatabase db = IdenticalCorpus(9);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(9));
   AnnBuildParams params;
   params.graph_degree = 3;
   params.build_window = 6;
@@ -275,9 +286,7 @@ TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
 }
 
 TEST(ProximityGraphSerializeTest, RejectsHostilePayloads) {
-  GraphDatabase db = IdenticalCorpus(5);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(5));
   Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
   ASSERT_TRUE(graph.ok());
   const std::string payload = SerializeProximityGraph(*graph);
@@ -319,8 +328,9 @@ class NavigationTest : public ::testing::Test {
     ASSERT_TRUE(ds.ok()) << ds.status().ToString();
     db_ = std::move(ds->db);
     queries_ = std::move(ds->queries);
-    prefilter_ = std::make_unique<Prefilter>(&db_);
-    store_ = FingerprintStore::FromPrefilter(*prefilter_);
+    index_ = BuildIndex(db_);
+    ASSERT_NE(index_, nullptr);
+    store_ = FingerprintStore::FromIndex(*index_);
     AnnBuildParams params;
     params.graph_degree = 8;
     params.build_window = 16;
@@ -329,13 +339,19 @@ class NavigationTest : public ::testing::Test {
     graph_ = std::move(*graph);
   }
 
+  // The query's sorted branch fingerprints, exactly as the serving path
+  // hands them to the navigator.
   std::vector<uint64_t> QueryKeys(const Graph& q) const {
-    return BuildFilterProfile(q).branch_keys;
+    Result<ScanContext> ctx = PrepareScan(q, SearchOptions(),
+                                          /*apply_gamma=*/false,
+                                          CorpusRef(&db_), *index_);
+    EXPECT_TRUE(ctx.ok()) << ctx.status().ToString();
+    return ctx.ok() ? ctx->query_fps : std::vector<uint64_t>();
   }
 
   GraphDatabase db_;
   std::vector<Graph> queries_;
-  std::unique_ptr<Prefilter> prefilter_;
+  std::unique_ptr<GbdaIndex> index_;
   FingerprintStore store_;
   ProximityGraph graph_;
 };
@@ -384,9 +400,7 @@ TEST_F(NavigationTest, EmptyQueryKeysTerminate) {
 TEST_F(NavigationTest, AllTiedDistancesTerminate) {
   // Identical-fingerprint corpus: every candidate ties at distance 0 from a
   // matching query. Termination rests purely on the id tie-break.
-  GraphDatabase db = IdenticalCorpus(16);
-  const Prefilter prefilter(&db);
-  const FingerprintStore store = FingerprintStore::FromPrefilter(prefilter);
+  const FingerprintStore store = StoreOf(IdenticalCorpus(16));
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -407,10 +421,8 @@ TEST_F(NavigationTest, AllTiedDistancesTerminate) {
 // ---------------------------------------------------------------------------
 
 TEST(AnnContextTest, BuildOwnsAValidGraph) {
-  GraphDatabase db = IdenticalCorpus(6);
-  const Prefilter prefilter(&db);
-  Result<AnnContext> ctx = AnnContext::Build(
-      FingerprintStore::FromPrefilter(prefilter), AnnBuildParams());
+  const GraphDatabase db = IdenticalCorpus(6);
+  Result<AnnContext> ctx = AnnContext::Build(StoreOf(db), AnnBuildParams());
   ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
   EXPECT_EQ(ctx->store().size(), 6u);
   EXPECT_EQ(ctx->owned_graph().num_nodes(), 6u);
@@ -418,19 +430,13 @@ TEST(AnnContextTest, BuildOwnsAValidGraph) {
 }
 
 TEST(AnnContextTest, AdoptRejectsNodeCountMismatch) {
-  GraphDatabase small = IdenticalCorpus(4);
-  GraphDatabase big = IdenticalCorpus(7);
-  const Prefilter small_pf(&small);
-  const Prefilter big_pf(&big);
-  Result<ProximityGraph> graph = BuildProximityGraph(
-      FingerprintStore::FromPrefilter(small_pf), AnnBuildParams());
+  const GraphDatabase small = IdenticalCorpus(4);
+  const GraphDatabase big = IdenticalCorpus(7);
+  Result<ProximityGraph> graph =
+      BuildProximityGraph(StoreOf(small), AnnBuildParams());
   ASSERT_TRUE(graph.ok());
-  EXPECT_FALSE(AnnContext::Adopt(FingerprintStore::FromPrefilter(big_pf),
-                                 graph->ref())
-                   .ok());
-  EXPECT_TRUE(AnnContext::Adopt(FingerprintStore::FromPrefilter(small_pf),
-                                graph->ref())
-                  .ok());
+  EXPECT_FALSE(AnnContext::Adopt(StoreOf(big), graph->ref()).ok());
+  EXPECT_TRUE(AnnContext::Adopt(StoreOf(small), graph->ref()).ok());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The v3 arena's candidate-column sections (storage/index_arena.h ids
-// 8..12): writer emission, open-time cross-section validation
-// (ValidateArenaColumns), per-section corruption detection, the
-// convert round trip, and agreement between mapped columns and the
-// on-the-fly BuildCandidateColumns of the same branch data.
+// 8..12): writer emission, the mandatory 8..10 group, open-time
+// cross-section validation (ValidateArenaColumns), per-section corruption
+// detection, byte-stable re-persisting from a mapped view, and agreement
+// between mapped columns and the on-the-fly BuildCandidateColumns of the
+// same branch data.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -146,16 +147,14 @@ TEST_F(ArenaColumnsTest, MappedColumnsMatchTheOnTheFlyBuild) {
   }
 }
 
-TEST_F(ArenaColumnsTest, ColumnsSurviveTheConvertRoundTrip) {
-  // v3 -> v2 -> v3: the v2 stream carries no columns, so the second v3
-  // write recomputes them — and they must come back byte-identical, the
-  // determinism the convert round-trip in CI relies on.
+TEST_F(ArenaColumnsTest, ColumnsSurviveARepersistFromTheView) {
+  // Re-persisting a mapped view (what `gbda_indexctl graph` does) copies
+  // its column sections, and they must come back byte-identical to the
+  // owned index's lazily built ones.
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
-  Result<GbdaIndex> materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
   const std::string second = ::testing::TempDir() + "/arena_columns_rt.v3";
-  ASSERT_TRUE(WriteArenaFile(*materialized, second).ok());
+  ASSERT_TRUE(WriteArenaFile(*view, second).ok());
 
   const std::string a = ReadFile(*arena_path_);
   const std::string b = ReadFile(second);
@@ -267,6 +266,43 @@ TEST_F(ArenaColumnsTest, CrossSectionLiesAreRejectedAtEveryOpen) {
     EXPECT_NE(opened.status().message().find("fp_rep"), std::string::npos)
         << opened.status().message();
   }
+}
+
+TEST_F(ArenaColumnsTest, ColumnlessArtifactFailsAtOpen) {
+  // A pre-column artifact: relabel every section from graph_sizes on
+  // (8..12) to ids this build does not know, keeping them strictly
+  // increasing and the meta CRC valid. The table still parses structurally,
+  // but the mandatory group is gone, so the open must fail and say which
+  // sections are missing instead of serving without columns.
+  std::string corrupt = ReadFile(*arena_path_);
+  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
+  ASSERT_TRUE(info.ok());
+  uint32_t next_id = 42;
+  for (size_t s = 0; s < info->sections.size(); ++s) {
+    if (info->sections[s].id < kSecGraphSizes) continue;
+    PatchU32(&corrupt,
+             kArenaPreambleBytes + kArenaMetaScalarBytes +
+                 s * kArenaSectionEntryBytes,
+             next_id++);
+  }
+  ASSERT_GE(next_id, 45u);
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, corrupt.data() + 12, sizeof(section_count));
+  PatchU32(&corrupt, 24,
+           Crc32(corrupt.data() + kArenaPreambleBytes,
+                 ArenaHeaderBytes(section_count) - kArenaPreambleBytes));
+  const std::string path = ::testing::TempDir() + "/arena_columns_none.v3";
+  WriteFile(path, corrupt);
+  Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys}) {
+    EXPECT_NE(opened.status().message().find(ArenaSectionName(id)),
+              std::string::npos)
+        << opened.status().message();
+  }
+  EXPECT_NE(opened.status().message().find("rebuild"), std::string::npos)
+      << opened.status().message();
 }
 
 TEST_F(ArenaColumnsTest, PartialColumnGroupIsRejected) {

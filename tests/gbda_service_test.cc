@@ -199,7 +199,7 @@ TEST_F(GbdaServiceTest, OversubscribedShardCountIsClamped) {
 }
 
 TEST_F(GbdaServiceTest, RejectsDbIndexMismatchBothDirections) {
-  // A database one graph short of the index — the "stale SaveToFile
+  // A database one graph short of the index — the "stale persisted
   // artifact" scenario in both directions.
   GraphDatabase smaller;
   smaller.vertex_labels() = dataset_->db.vertex_labels();

@@ -1,9 +1,10 @@
 // The storage engine's serving contract (docs/ARCHITECTURE.md, "Storage
 // engine"): queries served through a GbdaIndexView over a mapped v3 arena
 // are bit-identical — ids, exact phi doubles, GBDs, ordering, and the
-// candidates/prefilter counters — to queries served through the decoded
-// GbdaIndex of the same artifact, across every variant x prefilter x shard
-// configuration, serially (GbdaSearch) and sharded (GbdaService).
+// candidates/prefilter counters — to queries served through the in-memory
+// GbdaIndex the artifact was written from, across every variant x
+// prefilter x shard configuration, serially (GbdaSearch) and sharded
+// (GbdaService).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,44 +51,37 @@ class IndexViewEquivalenceTest : public ::testing::Test {
     Result<GbdaIndex> built = GbdaIndex::Build(dataset_->db, options);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-    // One artifact, two access paths: the v2 stream decoded back into an
-    // owning index, and the v3 arena mapped in place. Round-tripping the
-    // owned side through v2 too keeps the comparison between the two
-    // PERSISTED forms rather than between build output and artifact.
-    const std::string v2_path =
-        ::testing::TempDir() + "/view_equivalence.v2";
+    // Two access paths to the same index: the owned build output (columns
+    // materialised lazily from its branch multisets) and the v3 arena
+    // written from it, mapped in place.
     const std::string v3_path =
         ::testing::TempDir() + "/view_equivalence.v3";
-    ASSERT_TRUE(built->SaveToFile(v2_path).ok());
     ASSERT_TRUE(WriteArenaFile(*built, v3_path).ok());
-
-    Result<GbdaIndex> decoded = GbdaIndex::LoadFromFile(v2_path);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    decoded_ = new GbdaIndex(std::move(*decoded));
+    built_ = new GbdaIndex(std::move(*built));
     Result<GbdaIndexView> view = GbdaIndexView::Open(v3_path);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     view_ = new GbdaIndexView(std::move(*view));
   }
   static void TearDownTestSuite() {
     delete view_;
-    delete decoded_;
+    delete built_;
     delete dataset_;
     view_ = nullptr;
-    decoded_ = nullptr;
+    built_ = nullptr;
     dataset_ = nullptr;
   }
 
   static GeneratedDataset* dataset_;
-  static GbdaIndex* decoded_;
+  static GbdaIndex* built_;
   static GbdaIndexView* view_;
 };
 
 GeneratedDataset* IndexViewEquivalenceTest::dataset_ = nullptr;
-GbdaIndex* IndexViewEquivalenceTest::decoded_ = nullptr;
+GbdaIndex* IndexViewEquivalenceTest::built_ = nullptr;
 GbdaIndexView* IndexViewEquivalenceTest::view_ = nullptr;
 
 TEST_F(IndexViewEquivalenceTest, SerialScanAcrossVariantsAndPrefilter) {
-  GbdaSearch search_owned(&dataset_->db, decoded_);
+  GbdaSearch search_owned(&dataset_->db, built_);
   GbdaSearch search_mapped(&dataset_->db, view_);
   const size_t num_queries = std::min<size_t>(dataset_->queries.size(), 6);
   for (GbdaVariant variant : {GbdaVariant::kStandard,
@@ -124,7 +118,7 @@ TEST_F(IndexViewEquivalenceTest, ShardedServiceAcrossShardCounts) {
     service_options.num_threads = 3;
     service_options.num_shards = shards;
     Result<std::unique_ptr<GbdaService>> owned =
-        GbdaService::Create(&dataset_->db, decoded_, service_options);
+        GbdaService::Create(&dataset_->db, built_, service_options);
     Result<std::unique_ptr<GbdaService>> mapped =
         GbdaService::Create(&dataset_->db, view_, service_options);
     ASSERT_TRUE(owned.ok()) << owned.status().ToString();

@@ -3,7 +3,8 @@
 // of every frame and every strict prefix of every payload must fail or wait
 // — never parse, never crash), hostile declared lengths, CRC bit-flip
 // rejection, trailing-byte rejection and out-of-domain enum rejection —
-// the same hardening contract as the artifact loaders (index_io_test.cc).
+// the same hardening contract as the arena loader (storage_test.cc,
+// arena_columns_test.cc).
 
 #include "net/codec.h"
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -104,6 +105,14 @@ TEST(MetricsExporterTest, CounterReadingsAreMonotoneUnderConcurrentWrites) {
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) counter->Increment();
   });
+  // The writer may not have been scheduled yet (a loaded or single-core
+  // host). Wait, bounded, for its first increment so the final
+  // EXPECT_GT(previous, 0) tests the exporter rather than the scheduler.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
 
   uint64_t previous = 0;
   for (int scrape = 0; scrape < 5; ++scrape) {

@@ -547,21 +547,30 @@ TEST_F(PruneEquivalenceTest, PhiSuffixMaxBoundsPhiAndEndsSupport) {
   }
 }
 
-TEST_F(PruneEquivalenceTest, CommonBranchUpperBoundIsAdmissible) {
-  // The fingerprint intersection must never undercount the true branch
-  // intersection (undercounting would overstate the GBD lower bound and
-  // break soundness), and the capped decision form must agree with the
-  // counting form at every cap.
+TEST_F(PruneEquivalenceTest, FingerprintCommonBranchBoundIsAdmissible) {
+  // Tier 2's inputs as the scan reads them: the index's fp_keys column
+  // through the scalar kernel. The fingerprint intersection must never
+  // undercount the true branch intersection (undercounting would overstate
+  // the GBD lower bound and break soundness), and the capped decision form
+  // must agree with the counting form at every cap.
+  const ScanKernels& scalar = GetScanKernels(KernelImpl::kScalar);
+  const CandidateColumns columns = index_->columns();
+  const auto keys = [&columns](size_t g, size_t* n) {
+    const uint64_t lo = columns.fp_offsets[g];
+    *n = static_cast<size_t>(columns.fp_offsets[g + 1] - lo);
+    return columns.fp_keys + lo;
+  };
   const size_t n = std::min<size_t>(dataset_->db.size(), 12);
-  std::vector<FilterProfile> profiles;
   std::vector<BranchMultiset> branches;
   for (size_t i = 0; i < n; ++i) {
-    profiles.push_back(BuildFilterProfile(dataset_->db.graph(i)));
     branches.push_back(ExtractBranches(dataset_->db.graph(i)));
   }
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n; ++j) {
-      const int64_t bound = CommonBranchUpperBound(profiles[i], profiles[j]);
+      size_t ni = 0, nj = 0;
+      const uint64_t* ki = keys(i, &ni);
+      const uint64_t* kj = keys(j, &nj);
+      const int64_t bound = scalar.intersect_count(ki, ni, kj, nj);
       const int64_t truth = static_cast<int64_t>(
           BranchIntersectionSize(branches[i], branches[j]));
       EXPECT_GE(bound, truth) << "pair " << i << "," << j;
@@ -569,8 +578,7 @@ TEST_F(PruneEquivalenceTest, CommonBranchUpperBoundIsAdmissible) {
                            branches[i].size(), branches[j].size())));
       for (int64_t cap : {int64_t{-1}, int64_t{0}, truth - 1, truth,
                           truth + 1, bound, bound + 3}) {
-        EXPECT_EQ(CommonBranchUpperBoundAtMost(profiles[i], profiles[j], cap),
-                  bound <= cap)
+        EXPECT_EQ(scalar.intersect_at_most(ki, ni, kj, nj, cap), bound <= cap)
             << "pair " << i << "," << j << " cap=" << cap;
       }
     }

@@ -1,6 +1,7 @@
 // The storage engine (docs/ARCHITECTURE.md, "Storage engine"): MappedFile,
-// the v3 arena writer/parser, GbdaIndexView open-time validation, corruption
-// detection, and the v2 <-> v3 conversion paths.
+// the v3 arena writer/parser, GbdaIndexView open-time validation (including
+// the header plausibility check and the GED-prior cross-check) and
+// corruption detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/crc32.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
@@ -28,6 +30,28 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+template <typename T>
+void PatchMeta(std::string* data, size_t meta_offset, T value) {
+  std::memcpy(&(*data)[kArenaPreambleBytes + meta_offset], &value,
+              sizeof(value));
+}
+
+// Recomputes the header CRC after a deliberate meta edit, so the validator
+// under test — not the always-on meta checksum — is what rejects the file.
+void FixMetaCrc(std::string* data) {
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, data->data() + 12, sizeof(section_count));
+  const uint32_t crc = Crc32(data->data() + kArenaPreambleBytes,
+                             ArenaHeaderBytes(section_count) -
+                                 kArenaPreambleBytes);
+  std::memcpy(&(*data)[24], &crc, sizeof(crc));
+}
+
+// Byte offsets of meta scalars (after the preamble), in writer order.
+constexpr size_t kMetaTauMax = 0 * 8;
+constexpr size_t kMetaSamplePairs = 1 * 8;
+constexpr size_t kMetaStddevFloor = 7 * 8;
 
 class StorageTest : public ::testing::Test {
  protected:
@@ -168,23 +192,6 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
   EXPECT_NE(info->FindSection(kSecFpKeys), nullptr);
 }
 
-TEST_F(StorageTest, MaterializeReproducesTheIndex) {
-  Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
-  ASSERT_TRUE(view.ok());
-  Result<GbdaIndex> materialized = view->Materialize();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ASSERT_EQ(materialized->num_graphs(), index_->num_graphs());
-  for (size_t g = 0; g < index_->num_graphs(); ++g) {
-    EXPECT_EQ(materialized->branches(g), index_->branches(g)) << "graph " << g;
-  }
-  // The materialized index is v2-persistable and reloads.
-  const std::string v2_path = ::testing::TempDir() + "/storage_test.v2";
-  ASSERT_TRUE(materialized->SaveToFile(v2_path).ok());
-  Result<GbdaIndex> reloaded = GbdaIndex::LoadFromFile(v2_path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->num_graphs(), index_->num_graphs());
-}
-
 TEST_F(StorageTest, ArenaFromViewIsStable) {
   // Writing an arena FROM a mapped view reproduces the branch sections
   // byte-for-byte (the prior blobs may reorder cached rows, so compare the
@@ -207,15 +214,21 @@ TEST_F(StorageTest, ArenaFromViewIsStable) {
 }
 
 TEST_F(StorageTest, WriterRejectsTombstonedAndStaleIndexes) {
+  // The format has no staleness or liveness field: persisting a drifted
+  // Lambda2 would come back as gbd_staleness() == 0 and defeat every refit
+  // policy, and a tombstoned slot would come back live.
+  const std::string path = ::testing::TempDir() + "/storage_writer.v3";
   GbdaIndex copy = *index_;
   copy.AddGraph(dataset_->db.graph(0));
   // Stale Lambda2 (one add since the fit).
-  EXPECT_EQ(WriteArenaFile(copy, "/tmp/unused.v3").code(),
+  EXPECT_EQ(WriteArenaFile(copy, path).code(),
             StatusCode::kFailedPrecondition);
-  // Tombstoned.
+  // A refit clears the drift and the index becomes persistable again.
   ASSERT_TRUE(copy.RefitGbdPrior().ok());
+  EXPECT_TRUE(WriteArenaFile(copy, path).ok());
+  // Tombstoned.
   ASSERT_TRUE(copy.RemoveGraphs({0}).ok());
-  EXPECT_EQ(WriteArenaFile(copy, "/tmp/unused.v3").code(),
+  EXPECT_EQ(WriteArenaFile(copy, path).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -294,6 +307,46 @@ TEST_F(StorageTest, HeaderTamperingIsCaughtWithoutChecksumOption) {
     WriteFile(path, data + "junk");
     EXPECT_FALSE(GbdaIndexView::Open(path).ok());
   }
+}
+
+TEST_F(StorageTest, ImplausibleHeaderFieldsAreRejected) {
+  // Fields only ValidatePersistedIndexHeader checks: each feeds a later
+  // Lambda2 refit, never the open itself, so nothing else would catch them.
+  const std::string data = ReadFile(*arena_path_);
+  const std::string path = ::testing::TempDir() + "/storage_implausible.v3";
+  std::string zero_floor = data;
+  PatchMeta(&zero_floor, kMetaStddevFloor, 0.0);
+  std::string huge_pairs = data;
+  PatchMeta(&huge_pairs, kMetaSamplePairs, (uint64_t{1} << 32) + 1);
+  for (std::string* corrupt : {&zero_floor, &huge_pairs}) {
+    FixMetaCrc(corrupt);
+    WriteFile(path, *corrupt);
+    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("implausible"),
+              std::string::npos)
+        << opened.status().message();
+  }
+}
+
+TEST_F(StorageTest, GedPriorHeaderMustAgreeWithTheArenaHeader) {
+  // A plausible tau_max that disagrees with the embedded GED prior's own
+  // header: only Open's cross-check can tell (the prior would silently
+  // hold no mass above its own tau_max).
+  std::string corrupt = ReadFile(*arena_path_);
+  ASSERT_GT(index_->tau_max(), 0);
+  PatchMeta(&corrupt, kMetaTauMax, index_->tau_max() - 1);
+  FixMetaCrc(&corrupt);
+  ASSERT_TRUE(ParseArenaHeader(corrupt, "patched").ok());
+  const std::string path = ::testing::TempDir() + "/storage_tau.v3";
+  WriteFile(path, corrupt);
+  Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("GED prior header"),
+            std::string::npos)
+      << opened.status().message();
 }
 
 TEST_F(StorageTest, NonMonotonicOffsetTablesAreRejectedAtOpen) {

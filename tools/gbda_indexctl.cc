@@ -2,16 +2,11 @@
 // (docs/ARCHITECTURE.md, "Storage engine"; quickstart in README.md).
 //
 //   gbda_indexctl build   --db=<transactions.txt> --out=<artifact>
-//                         [--format=v3|v2] [--tau-max=N] [--sample-pairs=N]
-//                         [--seed=N] [--eager-all-sizes]
+//                         [--tau-max=N] [--sample-pairs=N] [--seed=N]
+//                         [--eager-all-sizes] [--ann] [--ann-*=...]
 //       Runs the offline stage over a transaction-format database file and
-//       writes the artifact (v3 arena by default).
-//
-//   gbda_indexctl convert --in=<artifact> --out=<artifact> --to=v2|v3
-//       Converts between the v2 decode-on-load stream and the v3 mmap
-//       arena, either direction. The input version is detected from its
-//       magic. Queries through the converted artifact are bit-identical to
-//       queries through the source.
+//       writes the v3 arena artifact (with an ann_graph section under --ann
+//       or any --ann-* knob).
 //
 //   gbda_indexctl graph   --in=<v3 artifact> --out=<v3 artifact>
 //                         [--ann-degree=N] [--ann-window=N]
@@ -23,17 +18,16 @@
 //       through the output are bit-identical to the input.
 //
 //   gbda_indexctl inspect <artifact>
-//       Prints a JSON summary (version, header fields, v3 section table,
-//       ann_graph details when present).
+//       Prints a JSON summary (header fields, section table, candidate
+//       columns, ann_graph details when present).
 //
 //   gbda_indexctl verify <artifact>
-//       Full integrity check: structural validation plus every CRC32
-//       (the v3 per-section sums — including trailing optional sections
-//       such as ann_graph — or the v2 footer). Exits non-zero on the
-//       first failure, printing the offending section and byte offset.
+//       Full integrity check: structural validation plus every section's
+//       CRC32, trailing optional sections such as ann_graph included.
+//       Exits non-zero on the first failure, printing the offending
+//       section and byte offset.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "ann/proximity_graph.h"
@@ -49,13 +43,11 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  gbda_indexctl build   --db=<transactions.txt> --out=<path>"
-               " [--format=v3|v2]\n"
+               "  gbda_indexctl build   --db=<transactions.txt> --out=<path>\n"
                "                        [--tau-max=N] [--sample-pairs=N]"
                " [--seed=N] [--eager-all-sizes]\n"
                "                        [--ann] [--ann-degree=N]"
                " [--ann-window=N] [--ann-alpha=F] [--ann-seed=N]\n"
-               "  gbda_indexctl convert --in=<path> --out=<path> --to=v2|v3\n"
                "  gbda_indexctl graph   --in=<v3 path> --out=<v3 path>"
                " [--ann-degree=N] [--ann-window=N]\n"
                "                        [--ann-alpha=F] [--ann-seed=N]\n"
@@ -74,36 +66,6 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "gbda_indexctl: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// First 4 bytes decide the artifact family ("GBDA" stream vs "GBA3" arena).
-Result<uint32_t> ReadMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in) return Status::InvalidArgument("file too small: " + path);
-  return magic;
-}
-
-Status WriteArtifact(const IndexReader& index, const std::string& format,
-                     const std::string& path) {
-  if (format == "v3") return WriteArenaFile(index, path);
-  if (format == "v2") {
-    // The v2 writer lives on the owning index; materialize when needed.
-    if (const auto* owned = dynamic_cast<const GbdaIndex*>(&index)) {
-      return owned->SaveToFile(path);
-    }
-    const auto* view = dynamic_cast<const GbdaIndexView*>(&index);
-    if (view == nullptr) {
-      return Status::Internal("unknown index backing for v2 write");
-    }
-    Result<GbdaIndex> materialized = view->Materialize();
-    if (!materialized.ok()) return materialized.status();
-    return materialized->SaveToFile(path);
-  }
-  return Status::InvalidArgument("unknown artifact format: " + format +
-                                 " (expected v2 or v3)");
 }
 
 /// Parses the shared --ann-* knobs; returns false on an unrecognized flag.
@@ -126,7 +88,7 @@ bool AnnFlagValue(const char* arg, AnnBuildParams* params) {
 }
 
 int RunBuild(int argc, char** argv) {
-  std::string db_path, out_path, format = "v3", v;
+  std::string db_path, out_path, v;
   GbdaIndexOptions options;
   bool with_ann = false;
   AnnBuildParams ann_params;
@@ -135,8 +97,6 @@ int RunBuild(int argc, char** argv) {
       db_path = v;
     } else if (FlagValue(argv[i], "--out", &v)) {
       out_path = v;
-    } else if (FlagValue(argv[i], "--format", &v)) {
-      format = v;
     } else if (FlagValue(argv[i], "--tau-max", &v)) {
       options.tau_max = std::strtoll(v.c_str(), nullptr, 10);
     } else if (FlagValue(argv[i], "--sample-pairs", &v)) {
@@ -155,11 +115,6 @@ int RunBuild(int argc, char** argv) {
     }
   }
   if (db_path.empty() || out_path.empty()) return Usage();
-  if (with_ann && format != "v3") {
-    return Fail(Status::InvalidArgument(
-        "--ann requires --format=v3 (the v2 stream has no ann_graph "
-        "section)"));
-  }
 
   Result<GraphDatabase> db = ReadTransactionFile(db_path);
   if (!db.ok()) return Fail(db.status());
@@ -179,10 +134,10 @@ int RunBuild(int argc, char** argv) {
         static_cast<unsigned long long>(graph->neighbors.size()));
     return 0;
   }
-  Status written = WriteArtifact(*index, format, out_path);
+  Status written = WriteArenaFile(*index, out_path);
   if (!written.ok()) return Fail(written);
-  std::printf("built %s artifact %s: %zu graphs, tau_max=%lld\n",
-              format.c_str(), out_path.c_str(), index->num_graphs(),
+  std::printf("built v3 artifact %s: %zu graphs, tau_max=%lld\n",
+              out_path.c_str(), index->num_graphs(),
               static_cast<long long>(index->tau_max()));
   return 0;
 }
@@ -202,13 +157,6 @@ int RunGraph(int argc, char** argv) {
   }
   if (in_path.empty() || out_path.empty()) return Usage();
 
-  Result<uint32_t> magic = ReadMagic(in_path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument(
-        "graph: input must be a v3 arena artifact (convert first): " +
-        in_path));
-  }
   Result<GbdaIndexView> view = GbdaIndexView::Open(in_path);
   if (!view.ok()) return Fail(view.status());
   Result<ProximityGraph> graph =
@@ -225,46 +173,15 @@ int RunGraph(int argc, char** argv) {
   return 0;
 }
 
-int RunConvert(int argc, char** argv) {
-  std::string in_path, out_path, to, v;
-  for (int i = 2; i < argc; ++i) {
-    if (FlagValue(argv[i], "--in", &v)) {
-      in_path = v;
-    } else if (FlagValue(argv[i], "--out", &v)) {
-      out_path = v;
-    } else if (FlagValue(argv[i], "--to", &v)) {
-      to = v;
-    } else {
-      return Usage();
-    }
-  }
-  if (in_path.empty() || out_path.empty() || to.empty()) return Usage();
-
-  Result<uint32_t> magic = ReadMagic(in_path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(in_path);
-    if (!index.ok()) return Fail(index.status());
-    Status written = WriteArtifact(*index, to, out_path);
-    if (!written.ok()) return Fail(written);
-  } else if (*magic == kArenaMagic) {
-    Result<GbdaIndexView> view = GbdaIndexView::Open(in_path);
-    if (!view.ok()) return Fail(view.status());
-    Status written = WriteArtifact(*view, to, out_path);
-    if (!written.ok()) return Fail(written);
-  } else {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + in_path));
-  }
-  std::printf("converted %s -> %s (%s)\n", in_path.c_str(), out_path.c_str(),
-              to.c_str());
-  return 0;
-}
-
-void PrintHeaderJson(const char* format, uint64_t file_bytes,
-                     const GbdaIndexOptions& options, int64_t lv, int64_t le,
-                     double avg_vertices, uint64_t num_graphs) {
+int RunInspect(const std::string& path) {
+  Result<MappedFile> mapped = MappedFile::OpenReadOnly(path, false);
+  if (!mapped.ok()) return Fail(mapped.status());
+  Result<ArenaInfo> info = ParseArenaHeader(
+      std::string_view(mapped->data(), mapped->size()), path);
+  if (!info.ok()) return Fail(info.status());
   std::printf(
-      "  \"format\": \"%s\",\n"
+      "{\n"
+      "  \"format\": \"v3\",\n"
       "  \"file_bytes\": %llu,\n"
       "  \"num_graphs\": %llu,\n"
       "  \"tau_max\": %lld,\n"
@@ -273,40 +190,13 @@ void PrintHeaderJson(const char* format, uint64_t file_bytes,
       "  \"avg_vertices\": %.6f,\n"
       "  \"sample_pairs\": %llu,\n"
       "  \"seed\": %llu",
-      format, static_cast<unsigned long long>(file_bytes),
-      static_cast<unsigned long long>(num_graphs),
-      static_cast<long long>(options.tau_max), static_cast<long long>(lv),
-      static_cast<long long>(le), avg_vertices,
-      static_cast<unsigned long long>(options.gbd_prior.num_sample_pairs),
-      static_cast<unsigned long long>(options.seed));
-}
-
-int RunInspect(const std::string& path) {
-  Result<uint32_t> magic = ReadMagic(path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(path);
-    if (!index.ok()) return Fail(index.status());
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    std::printf("{\n");
-    PrintHeaderJson("v2", static_cast<uint64_t>(in.tellg()), index->options(),
-                    index->num_vertex_labels(), index->num_edge_labels(),
-                    index->avg_vertices(), index->num_graphs());
-    std::printf("\n}\n");
-    return 0;
-  }
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + path));
-  }
-  Result<MappedFile> mapped = MappedFile::OpenReadOnly(path, false);
-  if (!mapped.ok()) return Fail(mapped.status());
-  Result<ArenaInfo> info = ParseArenaHeader(
-      std::string_view(mapped->data(), mapped->size()), path);
-  if (!info.ok()) return Fail(info.status());
-  std::printf("{\n");
-  PrintHeaderJson("v3", info->file_bytes, info->options,
-                  info->num_vertex_labels, info->num_edge_labels,
-                  info->avg_vertices, info->num_graphs);
+      static_cast<unsigned long long>(info->file_bytes),
+      static_cast<unsigned long long>(info->num_graphs),
+      static_cast<long long>(info->options.tau_max),
+      static_cast<long long>(info->num_vertex_labels),
+      static_cast<long long>(info->num_edge_labels), info->avg_vertices,
+      static_cast<unsigned long long>(info->options.gbd_prior.num_sample_pairs),
+      static_cast<unsigned long long>(info->options.seed));
   std::printf(
       ",\n  \"total_branches\": %llu,\n  \"total_labels\": %llu,\n"
       "  \"sections\": [\n",
@@ -325,15 +215,12 @@ int RunInspect(const std::string& path) {
         sec.crc32, s + 1 < info->sections.size() ? "," : "");
   }
   std::printf("  ]");
-  if (info->FindSection(kSecGraphSizes) != nullptr) {
-    const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
-    std::printf(
-        ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
-        "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
-        uniq != nullptr ? "true" : "false",
-        static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8
-                                                        : 0));
-  }
+  const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
+  std::printf(
+      ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
+      "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
+      uniq != nullptr ? "true" : "false",
+      static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8 : 0));
   if (const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph)) {
     Result<ProximityGraphRef> graph = ParseProximityGraphSection(
         mapped->data() + sec->offset, static_cast<size_t>(sec->length),
@@ -355,20 +242,6 @@ int RunInspect(const std::string& path) {
 }
 
 int RunVerify(const std::string& path) {
-  Result<uint32_t> magic = ReadMagic(path);
-  if (!magic.ok()) return Fail(magic.status());
-  if (*magic == kIndexV2Magic) {
-    // The v2 loader is the verifier: full structural decode plus the CRC
-    // footer when present.
-    Result<GbdaIndex> index = GbdaIndex::LoadFromFile(path);
-    if (!index.ok()) return Fail(index.status());
-    std::printf("%s: OK (v2 stream, %zu graphs)\n", path.c_str(),
-                index->num_graphs());
-    return 0;
-  }
-  if (*magic != kArenaMagic) {
-    return Fail(Status::InvalidArgument("not a GBDA artifact: " + path));
-  }
   GbdaIndexView::OpenOptions options;
   options.verify_checksums = true;
   options.prefetch = true;
@@ -386,7 +259,6 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   if (command == "build") return RunBuild(argc, argv);
-  if (command == "convert") return RunConvert(argc, argv);
   if (command == "graph") return RunGraph(argc, argv);
   if (command == "inspect" && argc == 3) return RunInspect(argv[2]);
   if (command == "verify" && argc == 3) return RunVerify(argv[2]);
