@@ -1,9 +1,9 @@
 // Approximate-navigation recall/latency sweep (docs/BENCHMARKS.md, "Recall
 // bench"). Runs top-k ranking through GbdaService twice over a
 // dataset_profiles database — exhaustively, and approximately at each
-// --windows size — and emits one JSON object on stdout: per-window
-// recall@k, wall time, speedup vs the exhaustive scan, and the navigator's
-// cost counters.
+// --windows size — and emits one JSON object on stdout: the proximity
+// graph's build time, per-window recall@k, wall time, speedup vs the
+// exhaustive scan, and the navigator's cost counters.
 //
 // Two built-in gates make the numbers trustworthy:
 //   - Exactness: every approximate match must be bit-identical (phi, gbd)
@@ -203,8 +203,11 @@ int main(int argc, char** argv) {
   const size_t k = std::min(flags.k, corpus);
 
   // Warm everything both timed passes share — engine memos and the
-  // proximity graph — so per-window walls measure steady state.
+  // proximity graph — so per-window walls measure steady state. The graph
+  // build is timed on its own.
+  WallTimer build_timer;
   Status warmed = service.WarmAnnGraph();
+  const double ann_build_seconds = build_timer.Seconds();
   if (!warmed.ok()) {
     std::fprintf(stderr, "ann graph: %s\n", warmed.ToString().c_str());
     return 1;
@@ -237,6 +240,7 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
   std::printf("  \"recall_floor\": %g,\n", flags.recall_floor);
   std::printf("  \"floor_window\": %zu,\n", flags.floor_window);
+  std::printf("  \"ann_build_seconds\": %.6f,\n", ann_build_seconds);
   std::printf("  \"exhaustive\": {\"wall_seconds\": %.6f, \"qps\": %.2f},\n",
               exhaustive_wall,
               exhaustive_wall > 0

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <limits>
-#include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "common/rng.h"
@@ -32,21 +31,42 @@ FingerprintStore FingerprintStore::FromIndex(const IndexReader& index) {
   return store;
 }
 
-int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b) {
-  size_t i = 0, j = 0, common = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++common;
-      ++i;
-      ++j;
-    }
-  }
-  return static_cast<int64_t>(std::max(a.size(), b.size()) - common);
+int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b,
+                            const ScanKernels& kernels) {
+  return static_cast<int64_t>(std::max(a.size(), b.size())) -
+         kernels.intersect_count(a.data(), a.size(), b.data(), b.size());
 }
+
+bool FingerprintDistanceAtMost(Span<const uint64_t> a, Span<const uint64_t> b,
+                               int64_t t, const ScanKernels& kernels) {
+  const int64_t larger = static_cast<int64_t>(std::max(a.size(), b.size()));
+  const int64_t smaller = static_cast<int64_t>(std::min(a.size(), b.size()));
+  // The size difference bounds the distance from below (the scan's tier 1);
+  // past it, distance <= t iff the intersection reaches larger - t, the
+  // capped decision the scan's tier 2 makes (t >= larger gives a negative
+  // cap, which intersect_at_most always fails: every distance passes).
+  if (larger - smaller > t) return false;
+  return !kernels.intersect_at_most(a.data(), a.size(), b.data(), b.size(),
+                                    larger - t - 1);
+}
+
+namespace internal {
+
+int64_t AlphaPruneCap(int64_t dist_pj, double alpha) {
+  const double limit = static_cast<double>(dist_pj);
+  const auto passes = [&](int64_t d) {
+    return static_cast<double>(d) * alpha <= limit;
+  };
+  // The truncated quotient is the answer up to rounding; the two walks
+  // settle it under the test's own arithmetic. 0 * inf is NaN, so
+  // alpha = +inf drops nothing (cap -1).
+  int64_t cap = static_cast<int64_t>(limit / alpha);
+  while (cap >= 0 && !passes(cap)) --cap;
+  while (passes(cap + 1)) ++cap;
+  return cap;
+}
+
+}  // namespace internal
 
 namespace {
 
@@ -55,45 +75,74 @@ namespace {
 /// on collision-heavy corpora.
 using Candidate = std::pair<int64_t, uint32_t>;
 
+/// The buffers of one beam search, reused across the builder's insertions.
+/// `stamp[id] == epoch` marks id as seen by the current search, so the array
+/// is never cleared: each search starts a new epoch.
+struct BeamScratch {
+  explicit BeamScratch(size_t num_nodes) : stamp(num_nodes, 0) {}
+
+  std::vector<Candidate> frontier;  // min-heap: closest unexpanded first
+  std::vector<Candidate> window;    // max-heap: worst retained first
+  std::vector<uint32_t> stamp;
+  uint32_t epoch = 0;
+};
+
 /// Beam search shared by the builder (adjacency still in per-node vectors)
 /// and the query-time navigator (CSR ref): expand the closest unexpanded
-/// candidate, keep the best `window` nodes seen, stop when a full window
+/// candidate, keep the best `window_size` nodes seen, stop when a full window
 /// beats the whole frontier. Appends expanded nodes, in expansion order,
-/// with their distances (the builder's RobustPrune pool); `window_set`
-/// returns the final window.
-template <typename NeighborsFn, typename DistFn>
-void BeamSearch(uint32_t entry, size_t window, const NeighborsFn& neighbors_of,
-                const DistFn& dist_to, std::vector<Candidate>* expanded,
-                std::set<Candidate>* window_set) {
-  std::set<Candidate> frontier;
-  std::unordered_set<uint32_t> seen;
-  const int64_t entry_dist = dist_to(entry);
-  frontier.emplace(entry_dist, entry);
-  window_set->emplace(entry_dist, entry);
-  seen.insert(entry);
+/// with their distances to `query` (the builder's RobustPrune pool);
+/// `scratch->window` holds the final window as a heap.
+///
+/// Once the window is full, a newcomer only matters if it beats the worst
+/// retained candidate, so that is decided first with a capped distance
+/// test; exact distances are computed only for nodes that enter.
+template <typename NeighborsFn>
+void BeamSearch(uint32_t entry, size_t window_size,
+                const NeighborsFn& neighbors_of, Span<const uint64_t> query,
+                const FingerprintStore& store, const ScanKernels& kernels,
+                BeamScratch* scratch, std::vector<Candidate>* expanded) {
+  std::vector<Candidate>& frontier = scratch->frontier;
+  std::vector<Candidate>& window = scratch->window;
+  const uint32_t epoch = ++scratch->epoch;
+  frontier.clear();
+  window.clear();
+  const Candidate start(FingerprintDistance(query, store.keys(entry), kernels),
+                        entry);
+  frontier.push_back(start);
+  window.push_back(start);
+  scratch->stamp[entry] = epoch;
   while (!frontier.empty()) {
-    const Candidate closest = *frontier.begin();
+    const Candidate closest = frontier.front();
     // A full window whose worst retained distance beats every unexpanded
     // candidate cannot improve; equal distances keep expanding so ties are
     // explored deterministically rather than by insertion luck.
-    if (window_set->size() >= window &&
-        closest.first > std::prev(window_set->end())->first) {
+    if (window.size() >= window_size && closest.first > window.front().first) {
       break;
     }
-    frontier.erase(frontier.begin());
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
+    frontier.pop_back();
     expanded->push_back(closest);
     const auto [nbrs, count] = neighbors_of(closest.second);
     for (size_t e = 0; e < count; ++e) {
       const uint32_t nb = nbrs[e];
-      if (!seen.insert(nb).second) continue;
-      const int64_t d = dist_to(nb);
-      if (window_set->size() >= window) {
-        const auto worst = std::prev(window_set->end());
-        if (Candidate(d, nb) >= *worst) continue;  // can't enter the window
-        window_set->erase(worst);
+      if (scratch->stamp[nb] == epoch) continue;
+      scratch->stamp[nb] = epoch;
+      const Span<const uint64_t> nb_keys = store.keys(nb);
+      if (window.size() >= window_size) {
+        // (d, nb) < worst: d below the worst distance, or equal to it with
+        // the smaller id.
+        const Candidate& worst = window.front();
+        const int64_t t = nb < worst.second ? worst.first : worst.first - 1;
+        if (!FingerprintDistanceAtMost(query, nb_keys, t, kernels)) continue;
+        std::pop_heap(window.begin(), window.end());
+        window.pop_back();
       }
-      window_set->emplace(d, nb);
-      frontier.emplace(d, nb);
+      const Candidate entered(FingerprintDistance(query, nb_keys, kernels), nb);
+      window.push_back(entered);
+      std::push_heap(window.begin(), window.end());
+      frontier.push_back(entered);
+      std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
     }
   }
 }
@@ -102,31 +151,35 @@ void BeamSearch(uint32_t entry, size_t window, const NeighborsFn& neighbors_of,
 /// closest candidate, then drop every pool member an alpha factor closer to
 /// a kept neighbor than to p — the kept set stays diverse in direction, so
 /// a bounded degree still navigates well. Pool may contain p and
-/// duplicates; both are ignored.
-std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
+/// duplicates; both are ignored. Sorts `pool` in place.
+std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate>* pool,
                                   double alpha, uint32_t degree,
-                                  const FingerprintStore& store) {
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+                                  const FingerprintStore& store,
+                                  const ScanKernels& kernels) {
+  std::sort(pool->begin(), pool->end());
+  pool->erase(std::unique(pool->begin(), pool->end()), pool->end());
+  const size_t n = pool->size();
+  // The alpha test double(d(c, cj)) * alpha <= double(d(p, cj)) as an
+  // integer cap on d(c, cj), fixed per pool member.
+  std::vector<int64_t> drop_cap(n);
+  for (size_t j = 0; j < n; ++j) {
+    drop_cap[j] = internal::AlphaPruneCap((*pool)[j].first, alpha);
+  }
   std::vector<uint32_t> kept;
-  kept.reserve(degree);
-  std::vector<char> dropped(pool.size(), 0);
-  for (size_t i = 0; i < pool.size() && kept.size() < degree; ++i) {
+  kept.reserve(std::min<size_t>(degree, n));
+  std::vector<char> dropped(n, 0);
+  for (size_t i = 0; i < n && kept.size() < degree; ++i) {
     if (dropped[i]) continue;
-    const auto [dist_pc, c] = pool[i];
+    const uint32_t c = (*pool)[i].second;
     if (c == p) continue;
     kept.push_back(c);
-    for (size_t j = i + 1; j < pool.size(); ++j) {
+    const Span<const uint64_t> c_keys = store.keys(c);
+    for (size_t j = i + 1; j < n; ++j) {
       if (dropped[j]) continue;
-      const auto [dist_pj, cj] = pool[j];
-      if (cj == c) {
-        dropped[j] = 1;
-        continue;
-      }
-      const int64_t dist_ccj = FingerprintDistance(store.keys(c),
-                                                   store.keys(cj));
-      if (static_cast<double>(dist_ccj) * alpha <=
-          static_cast<double>(dist_pj)) {
+      const uint32_t cj = (*pool)[j].second;
+      if (cj == c ||
+          FingerprintDistanceAtMost(c_keys, store.keys(cj), drop_cap[j],
+                                    kernels)) {
         dropped[j] = 1;
       }
     }
@@ -160,6 +213,8 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
         "ann graph supports at most 2^32 - 1 nodes");
   }
   const uint32_t degree = params.graph_degree;
+  const ScanKernels& kernels =
+      GetScanKernels(ResolveKernels(KernelDispatch::kAuto));
   Rng rng(params.seed);
 
   // Random bounded-degree initialization: navigable from the first
@@ -187,7 +242,7 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
     for (size_t c : sample) {
       int64_t total = 0;
       for (size_t s : sample) {
-        total += FingerprintDistance(store.keys(c), store.keys(s));
+        total += FingerprintDistance(store.keys(c), store.keys(s), kernels);
       }
       if (total < best_total) {
         best_total = total;
@@ -206,28 +261,29 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
   rng.Shuffle(&perm);
+  BeamScratch scratch(n);
+  std::vector<Candidate> pool;
   for (uint32_t p : perm) {
     const Span<const uint64_t> p_keys = store.keys(p);
-    const auto dist_to = [&store, &p_keys](uint32_t id) {
-      return FingerprintDistance(p_keys, store.keys(id));
-    };
-    std::vector<Candidate> pool;
-    std::set<Candidate> window_set;
-    BeamSearch(out.entry_point, params.build_window, neighbors_of, dist_to,
-               &pool, &window_set);
-    for (uint32_t nb : adj[p]) pool.emplace_back(dist_to(nb), nb);
-    adj[p] = RobustPrune(p, std::move(pool), params.alpha, degree, store);
+    pool.clear();
+    BeamSearch(out.entry_point, params.build_window, neighbors_of, p_keys,
+               store, kernels, &scratch, &pool);
+    for (uint32_t nb : adj[p]) {
+      pool.emplace_back(FingerprintDistance(p_keys, store.keys(nb), kernels),
+                        nb);
+    }
+    adj[p] = RobustPrune(p, &pool, params.alpha, degree, store, kernels);
     for (uint32_t j : adj[p]) {
       if (std::find(adj[j].begin(), adj[j].end(), p) != adj[j].end()) continue;
       adj[j].push_back(p);
       if (adj[j].size() > degree) {
         const Span<const uint64_t> j_keys = store.keys(j);
-        std::vector<Candidate> jpool;
-        jpool.reserve(adj[j].size());
+        pool.clear();
         for (uint32_t nb : adj[j]) {
-          jpool.emplace_back(FingerprintDistance(j_keys, store.keys(nb)), nb);
+          pool.emplace_back(
+              FingerprintDistance(j_keys, store.keys(nb), kernels), nb);
         }
-        adj[j] = RobustPrune(j, std::move(jpool), params.alpha, degree, store);
+        adj[j] = RobustPrune(j, &pool, params.alpha, degree, store, kernels);
       }
     }
   }
@@ -287,25 +343,25 @@ std::vector<uint32_t> NavigateProximityGraph(const ProximityGraphRef& graph,
                           static_cast<size_t>(graph.offsets[id + 1] -
                                               graph.offsets[id]));
   };
-  const auto dist_to = [&store, &query_keys](uint32_t id) {
-    return FingerprintDistance(query_keys, store.keys(id));
-  };
+  BeamScratch scratch(static_cast<size_t>(graph.num_nodes));
   std::vector<Candidate> expanded;
-  std::set<Candidate> window_set;
-  BeamSearch(graph.entry_point, window, neighbors_of, dist_to, &expanded,
-             &window_set);
+  BeamSearch(graph.entry_point, window, neighbors_of, query_keys, store,
+             GetScanKernels(ResolveKernels(KernelDispatch::kAuto)), &scratch,
+             &expanded);
   // Verification set: every expanded node (in expansion order) plus any
-  // window survivor the loop never got to expand — all distance-computed
-  // nodes the search considered worth keeping.
+  // window survivor the loop never got to expand (in window order) — all
+  // distance-computed nodes the search considered worth keeping. Expanded
+  // ids are distinct; re-stamping them marks the survivors already emitted.
+  const uint32_t emitted = scratch.epoch + 1;
   std::vector<uint32_t> out;
-  out.reserve(expanded.size() + window_set.size());
-  std::unordered_set<uint32_t> emitted;
-  emitted.reserve(expanded.size() + window_set.size());
+  out.reserve(expanded.size() + scratch.window.size());
   for (const Candidate& c : expanded) {
-    if (emitted.insert(c.second).second) out.push_back(c.second);
+    out.push_back(c.second);
+    scratch.stamp[c.second] = emitted;
   }
-  for (const Candidate& c : window_set) {
-    if (emitted.insert(c.second).second) out.push_back(c.second);
+  std::sort(scratch.window.begin(), scratch.window.end());
+  for (const Candidate& c : scratch.window) {
+    if (scratch.stamp[c.second] != emitted) out.push_back(c.second);
   }
   return out;
 }

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernels.h"
 #include "common/result.h"
 #include "common/span.h"
 #include "core/index_reader.h"
@@ -105,8 +106,30 @@ class FingerprintStore {
 /// fingerprint multisets — GBD's shape in fingerprint space, so graph
 /// pairs that rank well under the posterior tend to be near each other.
 /// Symmetric, non-negative, 0 for identical multisets (including two empty
-/// ones).
-int64_t FingerprintDistance(Span<const uint64_t> a, Span<const uint64_t> b);
+/// ones). The intersection runs on the dispatched scan kernels
+/// (common/kernels.h); the default resolves them per call, while the
+/// builder and the navigator resolve them once and pass the table.
+int64_t FingerprintDistance(
+    Span<const uint64_t> a, Span<const uint64_t> b,
+    const ScanKernels& kernels =
+        GetScanKernels(ResolveKernels(KernelDispatch::kAuto)));
+
+/// FingerprintDistance(a, b) <= t, decided without the full merge: false
+/// when the size difference already exceeds t, else the capped
+/// intersect_at_most test, which stops as soon as the answer is known.
+/// Any t is valid (t < 0 is always false).
+bool FingerprintDistanceAtMost(
+    Span<const uint64_t> a, Span<const uint64_t> b, int64_t t,
+    const ScanKernels& kernels =
+        GetScanKernels(ResolveKernels(KernelDispatch::kAuto)));
+
+namespace internal {
+/// RobustPrune's alpha test as an integer cap: the largest d >= 0 with
+/// double(d) * alpha <= double(dist_pj) under IEEE double arithmetic, or
+/// -1 when none passes (alpha = +inf: 0 * inf is NaN). The test is
+/// monotone in d, so `d <= cap` decides it for every d. Exposed for tests.
+int64_t AlphaPruneCap(int64_t dist_pj, double alpha);
+}  // namespace internal
 
 /// Offline Vamana-style build: random bounded-degree initialization, then
 /// one randomized insertion pass (greedy search from the entry point +

@@ -70,6 +70,25 @@ Result<double> ParseDouble(std::string_view s) {
   return v;
 }
 
+Result<uint64_t> ParseUint(std::string_view s, uint64_t max) {
+  std::string buf(Trim(s));
+  // strtoull would accept and negate a leading '-'.
+  if (buf.empty() || !std::isdigit(static_cast<unsigned char>(buf[0]))) {
+    return Status::InvalidArgument("not an unsigned integer: " + buf);
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
+  if (end != buf.c_str() + buf.size()) {
+    return Status::InvalidArgument("not an unsigned integer: " + buf);
+  }
+  if (errno == ERANGE || v > max) {
+    return Status::OutOfRange("integer out of range [0, " +
+                              std::to_string(max) + "]: " + buf);
+  }
+  return static_cast<uint64_t>(v);
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

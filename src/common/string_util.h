@@ -23,6 +23,9 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Strict integer / floating-point parsers (whole string must parse).
 Result<int64_t> ParseInt(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
+/// Unsigned decimal in [0, max]; a sign, trailing text or a value past
+/// `max` is an error rather than a wrap or a truncation.
+Result<uint64_t> ParseUint(std::string_view s, uint64_t max = UINT64_MAX);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

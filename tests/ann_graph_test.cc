@@ -1,23 +1,33 @@
 // The offline half of approximate candidate navigation (src/ann):
-// FingerprintDistance, the FingerprintStore's keys (the index's fp_keys
-// column) against an independent fingerprinting, the Vamana-style
-// builder's invariants, the section serialize/parse round trip
-// and the beam navigator's determinism/termination properties — including
-// the degenerate corpora (identical fingerprints, collision-heavy label
-// soups) where a naive nearest-neighbor walk could cycle.
+// FingerprintDistance and its threshold form, the RobustPrune alpha cap, the
+// FingerprintStore's keys (the index's fp_keys column) against an
+// independent fingerprinting, the Vamana-style builder's invariants, the
+// section serialize/parse round trip and the beam navigator's
+// determinism/termination properties — including the degenerate corpora
+// (identical fingerprints, collision-heavy label soups) where a naive
+// nearest-neighbor walk could cycle. A bit-identity gate compares builds
+// and navigations with a reference copy of the std::set-based
+// implementation the heap-based one replaced.
 #include "ann/proximity_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ann/navigator.h"
+#include "common/rng.h"
 #include "core/branch.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
@@ -414,6 +424,433 @@ TEST_F(NavigationTest, AllTiedDistancesTerminate) {
   const std::vector<uint32_t> full =
       NavigateProximityGraph(graph->ref(), store, KeySpan(keys), 16);
   EXPECT_EQ(full.size(), 16u);
+}
+
+// ---------------------------------------------------------------------------
+// FingerprintDistanceAtMost and the alpha cap
+// ---------------------------------------------------------------------------
+
+// Sets GBDA_FORCE_SCALAR_KERNELS for the guard's lifetime and restores the
+// prior value after, so a comparison can run under either kernel table.
+class ScopedKernelTable {
+ public:
+  explicit ScopedKernelTable(bool force_scalar) {
+    const char* prior = std::getenv("GBDA_FORCE_SCALAR_KERNELS");
+    had_prior_ = prior != nullptr;
+    if (had_prior_) prior_ = prior;
+    if (force_scalar) {
+      setenv("GBDA_FORCE_SCALAR_KERNELS", "1", 1);
+    } else {
+      unsetenv("GBDA_FORCE_SCALAR_KERNELS");
+    }
+  }
+  ~ScopedKernelTable() {
+    if (had_prior_) {
+      setenv("GBDA_FORCE_SCALAR_KERNELS", prior_.c_str(), 1);
+    } else {
+      unsetenv("GBDA_FORCE_SCALAR_KERNELS");
+    }
+  }
+
+ private:
+  bool had_prior_ = false;
+  std::string prior_;
+};
+
+// Seeded ascending multiset: length in [0, max_len], keys from a small
+// alphabet so duplicates and overlaps are common.
+std::vector<uint64_t> RandomMultiset(Rng* rng, int64_t max_len,
+                                     int64_t alphabet) {
+  std::vector<uint64_t> keys(static_cast<size_t>(rng->UniformInt(0, max_len)));
+  for (uint64_t& k : keys) {
+    k = static_cast<uint64_t>(rng->UniformInt(0, alphabet - 1)) * 0x9E3779B9u;
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(FingerprintDistanceTest, AtMostAgreesWithTheDistanceUnderBothTables) {
+  for (bool force_scalar : {false, true}) {
+    const ScopedKernelTable table(force_scalar);
+    Rng rng(2024);
+    for (int trial = 0; trial < 600; ++trial) {
+      // Lengths straddle the 4-wide vector windows; a small alphabet makes
+      // long duplicate runs, a large one near-disjoint sets.
+      const int64_t alphabet = trial % 3 == 0 ? 3 : (trial % 3 == 1 ? 12 : 500);
+      const std::vector<uint64_t> a = RandomMultiset(&rng, 40, alphabet);
+      const std::vector<uint64_t> b = RandomMultiset(&rng, 40, alphabet);
+      const int64_t d = FingerprintDistance(KeySpan(a), KeySpan(b));
+      const int64_t max_t =
+          static_cast<int64_t>(std::max(a.size(), b.size())) + 2;
+      for (int64_t t = -2; t <= max_t; ++t) {
+        ASSERT_EQ(FingerprintDistanceAtMost(KeySpan(a), KeySpan(b), t), d <= t)
+            << (force_scalar ? "scalar" : "auto") << " trial " << trial
+            << " |a|=" << a.size() << " |b|=" << b.size() << " d=" << d
+            << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(AlphaPruneCapTest, DecidesTheDoubleTestExhaustively) {
+  const double alphas[] = {1.0,
+                           std::nextafter(1.0, 2.0),
+                           1.2,
+                           1.5,
+                           2.0,
+                           3.7,
+                           1e9,
+                           std::numeric_limits<double>::infinity()};
+  for (double alpha : alphas) {
+    size_t mismatches = 0;
+    for (int64_t dist_pj = 0; dist_pj <= 4096; ++dist_pj) {
+      const int64_t cap = internal::AlphaPruneCap(dist_pj, alpha);
+      for (int64_t d = 0; d <= dist_pj + 1; ++d) {
+        const bool drops = static_cast<double>(d) * alpha <=
+                           static_cast<double>(dist_pj);
+        if ((d <= cap) != drops) {
+          if (mismatches++ == 0) {
+            ADD_FAILURE() << "alpha " << alpha << " dist_pj " << dist_pj
+                          << " d " << d << " cap " << cap;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "alpha " << alpha;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity gate: the builder and the navigator against a test-local copy
+// of the std::set-based implementation they replaced (branchy merge, every
+// distance computed in full)
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+using Candidate = std::pair<int64_t, uint32_t>;
+
+int64_t Distance(Span<const uint64_t> a, Span<const uint64_t> b) {
+  size_t i = 0, j = 0, common = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      ++common;
+      ++i;
+      ++j;
+    }
+  }
+  return static_cast<int64_t>(std::max(a.size(), b.size()) - common);
+}
+
+template <typename NeighborsFn, typename DistFn>
+void BeamSearch(uint32_t entry, size_t window, const NeighborsFn& neighbors_of,
+                const DistFn& dist_to, std::vector<Candidate>* expanded,
+                std::set<Candidate>* window_set) {
+  std::set<Candidate> frontier;
+  std::unordered_set<uint32_t> seen;
+  const int64_t entry_dist = dist_to(entry);
+  frontier.emplace(entry_dist, entry);
+  window_set->emplace(entry_dist, entry);
+  seen.insert(entry);
+  while (!frontier.empty()) {
+    const Candidate closest = *frontier.begin();
+    if (window_set->size() >= window &&
+        closest.first > std::prev(window_set->end())->first) {
+      break;
+    }
+    frontier.erase(frontier.begin());
+    expanded->push_back(closest);
+    const auto [nbrs, count] = neighbors_of(closest.second);
+    for (size_t e = 0; e < count; ++e) {
+      const uint32_t nb = nbrs[e];
+      if (!seen.insert(nb).second) continue;
+      const int64_t d = dist_to(nb);
+      if (window_set->size() >= window) {
+        const auto worst = std::prev(window_set->end());
+        if (Candidate(d, nb) >= *worst) continue;
+        window_set->erase(worst);
+      }
+      window_set->emplace(d, nb);
+      frontier.emplace(d, nb);
+    }
+  }
+}
+
+std::vector<uint32_t> RobustPrune(uint32_t p, std::vector<Candidate> pool,
+                                  double alpha, uint32_t degree,
+                                  const FingerprintStore& store) {
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  std::vector<uint32_t> kept;
+  std::vector<char> dropped(pool.size(), 0);
+  for (size_t i = 0; i < pool.size() && kept.size() < degree; ++i) {
+    if (dropped[i]) continue;
+    const auto [dist_pc, c] = pool[i];
+    if (c == p) continue;
+    kept.push_back(c);
+    for (size_t j = i + 1; j < pool.size(); ++j) {
+      if (dropped[j]) continue;
+      const auto [dist_pj, cj] = pool[j];
+      if (cj == c) {
+        dropped[j] = 1;
+        continue;
+      }
+      const int64_t dist_ccj = Distance(store.keys(c), store.keys(cj));
+      if (static_cast<double>(dist_ccj) * alpha <=
+          static_cast<double>(dist_pj)) {
+        dropped[j] = 1;
+      }
+    }
+  }
+  return kept;
+}
+
+// BuildProximityGraph for a non-empty store and valid params.
+ProximityGraph Build(const FingerprintStore& store,
+                     const AnnBuildParams& params) {
+  const size_t n = store.size();
+  ProximityGraph out;
+  out.degree_bound = params.graph_degree;
+  out.entry_point = 0;
+  const uint32_t degree = params.graph_degree;
+  Rng rng(params.seed);
+  std::vector<std::vector<uint32_t>> adj(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t want = std::min<size_t>(degree, n - 1);
+    for (size_t p : rng.SampleWithoutReplacement(n - 1, want)) {
+      adj[i].push_back(static_cast<uint32_t>(p >= i ? p + 1 : p));
+    }
+  }
+  {
+    const size_t sample_count = std::min<size_t>(n, 64);
+    std::vector<size_t> sample = rng.SampleWithoutReplacement(n, sample_count);
+    std::sort(sample.begin(), sample.end());
+    int64_t best_total = std::numeric_limits<int64_t>::max();
+    for (size_t c : sample) {
+      int64_t total = 0;
+      for (size_t s : sample) total += Distance(store.keys(c), store.keys(s));
+      if (total < best_total) {
+        best_total = total;
+        out.entry_point = static_cast<uint32_t>(c);
+      }
+    }
+  }
+  const auto neighbors_of = [&adj](uint32_t id) {
+    return std::make_pair(adj[id].data(), adj[id].size());
+  };
+  std::vector<uint32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+  rng.Shuffle(&perm);
+  for (uint32_t p : perm) {
+    const Span<const uint64_t> p_keys = store.keys(p);
+    const auto dist_to = [&store, &p_keys](uint32_t id) {
+      return Distance(p_keys, store.keys(id));
+    };
+    std::vector<Candidate> pool;
+    std::set<Candidate> window_set;
+    BeamSearch(out.entry_point, params.build_window, neighbors_of, dist_to,
+               &pool, &window_set);
+    for (uint32_t nb : adj[p]) pool.emplace_back(dist_to(nb), nb);
+    adj[p] = RobustPrune(p, std::move(pool), params.alpha, degree, store);
+    for (uint32_t j : adj[p]) {
+      if (std::find(adj[j].begin(), adj[j].end(), p) != adj[j].end()) continue;
+      adj[j].push_back(p);
+      if (adj[j].size() > degree) {
+        std::vector<Candidate> jpool;
+        for (uint32_t nb : adj[j]) {
+          jpool.emplace_back(Distance(store.keys(j), store.keys(nb)), nb);
+        }
+        adj[j] = RobustPrune(j, std::move(jpool), params.alpha, degree, store);
+      }
+    }
+  }
+  {
+    std::vector<char> reached(n, 0);
+    std::vector<uint32_t> stack;
+    const auto drain = [&] {
+      while (!stack.empty()) {
+        const uint32_t u = stack.back();
+        stack.pop_back();
+        for (uint32_t nb : adj[u]) {
+          if (!reached[nb]) {
+            reached[nb] = 1;
+            stack.push_back(nb);
+          }
+        }
+      }
+    };
+    reached[out.entry_point] = 1;
+    stack.push_back(out.entry_point);
+    drain();
+    for (uint32_t u = 0; u < n; ++u) {
+      if (reached[u]) continue;
+      adj[out.entry_point].push_back(u);
+      reached[u] = 1;
+      stack.push_back(u);
+      drain();
+    }
+  }
+  out.offsets.assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    out.neighbors.insert(out.neighbors.end(), adj[i].begin(), adj[i].end());
+    out.offsets[i + 1] = out.neighbors.size();
+  }
+  return out;
+}
+
+std::vector<uint32_t> Navigate(const ProximityGraphRef& graph,
+                               const FingerprintStore& store,
+                               Span<const uint64_t> query_keys,
+                               size_t window) {
+  window = std::max<size_t>(1, window);
+  const auto neighbors_of = [&graph](uint32_t id) {
+    return std::make_pair(graph.neighbors + graph.offsets[id],
+                          static_cast<size_t>(graph.offsets[id + 1] -
+                                              graph.offsets[id]));
+  };
+  const auto dist_to = [&store, &query_keys](uint32_t id) {
+    return Distance(query_keys, store.keys(id));
+  };
+  std::vector<Candidate> expanded;
+  std::set<Candidate> window_set;
+  BeamSearch(graph.entry_point, window, neighbors_of, dist_to, &expanded,
+             &window_set);
+  std::vector<uint32_t> out;
+  std::unordered_set<uint32_t> emitted;
+  for (const Candidate& c : expanded) {
+    if (emitted.insert(c.second).second) out.push_back(c.second);
+  }
+  for (const Candidate& c : window_set) {
+    if (emitted.insert(c.second).second) out.push_back(c.second);
+  }
+  return out;
+}
+
+}  // namespace reference
+
+// One gate corpus: the store plus the query key sets navigated over it —
+// dataset queries (when the corpus has any), the empty multiset, and a
+// corpus member's own keys.
+struct GateCorpus {
+  std::string name;
+  FingerprintStore store;
+  std::vector<std::vector<uint64_t>> queries;
+};
+
+GateCorpus MakeGateCorpus(const std::string& name, const GraphDatabase& db,
+                          const std::vector<Graph>& dataset_queries) {
+  GateCorpus corpus;
+  corpus.name = name;
+  corpus.store = StoreOf(db);
+  for (size_t q = 0; q < std::min<size_t>(dataset_queries.size(), 2); ++q) {
+    std::vector<uint64_t> keys;
+    for (const Branch& b : ExtractBranches(dataset_queries[q])) {
+      keys.push_back(BranchFingerprint(b.root, b.edge_labels));
+    }
+    std::sort(keys.begin(), keys.end());
+    corpus.queries.push_back(std::move(keys));
+  }
+  corpus.queries.emplace_back();
+  const Span<const uint64_t> member = corpus.store.keys(db.size() / 2);
+  corpus.queries.emplace_back(member.begin(), member.end());
+  return corpus;
+}
+
+GateCorpus ProfileGateCorpus(const std::string& name, DatasetProfile profile,
+                             uint64_t seed) {
+  profile.seed = seed;
+  Result<GeneratedDataset> ds = GenerateDataset(profile);
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  return ds.ok() ? MakeGateCorpus(name, ds->db, ds->queries) : GateCorpus();
+}
+
+// Builds `corpus` with `params` through the reference and through
+// BuildProximityGraph under both kernel tables, and navigates the graph with
+// every query at windows {1, 4, 16, 64, n}: the serialized bytes and every
+// candidate list must be identical.
+void ExpectMatchesReference(const GateCorpus& corpus,
+                            const AnnBuildParams& params, size_t* builds,
+                            size_t* navigations) {
+  const size_t n = corpus.store.size();
+  const std::vector<size_t> windows = {1, 4, 16, 64, n};
+  const std::string label =
+      corpus.name + " degree " + std::to_string(params.graph_degree) +
+      " window " + std::to_string(params.build_window) + " alpha " +
+      std::to_string(params.alpha);
+  const ProximityGraph want = reference::Build(corpus.store, params);
+  const std::string want_bytes = SerializeProximityGraph(want);
+  std::vector<std::vector<uint32_t>> want_visits;
+  for (const std::vector<uint64_t>& q : corpus.queries) {
+    for (size_t w : windows) {
+      want_visits.push_back(
+          reference::Navigate(want.ref(), corpus.store, KeySpan(q), w));
+    }
+  }
+  for (bool force_scalar : {false, true}) {
+    const ScopedKernelTable table(force_scalar);
+    const std::string where = label + (force_scalar ? " (scalar)" : " (auto)");
+    Result<ProximityGraph> got = BuildProximityGraph(corpus.store, params);
+    ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+    EXPECT_EQ(SerializeProximityGraph(*got), want_bytes)
+        << "graph differs: " << where;
+    ++*builds;
+    size_t v = 0;
+    for (const std::vector<uint64_t>& q : corpus.queries) {
+      for (size_t w : windows) {
+        EXPECT_EQ(
+            NavigateProximityGraph(want.ref(), corpus.store, KeySpan(q), w),
+            want_visits[v++])
+            << "navigation differs: " << where << " query keys " << q.size()
+            << " window " << w;
+        ++*navigations;
+      }
+    }
+  }
+}
+
+TEST(ProximityGraphGateTest, BuildsAndNavigationsMatchTheReference) {
+  std::vector<GateCorpus> corpora;
+  corpora.push_back(ProfileGateCorpus("aids31", AidsProfile(0.03), 31));
+  corpora.push_back(ProfileGateCorpus("aids47", AidsProfile(0.03), 47));
+  corpora.push_back(ProfileGateCorpus("grec", GrecProfile(0.03), 23));
+  corpora.push_back(MakeGateCorpus("identical12", IdenticalCorpus(12), {}));
+  corpora.push_back(MakeGateCorpus("identical2", IdenticalCorpus(2), {}));
+  const GateCorpus aasd = ProfileGateCorpus("aasd", AasdProfile(0.01), 5);
+
+  size_t builds = 0, navigations = 0;
+  const auto check = [&](const GateCorpus& corpus, uint32_t degree,
+                         uint32_t build_window, double alpha) {
+    AnnBuildParams params;
+    params.graph_degree = degree;
+    params.build_window = build_window;
+    params.alpha = alpha;
+    ExpectMatchesReference(corpus, params, &builds, &navigations);
+  };
+  // The full grid on the small corpora.
+  for (const GateCorpus& corpus : corpora) {
+    ASSERT_GT(corpus.store.size(), 0u) << corpus.name;
+    for (uint32_t degree : {1u, 4u, 8u, 32u}) {
+      for (uint32_t build_window : {1u, 8u, 64u}) {
+        for (double alpha : {1.0, 1.2, 2.0}) {
+          check(corpus, degree, build_window, alpha);
+        }
+      }
+    }
+  }
+  // AASD's 380 graphs cover each degree, window and alpha once, the
+  // defaults (32, 64, 1.2) among them: its full grid would take about four
+  // times as long as the rest of this test together.
+  ASSERT_GT(aasd.store.size(), 0u);
+  check(aasd, 1, 64, 1.0);
+  check(aasd, 4, 8, 2.0);
+  check(aasd, 8, 1, 1.2);
+  check(aasd, 32, 64, 1.2);
+  EXPECT_EQ(builds, (corpora.size() * 36 + 4) * 2);
+  EXPECT_GT(navigations, builds);
 }
 
 // ---------------------------------------------------------------------------

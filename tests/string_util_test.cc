@@ -43,6 +43,23 @@ TEST(ParseIntTest, ValidAndInvalid) {
   EXPECT_FALSE(ParseInt("999999999999999999999999").ok());
 }
 
+TEST(ParseUintTest, WholeValueWithinRange) {
+  EXPECT_EQ(*ParseUint("0"), 0u);
+  EXPECT_EQ(*ParseUint(" 42 "), 42u);
+  EXPECT_EQ(*ParseUint("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(*ParseUint("4294967295", UINT32_MAX), UINT32_MAX);
+  EXPECT_EQ(ParseUint("4294967296", UINT32_MAX).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ParseUint("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(ParseUint("").ok());
+  EXPECT_FALSE(ParseUint("-1").ok());
+  EXPECT_FALSE(ParseUint("+1").ok());
+  EXPECT_FALSE(ParseUint("12x").ok());
+  EXPECT_FALSE(ParseUint("0x10").ok());
+  EXPECT_FALSE(ParseUint("4.5").ok());
+}
+
 TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.5"), 3.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2e3"), -2000.0);

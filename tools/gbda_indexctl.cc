@@ -15,7 +15,9 @@
 //       over the artifact's branch fingerprints and writes a copy carrying
 //       it as the optional ann_graph section (src/ann). The canonical
 //       sections are byte-identical to the input's, so exhaustive queries
-//       through the output are bit-identical to the input.
+//       through the output are bit-identical to the input. Each --ann-*
+//       value must parse whole and fit its field (degree and window in
+//       uint32); anything else is a usage error.
 //
 //   gbda_indexctl inspect <artifact>
 //       Prints a JSON summary (header fields, section table, candidate
@@ -26,11 +28,13 @@
 //       CRC32, trailing optional sections such as ann_graph included.
 //       Exits non-zero on the first failure, printing the offending
 //       section and byte offset.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "ann/proximity_graph.h"
+#include "common/string_util.h"
 #include "core/gbda_index.h"
 #include "graph/graph_io.h"
 #include "storage/index_arena.h"
@@ -68,23 +72,36 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Parses the shared --ann-* knobs; returns false on an unrecognized flag.
+// Stores a parsed flag value; a parse error passes through.
+template <typename T, typename V>
+Status Assign(const Result<V>& parsed, T* out) {
+  if (!parsed.ok()) return parsed.status();
+  *out = static_cast<T>(*parsed);
+  return Status::OK();
+}
+
+/// Parses the shared --ann-* knobs. Returns false on an unrecognized flag
+/// and on a value that does not parse whole or does not fit its field
+/// (printing why), so either way the caller answers with the usage error.
 bool AnnFlagValue(const char* arg, AnnBuildParams* params) {
   std::string v;
+  Status parsed;
   if (FlagValue(arg, "--ann-degree", &v)) {
-    params->graph_degree =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+    parsed = Assign(ParseUint(v, UINT32_MAX), &params->graph_degree);
   } else if (FlagValue(arg, "--ann-window", &v)) {
-    params->build_window =
-        static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+    parsed = Assign(ParseUint(v, UINT32_MAX), &params->build_window);
   } else if (FlagValue(arg, "--ann-alpha", &v)) {
-    params->alpha = std::strtod(v.c_str(), nullptr);
+    parsed = Assign(ParseDouble(v), &params->alpha);
   } else if (FlagValue(arg, "--ann-seed", &v)) {
-    params->seed = std::strtoull(v.c_str(), nullptr, 10);
+    parsed = Assign(ParseUint(v), &params->seed);
   } else {
     return false;
   }
-  return true;
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "gbda_indexctl: %s: %s\n", arg,
+                 parsed.ToString().c_str());
+  }
+  return parsed.ok();
 }
 
 int RunBuild(int argc, char** argv) {

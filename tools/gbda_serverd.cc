@@ -34,6 +34,7 @@
 // GBDA_SLOW_QUERY_MS environment knobs (see src/obs/trace.h).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/graph_io.h"
@@ -233,8 +235,13 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--approximate", &v)) {
       flags.approximate = v != "0" && v != "false";
     } else if (FlagValue(argv[i], "--ann-degree", &v)) {
-      flags.ann_degree =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      const Result<uint64_t> degree = ParseUint(v, UINT32_MAX);
+      if (!degree.ok()) {
+        std::fprintf(stderr, "gbda_serverd: --ann-degree: %s\n",
+                     degree.status().ToString().c_str());
+        return Usage();
+      }
+      flags.ann_degree = static_cast<uint32_t>(*degree);
     } else if (FlagValue(argv[i], "--metrics-port", &v)) {
       flags.metrics_port =
           static_cast<int32_t>(std::strtol(v.c_str(), nullptr, 10));
