@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/lambda1.h"
 #include "math/log_combinatorics.h"
 
 namespace gbda {
@@ -89,9 +88,40 @@ void GedPriorTable::EagerBuild(const std::vector<int64_t>& sizes) {
   for (int64_t v : sizes) Row(v);
 }
 
+const std::vector<double>& GedPriorTable::Lambda1Column(int64_t v,
+                                                        int64_t phi) {
+  // As in Row(), the calculator and the column are built outside the lock
+  // and inserted if absent; a racing duplicate is identical and dropped.
+  const Lambda1Calculator* calc = nullptr;
+  {
+    MutexLock lock(&mutex_);
+    auto it = columns_.find({v, phi});
+    if (it != columns_.end()) return it->second;
+    auto calc_it = calculators_.find(v);
+    if (calc_it != calculators_.end()) calc = calc_it->second.get();
+  }
+  if (calc == nullptr) {
+    auto built = std::make_unique<const Lambda1Calculator>(
+        MakeModelParams(std::max<int64_t>(v, 1), num_vertex_labels_,
+                        num_edge_labels_),
+        tau_max_);
+    MutexLock lock(&mutex_);
+    calc = calculators_.emplace(v, std::move(built)).first->second.get();
+  }
+  std::vector<double> column = calc->Column(phi);
+  MutexLock lock(&mutex_);
+  return columns_.emplace(std::make_pair(v, phi), std::move(column))
+      .first->second;
+}
+
 size_t GedPriorTable::num_cached_rows() const {
   MutexLock lock(&mutex_);
   return rows_.size();
+}
+
+size_t GedPriorTable::num_cached_columns() const {
+  MutexLock lock(&mutex_);
+  return columns_.size();
 }
 
 size_t GedPriorTable::MemoryBytes() const {

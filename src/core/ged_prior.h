@@ -1,13 +1,17 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/serialize.h"
 #include "common/thread_annotations.h"
+#include "core/lambda1.h"
 
 namespace gbda {
 
@@ -46,7 +50,9 @@ class GedPriorTable {
       : num_vertex_labels_(other.num_vertex_labels_),
         num_edge_labels_(other.num_edge_labels_),
         tau_max_(other.tau_max_),
-        rows_(std::move(other.rows_)) {}
+        rows_(std::move(other.rows_)),
+        calculators_(std::move(other.calculators_)),
+        columns_(std::move(other.columns_)) {}
 
   /// Pr[GED = tau | extended size v]; 0 for tau outside [0, tau_max].
   double Probability(int64_t tau, int64_t v);
@@ -57,10 +63,17 @@ class GedPriorTable {
   /// Precomputes rows for every v in `sizes` (deduplicated).
   void EagerBuild(const std::vector<int64_t>& sizes);
 
+  /// Lambda1(tau, phi) for every tau in [0, tau_max] at size v (Eq. 8 / 27).
+  /// Lambda1 has the rows' key and no dependence on Lambda2, so the table
+  /// memoises it per (v, phi), over one Lambda1Calculator per v, for every
+  /// PosteriorEngine sharing it. Not persisted nor counted by MemoryBytes.
+  const std::vector<double>& Lambda1Column(int64_t v, int64_t phi);
+
   int64_t tau_max() const { return tau_max_; }
   int64_t num_vertex_labels() const { return num_vertex_labels_; }
   int64_t num_edge_labels() const { return num_edge_labels_; }
   size_t num_cached_rows() const;
+  size_t num_cached_columns() const;
   size_t MemoryBytes() const;
 
   void Serialize(BinaryWriter* writer) const;
@@ -73,10 +86,14 @@ class GedPriorTable {
   int64_t num_edge_labels_;
   int64_t tau_max_;
   mutable Mutex mutex_;
-  /// Built rows are append-only and never mutated in place, so the
-  /// references Row() hands out stay valid outside the lock (unordered_map
-  /// never invalidates value references on rehash).
+  /// Built entries are append-only and never mutated in place, so the
+  /// references Row() and Lambda1Column() hand out stay valid outside the
+  /// lock (no container here invalidates value references on insertion).
   std::unordered_map<int64_t, std::vector<double>> rows_
+      GBDA_GUARDED_BY(mutex_);
+  std::unordered_map<int64_t, std::unique_ptr<const Lambda1Calculator>>
+      calculators_ GBDA_GUARDED_BY(mutex_);
+  std::map<std::pair<int64_t, int64_t>, std::vector<double>> columns_
       GBDA_GUARDED_BY(mutex_);
 };
 

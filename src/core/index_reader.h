@@ -120,9 +120,9 @@ class IndexReader {
 
   /// The GMM prior of GBD values (Lambda2). Immutable and shared.
   virtual const GbdPrior& gbd_prior() const = 0;
-  /// The Jeffreys prior table (Lambda3). Non-const because rows build
-  /// lazily at query time; the table is internally synchronized, so handing
-  /// it to concurrent PosteriorEngine replicas is safe.
+  /// The Jeffreys prior table (Lambda3) and the Lambda1 columns it memoises.
+  /// Non-const because both build lazily at query time; the table is
+  /// internally synchronized, so concurrent PosteriorEngine replicas share it.
   virtual GedPriorTable* mutable_ged_prior() const = 0;
 };
 

@@ -28,9 +28,6 @@ class Lambda1Calculator {
   /// offline Jeffreys-prior construction (Section V-C).
   std::vector<std::vector<double>> Matrix() const;
 
-  const ModelParams& params() const { return params_; }
-  int64_t tau_max() const { return tau_max_; }
-
  private:
   /// inner2 for one phi, indexed [x][m].
   std::vector<std::vector<double>> Inner2(int64_t phi) const;

@@ -6,28 +6,13 @@
 
 namespace gbda {
 
-PosteriorEngine::PosteriorEngine(int64_t num_vertex_labels,
-                                 int64_t num_edge_labels, int64_t tau_max,
+PosteriorEngine::PosteriorEngine(int64_t /*num_vertex_labels*/,
+                                 int64_t /*num_edge_labels*/, int64_t tau_max,
                                  GedPriorTable* ged_prior,
                                  const GbdPrior* gbd_prior)
-    : num_vertex_labels_(num_vertex_labels),
-      num_edge_labels_(num_edge_labels),
-      tau_max_(tau_max),
+    : tau_max_(std::min(tau_max, ged_prior->tau_max())),
       ged_prior_(ged_prior),
       gbd_prior_(gbd_prior) {}
-
-const Lambda1Calculator& PosteriorEngine::CalculatorFor(int64_t v) {
-  auto it = calculators_.find(v);
-  if (it == calculators_.end()) {
-    it = calculators_
-             .emplace(v, std::make_unique<Lambda1Calculator>(
-                             MakeModelParams(v, num_vertex_labels_,
-                                             num_edge_labels_),
-                             tau_max_))
-             .first;
-  }
-  return *it->second;
-}
 
 double PosteriorEngine::PhiLocked(int64_t v, int64_t phi, int64_t tau_hat) {
   const auto key = std::make_tuple(v, phi, tau_hat);
@@ -38,15 +23,17 @@ double PosteriorEngine::PhiLocked(int64_t v, int64_t phi, int64_t tau_hat) {
   }
   ++memo_misses_;
 
-  const Lambda1Calculator& calc = CalculatorFor(v);
-  const std::vector<double> lambda1 = calc.Column(phi);
+  const std::vector<double>& lambda1 = ged_prior_->Lambda1Column(v, phi);
   const double lambda2 = gbd_prior_->Probability(phi);
+  // The Lambda3 row is fetched at the first contributing term, so an
+  // all-zero column builds no row (rows are persisted with the index).
+  const std::vector<double>* lambda3 = nullptr;
   double total = 0.0;
   for (int64_t tau = 0; tau <= tau_hat; ++tau) {
     const double l1 = lambda1[static_cast<size_t>(tau)];
     if (l1 <= 0.0) continue;
-    const double l3 = ged_prior_->Probability(tau, v);
-    total += l1 * l3 / lambda2;
+    if (lambda3 == nullptr) lambda3 = &ged_prior_->Row(v);
+    total += l1 * (*lambda3)[static_cast<size_t>(tau)] / lambda2;
   }
   phi_memo_.emplace(key, total);
   return total;

@@ -1,18 +1,18 @@
 /// \file posterior.h
 /// Step 3 of Algorithm 1: the Bayesian accept test. PosteriorEngine
-/// combines the conditional Lambda1 = Pr[GBD | GED] (Eq. 8/27, via
-/// Lambda1Calculator), the GMM prior Lambda2 = Pr[GBD] and the Jeffreys
-/// prior Lambda3 = Pr[GED] into Phi = Pr[GED <= tau_hat | GBD], the value
-/// Step 4 compares against gamma. Per-size calculators and (v, phi,
-/// tau_hat) results are memoised so a database scan pays O(tau_hat^3) only
-/// for distinct extended sizes, keeping the per-graph online cost at the
-/// O(nd + tau_hat^3) of Theorem 3.
+/// combines the conditional Lambda1 = Pr[GBD | GED] (Eq. 8/27), the GMM
+/// prior Lambda2 = Pr[GBD] and the Jeffreys prior Lambda3 = Pr[GED] into
+/// Phi = Pr[GED <= tau_hat | GBD], the value Step 4 compares against gamma.
+/// Lambda1 columns and Lambda3 rows are memoised once in the shared
+/// GedPriorTable and (v, phi, tau_hat) results in the engine, so a database
+/// scan pays O(tau_hat^3) only for distinct extended sizes, keeping the
+/// per-graph online cost at the O(nd + tau_hat^3) of Theorem 3.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,7 +20,6 @@
 #include "common/thread_annotations.h"
 #include "core/gbd_prior.h"
 #include "core/ged_prior.h"
-#include "core/lambda1.h"
 
 namespace gbda {
 
@@ -28,16 +27,18 @@ namespace gbda {
 ///   Phi = Pr[GED <= tau_hat | GBD = phi]
 ///       = sum_{tau=0}^{tau_hat} Lambda1(tau,phi) * Lambda3(tau) / Lambda2(phi).
 ///
-/// Lambda1 columns are produced by a per-size Lambda1Calculator; calculators
-/// and (v, phi, tau_hat) -> Phi results are memoised because a database scan
-/// evaluates the same extended sizes and GBD values over and over. Phi can
-/// exceed 1 since the GMM prior Lambda2 is not the exact marginal of
-/// Lambda1 * Lambda3; the raw value is compared against gamma exactly as the
-/// paper does (see docs/ARCHITECTURE.md).
+/// Lambda1 columns and Lambda3 rows come from the shared GedPriorTable; the
+/// engine memoises only what depends on Lambda2, (v, phi, tau_hat) -> Phi
+/// results and suffix-max tables, because a database scan evaluates the
+/// same sizes and GBD values over and over. Phi can exceed 1 since the GMM
+/// prior Lambda2 is not the exact marginal of Lambda1 * Lambda3; the raw
+/// value is compared against gamma exactly as the paper does (see
+/// docs/ARCHITECTURE.md).
 class PosteriorEngine {
  public:
   /// The priors must outlive the engine. `tau_max` bounds the tau_hat values
-  /// that can be queried.
+  /// that can be queried (clamped to the table's). The label counts must be
+  /// the table's: it derives Lambda1 for its own label universe.
   PosteriorEngine(int64_t num_vertex_labels, int64_t num_edge_labels,
                   int64_t tau_max, GedPriorTable* ged_prior,
                   const GbdPrior* gbd_prior);
@@ -58,7 +59,7 @@ class PosteriorEngine {
   /// The table entries are this engine's own memoised Phi doubles, so the
   /// inequality holds exactly (not just up to rounding) against the values a
   /// scan computes. Memoised per (v, tau_hat); the (cap + 1)-entry build also
-  /// warms the Phi memo, costing one Column per phi only on first use.
+  /// warms the Phi memo, reading one Lambda1 column per phi from the table.
   Result<std::vector<double>> PhiSuffixMax(int64_t v, int64_t tau_hat);
 
   /// Scalar convenience form: max over phi >= phi_lower of
@@ -76,20 +77,15 @@ class PosteriorEngine {
   }
 
  private:
-  const Lambda1Calculator& CalculatorFor(int64_t v) GBDA_REQUIRES(mutex_);
   /// Phi compute + memo; caller holds mutex_ and has validated (v, tau_hat).
   double PhiLocked(int64_t v, int64_t phi, int64_t tau_hat)
       GBDA_REQUIRES(mutex_);
 
-  int64_t num_vertex_labels_;
-  int64_t num_edge_labels_;
   int64_t tau_max_;
   GedPriorTable* ged_prior_;
   const GbdPrior* gbd_prior_;
 
   mutable Mutex mutex_;
-  std::map<int64_t, std::unique_ptr<Lambda1Calculator>> calculators_
-      GBDA_GUARDED_BY(mutex_);
   // Key: (v, phi, tau_hat) packed.
   std::map<std::tuple<int64_t, int64_t, int64_t>, double> phi_memo_
       GBDA_GUARDED_BY(mutex_);

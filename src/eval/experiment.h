@@ -79,7 +79,7 @@ class ExperimentRunner {
 
   const GbdaIndex& index() const { return *index_; }
   /// Mutable access for callers that instantiate their own search engines
-  /// (e.g. the timing benches, which want a cold posterior memo per query).
+  /// (e.g. the timing benches, which want a cold Phi memo per query).
   GbdaIndex* mutable_index() { return index_.get(); }
   const BaselineSearch& baselines() const { return *baselines_; }
   const GeneratedDataset& dataset() const { return *dataset_; }

@@ -118,7 +118,9 @@ void DynamicGbdaService::Republish(bool force_refit) {
   // Engine replicas memoise posterior values that depend only on the two
   // priors, so when neither prior object changed the previous generation's
   // warm replicas carry over; otherwise fresh ones are built against the
-  // new prior objects (kept alive by the snapshot's index).
+  // new prior objects (kept alive by the snapshot's index). After a Lambda2
+  // refit alone the table is the old one, so the fresh replicas find every
+  // Lambda1 column and Lambda3 row already derived.
   std::shared_ptr<const Snapshot> prev = LoadSnapshot();
   if (prev && &prev->index->gbd_prior() == &snap->index->gbd_prior() &&
       prev->index->mutable_ged_prior() == snap->index->mutable_ged_prior()) {
@@ -365,6 +367,10 @@ Result<std::vector<SearchResult>> DynamicGbdaService::QueryBatch(
       snap, queries, options, /*apply_gamma=*/true, kScanAllMatches);
   if (batch.ok()) counters_.batches_served.Add(1);
   return batch;
+}
+
+std::shared_ptr<const IndexReader> DynamicGbdaService::snapshot_index() const {
+  return LoadSnapshot()->index;
 }
 
 SnapshotInfo DynamicGbdaService::snapshot_info() const {

@@ -11,9 +11,15 @@
 ///     replicas. Once published it is never modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
 ///     mutex; each commit updates the master index incrementally (O(1)
-///     branch-multiset work per touched graph), derives the next snapshot
-///     in O(live) pointer copies (artifacts are shared, nothing heavy is
-///     rebuilt) and swaps the published shared_ptr atomically.
+///     branch-multiset work per touched graph), refits Lambda2 when the
+///     staleness policy below fires, derives the next snapshot in O(live)
+///     pointer copies and swaps the published shared_ptr atomically.
+///   - Engine replicas carry over to the next snapshot while both prior
+///     objects are unchanged. A Lambda2 refit gets fresh replicas (their
+///     Phi memos depend on Lambda2), but the GedPriorTable — and with it
+///     every Lambda1 column and Lambda3 row — carries over until the model
+///     label universe grows, so the first reads after a refit recompute
+///     only O(tau_hat) Phi sums.
 ///   - Readers load the current shared_ptr and answer the whole query
 ///     against that one generation — they never block on writers, and a
 ///     generation stays alive until its last in-flight query drops it.
@@ -159,6 +165,10 @@ class DynamicGbdaService {
   SnapshotInfo snapshot_info() const;
   /// Live graph count of the published generation.
   size_t num_live() const { return snapshot_info().num_live; }
+  /// The published generation's index, kept alive by the returned pointer
+  /// (atomic read, no locking): which prior objects a generation serves
+  /// with, and what its shared GedPriorTable has cached.
+  std::shared_ptr<const IndexReader> snapshot_index() const;
 
   /// Ensures the CURRENT snapshot's approximate-navigation context exists,
   /// building it from the snapshot index's fingerprint column with
@@ -216,6 +226,7 @@ class DynamicGbdaService {
     std::unique_ptr<IndexShards> shards;
     /// One engine per pool worker + spare; shared with the previous
     /// generation when both priors are unchanged (replicas stay warm).
+    /// Fresh replicas still share the index's GedPriorTable.
     std::shared_ptr<std::vector<std::unique_ptr<PosteriorEngine>>> engines;
     /// Built on the generation's first approximate query (or WarmAnnGraph);
     /// never shared across generations, since the navigable corpus changed.

@@ -8,11 +8,12 @@
 /// — is bit-identical to the serial GbdaSearch scan.
 ///
 /// Each pool worker owns a private PosteriorEngine replica: the engine
-/// lazily warms per-size Lambda1 calculators and a (v, phi, tau_hat) memo,
-/// and sharing one engine would serialise every Phi evaluation on its memo
-/// lock. The replicas share the index's thread-safe GedPriorTable and the
-/// immutable GbdPrior, so replication costs only the (small, lazily filled)
-/// memo tables.
+/// lazily warms a (v, phi, tau_hat) -> Phi memo, and sharing one engine
+/// would serialise every Phi evaluation on its memo lock. The replicas share
+/// the index's thread-safe GedPriorTable — which derives each Lambda1
+/// column and Lambda3 row once, for all of them — and the immutable
+/// GbdPrior, so replication costs only the (small, lazily filled) Phi
+/// memos.
 
 #pragma once
 

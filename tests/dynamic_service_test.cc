@@ -421,6 +421,44 @@ TEST_F(DynamicServiceTest, InternedLabelsExtendTheModelUniverse) {
   ExpectBitIdentical(*expect, *got, ref->live_ids, "interned label");
 }
 
+TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
+  const GbdaIndexOptions index_options = IndexOptions();
+  DynamicServiceOptions options;  // default policy: refit on every commit
+  options.service.num_threads = 2;
+  Result<std::unique_ptr<DynamicGbdaService>> created =
+      DynamicGbdaService::Create(InitialDb(12), index_options, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicGbdaService& dyn = **created;
+  SearchOptions opts;
+  opts.tau_hat = 5;
+  opts.gamma = 0.3;
+  ASSERT_TRUE(dyn.Query(dataset_->queries[0], opts).ok());
+  const std::shared_ptr<const IndexReader> served = dyn.snapshot_index();
+  GedPriorTable* table = served->mutable_ged_prior();
+  const size_t columns = table->num_cached_columns();
+  EXPECT_GT(columns, 0u);
+
+  // A removal refits Lambda2, so the next generation starts fresh engines,
+  // but the label universe is unchanged and the table carries over.
+  ASSERT_TRUE(dyn.RemoveGraphs({0, 3}).ok());
+  const std::shared_ptr<const IndexReader> refit = dyn.snapshot_index();
+  EXPECT_NE(&refit->gbd_prior(), &served->gbd_prior());
+  EXPECT_EQ(refit->mutable_ged_prior(), table);
+  // The replay's candidates are a subset of the first run's, so its cold
+  // Phi memo finds every Lambda1 column it needs in the table.
+  ASSERT_TRUE(dyn.Query(dataset_->queries[0], opts).ok());
+  EXPECT_EQ(table->num_cached_columns(), columns);
+
+  // A grown model universe changes Lambda1: the next snapshot gets a new,
+  // empty table.
+  dyn.InternVertexLabel("rare-metal");
+  ASSERT_TRUE(dyn.Flush().ok());
+  const std::shared_ptr<const IndexReader> grown = dyn.snapshot_index();
+  EXPECT_EQ(grown->num_vertex_labels(), refit->num_vertex_labels() + 1);
+  EXPECT_NE(grown->mutable_ged_prior(), table);
+  EXPECT_EQ(grown->mutable_ged_prior()->num_cached_columns(), 0u);
+}
+
 TEST_F(DynamicServiceTest, ConcurrentQueriesAndMutationsStayConsistent) {
   const GbdaIndexOptions index_options = IndexOptions();
   DynamicServiceOptions options;

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "core/gbd_prior.h"
 #include "core/ged_prior.h"
 #include "core/posterior.h"
@@ -170,6 +176,135 @@ TEST(PosteriorTest, PhiIsNonNegativeAndMonotoneInTau) {
       prev = *p;
     }
   }
+}
+
+// Every (v, phi, tau_hat) the shared-table tests sweep: v in [1, 64],
+// phi in [0, 2 * tau_max + 2] (past the support at every v), tau_hat in
+// [0, tau_max].
+constexpr int64_t kSweepTauMax = 6;
+
+struct PosteriorSweep {
+  std::vector<double> phi;
+  std::vector<std::vector<double>> suffix_max;
+};
+
+// Sweeps every point in `reverse` or forward order and returns the values
+// in forward order, so sweeps in either order compare element-wise.
+PosteriorSweep Sweep(PosteriorEngine* engine, bool reverse = false) {
+  PosteriorSweep out;
+  std::vector<std::tuple<int64_t, int64_t, int64_t>> points;
+  for (int64_t v = 1; v <= 64; ++v) {
+    for (int64_t phi = 0; phi <= 2 * kSweepTauMax + 2; ++phi) {
+      for (int64_t tau_hat = 0; tau_hat <= kSweepTauMax; ++tau_hat) {
+        points.emplace_back(v, phi, tau_hat);
+      }
+    }
+  }
+  out.phi.resize(points.size());
+  out.suffix_max.resize(points.size());
+  for (size_t n = 0; n < points.size(); ++n) {
+    const size_t i = reverse ? points.size() - 1 - n : n;
+    const auto [v, phi, tau_hat] = points[i];
+    Result<double> p = engine->Phi(v, phi, tau_hat);
+    Result<std::vector<double>> table = engine->PhiSuffixMax(v, tau_hat);
+    EXPECT_TRUE(p.ok() && table.ok());
+    if (!p.ok() || !table.ok()) return out;
+    out.phi[i] = *p;
+    out.suffix_max[i] = std::move(*table);
+  }
+  return out;
+}
+
+void ExpectSameSweep(const PosteriorSweep& got, const PosteriorSweep& want) {
+  ASSERT_EQ(got.phi.size(), want.phi.size());
+  for (size_t i = 0; i < want.phi.size(); ++i) {
+    EXPECT_EQ(got.phi[i], want.phi[i]) << "point " << i;
+    EXPECT_EQ(got.suffix_max[i], want.suffix_max[i]) << "point " << i;
+  }
+}
+
+Result<GbdPrior> SweepGbdPrior() {
+  Rng rng(17);
+  GbdPriorOptions opts;
+  return GbdPrior::Fit(MakeBranchSamples(30, 18), opts, &rng);
+}
+
+TEST(PosteriorTest, SharedLambda1ColumnsMatchAPrivateTable) {
+  Result<GbdPrior> gbd_prior = SweepGbdPrior();
+  ASSERT_TRUE(gbd_prior.ok());
+  GedPriorTable private_table(4, 3, kSweepTauMax);
+  PosteriorEngine reference(4, 3, kSweepTauMax, &private_table, &*gbd_prior);
+  const PosteriorSweep want = Sweep(&reference);
+
+  // A first engine warms the shared table (in the opposite order); a second
+  // engine on it then reads every Lambda1 column the first one derived.
+  GedPriorTable shared(4, 3, kSweepTauMax);
+  PosteriorEngine first(4, 3, kSweepTauMax, &shared, &*gbd_prior);
+  ExpectSameSweep(Sweep(&first, /*reverse=*/true), want);
+  const size_t columns = shared.num_cached_columns();
+  EXPECT_EQ(columns, size_t{64} * (2 * kSweepTauMax + 3));
+  EXPECT_EQ(private_table.num_cached_columns(), columns);
+
+  PosteriorEngine second(4, 3, kSweepTauMax, &shared, &*gbd_prior);
+  ExpectSameSweep(Sweep(&second), want);
+  EXPECT_EQ(shared.num_cached_columns(), columns);
+}
+
+TEST(PosteriorTest, ConcurrentEnginesOnOneTableMatchTheSerialEngine) {
+  Result<GbdPrior> gbd_prior = SweepGbdPrior();
+  ASSERT_TRUE(gbd_prior.ok());
+  GedPriorTable private_table(4, 3, kSweepTauMax);
+  PosteriorEngine serial(4, 3, kSweepTauMax, &private_table, &*gbd_prior);
+  const PosteriorSweep want = Sweep(&serial);
+
+  // Four engines, one per thread, sweep the same (v, phi) points — half of
+  // them in reverse — so they race to build the same calculators, columns
+  // and rows of the one table.
+  GedPriorTable shared(4, 3, kSweepTauMax);
+  constexpr size_t kThreads = 4;
+  std::vector<std::unique_ptr<PosteriorEngine>> engines;
+  for (size_t t = 0; t < kThreads; ++t) {
+    engines.push_back(std::make_unique<PosteriorEngine>(
+        4, 3, kSweepTauMax, &shared, &*gbd_prior));
+  }
+  std::vector<PosteriorSweep> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { got[t] = Sweep(engines[t].get(), t % 2 == 1); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    ExpectSameSweep(got[t], want);
+  }
+  EXPECT_EQ(shared.num_cached_columns(), private_table.num_cached_columns());
+  EXPECT_EQ(shared.num_cached_rows(), private_table.num_cached_rows());
+}
+
+TEST(GedPriorTest, Lambda1ColumnsAreNotPersisted) {
+  GedPriorTable table(4, 3, 6);
+  table.EagerBuild({5, 12});
+  BinaryWriter before;
+  table.Serialize(&before);
+  const size_t bytes = table.MemoryBytes();
+
+  // Columns at sizes with and without a row: the memo grows, the persisted
+  // table and its reported footprint do not.
+  for (int64_t phi = 0; phi <= 8; ++phi) {
+    EXPECT_EQ(table.Lambda1Column(5, phi).size(), 7u);
+    EXPECT_EQ(table.Lambda1Column(40, phi).size(), 7u);
+  }
+  EXPECT_EQ(table.num_cached_columns(), 18u);
+  EXPECT_EQ(table.num_cached_rows(), 2u);
+  EXPECT_EQ(table.MemoryBytes(), bytes);
+  BinaryWriter after;
+  table.Serialize(&after);
+  EXPECT_EQ(after.buffer(), before.buffer());
+
+  // A column equals the one a calculator of the same model derives.
+  const Lambda1Calculator calc(MakeModelParams(40, 4, 3), 6);
+  EXPECT_EQ(table.Lambda1Column(40, 3), calc.Column(3));
+  EXPECT_EQ(table.num_cached_columns(), 18u);
 }
 
 TEST(PosteriorTest, MemoizationKicksIn) {

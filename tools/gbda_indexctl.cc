@@ -6,7 +6,8 @@
 //                         [--eager-all-sizes] [--ann] [--ann-*=...]
 //       Runs the offline stage over a transaction-format database file and
 //       writes the v3 arena artifact (with an ann_graph section under --ann
-//       or any --ann-* knob).
+//       or any --ann-* knob). Numeric values must parse whole and fit their
+//       field (--tau-max <= 1024); anything else is a usage error.
 //
 //   gbda_indexctl graph   --in=<v3 artifact> --out=<v3 artifact>
 //                         [--ann-degree=N] [--ann-window=N]
@@ -80,6 +81,15 @@ Status Assign(const Result<V>& parsed, T* out) {
   return Status::OK();
 }
 
+// True when `parsed` is OK; otherwise prints why `arg` was refused.
+bool ParsedFlag(const char* arg, const Status& parsed) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "gbda_indexctl: %s: %s\n", arg,
+                 parsed.ToString().c_str());
+  }
+  return parsed.ok();
+}
+
 /// Parses the shared --ann-* knobs. Returns false on an unrecognized flag
 /// and on a value that does not parse whole or does not fit its field
 /// (printing why), so either way the caller answers with the usage error.
@@ -97,11 +107,7 @@ bool AnnFlagValue(const char* arg, AnnBuildParams* params) {
   } else {
     return false;
   }
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "gbda_indexctl: %s: %s\n", arg,
-                 parsed.ToString().c_str());
-  }
-  return parsed.ok();
+  return ParsedFlag(arg, parsed);
 }
 
 int RunBuild(int argc, char** argv) {
@@ -110,17 +116,17 @@ int RunBuild(int argc, char** argv) {
   bool with_ann = false;
   AnnBuildParams ann_params;
   for (int i = 2; i < argc; ++i) {
+    Status parsed;
     if (FlagValue(argv[i], "--db", &v)) {
       db_path = v;
     } else if (FlagValue(argv[i], "--out", &v)) {
       out_path = v;
     } else if (FlagValue(argv[i], "--tau-max", &v)) {
-      options.tau_max = std::strtoll(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v, kMaxPlausibleTau), &options.tau_max);
     } else if (FlagValue(argv[i], "--sample-pairs", &v)) {
-      options.gbd_prior.num_sample_pairs =
-          std::strtoull(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v), &options.gbd_prior.num_sample_pairs);
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      options.seed = std::strtoull(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v), &options.seed);
     } else if (std::strcmp(argv[i], "--eager-all-sizes") == 0) {
       options.eager_all_sizes = true;
     } else if (std::strcmp(argv[i], "--ann") == 0) {
@@ -130,6 +136,7 @@ int RunBuild(int argc, char** argv) {
     } else {
       return Usage();
     }
+    if (!ParsedFlag(argv[i], parsed)) return Usage();
   }
   if (db_path.empty() || out_path.empty()) return Usage();
 

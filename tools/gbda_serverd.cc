@@ -19,6 +19,10 @@
 // first options.approximate query does not pay the build; approximate
 // requests are still opt-in per query through the wire SearchOptions.
 //
+// Every numeric value must parse whole and fit its field (ports <= 65535,
+// --metrics-port in [-1, 65535], --tau-max <= 1024); anything else is a
+// usage error (exit 2).
+//
 // With --port=0 (the default) the kernel picks an ephemeral port; scripts
 // read it from --port-file (written atomically after the listener is bound —
 // the handshake the CI smoke uses). On shutdown the server counters are
@@ -116,6 +120,24 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// Stores a parsed flag value; a parse error passes through.
+template <typename T, typename V>
+Status Assign(const Result<V>& parsed, T* out) {
+  if (!parsed.ok()) return parsed.status();
+  *out = static_cast<T>(*parsed);
+  return Status::OK();
+}
+
+// A whole signed decimal in [lo, hi].
+Result<int64_t> ParseIntIn(const std::string& s, int64_t lo, int64_t hi) {
+  Result<int64_t> v = ParseInt(s);
+  if (v.ok() && (*v < lo || *v > hi)) {
+    return Status::OutOfRange("integer out of range [" + std::to_string(lo) +
+                              ", " + std::to_string(hi) + "]: " + s);
+  }
+  return v;
+}
+
 Result<DatasetProfile> ProfileByName(const std::string& name, double scale) {
   if (name == "aids") return AidsProfile(scale);
   if (name == "fingerprint") return FingerprintProfile(scale);
@@ -196,66 +218,62 @@ int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    Status parsed;
     if (FlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (FlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      parsed = Assign(ParseDouble(v), &flags.scale);
     } else if (FlagValue(argv[i], "--db", &v)) {
       flags.db_path = v;
     } else if (FlagValue(argv[i], "--dynamic", &v)) {
       flags.dynamic = v != "0" && v != "false";
     } else if (FlagValue(argv[i], "--port", &v)) {
-      flags.port = static_cast<uint16_t>(std::strtoul(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v, UINT16_MAX), &flags.port);
     } else if (FlagValue(argv[i], "--port-file", &v)) {
       flags.port_file = v;
     } else if (FlagValue(argv[i], "--bind", &v)) {
       flags.bind = v;
     } else if (FlagValue(argv[i], "--tau-max", &v)) {
-      flags.tau_max = std::strtoll(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v, kMaxPlausibleTau), &flags.tau_max);
     } else if (FlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.sample_pairs);
     } else if (FlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v), &flags.seed);
     } else if (FlagValue(argv[i], "--threads", &v)) {
-      flags.threads = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.threads);
     } else if (FlagValue(argv[i], "--shards", &v)) {
-      flags.shards = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.shards);
     } else if (FlagValue(argv[i], "--workers", &v)) {
-      flags.server.num_workers =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.server.num_workers);
     } else if (FlagValue(argv[i], "--max-batch", &v)) {
-      flags.server.max_batch =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.server.max_batch);
     } else if (FlagValue(argv[i], "--max-linger-micros", &v)) {
-      flags.server.max_linger_micros = std::strtoull(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseUint(v), &flags.server.max_linger_micros);
     } else if (FlagValue(argv[i], "--max-queue", &v)) {
-      flags.server.max_queue =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseUint(v), &flags.server.max_queue);
     } else if (FlagValue(argv[i], "--approximate", &v)) {
       flags.approximate = v != "0" && v != "false";
     } else if (FlagValue(argv[i], "--ann-degree", &v)) {
-      const Result<uint64_t> degree = ParseUint(v, UINT32_MAX);
-      if (!degree.ok()) {
-        std::fprintf(stderr, "gbda_serverd: --ann-degree: %s\n",
-                     degree.status().ToString().c_str());
-        return Usage();
-      }
-      flags.ann_degree = static_cast<uint32_t>(*degree);
+      parsed = Assign(ParseUint(v, UINT32_MAX), &flags.ann_degree);
     } else if (FlagValue(argv[i], "--metrics-port", &v)) {
-      flags.metrics_port =
-          static_cast<int32_t>(std::strtol(v.c_str(), nullptr, 10));
+      parsed = Assign(ParseIntIn(v, -1, UINT16_MAX), &flags.metrics_port);
     } else if (FlagValue(argv[i], "--metrics-port-file", &v)) {
       flags.metrics_port_file = v;
     } else if (FlagValue(argv[i], "--trace", &v)) {
       flags.trace = (v != "0" && v != "false") ? 1 : 0;
     } else if (FlagValue(argv[i], "--trace-sample", &v)) {
-      flags.trace_sample = std::strtoll(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseIntIn(v, -1, UINT32_MAX), &flags.trace_sample);
     } else if (FlagValue(argv[i], "--slow-query-ms", &v)) {
-      flags.slow_query_ms = std::strtoll(v.c_str(), nullptr, 10);
+      parsed = Assign(ParseIntIn(v, -1, INT64_MAX / 1000),
+                      &flags.slow_query_ms);
     } else if (FlagValue(argv[i], "--duration", &v)) {
-      flags.duration = std::strtod(v.c_str(), nullptr);
+      parsed = Assign(ParseDouble(v), &flags.duration);
     } else {
+      return Usage();
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "gbda_serverd: %s: %s\n", argv[i],
+                   parsed.ToString().c_str());
       return Usage();
     }
   }
