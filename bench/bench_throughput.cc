@@ -381,11 +381,11 @@ int main(int argc, char** argv) {
         std::vector<SearchResult> pruned_results, exhaustive_results;
         // Untimed warm-up, with pruning ARMED: it triggers every lazy
         // one-off both passes depend on — the shared table's Lambda1
-        // columns, per-worker Phi memos, the service's O(corpus)
-        // prefilter-profile build (--prefilter=1 only), and the suffix-max
-        // bound tables — so the timed walls below measure steady-state
-        // serving for both modes rather than whichever pass happened to
-        // touch a cold cache first.
+        // columns, the service engine's Phi rows (values and suffix
+        // maxima) and the service's O(corpus) prefilter-profile build
+        // (--prefilter=1 only) — so the timed walls below measure
+        // steady-state serving for both modes rather than whichever pass
+        // happened to touch a cold cache first.
         if (!run_pass(pruned_options, &warmup_wall, &pruned_results)) {
           return 1;
         }

@@ -68,8 +68,8 @@ class AnnContext {
 /// Fills candidates_visited (navigation), verified_count /
 /// pruned_by_bound (verification) and the deterministic
 /// candidates_evaluated / prefiltered_out counters over the visited set.
-/// Thread-compatible under ScanRange's rules (own posterior + result per
-/// concurrent call).
+/// Thread-compatible under ScanRange's rules (own result per concurrent
+/// call; the posterior engine may be shared).
 Status AnnSearchTopK(const AnnContext& ann, const ScanContext& ctx,
                      const IndexReader& index, const Prefilter* prefilter,
                      size_t k, PosteriorEngine* posterior,

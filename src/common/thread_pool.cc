@@ -4,24 +4,13 @@
 
 namespace gbda {
 
-namespace {
-// The slot records which pool the index belongs to: worker indices are only
-// meaningful relative to their own pool, and with several pools alive a bare
-// index would let pool B's worker 2 masquerade as pool A's worker 2.
-struct TlsWorkerSlot {
-  const ThreadPool* pool = nullptr;
-  size_t index = ThreadPool::kNotAWorker;
-};
-thread_local TlsWorkerSlot tls_worker_slot;
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i]() { WorkerLoop(i); });
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
@@ -34,12 +23,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-size_t ThreadPool::CurrentWorkerIndex() const {
-  return tls_worker_slot.pool == this ? tls_worker_slot.index : kNotAWorker;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker_slot = {this, index};
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

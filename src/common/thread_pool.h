@@ -4,9 +4,6 @@
 /// std::future handles, so results and exceptions propagate to the
 /// submitter. The destructor drains every task already enqueued before
 /// joining, so work submitted during the pool's lifetime is never dropped.
-/// Workers expose a stable index via CurrentWorkerIndex(), which lets
-/// callers keep per-worker state (e.g. one PosteriorEngine replica per
-/// worker) without locks.
 
 #pragma once
 
@@ -43,18 +40,6 @@ class ThreadPool {
 
   size_t size() const { return workers_.size(); }
 
-  /// Value of CurrentWorkerIndex() on threads that are not workers of the
-  /// queried pool.
-  static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
-
-  /// Index in [0, size()) of the calling thread when it is a worker of THIS
-  /// pool, kNotAWorker otherwise — including when the caller is a worker of
-  /// a different pool. The thread-local slot records its owning pool, so
-  /// with several pools alive (two services, a snapshot-rebuild pool) a
-  /// worker of pool B can never alias into pool A's per-worker state; see
-  /// the engine selection in service/parallel_scan.h (ParallelScanEnv).
-  size_t CurrentWorkerIndex() const;
-
   /// Enqueues `f` and returns a future for its result. Exceptions thrown by
   /// the task surface on future.get().
   template <typename F>
@@ -72,7 +57,7 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop(size_t index);
+  void WorkerLoop();
 
   Mutex mutex_;
   CondVar cv_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -191,8 +190,8 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   // floor, in one of two shapes. A ranking scan (every candidate is a
   // match) prunes against its k-th-best witness, from `bounds`. A threshold
   // scan prunes against gamma itself: Step 4 rejects every Phi < gamma, and
-  // the suffix tables hold the engine's own Phi doubles, so "bound < gamma"
-  // only skips candidates Step 4 rejects. gamma never moves, so each skip is
+  // a row's suffix maxima are its own Phi doubles, so "bound < gamma" only
+  // skips candidates Step 4 rejects. gamma never moves, so each skip is
   // a function of the candidate alone. gamma <= 0 or NaN never arms: no
   // bound (every Phi is >= 0) compares strictly below it.
   const bool rank_prune = options.early_termination && bounds != nullptr &&
@@ -222,22 +221,31 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   std::priority_queue<Witness, std::vector<Witness>,
                       decltype(witness_rank_before)>
       local_topk(witness_rank_before);
-  // Scan-local copies of the per-size Phi suffix-max tables, so the
-  // per-candidate bound check never takes an engine mutex round trip (same
-  // reasoning as local_phi below). Tables are tiny: min(v, 2 * tau_hat) + 1
-  // doubles. Keyed by extended size v; owns the storage the per-size
-  // arrays below point into (node-based map: stable value addresses).
-  std::unordered_map<int64_t, std::vector<double>> local_suffix_max;
+  // The engine's Phi rows this scan has looked up, by extended size v: one
+  // engine lookup per distinct v and scan, then plain pointer reads.
+  std::vector<const PhiRow*> rows_by_v;
+  const auto row_for = [&](int64_t v) -> Result<const PhiRow*> {
+    if (static_cast<size_t>(v) >= rows_by_v.size()) {
+      rows_by_v.resize(static_cast<size_t>(v) + 1, nullptr);
+    }
+    const PhiRow*& row = rows_by_v[static_cast<size_t>(v)];
+    if (row == nullptr) {
+      Result<const PhiRow*> found = posterior->Row(v, options.tau_hat);
+      if (!found.ok()) return found;
+      row = *found;
+    }
+    return row;
+  };
   // Everything tier 1 needs is determined by the candidate's multiset size
   // alone (the query side is fixed), so it is computed once per distinct
   // size and the per-candidate check collapses to two array loads and two
   // compares. tier1_lb[s] == -1 marks an uncomputed slot; a size whose
-  // extended v < 1 (empty query AND candidate) gets ub = +inf / table =
+  // extended v < 1 (empty query AND candidate) gets ub = +inf / row =
   // nullptr, i.e. never prunes and skips tier 2, exactly matching the
   // exhaustive scan's evaluation (which fails identically either way).
   std::vector<int64_t> tier1_lb;
   std::vector<double> tier1_ub;
-  std::vector<const std::vector<double>*> table_by_size;
+  std::vector<const PhiRow*> row_by_size;
   // Tier-2 cut per size: the largest common-branch count that still proves
   // "strictly worse" (kCapUnset = not yet derived, -1 = nothing provable).
   // Valid only for the witness it was derived from; witnesses only improve
@@ -258,20 +266,12 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           ? range
           : std::min<size_t>(range, 64);
   result->matches.reserve(result->matches.size() + expected);
-  // Scan-local Phi cache. tau_hat is fixed for the whole scan, so (v, phi)
-  // keys the posterior value; a database scan repeats the same few hundred
-  // pairs thousands of times, and answering repeats here — without the
-  // engine's mutex + global-map round trip — is what keeps the per-candidate
-  // cost near the branch intersection itself. Pure memoisation of a
-  // deterministic function: results stay bit-identical, per shard and
-  // serially (the engine's own cross-query memo is unchanged).
-  std::unordered_map<uint64_t, double> local_phi;
 
   // The candidate's phi can only land at or above the phi_lb derived from
   // a common-branch UPPER bound: GBD (and, for w >= 0, the rounded VGBD —
   // llround is monotone) decreases as the common count grows. phi_lb also
   // bounds the ranking's gbd field directly (the scan stores the variant
-  // phi there), so one quantity serves both the suffix-max lookup and the
+  // phi there), so one quantity serves both the upper-bound lookup and the
   // tie-break test.
   const auto phi_lower = [&](int64_t max_size, int64_t common_ub) -> int64_t {
     if (options.variant == GbdaVariant::kWeightedGbd) {
@@ -390,7 +390,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         if (g_size >= tier1_lb.size()) {
           tier1_lb.resize(g_size + 1, -1);
           tier1_ub.resize(g_size + 1, 0.0);
-          table_by_size.resize(g_size + 1, nullptr);
+          row_by_size.resize(g_size + 1, nullptr);
           tier2_cap.resize(g_size + 1, kCapUnset);
         }
         if (tier1_lb[g_size] < 0) {
@@ -399,15 +399,9 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                                 ? ctx.v1_size
                                 : max_size;
           if (v >= 1) {
-            auto table_it = local_suffix_max.find(v);
-            if (table_it == local_suffix_max.end()) {
-              Result<std::vector<double>> table =
-                  posterior->PhiSuffixMax(v, options.tau_hat);
-              if (!table.ok()) return table.status();
-              table_it = local_suffix_max.emplace(v, std::move(*table)).first;
-            }
-            const std::vector<double>& suffix_max = table_it->second;
-            table_by_size[g_size] = &suffix_max;
+            Result<const PhiRow*> row = row_for(v);
+            if (!row.ok()) return row.status();
+            row_by_size[g_size] = *row;
             // Tier 1: the common count never exceeds the smaller multiset
             // (the kernel sweep above already computed the non-weighted
             // bound for this block).
@@ -418,9 +412,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                                     query_branches.size(), g_size)))
                     : static_cast<int64_t>(blk_lb[j]);
             tier1_lb[g_size] = lb;
-            tier1_ub[g_size] = static_cast<size_t>(lb) < suffix_max.size()
-                                   ? suffix_max[static_cast<size_t>(lb)]
-                                   : 0.0;  // past Phi's support: exact zero
+            tier1_ub[g_size] = (*row)->UpperBound(lb);
           } else {
             tier1_lb[g_size] = std::numeric_limits<int64_t>::max();
             tier1_ub[g_size] = std::numeric_limits<double>::infinity();
@@ -429,7 +421,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         // Tier 1 costs two array loads; tier 2 a capped kernel merge,
         // still far cheaper than the full scoring it stands in for.
         bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
-        if (!pruned && table_by_size[g_size] != nullptr) {
+        if (!pruned && row_by_size[g_size] != nullptr) {
           // The candidate's sorted fingerprints, straight from the fp_keys
           // column (zero pointer chases).
           const uint64_t lo = columns.fp_offsets[id];
@@ -439,14 +431,10 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
           if (options.variant == GbdaVariant::kWeightedGbd) {
             // VGBD's rounding makes the phi_lb <-> common-cap inversion
             // fiddly; take the exact counting merge instead.
-            const std::vector<double>& suffix_max = *table_by_size[g_size];
             const int64_t lb2 = phi_lower(
                 max_size,
                 kernels.intersect_count(query_keys, query_keys_n, ck, cn));
-            const double ub2 = static_cast<size_t>(lb2) < suffix_max.size()
-                                   ? suffix_max[static_cast<size_t>(lb2)]
-                                   : 0.0;
-            pruned = strictly_worse(ub2, lb2);
+            pruned = strictly_worse(row_by_size[g_size]->UpperBound(lb2), lb2);
           } else {
             // phi_lb = max_size - common exactly, and strictly_worse is
             // monotone in phi_lb (the suffix max is non-increasing), so
@@ -454,14 +442,11 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
             // below — decidable by an early-exiting capped kernel merge.
             int64_t cap = tier2_cap[g_size];
             if (cap == kCapUnset) {
-              const std::vector<double>& suffix_max = *table_by_size[g_size];
+              const PhiRow& row = *row_by_size[g_size];
               // Tier 1 failed at tier1_lb, so the cut lies strictly above.
               int64_t p = tier1_lb[g_size] + 1;
               while (p <= max_size) {
-                const double ub = static_cast<size_t>(p) < suffix_max.size()
-                                      ? suffix_max[static_cast<size_t>(p)]
-                                      : 0.0;
-                if (strictly_worse(ub, p)) break;
+                if (strictly_worse(row.UpperBound(p), p)) break;
                 ++p;
               }
               cap = p > max_size ? -1 : max_size - p;
@@ -518,23 +503,15 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
               ? ctx.v1_size
               : static_cast<int64_t>(std::max(query_branches.size(), g_size));
 
-      // v is bounded by vertex counts (LabelId-sized) so it always fits its
-      // key half; phi normally is too, but the kWeightedGbd variant rounds
-      // max_size - w * common with a caller-supplied w, which an extreme
-      // weight can push past 32 bits — such pairs bypass the cache rather
-      // than collide in it.
-      double score;
-      const bool cacheable = phi <= INT64_C(0xFFFFFFFF);
-      const uint64_t key =
-          (static_cast<uint64_t>(v) << 32) | static_cast<uint64_t>(phi);
-      const auto cached = cacheable ? local_phi.find(key) : local_phi.end();
-      if (cacheable && cached != local_phi.end()) {
-        score = cached->second;
-      } else {
-        Result<double> phi_score = posterior->Phi(v, phi, options.tau_hat);
-        if (!phi_score.ok()) return phi_score.status();
-        score = *phi_score;
-        if (cacheable) local_phi.emplace(key, score);
+      // Phi is exactly +0.0 past the row's cap (see PhiRow), so only a phi
+      // inside the support fetches the row. An exhaustive scan thus builds
+      // the Lambda3 rows (persisted with the index) only for sizes where
+      // some candidate lands inside the support.
+      double score = 0.0;
+      if (phi <= PhiRow::Cap(v, options.tau_hat)) {
+        Result<const PhiRow*> row = row_for(v);
+        if (!row.ok()) return row.status();
+        score = (*row)->Phi(phi);
       }
       if (!ctx.apply_gamma || score >= options.gamma) {
         result->matches.push_back(SearchMatch{id, score, phi});

@@ -63,7 +63,7 @@ struct SearchOptions {
   bool use_prefilter = false;
   /// Bound pruning: skip a candidate's branch intersection and posterior
   /// evaluation when a sound Phi upper bound (a cheap GBD lower bound pushed
-  /// through PosteriorEngine::PhiSuffixMax) is STRICTLY below a floor — gamma
+  /// through PhiRow::UpperBound) is STRICTLY below a floor — gamma
   /// on a threshold query (never armed when gamma <= 0 or NaN), the running
   /// k-th-best phi_score on a top-k query. Bit-identical to the exhaustive
   /// scan — matches, ordering, tie-breaks and the candidates/prefilter
@@ -288,15 +288,16 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// serial scan's counters. `prefilter` serves admission only: it is read
 /// only when ctx.options.use_prefilter is set and may be null otherwise.
 /// Thread-compatible: concurrent calls are safe when each uses its own
-/// `posterior` and `result` (the index, prefilter and ctx are only read;
-/// `bounds` is internally synchronized).
+/// `result` (the index, prefilter and ctx are only read; `posterior` and
+/// `bounds` are internally synchronized, so one engine serves every call).
 ///
 /// With ctx.options.early_termination on, the scan skips a candidate —
 /// counting it in pruned_by_bound instead of scoring it — when a sound Phi
 /// upper bound proves it out. The proof pushes a GBD lower bound — from
 /// multiset sizes (tier 1, O(1)), then from branch-fingerprint
 /// intersections against the index's fp_keys column (tier 2, capped
-/// early-exit merge) — through PosteriorEngine::PhiSuffixMax.
+/// early-exit merge) — through the suffix maximum of the engine's Phi row
+/// (PhiRow::UpperBound).
 ///
 /// A threshold scan (ctx.apply_gamma) needs no `bounds`: gamma > 0 is a
 /// fixed floor, and a candidate whose bound is strictly below it is one
@@ -374,9 +375,6 @@ class GbdaSearch {
   /// bit-identical either way.
   Result<SearchResult> QueryTopK(const Graph& query, size_t k,
                                  const SearchOptions& options);
-
-  /// Posterior engine statistics (memoisation effectiveness), for benches.
-  const PosteriorEngine& posterior() const { return posterior_; }
 
  private:
   /// Shared scan: evaluates Phi for every (or every surviving) candidate.

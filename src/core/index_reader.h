@@ -122,7 +122,8 @@ class IndexReader {
   virtual const GbdPrior& gbd_prior() const = 0;
   /// The Jeffreys prior table (Lambda3) and the Lambda1 columns it memoises.
   /// Non-const because both build lazily at query time; the table is
-  /// internally synchronized, so concurrent PosteriorEngine replicas share it.
+  /// internally synchronized, so every PosteriorEngine over it and every
+  /// thread share it.
   virtual GedPriorTable* mutable_ged_prior() const = 0;
 };
 

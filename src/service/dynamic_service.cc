@@ -115,27 +115,21 @@ void DynamicGbdaService::Republish(bool force_refit) {
                                                shard_count);
   snap->ann = std::make_shared<AnnState>();
 
-  // Engine replicas memoise posterior values that depend only on the two
-  // priors, so when neither prior object changed the previous generation's
-  // warm replicas carry over; otherwise fresh ones are built against the
-  // new prior objects (kept alive by the snapshot's index). After a Lambda2
-  // refit alone the table is the old one, so the fresh replicas find every
-  // Lambda1 column and Lambda3 row already derived.
+  // The engine's Phi rows depend only on the two priors, so when neither
+  // prior object changed the previous generation's warm engine carries
+  // over; otherwise a fresh one is built against the new prior objects
+  // (kept alive by the snapshot's index). After a Lambda2 refit alone the
+  // table is the old one, so the fresh engine finds every Lambda1 column
+  // and Lambda3 row already derived.
   std::shared_ptr<const Snapshot> prev = LoadSnapshot();
   if (prev && &prev->index->gbd_prior() == &snap->index->gbd_prior() &&
       prev->index->mutable_ged_prior() == snap->index->mutable_ged_prior()) {
-    snap->engines = prev->engines;
+    snap->engine = prev->engine;
   } else {
-    auto engines =
-        std::make_shared<std::vector<std::unique_ptr<PosteriorEngine>>>();
-    engines->reserve(pool_.size() + 1);
-    for (size_t i = 0; i < pool_.size() + 1; ++i) {
-      engines->push_back(std::make_unique<PosteriorEngine>(
-          snap->index->num_vertex_labels(), snap->index->num_edge_labels(),
-          snap->index->tau_max(), snap->index->mutable_ged_prior(),
-          &snap->index->gbd_prior()));
-    }
-    snap->engines = std::move(engines);
+    snap->engine = std::make_shared<PosteriorEngine>(
+        snap->index->num_vertex_labels(), snap->index->num_edge_labels(),
+        snap->index->tau_max(), snap->index->mutable_ged_prior(),
+        &snap->index->gbd_prior());
   }
 
   const double rebuild_seconds = rebuild_timer.Seconds();
@@ -290,7 +284,7 @@ Result<std::vector<SearchResult>> DynamicGbdaService::RunBatchOn(
   }
   ParallelScanEnv env{&pool_, snap->shards.get(), snap->index.get(),
                       snap->prefilter.get(), CorpusRef(&snap->graphs),
-                      snap->engines.get()};
+                      snap->engine.get()};
   Result<std::vector<SearchResult>> results =
       approximate
           ? AnnScanBatch(env, *snap->ann->ctx, queries, options, top_k)

@@ -7,19 +7,19 @@
 /// Concurrency model — immutable snapshots, atomically swapped:
 ///   - A Snapshot bundles everything one query generation needs: the dense
 ///     list of live graphs, a dense GbdaIndex view, the Prefilter, the
-///     IndexShards partitioning and the per-worker PosteriorEngine
-///     replicas. Once published it is never modified.
+///     IndexShards partitioning and the PosteriorEngine every pool worker
+///     shares. Once published it is never modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
 ///     mutex; each commit updates the master index incrementally (O(1)
 ///     branch-multiset work per touched graph), refits Lambda2 when the
 ///     staleness policy below fires, derives the next snapshot in O(live)
 ///     pointer copies and swaps the published shared_ptr atomically.
-///   - Engine replicas carry over to the next snapshot while both prior
-///     objects are unchanged. A Lambda2 refit gets fresh replicas (their
-///     Phi memos depend on Lambda2), but the GedPriorTable — and with it
-///     every Lambda1 column and Lambda3 row — carries over until the model
-///     label universe grows, so the first reads after a refit recompute
-///     only O(tau_hat) Phi sums.
+///   - The engine carries over to the next snapshot while both prior
+///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi
+///     rows depend on Lambda2), but the GedPriorTable — and with it every
+///     Lambda1 column and Lambda3 row — carries over until the model label
+///     universe grows, so the first reads after a refit recompute only
+///     O(tau_hat) Phi sums per row.
 ///   - Readers load the current shared_ptr and answer the whole query
 ///     against that one generation — they never block on writers, and a
 ///     generation stays alive until its last in-flight query drops it.
@@ -224,10 +224,10 @@ class DynamicGbdaService {
     std::shared_ptr<const IndexReader> index;
     std::shared_ptr<const Prefilter> prefilter;
     std::unique_ptr<IndexShards> shards;
-    /// One engine per pool worker + spare; shared with the previous
-    /// generation when both priors are unchanged (replicas stay warm).
-    /// Fresh replicas still share the index's GedPriorTable.
-    std::shared_ptr<std::vector<std::unique_ptr<PosteriorEngine>>> engines;
+    /// Shared by every pool worker, and with the previous generation when
+    /// both priors are unchanged (its Phi rows stay warm). A fresh engine
+    /// still shares the index's GedPriorTable.
+    std::shared_ptr<PosteriorEngine> engine;
     /// Built on the generation's first approximate query (or WarmAnnGraph);
     /// never shared across generations, since the navigable corpus changed.
     std::shared_ptr<AnnState> ann;

@@ -128,17 +128,10 @@ GbdaService::GbdaService(const GraphDatabase* db, const IndexReader* index,
       ann_build_(options.ann_build),
       pool_(options.num_threads),
       shards_(index,
-              options.num_shards == 0 ? pool_.size() : options.num_shards) {
-  // One engine per worker plus a spare for non-pool threads; replicas share
-  // the index's thread-safe priors (see the file comment).
-  engines_.reserve(pool_.size() + 1);
-  for (size_t i = 0; i < pool_.size() + 1; ++i) {
-    engines_.push_back(std::make_unique<PosteriorEngine>(
-        index_->num_vertex_labels(), index_->num_edge_labels(),
-        index_->tau_max(), index_->mutable_ged_prior(),
-        &index_->gbd_prior()));
-  }
-}
+              options.num_shards == 0 ? pool_.size() : options.num_shards),
+      engine_(index->num_vertex_labels(), index->num_edge_labels(),
+              index->tau_max(), index->mutable_ged_prior(),
+              &index->gbd_prior()) {}
 
 const Prefilter* GbdaService::EnsurePrefilter() {
   std::call_once(prefilter_once_,
@@ -201,7 +194,7 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
   const Prefilter* prefilter =
       options.use_prefilter ? EnsurePrefilter() : nullptr;
   ParallelScanEnv env{&pool_, &shards_, index_, prefilter, CorpusRef(db_),
-                      &engines_};
+                      &engine_};
   if (approximate) {
     Status warm = WarmAnnGraph();
     if (!warm.ok()) return warm;

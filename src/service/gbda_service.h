@@ -7,13 +7,10 @@
 /// set, ordering, top-k tie-breaking and the candidates/prefilter counters
 /// — is bit-identical to the serial GbdaSearch scan.
 ///
-/// Each pool worker owns a private PosteriorEngine replica: the engine
-/// lazily warms a (v, phi, tau_hat) -> Phi memo, and sharing one engine
-/// would serialise every Phi evaluation on its memo lock. The replicas share
-/// the index's thread-safe GedPriorTable — which derives each Lambda1
-/// column and Lambda3 row once, for all of them — and the immutable
-/// GbdPrior, so replication costs only the (small, lazily filled) Phi
-/// memos.
+/// The service holds one PosteriorEngine, shared by every pool worker: a
+/// scan takes the engine's lock once per distinct extended size to look up
+/// an immutable Phi row, then reads the row lock-free. The engine reads the
+/// index's thread-safe GedPriorTable and the immutable GbdPrior.
 
 #pragma once
 
@@ -133,8 +130,8 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
 /// service serves equally from an owned GbdaIndex and from a zero-copy
 /// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
 /// are bit-identical either way. Thread-safe: concurrent public calls are
-/// allowed (they share the pool and the per-worker engines; statistics are
-/// lock-free sharded counters, see ServiceCounters). `db` and `index` must
+/// allowed (they share the pool and the engine; statistics are lock-free
+/// sharded counters, see ServiceCounters). `db` and `index` must
 /// outlive the service and the index must have been built over exactly
 /// this database.
 class GbdaService {
@@ -244,7 +241,7 @@ class GbdaService {
   std::once_flag prefilter_once_;
   std::unique_ptr<Prefilter> prefilter_;
   IndexShards shards_;
-  std::vector<std::unique_ptr<PosteriorEngine>> engines_;
+  PosteriorEngine engine_;
   /// Approximate-navigation context, initialised at most once (build or
   /// adopt). A failed initialisation is sticky in ann_status_: every later
   /// approximate query reports it rather than silently degrading to an

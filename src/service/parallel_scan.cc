@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <utility>
 
 #include "common/timer.h"
@@ -61,18 +62,10 @@ Result<std::vector<SearchResult>> ParallelScanBatch(const ParallelScanEnv& env,
       for (size_t s = 0; s < num_shards; ++s) {
         futures.push_back(env.pool->Submit([&env, job, s, top_k, &timer]() {
           const ShardView& view = env.shards->shard(s);
-          // The calling pool worker's engine replica; the spare (last slot)
-          // serves any thread that is not a worker of env.pool — the check
-          // is pool-aware, so a worker of a different pool lands on the
-          // spare instead of aliasing a replica it does not own.
-          const size_t worker = env.pool->CurrentWorkerIndex();
-          PosteriorEngine* engine = worker == ThreadPool::kNotAWorker
-                                        ? env.engines->back().get()
-                                        : (*env.engines)[worker].get();
           SearchResult partial;
           Status status = ScanRange(job->ctx, view.index(), env.prefilter,
-                                    view.begin(), view.end(), engine, &partial,
-                                    job->bounds.get());
+                                    view.begin(), view.end(), env.engine,
+                                    &partial, job->bounds.get());
           // Local truncation keeps the merge O(S * k): any global top-k
           // match is also in its own shard's top-k.
           if (status.ok() && top_k != kScanAllMatches) {
@@ -184,15 +177,8 @@ Result<std::vector<SearchResult>> AnnScanBatch(const ParallelScanEnv& env,
     for (size_t qi = 0; qi < num_queries; ++qi) {
       QueryJob* job = jobs[qi].get();
       futures.push_back(env.pool->Submit([&env, &ann, job, top_k, &timer]() {
-        // Same replica-selection rule as the exhaustive fan-out (see
-        // ParallelScanBatch): pool workers own their slot, everything else
-        // shares the spare.
-        const size_t worker = env.pool->CurrentWorkerIndex();
-        PosteriorEngine* engine = worker == ThreadPool::kNotAWorker
-                                      ? env.engines->back().get()
-                                      : (*env.engines)[worker].get();
         job->status = AnnSearchTopK(ann, job->ctx, *env.index, env.prefilter,
-                                    top_k, engine, &job->result);
+                                    top_k, env.engine, &job->result);
         job->latency_seconds = timer.Seconds();
       }));
     }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "ann/navigator.h"
@@ -38,12 +37,8 @@ struct ParallelScanEnv {
   /// build it lazily.
   const Prefilter* prefilter;
   CorpusRef corpus;
-  /// One PosteriorEngine replica per pool worker plus a trailing spare
-  /// (size == pool->size() + 1). The spare serves threads that are not
-  /// workers of `pool` — including workers of OTHER pools, which
-  /// ThreadPool::CurrentWorkerIndex reports as kNotAWorker so they can
-  /// never alias a replica owned by one of this pool's workers.
-  const std::vector<std::unique_ptr<PosteriorEngine>>* engines;
+  /// The one engine every task of the batch reads its Phi rows from.
+  PosteriorEngine* engine;
 };
 
 /// Fans all (query, shard) pairs onto the pool and merges deterministically.

@@ -120,9 +120,9 @@ class GbdaIndexView : public IndexReader {
   /// Parsed at open when the optional ann_graph section is present and
   /// readable; points into the mapping.
   ProximityGraphRef ann_graph_;
-  /// Decoded prior blobs. shared_ptr so PosteriorEngine replicas handed out
-  /// by a snapshot stay valid across view moves; GedPriorTable grows rows
-  /// lazily under its own lock, exactly as in the owned index.
+  /// Decoded prior blobs. shared_ptr so a PosteriorEngine built over them
+  /// stays valid across view moves; GedPriorTable grows rows lazily under
+  /// its own lock, exactly as in the owned index.
   std::shared_ptr<const GbdPrior> gbd_prior_;
   std::shared_ptr<GedPriorTable> ged_prior_;
 };

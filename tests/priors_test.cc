@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -206,11 +206,11 @@ PosteriorSweep Sweep(PosteriorEngine* engine, bool reverse = false) {
     const size_t i = reverse ? points.size() - 1 - n : n;
     const auto [v, phi, tau_hat] = points[i];
     Result<double> p = engine->Phi(v, phi, tau_hat);
-    Result<std::vector<double>> table = engine->PhiSuffixMax(v, tau_hat);
-    EXPECT_TRUE(p.ok() && table.ok());
-    if (!p.ok() || !table.ok()) return out;
+    Result<const PhiRow*> row = engine->Row(v, tau_hat);
+    EXPECT_TRUE(p.ok() && row.ok());
+    if (!p.ok() || !row.ok()) return out;
     out.phi[i] = *p;
-    out.suffix_max[i] = std::move(*table);
+    out.suffix_max[i] = (*row)->suffix_max;
   }
   return out;
 }
@@ -238,11 +238,18 @@ TEST(PosteriorTest, SharedLambda1ColumnsMatchAPrivateTable) {
 
   // A first engine warms the shared table (in the opposite order); a second
   // engine on it then reads every Lambda1 column the first one derived.
+  // Rows read no column past the support, so each v holds the columns
+  // phi in [0, min(v, 2 * kSweepTauMax)].
   GedPriorTable shared(4, 3, kSweepTauMax);
   PosteriorEngine first(4, 3, kSweepTauMax, &shared, &*gbd_prior);
   ExpectSameSweep(Sweep(&first, /*reverse=*/true), want);
   const size_t columns = shared.num_cached_columns();
-  EXPECT_EQ(columns, size_t{64} * (2 * kSweepTauMax + 3));
+  size_t support = 0;
+  for (int64_t v = 1; v <= 64; ++v) {
+    support += static_cast<size_t>(std::min(v, 2 * kSweepTauMax) + 1);
+  }
+  EXPECT_EQ(support, 766u);
+  EXPECT_EQ(columns, support);
   EXPECT_EQ(private_table.num_cached_columns(), columns);
 
   PosteriorEngine second(4, 3, kSweepTauMax, &shared, &*gbd_prior);
@@ -257,20 +264,17 @@ TEST(PosteriorTest, ConcurrentEnginesOnOneTableMatchTheSerialEngine) {
   PosteriorEngine serial(4, 3, kSweepTauMax, &private_table, &*gbd_prior);
   const PosteriorSweep want = Sweep(&serial);
 
-  // Four engines, one per thread, sweep the same (v, phi) points — half of
-  // them in reverse — so they race to build the same calculators, columns
+  // Four threads on one engine, as a service's pool workers share it, sweep
+  // the same (v, phi) points — half of them in reverse — so they race to
+  // build the same Phi rows of the engine and the same calculators, columns
   // and rows of the one table.
   GedPriorTable shared(4, 3, kSweepTauMax);
+  PosteriorEngine engine(4, 3, kSweepTauMax, &shared, &*gbd_prior);
   constexpr size_t kThreads = 4;
-  std::vector<std::unique_ptr<PosteriorEngine>> engines;
-  for (size_t t = 0; t < kThreads; ++t) {
-    engines.push_back(std::make_unique<PosteriorEngine>(
-        4, 3, kSweepTauMax, &shared, &*gbd_prior));
-  }
   std::vector<PosteriorSweep> got(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] { got[t] = Sweep(engines[t].get(), t % 2 == 1); });
+    threads.emplace_back([&, t] { got[t] = Sweep(&engine, t % 2 == 1); });
   }
   for (std::thread& thread : threads) thread.join();
   for (size_t t = 0; t < kThreads; ++t) {

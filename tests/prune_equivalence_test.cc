@@ -511,37 +511,158 @@ TEST_F(PruneEquivalenceTest, ThresholdScansActuallyPrune) {
   }
 }
 
-TEST_F(PruneEquivalenceTest, PhiSuffixMaxBoundsPhiAndEndsSupport) {
-  // The pruning bound's two analytic facts, checked against the engine:
-  // T[p] majorizes Phi(v, phi) for every phi >= p, and Phi is exactly zero
-  // past min(v, 2 * tau_hat).
+TEST_F(PruneEquivalenceTest, PhiRowBoundsPhiAndEndsSupport) {
+  // The pruning bound's two analytic facts, checked against the engine's
+  // rows: the suffix maximum majorizes Phi(v, phi) for every phi >= p, and
+  // Phi is exactly zero past min(v, 2 * tau_hat) because every Lambda1
+  // term of its sum is +0.0 there — so a row needs no entry past it.
+  GedPriorTable* ged_prior = index_->mutable_ged_prior();
   PosteriorEngine engine(index_->num_vertex_labels(),
                          index_->num_edge_labels(), index_->tau_max(),
-                         index_->mutable_ged_prior(), &index_->gbd_prior());
+                         ged_prior, &index_->gbd_prior());
   for (int64_t v : {int64_t{5}, int64_t{20}, int64_t{33}}) {
     for (int64_t tau_hat : {int64_t{0}, int64_t{2}, int64_t{6}}) {
-      Result<std::vector<double>> table = engine.PhiSuffixMax(v, tau_hat);
-      ASSERT_TRUE(table.ok());
+      Result<const PhiRow*> row = engine.Row(v, tau_hat);
+      ASSERT_TRUE(row.ok());
+      const std::vector<double>& table = (*row)->suffix_max;
       const int64_t cap = std::min(v, 2 * tau_hat);
-      ASSERT_EQ(table->size(), static_cast<size_t>(cap + 1));
+      ASSERT_EQ(table.size(), static_cast<size_t>(cap + 1));
+      ASSERT_EQ((*row)->phi.size(), table.size());
       for (int64_t phi = 0; phi <= cap + 5; ++phi) {
         Result<double> exact = engine.Phi(v, phi, tau_hat);
         ASSERT_TRUE(exact.ok());
         if (phi > cap) {
           EXPECT_EQ(*exact, 0.0) << "v=" << v << " phi=" << phi;
+          const std::vector<double>& lambda1 = ged_prior->Lambda1Column(v, phi);
+          for (int64_t tau = 0; tau <= tau_hat; ++tau) {
+            const double l1 = lambda1[static_cast<size_t>(tau)];
+            EXPECT_TRUE(l1 == 0.0 && !std::signbit(l1))
+                << "v=" << v << " phi=" << phi << " tau=" << tau;
+          }
         }
         for (int64_t p = 0; p <= std::min(phi, cap); ++p) {
-          EXPECT_GE((*table)[static_cast<size_t>(p)], *exact)
+          EXPECT_GE(table[static_cast<size_t>(p)], *exact)
               << "v=" << v << " tau=" << tau_hat << " phi=" << phi
               << " p=" << p;
         }
-        Result<double> ub = engine.PhiUpperBound(v, phi, tau_hat);
-        ASSERT_TRUE(ub.ok());
-        EXPECT_GE(*ub, *exact);
+        EXPECT_GE((*row)->UpperBound(phi), *exact);
       }
       // Non-increasing: the monotonicity the tier-2 cut derivation uses.
-      for (size_t p = 1; p < table->size(); ++p) {
-        EXPECT_LE((*table)[p], (*table)[p - 1]);
+      for (size_t p = 1; p < table.size(); ++p) {
+        EXPECT_LE(table[p], table[p - 1]);
+      }
+    }
+  }
+}
+
+TEST_F(PruneEquivalenceTest, PhiPastTheSupportIsPositiveZeroOnEveryPath) {
+  // Two variants score a phi past min(v, 2 * tau_hat), where Phi is +0.0
+  // with no evaluation: GBDA-V1 takes v from the sampled average size, which
+  // a candidate's GBD can exceed, and kWeightedGbd with a huge negative
+  // weight rounds VGBD past 32 bits. Every path, pruned or not, must match
+  // the serial exhaustive scan bit for bit, and every such score must be
+  // +0.0.
+  struct Case {
+    GbdaVariant variant;
+    double vgbd_w;
+  };
+  const Case cases[] = {{GbdaVariant::kAverageSize, 0.5},
+                        {GbdaVariant::kWeightedGbd, -1e12}};
+  GbdaSearch search(&dataset_->db, index_);
+  ServiceOptions service_options;
+  service_options.num_threads = 3;
+  service_options.num_shards = 7;
+  GbdaService service(&dataset_->db, index_, service_options);
+  GbdaIndexOptions index_options;
+  index_options.tau_max = 10;
+  index_options.gbd_prior.num_sample_pairs = 1500;
+  DynamicServiceOptions dyn_options;
+  dyn_options.service.num_threads = 3;
+  dyn_options.service.num_shards = 7;
+  GraphDatabase db_copy = dataset_->db;
+  Result<std::unique_ptr<DynamicGbdaService>> dyn = DynamicGbdaService::Create(
+      std::move(db_copy), index_options, dyn_options);
+  ASSERT_TRUE(dyn.ok()) << dyn.status().ToString();
+
+  const std::vector<Graph>& queries = dataset_->queries;
+  for (const Case& c : cases) {
+    for (int64_t tau : {int64_t{2}, int64_t{6}}) {
+      SearchOptions exhaustive;
+      exhaustive.variant = c.variant;
+      exhaustive.vgbd_w = c.vgbd_w;
+      exhaustive.tau_hat = tau;
+      exhaustive.early_termination = false;
+      // The extended size each answer of query q was scored with.
+      std::vector<ScanContext> contexts;
+      for (const Graph& query : queries) {
+        Result<ScanContext> ctx =
+            PrepareScan(query, exhaustive, /*apply_gamma=*/true,
+                        CorpusRef(&dataset_->db), *index_);
+        ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+        contexts.push_back(std::move(*ctx));
+      }
+      size_t past_support = 0;
+      bool past_32_bits = false;
+      const auto check = [&](const SearchResult& want, const SearchResult& got,
+                             size_t q, const std::string& label) {
+        ExpectSameResult(want, got, label);
+        for (const SearchMatch& m : got.matches) {
+          const int64_t v =
+              c.variant == GbdaVariant::kAverageSize
+                  ? contexts[q].v1_size
+                  : static_cast<int64_t>(
+                        std::max(contexts[q].query_branches.size(),
+                                 index_->branch_set(m.graph_id).size()));
+          if (m.gbd <= std::min(v, 2 * tau)) continue;
+          ++past_support;
+          past_32_bits = past_32_bits || m.gbd > INT64_C(0xFFFFFFFF);
+          EXPECT_TRUE(m.phi_score == 0.0 && !std::signbit(m.phi_score))
+              << label << " id=" << m.graph_id << " gbd=" << m.gbd;
+        }
+      };
+      // Threshold queries (k == 0) at a gamma every candidate passes and
+      // at one that prunes, then rankings with and without pruning.
+      struct Shape {
+        double gamma;
+        size_t k;
+      };
+      for (const Shape shape : {Shape{0.0, 0}, Shape{0.9, 0}, Shape{0.0, 10},
+                                Shape{0.0, dataset_->db.size()}}) {
+        for (bool early : {false, true}) {
+          SearchOptions options = exhaustive;
+          options.gamma = shape.gamma;
+          options.early_termination = early;
+          SearchOptions reference = options;
+          reference.early_termination = false;
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const auto run = [&](auto& path, const SearchOptions& o) {
+              return shape.k == 0 ? path.Query(queries[q], o)
+                                  : path.QueryTopK(queries[q], shape.k, o);
+            };
+            const std::string label =
+                "variant=" + std::to_string(static_cast<int>(c.variant)) +
+                " tau=" + std::to_string(tau) +
+                " gamma=" + std::to_string(shape.gamma) +
+                " k=" + std::to_string(shape.k) +
+                " early=" + std::to_string(early) + " query=" +
+                std::to_string(q);
+            Result<SearchResult> want = run(search, reference);
+            Result<SearchResult> serial = run(search, options);
+            Result<SearchResult> sharded = run(service, options);
+            Result<SearchResult> snapshot = run(**dyn, options);
+            ASSERT_TRUE(want.ok() && serial.ok() && sharded.ok() &&
+                        snapshot.ok())
+                << label;
+            check(*want, *serial, q, "serial " + label);
+            check(*want, *sharded, q, "service " + label);
+            check(*want, *snapshot, q, "dynamic " + label);
+          }
+        }
+      }
+      EXPECT_GT(past_support, 0u)
+          << "variant=" << static_cast<int>(c.variant) << " tau=" << tau;
+      if (c.variant == GbdaVariant::kWeightedGbd) {
+        EXPECT_TRUE(past_32_bits) << "tau=" << tau;
       }
     }
   }

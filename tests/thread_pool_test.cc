@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -59,58 +58,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingQueue) {
     // Destruction must wait for all kTasks, not just the in-flight ones.
   }
   EXPECT_EQ(counter.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, WorkerIndexIsStableAndInRange) {
-  static constexpr size_t kWorkers = 3;
-  ThreadPool pool(kWorkers);
-  EXPECT_EQ(pool.CurrentWorkerIndex(), ThreadPool::kNotAWorker);
-  std::mutex mutex;
-  std::set<size_t> seen;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&mutex, &seen, &pool]() {
-      const size_t index = pool.CurrentWorkerIndex();
-      ASSERT_LT(index, kWorkers);
-      std::lock_guard<std::mutex> lock(mutex);
-      seen.insert(index);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_GE(seen.size(), 1u);
-  for (size_t index : seen) EXPECT_LT(index, kWorkers);
-}
-
-TEST(ThreadPoolTest, WorkerIndexIsPoolLocal) {
-  // Two pools alive at once: a worker of pool B must never report a worker
-  // index for pool A — per-worker state keyed by that index (e.g. the
-  // PosteriorEngine replicas of a service) would otherwise be shared across
-  // B's threads. Regression test for the pool-agnostic TLS slot.
-  ThreadPool pool_a(2);
-  ThreadPool pool_b(3);
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool_b.Submit([&pool_a, &pool_b]() {
-      EXPECT_EQ(pool_a.CurrentWorkerIndex(), ThreadPool::kNotAWorker);
-      EXPECT_LT(pool_b.CurrentWorkerIndex(), pool_b.size());
-    }));
-    futures.push_back(pool_a.Submit([&pool_a, &pool_b]() {
-      EXPECT_EQ(pool_b.CurrentWorkerIndex(), ThreadPool::kNotAWorker);
-      EXPECT_LT(pool_a.CurrentWorkerIndex(), pool_a.size());
-    }));
-    // Nested: a task running on B that submits to A and waits must still see
-    // pool-correct indices on both sides.
-    futures.push_back(pool_b.Submit([&pool_a, &pool_b]() {
-      EXPECT_LT(pool_b.CurrentWorkerIndex(), pool_b.size());
-      pool_a
-          .Submit([&pool_a, &pool_b]() {
-            EXPECT_LT(pool_a.CurrentWorkerIndex(), pool_a.size());
-            EXPECT_EQ(pool_b.CurrentWorkerIndex(), ThreadPool::kNotAWorker);
-          })
-          .get();
-    }));
-  }
-  for (auto& f : futures) f.get();
 }
 
 TEST(ThreadPoolTest, SingleWorkerPreservesSubmissionOrder) {
