@@ -30,6 +30,7 @@
 #include "service/gbda_service.h"
 
 using namespace gbda;
+using bench::BoolFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
 
@@ -82,7 +83,7 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
       flags.gamma = std::strtod(v.c_str(), nullptr);
     } else if (ParseFlagValue(argv[i], "--prefilter", &v)) {
-      flags.prefilter = v != "0" && v != "false";
+      flags.prefilter = BoolFlagOrExit("--prefilter", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
       flags.sample_pairs = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {

@@ -38,6 +38,7 @@
 #include "service/gbda_service.h"
 
 using namespace gbda;
+using bench::BoolFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
 
@@ -135,7 +136,7 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
       flags.gamma = std::strtod(v.c_str(), nullptr);
     } else if (ParseFlagValue(argv[i], "--prefilter", &v)) {
-      flags.prefilter = v != "0" && v != "false";
+      flags.prefilter = BoolFlagOrExit("--prefilter", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
       flags.sample_pairs = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
@@ -149,7 +150,7 @@ Flags ParseFlags(int argc, char** argv) {
         std::exit(2);
       }
     } else if (ParseFlagValue(argv[i], "--trace", &v)) {
-      flags.trace = v != "0" && v != "false";
+      flags.trace = BoolFlagOrExit("--trace", v);
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --threads=CSV --batches=CSV "

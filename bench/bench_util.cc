@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
@@ -30,6 +31,16 @@ bool ParseFlagValue(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *value = arg + len + 1;
   return true;
+}
+
+bool BoolFlagOrExit(const char* name, const std::string& value) {
+  Result<bool> parsed = ParseBool(value);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bad %s value: %s\n", name,
+                 parsed.status().ToString().c_str());
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 Result<DatasetProfile> ProfileByName(const std::string& name, double scale) {

@@ -26,6 +26,10 @@ BenchFlags ParseFlags(int argc, char** argv);
 /// returns true and fills `value` when `arg` is `<name>=<value>`.
 bool ParseFlagValue(const char* arg, const char* name, std::string* value);
 
+/// A 0|1|true|false flag value (common ParseBool); anything else prints the
+/// error and exits 2, so a mistyped switch never silently turns on.
+bool BoolFlagOrExit(const char* name, const std::string& value);
+
 /// Table III profile by CLI name ("fingerprint" | "aids" | "grec" |
 /// "aasd") at the given scale; fails on unknown names.
 Result<DatasetProfile> ProfileByName(const std::string& name, double scale);

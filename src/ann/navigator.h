@@ -4,9 +4,10 @@
 /// proximity graph, owned or mmap-borrowed), and AnnSearchTopK runs
 /// navigate-then-verify for one prepared query — beam search picks
 /// candidates, core's ScanCandidateList scores them with the exact
-/// posterior arithmetic and the PR-5 admissible bounds. The serving layers
-/// (GbdaService, DynamicGbdaService) hold one AnnContext per corpus /
-/// snapshot; see docs/ARCHITECTURE.md, "Approximate candidate navigation".
+/// posterior arithmetic and the admissible pruning bounds. The serving layer
+/// (GbdaService) holds one AnnContext per published snapshot, built or
+/// adopted at most once; see docs/ARCHITECTURE.md, "Approximate candidate
+/// navigation".
 
 #pragma once
 

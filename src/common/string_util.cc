@@ -89,6 +89,13 @@ Result<uint64_t> ParseUint(std::string_view s, uint64_t max) {
   return static_cast<uint64_t>(v);
 }
 
+Result<bool> ParseBool(std::string_view s) {
+  if (s == "1" || s == "true") return true;
+  if (s == "0" || s == "false") return false;
+  return Status::InvalidArgument("not a boolean (0|1|true|false): " +
+                                 std::string(s));
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

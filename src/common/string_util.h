@@ -26,6 +26,9 @@ Result<double> ParseDouble(std::string_view s);
 /// Unsigned decimal in [0, max]; a sign, trailing text or a value past
 /// `max` is an error rather than a wrap or a truncation.
 Result<uint64_t> ParseUint(std::string_view s, uint64_t max = UINT64_MAX);
+/// Boolean flag value: exactly "0", "1", "true" or "false". Anything else
+/// ("no", "on", "", surrounding whitespace) is an error, never a guess.
+Result<bool> ParseBool(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -129,7 +129,7 @@ inline constexpr size_t kScanAllMatches = static_cast<size_t>(-1);
 
 /// Shared early-termination state of one top-k scan: one instance per
 /// query, shared by every shard worker scanning that query
-/// (service/parallel_scan.cc), or used alone by the serial scan. Workers
+/// (service/gbda_service.cc), or used alone by the serial scan. Workers
 /// publish "k evaluated matches of this query all have phi_score >= t"
 /// witnesses — the root of a full local heap — and read the best witness
 /// published by ANY worker, so one shard's strong hits prune the other
@@ -197,27 +197,6 @@ struct SearchResult {
   /// explicitly so approximate-mode verification cost is visible per query.
   /// Moves with pruned_by_bound, so excluded from determinism gates.
   size_t verified_count = 0;
-};
-
-/// A dense read-only view of the corpus a scan runs over: either a whole
-/// GraphDatabase (the frozen offline world) or a snapshot's vector of live
-/// graph pointers (the dynamic world, where dense position i maps to the
-/// i-th live graph; see src/service/dynamic_service.h). Only size() and
-/// graph() are ever needed by the scan, so both worlds share one code path
-/// and stay bit-identical. The viewed storage must outlive the CorpusRef.
-class CorpusRef {
- public:
-  CorpusRef(const GraphDatabase* db) : db_(db) {}
-  CorpusRef(const std::vector<const Graph*>* graphs) : graphs_(graphs) {}
-
-  size_t size() const { return db_ ? db_->size() : graphs_->size(); }
-  const Graph& graph(size_t i) const {
-    return db_ ? db_->graph(i) : *(*graphs_)[i];
-  }
-
- private:
-  const GraphDatabase* db_ = nullptr;
-  const std::vector<const Graph*>* graphs_ = nullptr;
 };
 
 /// Per-query state shared by every candidate evaluation of one query:

@@ -9,12 +9,12 @@
 ///     v3 arena artifact that serves branch multisets in place, with zero
 ///     deserialization (docs/ARCHITECTURE.md, "Storage engine").
 ///
-/// Everything downstream of the offline stage — GbdaSearch, GbdaService,
-/// DynamicGbdaService snapshots, IndexShards — speaks this interface, so an
-/// owned index and a mapped artifact are interchangeable and bit-identical
-/// in query results. Implementations must be internally synchronized for
-/// concurrent readers (branch data immutable; GedPriorTable locks its lazy
-/// row cache).
+/// Everything downstream of the offline stage — GbdaSearch and every
+/// serving snapshot (a frozen GbdaService's one, each DynamicGbdaService
+/// generation) — speaks this interface, so an owned index and a mapped
+/// artifact are interchangeable and bit-identical in query results.
+/// Implementations must be internally synchronized for concurrent readers
+/// (branch data immutable; GedPriorTable locks its lazy row cache).
 #pragma once
 
 #include <cstddef>

@@ -76,16 +76,12 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b) {
   return std::max({dv, de, labels});
 }
 
-Prefilter::Prefilter(const GraphDatabase* db) {
-  profiles_.reserve(db->size());
-  for (size_t i = 0; i < db->size(); ++i) {
-    profiles_.push_back(
-        std::make_shared<const FilterProfile>(BuildFilterProfile(db->graph(i))));
+Prefilter::Prefilter(const CorpusRef& corpus) {
+  profiles_.reserve(corpus.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    profiles_.push_back(BuildFilterProfile(corpus.graph(i)));
   }
 }
-
-Prefilter::Prefilter(std::vector<std::shared_ptr<const FilterProfile>> profiles)
-    : profiles_(std::move(profiles)) {}
 
 std::vector<size_t> Prefilter::Candidates(const Graph& query,
                                           int64_t tau) const {
@@ -99,7 +95,7 @@ std::vector<size_t> Prefilter::Candidates(const Graph& query,
 
 bool Prefilter::Passes(const FilterProfile& query_profile, size_t id,
                        int64_t tau) const {
-  const FilterProfile& g = *profiles_[id];
+  const FilterProfile& g = profiles_[id];
   // Cheapest checks first: the size layer is O(1).
   if (std::llabs(query_profile.num_vertices - g.num_vertices) > tau) {
     return false;
@@ -110,10 +106,10 @@ bool Prefilter::Passes(const FilterProfile& query_profile, size_t id,
 
 size_t Prefilter::MemoryBytes() const {
   size_t bytes = sizeof(Prefilter);
-  for (const auto& p : profiles_) {
+  for (const FilterProfile& p : profiles_) {
     bytes += sizeof(FilterProfile) +
-             p->vertex_labels.capacity() * sizeof(LabelId) +
-             p->edge_labels.capacity() * sizeof(LabelId);
+             p.vertex_labels.capacity() * sizeof(LabelId) +
+             p.edge_labels.capacity() * sizeof(LabelId);
   }
   return bytes;
 }

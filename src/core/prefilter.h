@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/graph_database.h"
@@ -63,14 +62,11 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b);
 class Prefilter {
  public:
   /// Precomputes profiles for every database graph.
-  explicit Prefilter(const GraphDatabase* db);
+  explicit Prefilter(const GraphDatabase* db) : Prefilter(CorpusRef(db)) {}
 
-  /// Adopts precomputed per-graph profiles (position = graph id). Profiles
-  /// are shared immutably, so the dynamic serving layer can assemble the
-  /// dense prefilter of a snapshot from its per-graph profile store in
-  /// O(live) pointer copies (docs/ARCHITECTURE.md, "Dynamic corpus").
-  explicit Prefilter(
-      std::vector<std::shared_ptr<const FilterProfile>> profiles);
+  /// Precomputes profiles for every graph of `corpus` (position = dense
+  /// id), e.g. a dynamic snapshot's live graphs.
+  explicit Prefilter(const CorpusRef& corpus);
 
   /// Ids of database graphs whose lower bound does not exceed tau.
   std::vector<size_t> Candidates(const Graph& query, int64_t tau) const;
@@ -83,7 +79,7 @@ class Prefilter {
   size_t MemoryBytes() const;
 
  private:
-  std::vector<std::shared_ptr<const FilterProfile>> profiles_;
+  std::vector<FilterProfile> profiles_;
 };
 
 }  // namespace gbda

@@ -101,4 +101,26 @@ class GraphDatabase {
   LabelDict edge_labels_;
 };
 
+/// A dense read-only view of the corpus a scan runs over: either a whole
+/// GraphDatabase (the frozen offline world) or a snapshot's vector of live
+/// graph pointers (the dynamic world, where dense position i maps to the
+/// i-th live graph; see src/service/dynamic_service.h). Only size() and
+/// graph() are ever needed by the scan and the prefilter, so both worlds
+/// share one code path and stay bit-identical. The viewed storage must
+/// outlive the CorpusRef.
+class CorpusRef {
+ public:
+  CorpusRef(const GraphDatabase* db) : db_(db) {}
+  CorpusRef(const std::vector<const Graph*>* graphs) : graphs_(graphs) {}
+
+  size_t size() const { return db_ ? db_->size() : graphs_->size(); }
+  const Graph& graph(size_t i) const {
+    return db_ ? db_->graph(i) : *(*graphs_)[i];
+  }
+
+ private:
+  const GraphDatabase* db_ = nullptr;
+  const std::vector<const Graph*>* graphs_ = nullptr;
+};
+
 }  // namespace gbda

@@ -69,21 +69,7 @@ void AppendCounterFamily(const std::string& name, const std::string& help,
 
 Result<std::unique_ptr<GbdaServer>> GbdaServer::Serve(
     GbdaService* service, const ServerConfig& config) {
-  Backend backend;
-  backend.frozen = service;
-  return StartInternal(backend, config);
-}
-
-Result<std::unique_ptr<GbdaServer>> GbdaServer::Serve(
-    DynamicGbdaService* service, const ServerConfig& config) {
-  Backend backend;
-  backend.dynamic = service;
-  return StartInternal(backend, config);
-}
-
-Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
-    Backend backend, const ServerConfig& config) {
-  if (backend.frozen == nullptr && backend.dynamic == nullptr) {
+  if (service == nullptr) {
     return Status::InvalidArgument("server: no backend");
   }
   if (config.max_batch == 0) {
@@ -92,7 +78,7 @@ Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
   if (config.max_queue == 0) {
     return Status::InvalidArgument("server: max_queue must be >= 1");
   }
-  std::unique_ptr<GbdaServer> server(new GbdaServer(backend, config));
+  std::unique_ptr<GbdaServer> server(new GbdaServer(service, config));
   GBDA_RETURN_IF_ERROR(server->Listen());
   server->io_thread_ = std::thread([s = server.get()] { s->IoLoop(); });
   const size_t workers = std::max<size_t>(1, config.num_workers);
@@ -103,8 +89,9 @@ Result<std::unique_ptr<GbdaServer>> GbdaServer::StartInternal(
   return server;
 }
 
-GbdaServer::GbdaServer(Backend backend, const ServerConfig& config)
-    : backend_(backend),
+GbdaServer::GbdaServer(GbdaService* service, const ServerConfig& config)
+    : service_(service),
+      dynamic_(dynamic_cast<DynamicGbdaService*>(service)),
       config_(config),
       batch_size_histogram_(std::max<size_t>(1, config.max_batch)) {}
 
@@ -456,7 +443,10 @@ void GbdaServer::HandleReadable(uint64_t conn_id) {
 }
 
 bool GbdaServer::DispatchFrame(uint64_t conn_id, Frame frame) {
-  const auto now = std::chrono::steady_clock::now();
+  Pending pending;
+  pending.conn_id = conn_id;
+  pending.type = frame.type;
+  pending.arrival = std::chrono::steady_clock::now();
   switch (frame.type) {
     case MessageType::kPingRequest: {
       Result<PingRequest> req = DecodePingRequest(frame.payload);
@@ -478,44 +468,12 @@ bool GbdaServer::DispatchFrame(uint64_t conn_id, Frame frame) {
     case MessageType::kTopKRequest: {
       Result<TopKRequest> req = DecodeTopKRequest(frame.payload);
       if (!req.ok()) break;
-      Pending pending;
-      pending.conn_id = conn_id;
-      pending.type = MessageType::kTopKRequest;
-      pending.arrival = now;
-      pending.deadline_ms = req->deadline_ms != 0 ? req->deadline_ms
-                                                  : config_.default_deadline_ms;
+      TopKResponse resp;
+      resp.request_id = req->request_id;
+      pending.deadline_ms = req->deadline_ms;
       pending.topk = std::move(*req);
-      const uint64_t request_id = pending.topk.request_id;
-      // Admission span: decode + queueing work on the I/O thread, measured
-      // just before the request becomes visible to workers.
-      pending.admission_micros = ElapsedMicros(now);
-      WireStatus admitted = WireStatus::kOk;
-      size_t depth = 0;
-      {
-        MutexLock lock(&queue_mutex_);
-        if (stopping_.load(std::memory_order_relaxed)) {
-          admitted = WireStatus::kShuttingDown;
-        } else if (queue_.size() >= config_.max_queue) {
-          admitted = WireStatus::kOverloaded;
-        } else {
-          queue_.push_back(std::move(pending));
-          depth = queue_.size();
-        }
-      }
-      if (admitted == WireStatus::kOk) {
-        requests_accepted_.Increment();
-        AtomicMax(&queue_depth_peak_, depth);
-        queue_cv_.NotifyOne();
-      } else {
-        TopKResponse resp;
-        resp.request_id = request_id;
-        resp.status = admitted;
-        resp.message = admitted == WireStatus::kOverloaded
-                           ? "request queue at capacity"
-                           : "server shutting down";
-        if (admitted == WireStatus::kOverloaded) {
-          rejected_overloaded_.Increment();
-        }
+      resp.status = Admit(std::move(pending), &resp.message);
+      if (resp.status != WireStatus::kOk) {
         QueueResponse(conn_id, EncodeTopKResponse(resp));
       }
       return true;
@@ -523,42 +481,12 @@ bool GbdaServer::DispatchFrame(uint64_t conn_id, Frame frame) {
     case MessageType::kMutateRequest: {
       Result<MutateRequest> req = DecodeMutateRequest(frame.payload);
       if (!req.ok()) break;
-      Pending pending;
-      pending.conn_id = conn_id;
-      pending.type = MessageType::kMutateRequest;
-      pending.arrival = now;
-      pending.deadline_ms = req->deadline_ms != 0 ? req->deadline_ms
-                                                  : config_.default_deadline_ms;
+      MutateResponse resp;
+      resp.request_id = req->request_id;
+      pending.deadline_ms = req->deadline_ms;
       pending.mutate = std::move(*req);
-      const uint64_t request_id = pending.mutate.request_id;
-      pending.admission_micros = ElapsedMicros(now);
-      WireStatus admitted = WireStatus::kOk;
-      size_t depth = 0;
-      {
-        MutexLock lock(&queue_mutex_);
-        if (stopping_.load(std::memory_order_relaxed)) {
-          admitted = WireStatus::kShuttingDown;
-        } else if (queue_.size() >= config_.max_queue) {
-          admitted = WireStatus::kOverloaded;
-        } else {
-          queue_.push_back(std::move(pending));
-          depth = queue_.size();
-        }
-      }
-      if (admitted == WireStatus::kOk) {
-        requests_accepted_.Increment();
-        AtomicMax(&queue_depth_peak_, depth);
-        queue_cv_.NotifyOne();
-      } else {
-        MutateResponse resp;
-        resp.request_id = request_id;
-        resp.status = admitted;
-        resp.message = admitted == WireStatus::kOverloaded
-                           ? "request queue at capacity"
-                           : "server shutting down";
-        if (admitted == WireStatus::kOverloaded) {
-          rejected_overloaded_.Increment();
-        }
+      resp.status = Admit(std::move(pending), &resp.message);
+      if (resp.status != WireStatus::kOk) {
         QueueResponse(conn_id, EncodeMutateResponse(resp));
       }
       return true;
@@ -576,6 +504,41 @@ bool GbdaServer::DispatchFrame(uint64_t conn_id, Frame frame) {
   resp.message = "malformed request payload";
   QueueResponse(conn_id, EncodeTopKResponse(resp));
   return true;
+}
+
+WireStatus GbdaServer::Admit(Pending pending, std::string* message) {
+  if (pending.deadline_ms == 0) pending.deadline_ms = config_.default_deadline_ms;
+  // Admission span: decode + queueing work on the I/O thread, measured just
+  // before the request becomes visible to workers.
+  pending.admission_micros = ElapsedMicros(pending.arrival);
+  WireStatus admitted = WireStatus::kOk;
+  size_t depth = 0;
+  {
+    MutexLock lock(&queue_mutex_);
+    if (stopping_.load(std::memory_order_relaxed)) {
+      admitted = WireStatus::kShuttingDown;
+    } else if (queue_.size() >= config_.max_queue) {
+      admitted = WireStatus::kOverloaded;
+    } else {
+      queue_.push_back(std::move(pending));
+      depth = queue_.size();
+    }
+  }
+  switch (admitted) {
+    case WireStatus::kOk:
+      requests_accepted_.Increment();
+      AtomicMax(&queue_depth_peak_, depth);
+      queue_cv_.NotifyOne();
+      break;
+    case WireStatus::kOverloaded:
+      rejected_overloaded_.Increment();
+      *message = "request queue at capacity";
+      break;
+    default:
+      *message = "server shutting down";
+      break;
+  }
+  return admitted;
 }
 
 void GbdaServer::QueueResponse(uint64_t conn_id, std::string frame_bytes) {
@@ -747,10 +710,7 @@ void GbdaServer::ExecuteTopKBatch(std::vector<Pending> batch,
 
   SnapshotInfo served;
   Result<std::vector<SearchResult>> results =
-      backend_.dynamic
-          ? backend_.dynamic->QueryTopKBatch(Span<Graph>(queries),
-                                             k, options, &served)
-          : backend_.frozen->QueryTopKBatch(Span<Graph>(queries), k, options);
+      service_->QueryTopKBatch(Span<Graph>(queries), k, options, &served);
 
   batches_executed_.Increment();
   const size_t slot = std::min(live.size(), batch_size_histogram_.size()) - 1;
@@ -818,7 +778,7 @@ void GbdaServer::ExecuteMutation(Pending request) {
     return;
   }
 
-  DynamicGbdaService* service = backend_.dynamic;
+  DynamicGbdaService* service = dynamic_;
   if (service == nullptr) {
     resp.status = WireStatus::kUnsupported;
     resp.message = "mutation requests require a dynamic-corpus backend";

@@ -1,11 +1,10 @@
 /// \file server.h
 /// The network serving front-end (docs/ARCHITECTURE.md, "Network serving"):
 /// a TCP server speaking the length-prefixed binary protocol of
-/// net/codec.h in front of either serving backend — a frozen GbdaService
-/// (optionally over a mapped v3 arena) or a DynamicGbdaService (mutation
-/// requests commit and swap snapshots). tools/gbda_serverd is a thin main
-/// around this class; tests drive it in-process on loopback ephemeral
-/// ports.
+/// net/codec.h in front of one GbdaService — frozen (optionally over a
+/// mapped v3 arena) or a DynamicGbdaService, whose mutation requests commit
+/// and swap snapshots. tools/gbda_serverd is a thin main around this class;
+/// tests drive it in-process on loopback ephemeral ports.
 ///
 /// Threading model:
 ///   - One I/O thread owns every socket: a poll() loop over the listener, a
@@ -91,15 +90,12 @@ struct ServerConfig {
 /// from any thread.
 class GbdaServer {
  public:
-  /// Serves a frozen corpus. Mutation requests answer kUnsupported;
-  /// responses report generation 0. `service` must outlive the server.
+  /// Serves `service`, which must outlive the server. Every query response
+  /// carries the generation it was served against (0 for a frozen
+  /// service). When `service` is a DynamicGbdaService, mutation requests
+  /// commit through its serialized mutation API and report the published
+  /// generation; otherwise they answer kUnsupported.
   static Result<std::unique_ptr<GbdaServer>> Serve(GbdaService* service,
-                                                   const ServerConfig& config);
-  /// Serves a dynamic corpus: mutation requests commit through the
-  /// service's serialized mutation API and report the published snapshot
-  /// generation; every query response carries the generation it was served
-  /// against. `service` must outlive the server.
-  static Result<std::unique_ptr<GbdaServer>> Serve(DynamicGbdaService* service,
                                                    const ServerConfig& config);
 
   ~GbdaServer();
@@ -135,11 +131,6 @@ class GbdaServer {
   void ResumeDraining();
 
  private:
-  struct Backend {
-    GbdaService* frozen = nullptr;
-    DynamicGbdaService* dynamic = nullptr;
-  };
-
   /// One admitted request waiting for a worker.
   struct Pending {
     uint64_t conn_id = 0;
@@ -162,9 +153,7 @@ class GbdaServer {
     size_t outbox_sent = 0;
   };
 
-  GbdaServer(Backend backend, const ServerConfig& config);
-  static Result<std::unique_ptr<GbdaServer>> StartInternal(
-      Backend backend, const ServerConfig& config);
+  GbdaServer(GbdaService* service, const ServerConfig& config);
   Status Listen();
 
   void IoLoop();
@@ -177,6 +166,12 @@ class GbdaServer {
   /// work for the workers. Returns false when the connection must close
   /// (framing violation).
   bool DispatchFrame(uint64_t conn_id, Frame frame);
+  /// Admission, shared by query and mutation requests: queues `pending`
+  /// (stamping its admission span and default deadline) unless the server
+  /// is stopping or the queue is at its bound. Returns kOk when admitted,
+  /// else the typed rejection, with its message in `*message`.
+  WireStatus Admit(Pending pending, std::string* message)
+      GBDA_EXCLUDES(queue_mutex_);
   /// Appends a response frame to the connection's outbox (no-op when the
   /// connection is gone) and counts it. I/O thread only.
   void QueueResponse(uint64_t conn_id, std::string frame_bytes);
@@ -199,7 +194,9 @@ class GbdaServer {
   /// Hands a finished response frame from a worker to the I/O thread.
   void PostResponse(uint64_t conn_id, std::string frame_bytes);
 
-  Backend backend_;
+  GbdaService* service_;
+  /// The same service when it accepts mutations; null for frozen serving.
+  DynamicGbdaService* dynamic_;
   const ServerConfig config_;
   uint16_t port_ = 0;
 

@@ -1,11 +1,9 @@
 #include "service/dynamic_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/timer.h"
-#include "service/parallel_scan.h"
 
 namespace gbda {
 
@@ -27,16 +25,11 @@ Result<std::unique_ptr<DynamicGbdaService>> DynamicGbdaService::Create(
 DynamicGbdaService::DynamicGbdaService(GraphDatabase db, GbdaIndex master,
                                        const GbdaIndexOptions& index_options,
                                        const DynamicServiceOptions& options)
-    : index_options_(index_options),
-      options_(options),
+    : GbdaService(options.service),
+      index_options_(index_options),
+      gbd_refit_fraction_(options.gbd_refit_fraction),
       db_(std::move(db)),
-      master_(std::move(master)),
-      pool_(options.service.num_threads) {
-  profiles_.reserve(db_.size());
-  for (size_t id = 0; id < db_.size(); ++id) {
-    profiles_.push_back(
-        std::make_shared<const FilterProfile>(BuildFilterProfile(db_.graph(id))));
-  }
+      master_(std::move(master)) {
   MutexLock lock(&write_mutex_);
   Republish();
 }
@@ -85,8 +78,8 @@ void DynamicGbdaService::Republish(bool force_refit) {
   bool refit_failed = false;
   bool refit_done = false;
   if (master_.gbd_staleness() > 0 &&
-      (force_refit || options_.gbd_refit_fraction <= 0.0 ||
-       master_.GbdStalenessFraction() > options_.gbd_refit_fraction)) {
+      (force_refit || gbd_refit_fraction_ <= 0.0 ||
+       master_.GbdStalenessFraction() > gbd_refit_fraction_)) {
     if (master_.num_live() >= 2) {
       Status refit = master_.RefitGbdPrior();
       refit_done = refit.ok();
@@ -96,46 +89,27 @@ void DynamicGbdaService::Republish(bool force_refit) {
     }
   }
 
-  auto snap = std::make_shared<Snapshot>();
-  snap->generation = ++generation_;
-  snap->index =
-      std::make_shared<GbdaIndex>(master_.CompactView(&snap->stable_ids));
-  snap->graphs.reserve(snap->stable_ids.size());
-  std::vector<std::shared_ptr<const FilterProfile>> dense_profiles;
-  dense_profiles.reserve(snap->stable_ids.size());
-  for (size_t id : snap->stable_ids) {
-    snap->graphs.push_back(&db_.graph(id));
-    dense_profiles.push_back(profiles_[id]);
-  }
-  snap->prefilter = std::make_shared<const Prefilter>(std::move(dense_profiles));
-  const size_t shard_count = options_.service.num_shards == 0
-                                 ? pool_.size()
-                                 : options_.service.num_shards;
-  snap->shards = std::make_unique<IndexShards>(snap->index.get(),
-                                               shard_count);
-  snap->ann = std::make_shared<AnnState>();
-
+  std::vector<size_t> stable_ids;
+  auto index = std::make_shared<GbdaIndex>(master_.CompactView(&stable_ids));
   // The engine's Phi rows depend only on the two priors, so when neither
   // prior object changed the previous generation's warm engine carries
-  // over; otherwise a fresh one is built against the new prior objects
-  // (kept alive by the snapshot's index). After a Lambda2 refit alone the
-  // table is the old one, so the fresh engine finds every Lambda1 column
-  // and Lambda3 row already derived.
+  // over; otherwise NewSnapshot builds a fresh one against the new prior
+  // objects (kept alive by the snapshot's index). After a Lambda2 refit
+  // alone the table is the old one, so the fresh engine finds every
+  // Lambda1 column and Lambda3 row already derived.
   std::shared_ptr<const Snapshot> prev = LoadSnapshot();
-  if (prev && &prev->index->gbd_prior() == &snap->index->gbd_prior() &&
-      prev->index->mutable_ged_prior() == snap->index->mutable_ged_prior()) {
-    snap->engine = prev->engine;
-  } else {
-    snap->engine = std::make_shared<PosteriorEngine>(
-        snap->index->num_vertex_labels(), snap->index->num_edge_labels(),
-        snap->index->tau_max(), snap->index->mutable_ged_prior(),
-        &snap->index->gbd_prior());
-  }
+  const bool same_priors =
+      prev != nullptr && &prev->index->gbd_prior() == &index->gbd_prior() &&
+      prev->index->mutable_ged_prior() == index->mutable_ged_prior();
+  std::shared_ptr<Snapshot> snap = NewSnapshot(
+      ++generation_, std::move(index), same_priors ? prev->engine : nullptr);
+  snap->stable_ids = std::move(stable_ids);
+  snap->live_graphs.reserve(snap->stable_ids.size());
+  for (size_t id : snap->stable_ids) snap->live_graphs.push_back(&db_.graph(id));
 
   const double rebuild_seconds = rebuild_timer.Seconds();
   WallTimer swap_timer;
-  std::atomic_store(&snapshot_,
-                    std::shared_ptr<const Snapshot>(std::move(snap)));
+  Publish(std::move(snap));
   const double swap_seconds = swap_timer.Seconds();
 
   MutexLock lock(&stats_mutex_);
@@ -150,11 +124,6 @@ void DynamicGbdaService::Republish(bool force_refit) {
   dynamic_stats_.total_swap_seconds += swap_seconds;
   dynamic_stats_.max_swap_seconds =
       std::max(dynamic_stats_.max_swap_seconds, swap_seconds);
-}
-
-std::shared_ptr<const DynamicGbdaService::Snapshot>
-DynamicGbdaService::LoadSnapshot() const {
-  return std::atomic_load(&snapshot_);
 }
 
 namespace {
@@ -189,10 +158,7 @@ Result<std::vector<size_t>> DynamicGbdaService::AddGraphs(
   ids.reserve(graphs.size());
   for (Graph& g : graphs) {
     const size_t id = db_.Add(std::move(g));
-    const Graph& stored = db_.graph(id);
-    master_.AddGraph(stored);
-    profiles_.push_back(
-        std::make_shared<const FilterProfile>(BuildFilterProfile(stored)));
+    master_.AddGraph(db_.graph(id));
     ids.push_back(id);
   }
   {
@@ -249,136 +215,13 @@ Status DynamicGbdaService::Flush(SnapshotInfo* published) {
   return Status::OK();
 }
 
-Status DynamicGbdaService::EnsureSnapshotAnn(const Snapshot& snap) const {
-  AnnState* state = snap.ann.get();
-  std::call_once(state->once, [this, &snap, state] {
-    // Built from the snapshot's own index: the dense ids the graph
-    // navigates are exactly this generation's corpus positions.
-    Result<AnnContext> ctx = AnnContext::Build(
-        FingerprintStore::FromIndex(*snap.index), options_.service.ann_build);
-    if (ctx.ok()) {
-      state->ctx = std::make_unique<const AnnContext>(std::move(*ctx));
-    } else {
-      state->status = ctx.status();
-    }
-  });
-  return state->status;
-}
-
-Status DynamicGbdaService::WarmAnnGraph() {
-  return EnsureSnapshotAnn(*LoadSnapshot());
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::RunBatchOn(
-    const std::shared_ptr<const Snapshot>& snap, Span<Graph> queries,
-    const SearchOptions& options, bool apply_gamma, size_t top_k) {
-  WallTimer timer;
-  // Same routing rule as GbdaService::RunBatch: approximate serves
-  // concrete-k rankings only, and the context (like everything else in the
-  // env) belongs to the pinned generation.
-  const bool approximate = options.approximate && !apply_gamma &&
-                           top_k != kScanAllMatches && top_k > 0;
-  if (approximate) {
-    Status ann_ok = EnsureSnapshotAnn(*snap);
-    if (!ann_ok.ok()) return ann_ok;
-  }
-  ParallelScanEnv env{&pool_, snap->shards.get(), snap->index.get(),
-                      snap->prefilter.get(), CorpusRef(&snap->graphs),
-                      snap->engine.get()};
-  Result<std::vector<SearchResult>> results =
-      approximate
-          ? AnnScanBatch(env, *snap->ann->ctx, queries, options, top_k)
-          : ParallelScanBatch(env, queries, options, apply_gamma, top_k);
-  if (!results.ok()) return results;
-
-  for (SearchResult& r : *results) {
-    // Dense positions -> stable ids. The map is ascending, so the serial id
-    // order and every top-k tie-break survive the translation.
-    for (SearchMatch& m : r.matches) {
-      m.graph_id = snap->stable_ids[m.graph_id];
-    }
-  }
-  AccumulateServiceStats(*results, timer.Seconds(), &counters_);
-  return results;
-}
-
-Result<SearchResult> DynamicGbdaService::Query(const Graph& query,
-                                               const SearchOptions& options) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  Result<std::vector<SearchResult>> batch =
-      RunBatchOn(snap, Span<Graph>(&query, 1), options, /*apply_gamma=*/true,
-                 kScanAllMatches);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
-}
-
-Result<SearchResult> DynamicGbdaService::QueryTopK(const Graph& query,
-                                                   size_t k,
-                                                   const SearchOptions& options) {
-  // k == 0: defined-empty ranking, decided at the API boundary — no
-  // snapshot scan runs (the query still counts as served).
-  if (k == 0) {
-    std::vector<SearchResult> empty(1);
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    return SearchResult{};
-  }
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  // Clamp exactly as GbdaService does, against THIS snapshot's corpus, so an
-  // oversized k cannot collide with the kScanAllMatches sentinel.
-  k = std::min(k, snap->index->num_graphs());
-  Result<std::vector<SearchResult>> batch = RunBatchOn(
-      snap, Span<Graph>(&query, 1), options, /*apply_gamma=*/false, k);
-  if (!batch.ok()) return batch.status();
-  return std::move((*batch)[0]);
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::QueryTopKBatch(
-    Span<Graph> queries, size_t k, const SearchOptions& options,
-    SnapshotInfo* served) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  if (served != nullptr) {
-    served->generation = snap->generation;
-    served->num_live = snap->index->num_graphs();
-    served->gbd_staleness = snap->index->gbd_staleness();
-  }
-  if (k == 0) {
-    std::vector<SearchResult> empty(queries.size());
-    AccumulateServiceStats(empty, 0.0, &counters_);
-    counters_.batches_served.Add(1);
-    return empty;
-  }
-  k = std::min(k, snap->index->num_graphs());
-  Result<std::vector<SearchResult>> batch =
-      RunBatchOn(snap, queries, options, /*apply_gamma=*/false, k);
-  if (batch.ok()) counters_.batches_served.Add(1);
-  return batch;
-}
-
-Result<std::vector<SearchResult>> DynamicGbdaService::QueryBatch(
-    Span<Graph> queries, const SearchOptions& options) {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  Result<std::vector<SearchResult>> batch = RunBatchOn(
-      snap, queries, options, /*apply_gamma=*/true, kScanAllMatches);
-  if (batch.ok()) counters_.batches_served.Add(1);
-  return batch;
-}
-
 std::shared_ptr<const IndexReader> DynamicGbdaService::snapshot_index() const {
   return LoadSnapshot()->index;
 }
 
 SnapshotInfo DynamicGbdaService::snapshot_info() const {
-  std::shared_ptr<const Snapshot> snap = LoadSnapshot();
-  SnapshotInfo info;
-  if (snap) {
-    info.generation = snap->generation;
-    info.num_live = snap->index->num_graphs();
-    info.gbd_staleness = snap->index->gbd_staleness();
-  }
-  return info;
+  return Describe(*LoadSnapshot());
 }
-
-ServiceStats DynamicGbdaService::stats() const { return counters_.Snapshot(); }
 
 DynamicServiceStats DynamicGbdaService::dynamic_stats() const {
   MutexLock lock(&stats_mutex_);
@@ -386,7 +229,7 @@ DynamicServiceStats DynamicGbdaService::dynamic_stats() const {
 }
 
 void DynamicGbdaService::ResetStats() {
-  counters_.Reset();
+  GbdaService::ResetStats();
   MutexLock lock(&stats_mutex_);
   dynamic_stats_ = DynamicServiceStats();
 }

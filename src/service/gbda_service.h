@@ -1,13 +1,19 @@
 /// \file gbda_service.h
-/// The serving layer: a concurrent, sharded front-end over the one-shot
-/// GbdaSearch (docs/ARCHITECTURE.md, "Serving layer"). A GbdaService owns a
-/// fixed-size ThreadPool and an IndexShards partitioning of the database;
-/// Query / QueryTopK / QueryBatch fan every (query, shard) pair onto the
-/// pool and merge shard results deterministically, so the output — match
-/// set, ordering, top-k tie-breaking and the candidates/prefilter counters
-/// — is bit-identical to the serial GbdaSearch scan.
+/// The serving layer: one concurrent, sharded query engine over an
+/// immutable snapshot of the offline artifact (docs/ARCHITECTURE.md,
+/// "Serving layer"). A GbdaService owns a fixed-size ThreadPool, lock-free
+/// counters and an atomically swapped pointer to the published Snapshot.
+/// Every query call pins one snapshot, fans each (query, shard) pair onto
+/// the pool and merges shard results deterministically, so the output —
+/// match set, ordering, top-k tie-breaking and the candidates/prefilter
+/// counters — is bit-identical to the serial GbdaSearch scan.
 ///
-/// The service holds one PosteriorEngine, shared by every pool worker: a
+/// A frozen service publishes one generation-0 snapshot over a borrowed
+/// database and index and never replaces it. DynamicGbdaService
+/// (service/dynamic_service.h) derives from this class and publishes one
+/// snapshot per commit; the query path is the same code either way.
+///
+/// Each snapshot holds one PosteriorEngine, shared by every pool worker: a
 /// scan takes the engine's lock once per distinct extended size to look up
 /// an immutable Phi row, then reads the row lock-free. The engine reads the
 /// index's thread-safe GedPriorTable and the immutable GbdPrior.
@@ -15,8 +21,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "ann/navigator.h"
@@ -26,7 +34,6 @@
 #include "core/gbda_search.h"
 #include "core/prefilter.h"
 #include "obs/metrics_registry.h"
-#include "service/index_shards.h"
 
 namespace gbda {
 
@@ -119,21 +126,38 @@ struct ServiceCounters {
   void Collect(const std::string& labels, std::vector<obs::MetricFamily>* out) const;
 };
 
-/// Folds one batch's results into the sharded counters (shared by
-/// GbdaService and DynamicGbdaService; safe to call from any thread, no
-/// locking). `wall_seconds` is the top-level call's wall time.
-void AccumulateServiceStats(const std::vector<SearchResult>& results,
-                            double wall_seconds, ServiceCounters* counters);
+/// Identity of one published snapshot. A frozen service serves generation
+/// 0 for its whole lifetime; a dynamic one publishes 1, 2, ... per commit.
+struct SnapshotInfo {
+  uint64_t generation = 0;
+  size_t num_live = 0;
+  /// Mutations absorbed since Lambda2 was last fit (0 means the snapshot is
+  /// bit-identical to a from-scratch Build of its corpus).
+  size_t gbd_staleness = 0;
+};
+
+/// One shard's contiguous id range.
+struct ShardRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+/// Shard `s` of `num_shards` over `num_graphs` ids: [s*n/S, (s+1)*n/S).
+/// The ranges tile [0, n) in ascending order with sizes differing by at
+/// most one, so concatenating per-shard results in shard order reproduces
+/// the serial scan's id order — the determinism contract of the serving
+/// layer.
+inline ShardRange ShardOf(size_t s, size_t num_shards, size_t num_graphs) {
+  return {s * num_graphs / num_shards, (s + 1) * num_graphs / num_shards};
+}
 
 /// Concurrent sharded query engine over a prebuilt index. The index is
 /// consumed through the IndexReader contract (core/index_reader.h), so the
 /// service serves equally from an owned GbdaIndex and from a zero-copy
 /// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
 /// are bit-identical either way. Thread-safe: concurrent public calls are
-/// allowed (they share the pool and the engine; statistics are lock-free
-/// sharded counters, see ServiceCounters). `db` and `index` must
-/// outlive the service and the index must have been built over exactly
-/// this database.
+/// allowed (they share the pool and the snapshot's engine; statistics are
+/// lock-free sharded counters, see ServiceCounters).
 class GbdaService {
  public:
   /// Checked construction: fails when `index` does not agree with `db`
@@ -144,11 +168,22 @@ class GbdaService {
       const GraphDatabase* db, const IndexReader* index,
       const ServiceOptions& options = ServiceOptions());
 
-  /// Raw constructor; Create enforces db/index agreement up front, the raw
-  /// path defers it to query time (PrepareScan rejects a size mismatch
-  /// before any out-of-bounds access can happen).
+  /// Frozen serving: publishes one generation-0 snapshot over `db` and
+  /// `index`, both borrowed — they must outlive the service, and the index
+  /// must have been built over exactly this database. Create enforces
+  /// db/index agreement up front; this raw path defers it to query time
+  /// (PrepareScan rejects a size mismatch before any out-of-bounds access
+  /// can happen).
   GbdaService(const GraphDatabase* db, const IndexReader* index,
               const ServiceOptions& options = ServiceOptions());
+  virtual ~GbdaService() = default;
+  GbdaService(const GbdaService&) = delete;
+  GbdaService& operator=(const GbdaService&) = delete;
+
+  // -- Queries (each against ONE pinned snapshot) ----------------------------
+  // Match ids are database ids for a frozen service and stable ids for a
+  // dynamic one (the dense-to-stable map is ascending, so ordering and every
+  // tie-break survive the translation).
 
   /// Threshold query, bit-identical to GbdaSearch::Query (matches in
   /// ascending graph id order). result.seconds is the query's wall latency.
@@ -175,34 +210,44 @@ class GbdaService {
                                                const SearchOptions& options);
 
   /// Batched top-k rankings with the same in-flight fan-out as QueryBatch;
-  /// results[i] is bit-identical to QueryTopK(queries[i], k, options).
-  /// Each query job carries its own shard-shared pruning bound.
-  Result<std::vector<SearchResult>> QueryTopKBatch(Span<Graph> queries,
-                                                   size_t k,
-                                                   const SearchOptions& options);
+  /// results[i] is bit-identical to QueryTopK(queries[i], k, options)
+  /// against the same snapshot. Each query job carries its own
+  /// shard-shared pruning bound. `served` (non-null) reports the pinned
+  /// snapshot's identity — the hook the network front-end uses to stamp
+  /// every co-batched response with the generation it was served against
+  /// (filled on success and failure, and for k == 0, where no scan runs).
+  Result<std::vector<SearchResult>> QueryTopKBatch(
+      Span<Graph> queries, size_t k, const SearchOptions& options,
+      SnapshotInfo* served = nullptr);
 
   size_t num_threads() const { return pool_.size(); }
-  size_t num_shards() const { return shards_.num_shards(); }
+  /// The published snapshot's shard count (ServiceOptions::num_shards,
+  /// clamped so no shard is empty unless the corpus is).
+  size_t num_shards() const;
 
   // -- Approximate navigation ------------------------------------------------
   // Ranking queries with options.approximate walk a proximity graph over
   // branch-fingerprint similarity instead of scanning every shard, then
   // verify the visited candidates exactly (ann/navigator.h): the result is
-  // a subset of the exhaustive top-k with bit-exact scores. The context is
-  // built at most once per service — lazily on the first approximate query,
-  // eagerly via WarmAnnGraph, or adopted from a mapped artifact.
+  // a subset of the exhaustive top-k with bit-exact scores. The context
+  // belongs to one snapshot and is initialised at most once per snapshot —
+  // lazily on its first approximate query, eagerly via WarmAnnGraph, or
+  // adopted from a mapped artifact. A dynamic service's next commit
+  // therefore starts cold again.
 
-  /// Ensures the navigation context exists, building it with
-  /// ServiceOptions::ann_build when nothing was adopted. Idempotent;
-  /// returns the (sticky) build status. Call it at startup to keep the
-  /// O(corpus · degree · window) construction off the first query's latency.
+  /// Ensures the published snapshot's navigation context exists, building
+  /// it with ServiceOptions::ann_build when nothing was adopted.
+  /// Idempotent; returns the (sticky) build status. Call it at startup to
+  /// keep the O(corpus · degree · window) construction off the first
+  /// query's latency.
   Status WarmAnnGraph();
 
   /// Adopts a prebuilt graph — typically GbdaIndexView::ann_graph() from a
-  /// v3 artifact written with one — instead of building. The referenced
-  /// storage must outlive the service, and the graph must cover exactly the
-  /// index's graphs. Fails (FailedPrecondition) once the context exists,
-  /// so adopt before the first approximate query or WarmAnnGraph call.
+  /// v3 artifact written with one — into the published snapshot instead of
+  /// building. The referenced storage must outlive the service, and the
+  /// graph must cover exactly the index's graphs. Fails
+  /// (FailedPrecondition) once the context exists, so adopt before the
+  /// first approximate query or WarmAnnGraph call.
   Status AdoptAnnGraph(const ProximityGraphRef& graph);
 
   /// Snapshot of the aggregate counters (exact once in-flight queries have
@@ -210,7 +255,7 @@ class GbdaService {
   ServiceStats stats() const;
   /// Zeroes the counters. Quiesce concurrent queries first: an accumulation
   /// racing the reset may survive it partially.
-  void ResetStats();
+  virtual void ResetStats();
 
   /// Appends this service's metric families for a registry collector.
   void CollectMetrics(const std::string& labels,
@@ -218,38 +263,99 @@ class GbdaService {
     counters_.Collect(labels, out);
   }
 
+ protected:
+  /// One published generation: everything a query needs, immutable once
+  /// published except for the two lazily built, call_once-guarded members
+  /// at the end. A generation stays alive until its last in-flight query
+  /// drops it.
+  struct Snapshot {
+    uint64_t generation = 0;
+    /// Dense position -> stable id, ascending; empty means the identity
+    /// (frozen serving).
+    std::vector<size_t> stable_ids;
+    /// The corpus: the borrowed database (frozen serving) or, when null,
+    /// the live graphs in dense order (deque-stable pointers into a
+    /// dynamic service's database).
+    const GraphDatabase* db = nullptr;
+    std::vector<const Graph*> live_graphs;
+    /// The generation's branch store through the IndexReader scan
+    /// contract; non-owning for a borrowed reader.
+    std::shared_ptr<const IndexReader> index;
+    size_t num_shards = 1;
+    /// Shared by every pool worker, and by consecutive dynamic generations
+    /// while both priors are unchanged (its Phi rows stay warm).
+    std::shared_ptr<PosteriorEngine> engine;
+
+    CorpusRef corpus() const {
+      return db != nullptr ? CorpusRef(db) : CorpusRef(&live_graphs);
+    }
+    /// The layered prefilter over this generation's corpus, built on the
+    /// first batch with SearchOptions::use_prefilter — its only reader is
+    /// admission. Profile extraction is O(corpus) and cold-start sensitive
+    /// (a mapped v3 artifact opens in microseconds; an eager prefilter
+    /// would put a corpus-sized pass right back into startup).
+    const Prefilter* EnsurePrefilter() const;
+    /// Builds (`graph` null) or adopts this generation's navigation context
+    /// at most once; false when it was already initialised. The outcome is
+    /// sticky in ann / ann_status: a failed build is reported to every
+    /// later approximate query instead of silently degrading to an
+    /// exhaustive scan the client did not ask to pay for.
+    bool InitAnn(const AnnBuildParams& params,
+                 const ProximityGraphRef* graph) const;
+
+    mutable std::once_flag prefilter_once;
+    mutable std::unique_ptr<const Prefilter> prefilter;
+    mutable std::once_flag ann_once;
+    mutable std::unique_ptr<const AnnContext> ann;
+    mutable Status ann_status;
+  };
+
+  /// Pool and counters only; the derived service publishes the first
+  /// snapshot.
+  explicit GbdaService(const ServiceOptions& options);
+
+  /// A generation over `index` with this service's shard count and
+  /// `engine`, or a fresh engine over the index's priors when null. The
+  /// caller fills in the corpus and the stable ids, then publishes it.
+  std::shared_ptr<Snapshot> NewSnapshot(
+      uint64_t generation, std::shared_ptr<const IndexReader> index,
+      std::shared_ptr<PosteriorEngine> engine) const;
+  /// The readers-never-block-writers handoff: an atomic store / load of
+  /// the published snapshot.
+  void Publish(std::shared_ptr<const Snapshot> snapshot);
+  std::shared_ptr<const Snapshot> LoadSnapshot() const;
+  static SnapshotInfo Describe(const Snapshot& snapshot);
+
  private:
-  /// Shared fan-out/merge (service/parallel_scan.h). top_k ==
-  /// kScanAllMatches keeps every match (threshold mode); otherwise each
-  /// shard and the final merge truncate to top_k.
+  /// The one query path: pins a snapshot, applies the k rules, scans and
+  /// counts. `k` is ignored by threshold calls (apply_gamma); `batch_call`
+  /// counts one served batch on success.
   Result<std::vector<SearchResult>> RunBatch(Span<Graph> queries,
                                              const SearchOptions& options,
-                                             bool apply_gamma, size_t top_k);
+                                             bool apply_gamma, size_t k,
+                                             bool batch_call,
+                                             SnapshotInfo* served);
+  /// The fan-out/merge over one snapshot: a pool task per (query, shard),
+  /// or per query when `ann` navigates (beam navigation is a global walk,
+  /// so sharding it would change which candidates it visits). top_k ==
+  /// kScanAllMatches keeps every match (threshold mode); otherwise each
+  /// task and the final merge truncate to top_k.
+  Result<std::vector<SearchResult>> FanOut(const Snapshot& snap,
+                                           Span<Graph> queries,
+                                           const SearchOptions& options,
+                                           bool apply_gamma, size_t top_k,
+                                           const Prefilter* prefilter,
+                                           const AnnContext* ann);
 
-  /// The layered prefilter, built on the first batch with
-  /// SearchOptions::use_prefilter — its only reader is admission. Profile
-  /// extraction is O(corpus) and cold-start sensitive (the mapped v3
-  /// serving path opens in microseconds; an eager prefilter would put a
-  /// corpus-sized pass right back into startup). Thread-safe via
-  /// call_once; returns a stable pointer.
-  const Prefilter* EnsurePrefilter();
-
-  const GraphDatabase* db_;
-  const IndexReader* index_;
-  AnnBuildParams ann_build_;
-  ThreadPool pool_;  // before shards_: the shard default is one per worker
-  std::once_flag prefilter_once_;
-  std::unique_ptr<Prefilter> prefilter_;
-  IndexShards shards_;
-  PosteriorEngine engine_;
-  /// Approximate-navigation context, initialised at most once (build or
-  /// adopt). A failed initialisation is sticky in ann_status_: every later
-  /// approximate query reports it rather than silently degrading to an
-  /// exhaustive scan the client did not ask to pay for.
-  std::once_flag ann_once_;
-  std::unique_ptr<const AnnContext> ann_;
-  Status ann_status_;
-
+  const AnnBuildParams ann_build_;
+  ThreadPool pool_;
+  /// Requested shards (one per worker by default); each snapshot clamps it
+  /// to its corpus.
+  const size_t num_shards_;
+  /// Deliberately unguarded: accessed exclusively through the free
+  /// std::atomic_load/atomic_store shared_ptr overloads (LoadSnapshot /
+  /// Publish).
+  std::shared_ptr<const Snapshot> snapshot_;
   ServiceCounters counters_;
 };
 

@@ -68,14 +68,15 @@ GbdaSearch* GbdaServiceTest::serial_ = nullptr;
 
 TEST_F(GbdaServiceTest, ShardRangesTileTheDatabase) {
   for (size_t shards : {1u, 2u, 7u}) {
-    IndexShards partition(index_, shards);
-    ASSERT_EQ(partition.num_shards(), shards);
+    GbdaService service(&dataset_->db, index_, ServiceOptions{1, shards, {}});
+    ASSERT_EQ(service.num_shards(), shards);
     size_t expected_begin = 0;
-    for (size_t s = 0; s < partition.num_shards(); ++s) {
-      const ShardView& view = partition.shard(s);
-      EXPECT_EQ(view.begin(), expected_begin);
-      EXPECT_GE(view.size(), dataset_->db.size() / shards);
-      expected_begin = view.end();
+    for (size_t s = 0; s < service.num_shards(); ++s) {
+      const ShardRange range =
+          ShardOf(s, service.num_shards(), dataset_->db.size());
+      EXPECT_EQ(range.begin, expected_begin);
+      EXPECT_GE(range.end - range.begin, dataset_->db.size() / shards);
+      expected_begin = range.end;
     }
     EXPECT_EQ(expected_begin, dataset_->db.size());
   }

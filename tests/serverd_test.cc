@@ -3,10 +3,11 @@
 // contract is BIT-IDENTITY — every response served over the wire (including
 // from N concurrent client connections) must reproduce the in-process
 // GbdaService::QueryTopK answer exactly: match set, ordering, phi/gbd bit
-// patterns and the deterministic scan counters. Protocol robustness rides
-// along: malformed payloads answer kInvalidRequest and keep the connection,
-// framing violations close it, mutations on a frozen backend answer
-// kUnsupported.
+// patterns and the deterministic scan counters. A DynamicGbdaService over
+// the same corpus, served through the same server path, must answer exactly
+// as the frozen backend does. Protocol robustness rides along: malformed
+// payloads answer kInvalidRequest and keep the connection, framing
+// violations close it, mutations on a frozen backend answer kUnsupported.
 
 #include "net/server.h"
 
@@ -20,6 +21,7 @@
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "net/client.h"
+#include "service/dynamic_service.h"
 #include "service/gbda_service.h"
 
 namespace gbda::net {
@@ -32,24 +34,43 @@ SearchOptions BaseOptions() {
   return options;
 }
 
+DatasetProfile FixtureProfile() { return AidsProfile(0.02); }
+
+/// The offline-stage options both backends build with.
+GbdaIndexOptions FixtureIndexOptions() {
+  const DatasetProfile profile = FixtureProfile();
+  GbdaIndexOptions index_options;
+  index_options.tau_max = 10;
+  index_options.gbd_prior.num_sample_pairs = 500;
+  index_options.model_vertex_labels =
+      static_cast<int64_t>(profile.num_vertex_labels);
+  index_options.model_edge_labels =
+      static_cast<int64_t>(profile.num_edge_labels);
+  return index_options;
+}
+
+/// A wire answer as a SearchResult, to compare two wire answers.
+SearchResult AsSearchResult(const TopKResponse& wire) {
+  SearchResult result;
+  result.matches = wire.matches;
+  result.candidates_evaluated = wire.candidates_evaluated;
+  result.prefiltered_out = wire.prefiltered_out;
+  result.pruned_by_bound = wire.pruned_by_bound;
+  result.verified_count = wire.verified_count;
+  return result;
+}
+
 /// One frozen serving stack shared by every test in this suite (the offline
 /// build is the expensive part; the server itself starts in microseconds).
 class ServerdTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    DatasetProfile profile = AidsProfile(0.02);
-    Result<GeneratedDataset> dataset = GenerateDataset(profile);
+    Result<GeneratedDataset> dataset = GenerateDataset(FixtureProfile());
     ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
     dataset_ = new GeneratedDataset(std::move(*dataset));
 
-    GbdaIndexOptions index_options;
-    index_options.tau_max = 10;
-    index_options.gbd_prior.num_sample_pairs = 500;
-    index_options.model_vertex_labels =
-        static_cast<int64_t>(profile.num_vertex_labels);
-    index_options.model_edge_labels =
-        static_cast<int64_t>(profile.num_edge_labels);
-    Result<GbdaIndex> index = GbdaIndex::Build(dataset_->db, index_options);
+    Result<GbdaIndex> index =
+        GbdaIndex::Build(dataset_->db, FixtureIndexOptions());
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
 
@@ -403,6 +424,52 @@ TEST_F(ServerdTest, FrozenBackendReportsGenerationZero) {
   Result<TopKResponse> wire = client.QueryTopK(MakeRequest(0, 3, BaseOptions()));
   ASSERT_TRUE(wire.ok());
   EXPECT_EQ(wire->generation, 0u);
+}
+
+TEST_F(ServerdTest, DynamicBackendAnswersLikeTheFrozenOne) {
+  // The fixture's corpus and index options behind a DynamicGbdaService:
+  // its generation-1 snapshot is a fresh build of that corpus, so the one
+  // server path must answer exactly as the in-process call and as the
+  // frozen backend do, and name the generation it served.
+  DynamicServiceOptions dyn_options;
+  dyn_options.service.num_threads = 2;
+  Result<std::unique_ptr<DynamicGbdaService>> dynamic =
+      DynamicGbdaService::Create(dataset_->db, FixtureIndexOptions(),
+                                 dyn_options);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+  ServerConfig config;
+  config.max_batch = 4;
+  config.num_workers = 1;
+  Result<std::unique_ptr<GbdaServer>> server =
+      GbdaServer::Serve(dynamic->get(), config);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Result<GbdaClient> dynamic_client =
+      GbdaClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(dynamic_client.ok()) << dynamic_client.status().ToString();
+  GbdaClient frozen_client = MustConnect();
+
+  SearchOptions prefiltered = BaseOptions();
+  prefiltered.use_prefilter = true;
+  for (const SearchOptions& options : {BaseOptions(), prefiltered}) {
+    Result<std::vector<SearchResult>> local =
+        (*dynamic)->QueryTopKBatch(dataset_->queries, 5, options);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    for (size_t qi = 0; qi < dataset_->queries.size(); ++qi) {
+      const std::string label = "prefilter=" +
+                                std::to_string(options.use_prefilter) +
+                                " query " + std::to_string(qi);
+      Result<TopKResponse> wire =
+          dynamic_client->QueryTopK(MakeRequest(qi, 5, options));
+      ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+      EXPECT_GE(wire->generation, 1u) << label;
+      ExpectBitIdentical(*wire, (*local)[qi], label + " vs in-process");
+      Result<TopKResponse> frozen =
+          frozen_client.QueryTopK(MakeRequest(qi, 5, options));
+      ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+      ExpectBitIdentical(*wire, AsSearchResult(*frozen),
+                         label + " vs frozen wire");
+    }
+  }
 }
 
 }  // namespace

@@ -60,6 +60,21 @@ TEST(ParseUintTest, WholeValueWithinRange) {
   EXPECT_FALSE(ParseUint("4.5").ok());
 }
 
+TEST(ParseBoolTest, ExactlyZeroOneTrueFalse) {
+  EXPECT_TRUE(*ParseBool("1"));
+  EXPECT_TRUE(*ParseBool("true"));
+  EXPECT_FALSE(*ParseBool("0"));
+  EXPECT_FALSE(*ParseBool("false"));
+  // Anything else is an error — notably "no", which a "not 0 and not
+  // false" rule would have read as on.
+  for (const char* bad : {"no", "yes", "on", "off", "", "2", "-1", "TRUE",
+                          "False", " 1", "1 ", "01", "truex"}) {
+    Result<bool> parsed = ParseBool(bad);
+    ASSERT_FALSE(parsed.ok()) << '"' << bad << '"';
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.5"), 3.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-2e3"), -2000.0);

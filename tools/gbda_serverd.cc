@@ -1,8 +1,9 @@
 // gbda_serverd — the network serving front-end (docs/ARCHITECTURE.md,
 // "Network serving"). A thin main around net/server.h: loads or generates a
-// corpus, builds the offline index, starts a GbdaServer (frozen GbdaService
-// by default, DynamicGbdaService with --dynamic=1) and serves the binary
-// protocol of net/codec.h until SIGINT/SIGTERM or --duration elapses.
+// corpus, starts a GbdaServer over one GbdaService (frozen over an index
+// built at start-up by default, a DynamicGbdaService with --dynamic=1) and
+// serves the binary protocol of net/codec.h until SIGINT/SIGTERM or
+// --duration elapses.
 //
 //   gbda_serverd [--profile=aids|fingerprint|grec|aasd] [--scale=F]
 //                [--db=<transactions.txt>]       # instead of a profile
@@ -20,8 +21,10 @@
 // requests are still opt-in per query through the wire SearchOptions.
 //
 // Every numeric value must parse whole and fit its field (ports <= 65535,
-// --metrics-port in [-1, 65535], --tau-max <= 1024); anything else is a
-// usage error (exit 2).
+// --metrics-port in [-1, 65535], --tau-max <= 1024), and every boolean must
+// be exactly 0, 1, true or false; anything else is a usage error (exit 2).
+// A mistyped --dynamic must never start a backend that any wire client can
+// mutate.
 //
 // With --port=0 (the default) the kernel picks an ephemeral port; scripts
 // read it from --port-file (written atomically after the listener is bound —
@@ -226,7 +229,7 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--db", &v)) {
       flags.db_path = v;
     } else if (FlagValue(argv[i], "--dynamic", &v)) {
-      flags.dynamic = v != "0" && v != "false";
+      parsed = Assign(ParseBool(v), &flags.dynamic);
     } else if (FlagValue(argv[i], "--port", &v)) {
       parsed = Assign(ParseUint(v, UINT16_MAX), &flags.port);
     } else if (FlagValue(argv[i], "--port-file", &v)) {
@@ -252,7 +255,7 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--max-queue", &v)) {
       parsed = Assign(ParseUint(v), &flags.server.max_queue);
     } else if (FlagValue(argv[i], "--approximate", &v)) {
-      flags.approximate = v != "0" && v != "false";
+      parsed = Assign(ParseBool(v), &flags.approximate);
     } else if (FlagValue(argv[i], "--ann-degree", &v)) {
       parsed = Assign(ParseUint(v, UINT32_MAX), &flags.ann_degree);
     } else if (FlagValue(argv[i], "--metrics-port", &v)) {
@@ -260,7 +263,7 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--metrics-port-file", &v)) {
       flags.metrics_port_file = v;
     } else if (FlagValue(argv[i], "--trace", &v)) {
-      flags.trace = (v != "0" && v != "false") ? 1 : 0;
+      parsed = Assign(ParseBool(v), &flags.trace);
     } else if (FlagValue(argv[i], "--trace-sample", &v)) {
       parsed = Assign(ParseIntIn(v, -1, UINT32_MAX), &flags.trace_sample);
     } else if (FlagValue(argv[i], "--slow-query-ms", &v)) {
@@ -327,27 +330,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- Offline stage + backend + server ----------------------------------
-  // Frozen path keeps index + service alive for the server lifetime.
+  // Frozen serving borrows `db` and the index built over it; a dynamic
+  // backend takes the corpus over and builds its own master index.
   std::unique_ptr<GbdaIndex> index;
-  std::unique_ptr<GbdaService> frozen;
-  std::unique_ptr<DynamicGbdaService> dynamic;
-  std::unique_ptr<net::GbdaServer> server;
+  std::unique_ptr<GbdaService> service;
   if (flags.dynamic) {
     DynamicServiceOptions dyn_options;
     dyn_options.service = service_options;
     Result<std::unique_ptr<DynamicGbdaService>> created =
         DynamicGbdaService::Create(std::move(db), index_options, dyn_options);
     if (!created.ok()) return Fail(created.status());
-    dynamic = std::move(*created);
-    if (flags.approximate) {
-      Status warmed = dynamic->WarmAnnGraph();
-      if (!warmed.ok()) return Fail(warmed);
-      std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
-    }
-    Result<std::unique_ptr<net::GbdaServer>> started =
-        net::GbdaServer::Serve(dynamic.get(), flags.server);
-    if (!started.ok()) return Fail(started.status());
-    server = std::move(*started);
+    service = std::move(*created);
   } else {
     Result<GbdaIndex> built = GbdaIndex::Build(db, index_options);
     if (!built.ok()) return Fail(built.status());
@@ -355,21 +348,21 @@ int main(int argc, char** argv) {
     Result<std::unique_ptr<GbdaService>> created =
         GbdaService::Create(&db, index.get(), service_options);
     if (!created.ok()) return Fail(created.status());
-    frozen = std::move(*created);
-    if (flags.approximate) {
-      Status warmed = frozen->WarmAnnGraph();
-      if (!warmed.ok()) return Fail(warmed);
-      std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
-    }
-    Result<std::unique_ptr<net::GbdaServer>> started =
-        net::GbdaServer::Serve(frozen.get(), flags.server);
-    if (!started.ok()) return Fail(started.status());
-    server = std::move(*started);
+    service = std::move(*created);
   }
+  if (flags.approximate) {
+    Status warmed = service->WarmAnnGraph();
+    if (!warmed.ok()) return Fail(warmed);
+    std::fprintf(stderr, "gbda_serverd: proximity graph warmed\n");
+  }
+  Result<std::unique_ptr<net::GbdaServer>> started =
+      net::GbdaServer::Serve(service.get(), flags.server);
+  if (!started.ok()) return Fail(started.status());
+  std::unique_ptr<net::GbdaServer> server = std::move(*started);
 
+  const std::string backend = flags.dynamic ? "dynamic" : "frozen";
   std::fprintf(stderr, "gbda_serverd: listening on %s:%u (%s backend)\n",
-               flags.bind.c_str(), server->port(),
-               flags.dynamic ? "dynamic" : "frozen");
+               flags.bind.c_str(), server->port(), backend.c_str());
   if (!flags.port_file.empty()) {
     Status wrote = WritePortFile(flags.port_file, server->port());
     if (!wrote.ok()) return Fail(wrote);
@@ -386,13 +379,9 @@ int main(int argc, char** argv) {
       });
   obs::CollectorHandle service_collector(
       &obs::MetricsRegistry::Global(),
-      [frozen_ptr = frozen.get(),
-       dynamic_ptr = dynamic.get()](std::vector<obs::MetricFamily>* out) {
-        if (dynamic_ptr != nullptr) {
-          dynamic_ptr->CollectMetrics("backend=\"dynamic\"", out);
-        } else {
-          frozen_ptr->CollectMetrics("backend=\"frozen\"", out);
-        }
+      [svc = service.get(), labels = "backend=\"" + backend + "\""](
+          std::vector<obs::MetricFamily>* out) {
+        svc->CollectMetrics(labels, out);
       });
   std::unique_ptr<obs::MetricsExporter> exporter;
   if (flags.metrics_port >= 0) {
