@@ -36,8 +36,11 @@
 #include "storage/index_view.h"
 
 using namespace gbda;
+using bench::DoubleFlagOrExit;
+using bench::IntFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::UintFlagOrExit;
 
 namespace {
 
@@ -61,21 +64,21 @@ Flags Parse(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      flags.scale = DoubleFlagOrExit("--scale", v);
     } else if (ParseFlagValue(argv[i], "--iters", &v)) {
-      flags.iters = std::strtoull(v.c_str(), nullptr, 10);
+      flags.iters = UintFlagOrExit("--iters", v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {
-      flags.num_queries = std::strtoull(v.c_str(), nullptr, 10);
+      flags.num_queries = UintFlagOrExit("--queries", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
-      flags.tau_hat = std::strtoll(v.c_str(), nullptr, 10);
+      flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
-      flags.gamma = std::strtod(v.c_str(), nullptr);
+      flags.gamma = DoubleFlagOrExit("--gamma", v);
     } else if (ParseFlagValue(argv[i], "--sample-pairs", &v)) {
-      flags.sample_pairs = std::strtoull(v.c_str(), nullptr, 10);
+      flags.sample_pairs = UintFlagOrExit("--sample-pairs", v);
     } else if (ParseFlagValue(argv[i], "--dir", &v)) {
       flags.dir = v;
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      flags.seed = UintFlagOrExit("--seed", v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       std::exit(2);

@@ -31,8 +31,11 @@
 
 using namespace gbda;
 using bench::BoolFlagOrExit;
+using bench::DoubleFlagOrExit;
+using bench::IntFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::UintFlagOrExit;
 
 namespace {
 
@@ -59,35 +62,35 @@ Flags ParseFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (ParseFlagValue(argv[i], "--threads", &v)) {
-      flags.threads = std::strtoull(v.c_str(), nullptr, 10);
+      flags.threads = UintFlagOrExit("--threads", v);
     } else if (ParseFlagValue(argv[i], "--shards", &v)) {
-      flags.shards = std::strtoull(v.c_str(), nullptr, 10);
+      flags.shards = UintFlagOrExit("--shards", v);
     } else if (ParseFlagValue(argv[i], "--readers", &v)) {
-      flags.readers = std::strtoull(v.c_str(), nullptr, 10);
+      flags.readers = UintFlagOrExit("--readers", v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {
-      flags.num_queries = std::strtoull(v.c_str(), nullptr, 10);
+      flags.num_queries = UintFlagOrExit("--queries", v);
     } else if (ParseFlagValue(argv[i], "--mutations", &v)) {
-      flags.mutations = std::strtoull(v.c_str(), nullptr, 10);
+      flags.mutations = UintFlagOrExit("--mutations", v);
     } else if (ParseFlagValue(argv[i], "--write-batch", &v)) {
-      flags.write_batch = std::strtoull(v.c_str(), nullptr, 10);
+      flags.write_batch = UintFlagOrExit("--write-batch", v);
     } else if (ParseFlagValue(argv[i], "--initial-fraction", &v)) {
-      flags.initial_fraction = std::strtod(v.c_str(), nullptr);
+      flags.initial_fraction = DoubleFlagOrExit("--initial-fraction", v);
     } else if (ParseFlagValue(argv[i], "--refit-fraction", &v)) {
-      flags.refit_fraction = std::strtod(v.c_str(), nullptr);
+      flags.refit_fraction = DoubleFlagOrExit("--refit-fraction", v);
     } else if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      flags.scale = DoubleFlagOrExit("--scale", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
-      flags.tau_hat = std::strtoll(v.c_str(), nullptr, 10);
+      flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
-      flags.gamma = std::strtod(v.c_str(), nullptr);
+      flags.gamma = DoubleFlagOrExit("--gamma", v);
     } else if (ParseFlagValue(argv[i], "--prefilter", &v)) {
       flags.prefilter = BoolFlagOrExit("--prefilter", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs = std::strtoull(v.c_str(), nullptr, 10);
+      flags.sample_pairs = UintFlagOrExit("--pairs", v);
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      flags.seed = UintFlagOrExit("--seed", v);
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --threads=N --shards=N "

@@ -56,8 +56,12 @@
 #include "service/gbda_service.h"
 
 using namespace gbda;
+using bench::DoubleFlagOrExit;
+using bench::IntFlagOrExit;
+using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::UintFlagOrExit;
 
 namespace {
 
@@ -81,18 +85,6 @@ struct Flags {
   std::string target;  // HOST:PORT of an external server; empty = in-process
 };
 
-std::vector<double> ParseRateList(const std::string& csv) {
-  std::vector<double> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::strtod(csv.substr(pos, comma - pos).c_str(), nullptr));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
@@ -100,36 +92,33 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      flags.scale = DoubleFlagOrExit("--scale", v);
     } else if (ParseFlagValue(argv[i], "--connections", &v)) {
-      flags.connections =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.connections = UintFlagOrExit("--connections", v);
     } else if (ParseFlagValue(argv[i], "--rates", &v)) {
-      flags.rates = ParseRateList(v);
+      flags.rates = ListFlagOrExit<double>("--rates", v);
     } else if (ParseFlagValue(argv[i], "--duration", &v)) {
-      flags.duration = std::strtod(v.c_str(), nullptr);
+      flags.duration = DoubleFlagOrExit("--duration", v);
     } else if (ParseFlagValue(argv[i], "--top-k", &v)) {
-      flags.top_k = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.top_k = UintFlagOrExit("--top-k", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
-      flags.tau_hat = std::strtoll(v.c_str(), nullptr, 10);
+      flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
-      flags.gamma = std::strtod(v.c_str(), nullptr);
+      flags.gamma = DoubleFlagOrExit("--gamma", v);
     } else if (ParseFlagValue(argv[i], "--deadline-ms", &v)) {
-      flags.deadline_ms = std::strtoull(v.c_str(), nullptr, 10);
+      flags.deadline_ms = UintFlagOrExit("--deadline-ms", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.sample_pairs = UintFlagOrExit("--pairs", v);
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      flags.seed = UintFlagOrExit("--seed", v);
     } else if (ParseFlagValue(argv[i], "--max-batch", &v)) {
-      flags.max_batch =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.max_batch = UintFlagOrExit("--max-batch", v);
     } else if (ParseFlagValue(argv[i], "--max-linger-micros", &v)) {
-      flags.max_linger_micros = std::strtoull(v.c_str(), nullptr, 10);
+      flags.max_linger_micros = UintFlagOrExit("--max-linger-micros", v);
     } else if (ParseFlagValue(argv[i], "--workers", &v)) {
-      flags.workers = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.workers = UintFlagOrExit("--workers", v);
     } else if (ParseFlagValue(argv[i], "--threads", &v)) {
-      flags.threads = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.threads = UintFlagOrExit("--threads", v);
     } else if (ParseFlagValue(argv[i], "--target", &v)) {
       flags.target = v;
     } else {
@@ -249,7 +238,7 @@ int main(int argc, char** argv) {
     }
     host = flags.target.substr(0, colon);
     port = static_cast<uint16_t>(
-        std::strtoul(flags.target.c_str() + colon + 1, nullptr, 10));
+        UintFlagOrExit("--target", flags.target.substr(colon + 1), 65535));
   }
 
   // Server counters: from the in-process object, or over the wire

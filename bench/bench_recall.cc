@@ -36,8 +36,12 @@
 #include "service/gbda_service.h"
 
 using namespace gbda;
+using bench::DoubleFlagOrExit;
+using bench::IntFlagOrExit;
+using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::UintFlagOrExit;
 
 namespace {
 
@@ -57,19 +61,6 @@ struct Flags {
   uint32_t ann_degree = 0;  // 0 = AnnBuildParams default
 };
 
-std::vector<size_t> ParseSizeList(const std::string& csv) {
-  std::vector<size_t> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(static_cast<size_t>(
-        std::strtoull(csv.substr(pos, comma - pos).c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
@@ -77,34 +68,30 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      flags.scale = DoubleFlagOrExit("--scale", v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {
-      flags.num_queries =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.num_queries = UintFlagOrExit("--queries", v);
     } else if (ParseFlagValue(argv[i], "--k", &v)) {
-      flags.k = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.k = UintFlagOrExit("--k", v);
     } else if (ParseFlagValue(argv[i], "--windows", &v)) {
-      flags.windows = ParseSizeList(v);
+      flags.windows = ListFlagOrExit<size_t>("--windows", v);
     } else if (ParseFlagValue(argv[i], "--floor-window", &v)) {
-      flags.floor_window =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.floor_window = UintFlagOrExit("--floor-window", v);
     } else if (ParseFlagValue(argv[i], "--recall-floor", &v)) {
-      flags.recall_floor = std::strtod(v.c_str(), nullptr);
+      flags.recall_floor = DoubleFlagOrExit("--recall-floor", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
-      flags.tau_hat = std::strtoll(v.c_str(), nullptr, 10);
+      flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--threads", &v)) {
-      flags.threads =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.threads = UintFlagOrExit("--threads", v);
     } else if (ParseFlagValue(argv[i], "--shards", &v)) {
-      flags.shards = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.shards = UintFlagOrExit("--shards", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.sample_pairs = UintFlagOrExit("--pairs", v);
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      flags.seed = UintFlagOrExit("--seed", v);
     } else if (ParseFlagValue(argv[i], "--ann-degree", &v)) {
-      flags.ann_degree =
-          static_cast<uint32_t>(std::strtoul(v.c_str(), nullptr, 10));
+      flags.ann_degree = static_cast<uint32_t>(
+          UintFlagOrExit("--ann-degree", v, UINT32_MAX));
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nflags: --profile=aids|fingerprint|grec|"

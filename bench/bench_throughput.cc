@@ -39,8 +39,12 @@
 
 using namespace gbda;
 using bench::BoolFlagOrExit;
+using bench::DoubleFlagOrExit;
+using bench::IntFlagOrExit;
+using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::UintFlagOrExit;
 
 namespace {
 
@@ -102,47 +106,34 @@ bool ParseKernelList(const std::string& csv,
   return !out->empty();
 }
 
-std::vector<size_t> ParseSizeList(const std::string& csv) {
-  std::vector<size_t> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(static_cast<size_t>(
-        std::strtoull(csv.substr(pos, comma - pos).c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (ParseFlagValue(argv[i], "--threads", &v)) {
-      flags.threads = ParseSizeList(v);
+      flags.threads = ListFlagOrExit<size_t>("--threads", v);
     } else if (ParseFlagValue(argv[i], "--batches", &v)) {
-      flags.batch_sizes = ParseSizeList(v);
+      flags.batch_sizes = ListFlagOrExit<size_t>("--batches", v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {
-      flags.num_queries = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.num_queries = UintFlagOrExit("--queries", v);
     } else if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = std::strtod(v.c_str(), nullptr);
+      flags.scale = DoubleFlagOrExit("--scale", v);
     } else if (ParseFlagValue(argv[i], "--shards", &v)) {
-      flags.shards = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.shards = UintFlagOrExit("--shards", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
-      flags.tau_hat = std::strtoll(v.c_str(), nullptr, 10);
+      flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
-      flags.gamma = std::strtod(v.c_str(), nullptr);
+      flags.gamma = DoubleFlagOrExit("--gamma", v);
     } else if (ParseFlagValue(argv[i], "--prefilter", &v)) {
       flags.prefilter = BoolFlagOrExit("--prefilter", v);
     } else if (ParseFlagValue(argv[i], "--pairs", &v)) {
-      flags.sample_pairs = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.sample_pairs = UintFlagOrExit("--pairs", v);
     } else if (ParseFlagValue(argv[i], "--seed", &v)) {
-      flags.seed = std::strtoull(v.c_str(), nullptr, 10);
+      flags.seed = UintFlagOrExit("--seed", v);
     } else if (ParseFlagValue(argv[i], "--top-k", &v)) {
-      flags.top_k = static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
+      flags.top_k = UintFlagOrExit("--top-k", v);
     } else if (ParseFlagValue(argv[i], "--kernels", &v)) {
       if (!ParseKernelList(v, &flags.kernels)) {
         std::fprintf(stderr, "bad --kernels value %s (CSV of auto|scalar|avx2)\n",

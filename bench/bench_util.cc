@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,8 +16,7 @@ BenchFlags ParseFlags(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) {
       flags.full = true;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      Result<int64_t> seed = ParseInt(argv[++i]);
-      if (seed.ok()) flags.seed = static_cast<uint64_t>(*seed);
+      flags.seed = UintFlagOrExit("--seed", argv[++i]);
     } else {
       std::fprintf(stderr, "unknown flag: %s (supported: --full, --seed N)\n",
                    argv[i]);
@@ -33,14 +33,44 @@ bool ParseFlagValue(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
-bool BoolFlagOrExit(const char* name, const std::string& value) {
-  Result<bool> parsed = ParseBool(value);
+namespace {
+
+/// The parsed value, or the error naming the flag and exit 2.
+template <typename T>
+T ValueOrExit(const char* name, Result<T> parsed) {
   if (!parsed.ok()) {
     std::fprintf(stderr, "bad %s value: %s\n", name,
                  parsed.status().ToString().c_str());
     std::exit(2);
   }
   return *parsed;
+}
+
+}  // namespace
+
+bool BoolFlagOrExit(const char* name, const std::string& value) {
+  return ValueOrExit(name, ParseBool(value));
+}
+
+uint64_t UintFlagOrExit(const char* name, const std::string& value,
+                        uint64_t max) {
+  return ValueOrExit(name, ParseUint(value, max));
+}
+
+int64_t IntFlagOrExit(const char* name, const std::string& value) {
+  return ValueOrExit(name, ParseInt(value));
+}
+
+double DoubleFlagOrExit(const char* name, const std::string& value) {
+  const double parsed = ValueOrExit(name, ParseDouble(value));
+  // No bench knob means anything at nan or inf, and a nan floor would
+  // disable every gate compared against it.
+  if (!std::isfinite(parsed)) {
+    std::fprintf(stderr, "bad %s value: not a finite number: %s\n", name,
+                 value.c_str());
+    std::exit(2);
+  }
+  return parsed;
 }
 
 Result<DatasetProfile> ProfileByName(const std::string& name, double scale) {

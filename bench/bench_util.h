@@ -1,10 +1,13 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "datagen/dataset_profiles.h"
 #include "eval/experiment.h"
 
@@ -12,7 +15,7 @@ namespace gbda::bench {
 
 /// Command-line switches shared by every table/figure binary:
 ///   --full     paper-scale parameters (minutes to hours);
-///   --seed N   override the dataset seed.
+///   --seed N   override the dataset seed (a bad N exits 2).
 /// The default "quick" mode shrinks dataset sizes so the whole suite runs in
 /// a few minutes while preserving the comparative shapes.
 struct BenchFlags {
@@ -29,6 +32,31 @@ bool ParseFlagValue(const char* arg, const char* name, std::string* value);
 /// A 0|1|true|false flag value (common ParseBool); anything else prints the
 /// error and exits 2, so a mistyped switch never silently turns on.
 bool BoolFlagOrExit(const char* name, const std::string& value);
+
+/// Numeric flag values, parsed whole (common ParseUint / ParseInt /
+/// ParseDouble): an empty value, trailing text, a sign on an unsigned value,
+/// a value past `max` or a non-finite double prints the error naming the
+/// flag and exits 2, never a silent 0 or a truncation.
+uint64_t UintFlagOrExit(const char* name, const std::string& value,
+                        uint64_t max = UINT64_MAX);
+int64_t IntFlagOrExit(const char* name, const std::string& value);
+double DoubleFlagOrExit(const char* name, const std::string& value);
+
+/// A comma-separated list flag, each element parsed as a double or as an
+/// unsigned integer of type T by the helpers above, so one bad element
+/// exits 2 like a bad scalar.
+template <typename T>
+std::vector<T> ListFlagOrExit(const char* name, const std::string& csv) {
+  std::vector<T> out;
+  for (const std::string& item : Split(csv, ',', /*keep_empty=*/true)) {
+    if constexpr (std::is_floating_point_v<T>) {
+      out.push_back(DoubleFlagOrExit(name, item));
+    } else {
+      out.push_back(static_cast<T>(UintFlagOrExit(name, item)));
+    }
+  }
+  return out;
+}
 
 /// Table III profile by CLI name ("fingerprint" | "aids" | "grec" |
 /// "aasd") at the given scale; fails on unknown names.

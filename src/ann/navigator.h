@@ -65,7 +65,7 @@ class AnnContext {
 /// IS the exhaustive top-k (the repair pass guarantees full reachability).
 ///
 /// `ctx` must be a ranking context (apply_gamma == false) prepared against
-/// the same index/corpus the context's store was built from; `k >= 1`.
+/// the same index the context's store was built from; `k >= 1`.
 /// Fills candidates_visited (navigation), verified_count /
 /// pruned_by_bound (verification) and the deterministic
 /// candidates_evaluated / prefiltered_out counters over the visited set.

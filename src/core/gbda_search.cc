@@ -31,15 +31,21 @@ Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const CorpusRef& corpus,
                                 const IndexReader& index) {
-  if (options.tau_hat < 0 || options.tau_hat > index.tau_max()) {
-    return Status::InvalidArgument(
-        "tau_hat outside the range supported by this index");
-  }
   if (corpus.size() != index.num_graphs()) {
     return Status::FailedPrecondition(
         "index/database mismatch: index covers " +
         std::to_string(index.num_graphs()) + " graphs, corpus holds " +
         std::to_string(corpus.size()) + " (stale index artifact?)");
+  }
+  return PrepareScan(query, options, apply_gamma, index);
+}
+
+Result<ScanContext> PrepareScan(const Graph& query,
+                                const SearchOptions& options, bool apply_gamma,
+                                const IndexReader& index) {
+  if (options.tau_hat < 0 || options.tau_hat > index.tau_max()) {
+    return Status::InvalidArgument(
+        "tau_hat outside the range supported by this index");
   }
   // A tombstoned index would have its retired slots scanned as empty
   // multisets here (dynamic snapshots are dense CompactViews, so they pass).
@@ -119,21 +125,25 @@ Result<ScanContext> PrepareScan(const Graph& query,
     }
   }
   // Only the prefilter's Passes reads the profile: the bounds and the
-  // approximate navigation take the query side from query_fps.
-  if (options.use_prefilter) ctx.query_profile = BuildFilterProfile(query);
+  // approximate navigation take the query side from query_fps. It is read
+  // off the query's branches, as the corpus side is off the index's.
+  if (options.use_prefilter) {
+    ctx.query_profile = BuildFilterProfile(ctx.query_ref);
+  }
 
   // GBDA-V1 replaces the pair-specific |V'1| by a database average estimated
   // from alpha sampled graphs. Sampled once per query so every shard of the
-  // same query sees the same estimate.
+  // same query sees the same estimate. A graph's size is its branch count
+  // (ValidateIndexForDatabase pins branch count = |V|).
   if (options.variant == GbdaVariant::kAverageSize) {
     Rng rng(options.seed);
-    const size_t alpha =
-        std::max<size_t>(1, std::min(options.v1_sample_alpha, corpus.size()));
+    const size_t alpha = std::max<size_t>(
+        1, std::min(options.v1_sample_alpha, index.num_graphs()));
     const std::vector<size_t> picks =
-        rng.SampleWithoutReplacement(corpus.size(), alpha);
+        rng.SampleWithoutReplacement(index.num_graphs(), alpha);
     double sum = 0.0;
     for (size_t id : picks) {
-      sum += static_cast<double>(corpus.graph(id).num_vertices());
+      sum += static_cast<double>(index.branch_set(id).size());
     }
     ctx.v1_size = std::max<int64_t>(
         1, static_cast<int64_t>(std::llround(sum / static_cast<double>(alpha))));

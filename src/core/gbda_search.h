@@ -245,17 +245,25 @@ struct ScanContext {
   /// multisets themselves).
   bool fp_exact = false;
 
-  /// Built only when the prefilter is on: Prefilter::Passes is its one
-  /// reader (the bounds and the navigation read query_fps).
+  /// Built from query_ref only when the prefilter is on: Prefilter::Passes
+  /// is its one reader (the bounds and the navigation read query_fps).
   FilterProfile query_profile;
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
 };
 
-/// Validates options against the index and computes the per-query state.
+/// Validates options against the index and computes the per-query state
+/// from the query and the index alone: the query profile is read off
+/// query_ref and GBDA-V1 samples branch counts, so no corpus Graph is read.
 /// Deterministic in options.seed (the V1 sample). Fails when
-/// options.tau_hat exceeds the index's tau_max, and when the corpus and
-/// index disagree on the graph count (a stale index artifact would
-/// otherwise drive out-of-bounds branch lookups in ScanRange).
+/// options.tau_hat exceeds the index's tau_max, and when the index is
+/// tombstoned.
+Result<ScanContext> PrepareScan(const Graph& query,
+                                const SearchOptions& options, bool apply_gamma,
+                                const IndexReader& index);
+
+/// The same, after checking that `corpus` and the index agree on the graph
+/// count (a stale index artifact would otherwise drive out-of-bounds branch
+/// lookups in ScanRange). Reads only the corpus size.
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const CorpusRef& corpus,
@@ -367,6 +375,8 @@ class GbdaSearch {
   const GraphDatabase* db_;
   const IndexReader* index_;
   PosteriorEngine posterior_;
+  /// Profiled from the corpus Graphs, not from the index, so this serial
+  /// reference checks the serving snapshots' branch-derived profiles.
   /// Built on the first prefiltered query: profile extraction is O(corpus)
   /// and cold-start sensitive (bench/bench_coldstart.cc), so queries that
   /// never enable the prefilter never pay for it. call_once keeps

@@ -50,17 +50,44 @@ uint64_t BranchFingerprint(LabelId root,
 FilterProfile BuildFilterProfile(const Graph& g) {
   FilterProfile p;
   p.num_vertices = static_cast<int64_t>(g.num_vertices());
-  p.num_edges = static_cast<int64_t>(g.num_edges());
   p.vertex_labels.reserve(g.num_vertices());
   for (uint32_t v = 0; v < g.num_vertices(); ++v) {
     p.vertex_labels.push_back(g.VertexLabel(v));
   }
   std::sort(p.vertex_labels.begin(), p.vertex_labels.end());
   p.edge_labels.reserve(g.num_edges());
+  // Epsilon edges do not exist (Definition 2) and no branch holds them, so
+  // they are skipped to keep this derivation equal to the branch one.
   for (const Graph::EdgeTriple& e : g.SortedEdges()) {
-    p.edge_labels.push_back(e.label);
+    if (e.label != kVirtualLabel) p.edge_labels.push_back(e.label);
   }
   std::sort(p.edge_labels.begin(), p.edge_labels.end());
+  p.num_edges = static_cast<int64_t>(p.edge_labels.size());
+  return p;
+}
+
+FilterProfile BuildFilterProfile(const BranchSetRef& branches) {
+  FilterProfile p;
+  p.num_vertices = static_cast<int64_t>(branches.size());
+  p.vertex_labels.reserve(branches.size());
+  size_t num_endpoints = 0;
+  for (size_t i = 0; i < branches.size(); ++i) {
+    num_endpoints += branches.edge_labels(i).size();
+  }
+  std::vector<LabelId> endpoint_labels;  // each edge label once per endpoint
+  endpoint_labels.reserve(num_endpoints);
+  for (size_t i = 0; i < branches.size(); ++i) {
+    // A multiset is sorted by root first, so the roots arrive ascending.
+    p.vertex_labels.push_back(branches.root(i));
+    const Span<const LabelId> labels = branches.edge_labels(i);
+    endpoint_labels.insert(endpoint_labels.end(), labels.begin(), labels.end());
+  }
+  std::sort(endpoint_labels.begin(), endpoint_labels.end());
+  p.edge_labels.reserve(endpoint_labels.size() / 2);
+  for (size_t i = 0; i < endpoint_labels.size(); i += 2) {
+    p.edge_labels.push_back(endpoint_labels[i]);
+  }
+  p.num_edges = static_cast<int64_t>(p.edge_labels.size());
   return p;
 }
 
@@ -76,10 +103,17 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b) {
   return std::max({dv, de, labels});
 }
 
-Prefilter::Prefilter(const CorpusRef& corpus) {
-  profiles_.reserve(corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    profiles_.push_back(BuildFilterProfile(corpus.graph(i)));
+Prefilter::Prefilter(const GraphDatabase* db) {
+  profiles_.reserve(db->size());
+  for (size_t i = 0; i < db->size(); ++i) {
+    profiles_.push_back(BuildFilterProfile(db->graph(i)));
+  }
+}
+
+Prefilter::Prefilter(const IndexReader& index) {
+  profiles_.reserve(index.num_graphs());
+  for (size_t i = 0; i < index.num_graphs(); ++i) {
+    profiles_.push_back(BuildFilterProfile(index.branch_set(i)));
   }
 }
 

@@ -12,14 +12,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/index_reader.h"
 #include "graph/graph_database.h"
 
 namespace gbda {
 
 /// Cheap per-graph summary used by the layered prefilter: vertex/edge counts
-/// and sorted label multisets. All four are admissible GED lower bounds when
-/// differenced, so a candidate can be discarded without touching its branch
-/// multiset whenever any of them already exceeds tau.
+/// and sorted label multisets, virtual (epsilon) edges excluded. All four
+/// are admissible GED lower bounds when differenced, so a candidate can be
+/// discarded without touching its branch multiset whenever any of them
+/// already exceeds tau.
 struct FilterProfile {
   int64_t num_vertices = 0;
   int64_t num_edges = 0;
@@ -43,9 +45,17 @@ uint64_t BranchFingerprint(LabelId root, const LabelId* edge_labels,
                            size_t count);
 uint64_t BranchFingerprint(LabelId root, const std::vector<LabelId>& edge_labels);
 
-/// Vertex/edge counts and sorted label multisets of `g` — no branch
-/// extraction.
+/// Vertex/edge counts and sorted label multisets of `g`, skipping epsilon
+/// edges — no branch extraction.
 FilterProfile BuildFilterProfile(const Graph& g);
+
+/// The same profile read off a graph's sorted branch multiset: the roots
+/// are the vertex labels, and since graphs have no self-loops each
+/// (non-epsilon) edge label sits in exactly the two branches of its
+/// endpoints, so the edge-label multiset is every second element of the
+/// sorted union. Equals BuildFilterProfile(g) for `branches` =
+/// ExtractBranches(g).
+FilterProfile BuildFilterProfile(const BranchSetRef& branches);
 
 /// Admissible GED lower bound from two filter profiles:
 ///   max(|ΔV|, |ΔE|, vertex-label multiset distance + edge-label multiset
@@ -61,12 +71,12 @@ int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b);
 /// candidates.
 class Prefilter {
  public:
-  /// Precomputes profiles for every database graph.
-  explicit Prefilter(const GraphDatabase* db) : Prefilter(CorpusRef(db)) {}
+  /// Precomputes profiles for every database graph from its Graph.
+  explicit Prefilter(const GraphDatabase* db);
 
-  /// Precomputes profiles for every graph of `corpus` (position = dense
-  /// id), e.g. a dynamic snapshot's live graphs.
-  explicit Prefilter(const CorpusRef& corpus);
+  /// Precomputes profiles for every graph of `index` from its branch
+  /// multiset — the serving snapshots' construction, which reads no Graph.
+  explicit Prefilter(const IndexReader& index);
 
   /// Ids of database graphs whose lower bound does not exceed tau.
   std::vector<size_t> Candidates(const Graph& query, int64_t tau) const;

@@ -50,6 +50,7 @@ Status GraphDatabase::RemoveGraphs(const std::vector<size_t>& ids) {
   for (size_t id : ids) {
     alive_[id] = 0;
     --num_live_;
+    graphs_[id] = Graph();
   }
   return Status::OK();
 }

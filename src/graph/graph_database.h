@@ -38,12 +38,11 @@ struct DatabaseStats {
 /// addressed by dense stable ids: Add appends, RemoveGraphs tombstones in
 /// place, and an id never changes meaning over the database's lifetime.
 ///
-/// Storage is a deque so `graph(id)` references stay valid across Add —
-/// the dynamic serving layer (src/service/dynamic_service.h) publishes
-/// snapshots holding Graph pointers while the writer keeps appending.
-/// Tombstoned slots keep their payload until the database is destroyed
-/// (in-flight snapshots may still scan them); a compaction pass is future
-/// work, see docs/ARCHITECTURE.md "Dynamic corpus".
+/// Storage is a deque so `graph(id)` references to live graphs stay valid
+/// across Add. RemoveGraphs frees a removed graph's payload at once —
+/// serving snapshots read only the branch store, never a Graph (see
+/// docs/ARCHITECTURE.md "Dynamic corpus") — while the slot and its stable id
+/// stay: graph(id) of a removed id is an empty Graph.
 class GraphDatabase {
  public:
   GraphDatabase() = default;
@@ -52,8 +51,9 @@ class GraphDatabase {
   /// produced label ids from this database's dictionaries.
   size_t Add(Graph graph);
 
-  /// Tombstones the given ids. Fails without modifying anything when any id
-  /// is out of range, already removed, or duplicated in the call.
+  /// Tombstones the given ids and frees their graphs. Fails without
+  /// modifying anything when any id is out of range, already removed, or
+  /// duplicated in the call.
   Status RemoveGraphs(const std::vector<size_t>& ids);
 
   /// Total id slots, including tombstoned ones (ids are dense in [0, size)).
@@ -87,8 +87,8 @@ class GraphDatabase {
   /// stats.h.
   DatabaseStats Stats() const;
 
-  /// Estimated heap footprint of all stored graphs (tombstoned payloads
-  /// included — they are retained, see the class comment).
+  /// Estimated heap footprint of the stored graphs: the live payloads plus
+  /// one empty Graph per tombstoned slot (see the class comment).
   size_t MemoryBytes() const;
 
  private:
@@ -101,26 +101,18 @@ class GraphDatabase {
   LabelDict edge_labels_;
 };
 
-/// A dense read-only view of the corpus a scan runs over: either a whole
-/// GraphDatabase (the frozen offline world) or a snapshot's vector of live
-/// graph pointers (the dynamic world, where dense position i maps to the
-/// i-th live graph; see src/service/dynamic_service.h). Only size() and
-/// graph() are ever needed by the scan and the prefilter, so both worlds
-/// share one code path and stay bit-identical. The viewed storage must
-/// outlive the CorpusRef.
+/// The graph count of the corpus a frozen scan runs over, for the
+/// agreement check of PrepareScan's CorpusRef overload. The scan itself
+/// reads only the index, so no Graph is reachable through this view. The
+/// database must outlive the CorpusRef.
 class CorpusRef {
  public:
   CorpusRef(const GraphDatabase* db) : db_(db) {}
-  CorpusRef(const std::vector<const Graph*>* graphs) : graphs_(graphs) {}
 
-  size_t size() const { return db_ ? db_->size() : graphs_->size(); }
-  const Graph& graph(size_t i) const {
-    return db_ ? db_->graph(i) : *(*graphs_)[i];
-  }
+  size_t size() const { return db_->size(); }
 
  private:
-  const GraphDatabase* db_ = nullptr;
-  const std::vector<const Graph*>* graphs_ = nullptr;
+  const GraphDatabase* db_;
 };
 
 }  // namespace gbda

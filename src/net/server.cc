@@ -16,6 +16,12 @@ namespace gbda::net {
 
 namespace {
 
+using obs::AppendCounterFamily;
+
+/// The listen(2) backlog: pending connections the kernel queues before
+/// accept.
+constexpr int kListenBacklog = 64;
+
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -49,20 +55,6 @@ void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
   while (cur < value && !target->compare_exchange_weak(
                             cur, value, std::memory_order_relaxed)) {
   }
-}
-
-void AppendCounterFamily(const std::string& name, const std::string& help,
-                         const std::string& labels, uint64_t value,
-                         std::vector<obs::MetricFamily>* out) {
-  obs::MetricFamily family;
-  family.name = name;
-  family.help = help;
-  family.type = obs::MetricType::kCounter;
-  obs::MetricPoint point;
-  point.labels = labels;
-  point.value = static_cast<double>(value);
-  family.points.push_back(std::move(point));
-  out->push_back(std::move(family));
 }
 
 }  // namespace
@@ -117,7 +109,7 @@ Status GbdaServer::Listen() {
       0) {
     return Status::IOError(std::string("bind: ") + std::strerror(errno));
   }
-  if (::listen(listen_fd_, config_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     return Status::IOError(std::string("listen: ") + std::strerror(errno));
   }
   socklen_t len = sizeof(addr);
@@ -198,34 +190,34 @@ void GbdaServer::CollectMetrics(const std::string& labels,
                                 std::vector<obs::MetricFamily>* out) const {
   AppendCounterFamily("gbda_server_connections_opened_total",
                       "TCP connections accepted", labels,
-                      connections_opened_.Value(), out);
+                      static_cast<double>(connections_opened_.Value()), out);
   AppendCounterFamily("gbda_server_connections_closed_total",
                       "TCP connections closed", labels,
-                      connections_closed_.Value(), out);
+                      static_cast<double>(connections_closed_.Value()), out);
   AppendCounterFamily("gbda_server_frames_received_total",
                       "Well-framed protocol frames received", labels,
-                      frames_received_.Value(), out);
+                      static_cast<double>(frames_received_.Value()), out);
   AppendCounterFamily("gbda_server_decode_errors_total",
                       "Framing violations (connection closed)", labels,
-                      decode_errors_.Value(), out);
+                      static_cast<double>(decode_errors_.Value()), out);
   AppendCounterFamily("gbda_server_requests_accepted_total",
                       "Requests admitted to the execution queue", labels,
-                      requests_accepted_.Value(), out);
+                      static_cast<double>(requests_accepted_.Value()), out);
   AppendCounterFamily("gbda_server_rejected_overloaded_total",
                       "Requests rejected at the admission bound", labels,
-                      rejected_overloaded_.Value(), out);
+                      static_cast<double>(rejected_overloaded_.Value()), out);
   AppendCounterFamily("gbda_server_rejected_deadline_total",
                       "Requests expired in queue (kDeadlineExceeded)", labels,
-                      rejected_deadline_.Value(), out);
+                      static_cast<double>(rejected_deadline_.Value()), out);
   AppendCounterFamily("gbda_server_rejected_invalid_total",
                       "Malformed request payloads answered kInvalidRequest",
-                      labels, rejected_invalid_.Value(), out);
+                      labels, static_cast<double>(rejected_invalid_.Value()), out);
   AppendCounterFamily("gbda_server_responses_sent_total",
                       "Response frames queued for send", labels,
-                      responses_sent_.Value(), out);
+                      static_cast<double>(responses_sent_.Value()), out);
   AppendCounterFamily("gbda_server_batches_executed_total",
                       "Query micro-batches executed", labels,
-                      batches_executed_.Value(), out);
+                      static_cast<double>(batches_executed_.Value()), out);
   {
     obs::MetricFamily family;
     family.name = "gbda_server_queue_depth_peak";

@@ -62,7 +62,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  int listen_backlog = 64;
   /// Admission bound: requests queued for execution. At the bound new
   /// requests are rejected with WireStatus::kOverloaded (backpressure)
   /// rather than queued — queue delay past the bound would blow every

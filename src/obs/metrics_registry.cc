@@ -103,6 +103,15 @@ void RenderHistogramText(std::string* out, const std::string& name,
 
 }  // namespace
 
+void AppendCounterFamily(const std::string& name, const std::string& help,
+                         const std::string& labels, double value,
+                         std::vector<MetricFamily>* out) {
+  MetricPoint point;
+  point.labels = labels;
+  point.value = value;
+  out->push_back(MetricFamily{name, help, MetricType::kCounter, {std::move(point)}});
+}
+
 void Gauge::Set(double value) { bits_.store(DoubleBits(value), std::memory_order_relaxed); }
 
 void Gauge::Add(double delta) {

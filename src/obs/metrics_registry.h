@@ -85,6 +85,12 @@ struct MetricFamily {
   std::vector<MetricPoint> points;
 };
 
+/// Appends a one-point counter family — the shape every component
+/// collector (services, servers) emits for each of its counters.
+void AppendCounterFamily(const std::string& name, const std::string& help,
+                         const std::string& labels, double value,
+                         std::vector<MetricFamily>* out);
+
 /// Process-wide metrics registry. Get*() registers (or finds) an instrument
 /// keyed by (name, labels) and returns a pointer that stays valid for the
 /// registry's lifetime, so hot paths capture the pointer once and never touch

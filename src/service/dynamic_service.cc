@@ -104,8 +104,6 @@ void DynamicGbdaService::Republish(bool force_refit) {
   std::shared_ptr<Snapshot> snap = NewSnapshot(
       ++generation_, std::move(index), same_priors ? prev->engine : nullptr);
   snap->stable_ids = std::move(stable_ids);
-  snap->live_graphs.reserve(snap->stable_ids.size());
-  for (size_t id : snap->stable_ids) snap->live_graphs.push_back(&db_.graph(id));
 
   const double rebuild_seconds = rebuild_timer.Seconds();
   WallTimer swap_timer;

@@ -10,16 +10,18 @@
 /// class adds only the mutation side.
 ///
 /// Concurrency model — immutable snapshots, atomically swapped:
-///   - A snapshot bundles everything one query generation needs: the dense
-///     list of live graphs, a dense GbdaIndex view, the shard count and the
-///     PosteriorEngine every pool worker shares. Its prefilter and
-///     navigation context are built on first use. Once published it is
-///     never modified.
+///   - A snapshot bundles everything one query generation needs: the
+///     dense-to-stable id map, a dense GbdaIndex view, the shard count and
+///     the PosteriorEngine every pool worker shares. It holds no Graph: its
+///     prefilter is profiled from the view's branch store and, like its
+///     navigation context, built on first use. Once published it is never
+///     modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
 ///     mutex; each commit updates the master index incrementally (O(1)
 ///     branch-multiset work per touched graph), refits Lambda2 when the
 ///     staleness policy below fires, derives the next snapshot in O(live)
-///     pointer copies and swaps the published shared_ptr atomically.
+///     shared_ptr copies and swaps the published shared_ptr atomically.
+///     A removed graph is freed at its commit (GraphDatabase::RemoveGraphs).
 ///   - The engine carries over to the next snapshot while both prior
 ///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi
 ///     rows depend on Lambda2), but the GedPriorTable — and with it every
@@ -142,8 +144,9 @@ class DynamicGbdaService : public GbdaService {
   /// Zeroes both counter sets. Quiesce queries first (obs::Counter::Reset).
   void ResetStats() override;
 
-  /// The underlying database (stable-id space, including tombstoned slots).
-  /// Reading it concurrently with mutations requires external
+  /// The underlying database (stable-id space, including tombstoned slots,
+  /// whose graphs are freed at removal and read back empty). Queries never
+  /// read it. Reading it concurrently with mutations requires external
   /// synchronization; prefer the query API on the serving path. The
   /// analysis opt-out is that documented contract made visible: this
   /// accessor deliberately hands out write_mutex_-guarded state unlocked.
@@ -166,9 +169,8 @@ class DynamicGbdaService : public GbdaService {
   const double gbd_refit_fraction_;
 
   mutable Mutex write_mutex_;  // serializes mutations + publication
-  /// Stable-id space; deque storage keeps refs valid. Queries never touch
-  /// these — they pin a published snapshot instead — so write_mutex_ is a
-  /// writer-writer lock only.
+  /// Stable-id space. Queries never touch these — they pin a published
+  /// snapshot instead — so write_mutex_ is a writer-writer lock only.
   GraphDatabase db_ GBDA_GUARDED_BY(write_mutex_);
   GbdaIndex master_ GBDA_GUARDED_BY(write_mutex_);
   uint64_t generation_ GBDA_GUARDED_BY(write_mutex_) = 0;

@@ -17,15 +17,6 @@ uint64_t SecondsToNanos(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(seconds * 1e9));
 }
 
-void AppendCounterFamily(std::vector<obs::MetricFamily>* out, const std::string& name,
-                         const std::string& help, const std::string& labels,
-                         double value) {
-  obs::MetricPoint point;
-  point.labels = labels;
-  point.value = value;
-  out->push_back(obs::MetricFamily{name, help, obs::MetricType::kCounter, {std::move(point)}});
-}
-
 /// Folds one call's results into the sharded counters (safe from any
 /// thread, no locking). `wall_seconds` is the top-level call's wall time.
 void AccumulateServiceStats(const std::vector<SearchResult>& results,
@@ -79,33 +70,35 @@ void ServiceCounters::Reset() {
 
 void ServiceCounters::Collect(const std::string& labels,
                               std::vector<obs::MetricFamily>* out) const {
-  AppendCounterFamily(out, "gbda_service_queries_total", "Queries served", labels,
-                      static_cast<double>(queries_served.Value()));
-  AppendCounterFamily(out, "gbda_service_batches_total", "Batch calls served", labels,
-                      static_cast<double>(batches_served.Value()));
-  AppendCounterFamily(out, "gbda_service_candidates_evaluated_total",
-                      "Candidates scored by the posterior", labels,
-                      static_cast<double>(candidates_evaluated.Value()));
-  AppendCounterFamily(out, "gbda_service_prefiltered_out_total",
-                      "Candidates rejected by the layered prefilter", labels,
-                      static_cast<double>(prefiltered_out.Value()));
-  AppendCounterFamily(out, "gbda_service_pruned_by_bound_total",
-                      "Posterior evaluations skipped by bound pruning",
-                      labels, static_cast<double>(pruned_by_bound.Value()));
-  AppendCounterFamily(out, "gbda_service_candidates_visited_total",
-                      "Nodes visited by the approximate navigator", labels,
-                      static_cast<double>(candidates_visited.Value()));
-  AppendCounterFamily(out, "gbda_service_verified_total",
-                      "Approximate candidates paying full verification", labels,
-                      static_cast<double>(verified_count.Value()));
-  AppendCounterFamily(out, "gbda_service_matches_returned_total", "Matches returned",
-                      labels, static_cast<double>(matches_returned.Value()));
-  AppendCounterFamily(out, "gbda_service_latency_seconds_total",
-                      "Sum of per-query latencies", labels,
-                      static_cast<double>(latency_nanos.Value()) * 1e-9);
-  AppendCounterFamily(out, "gbda_service_wall_seconds_total",
-                      "Sum of top-level call wall times", labels,
-                      static_cast<double>(wall_nanos.Value()) * 1e-9);
+  const auto counter = [&labels, out](const char* name, const char* help,
+                                      double value) {
+    obs::AppendCounterFamily(name, help, labels, value, out);
+  };
+  counter("gbda_service_queries_total", "Queries served",
+          static_cast<double>(queries_served.Value()));
+  counter("gbda_service_batches_total", "Batch calls served",
+          static_cast<double>(batches_served.Value()));
+  counter("gbda_service_candidates_evaluated_total",
+          "Candidates scored by the posterior",
+          static_cast<double>(candidates_evaluated.Value()));
+  counter("gbda_service_prefiltered_out_total",
+          "Candidates rejected by the layered prefilter",
+          static_cast<double>(prefiltered_out.Value()));
+  counter("gbda_service_pruned_by_bound_total",
+          "Posterior evaluations skipped by bound pruning",
+          static_cast<double>(pruned_by_bound.Value()));
+  counter("gbda_service_candidates_visited_total",
+          "Nodes visited by the approximate navigator",
+          static_cast<double>(candidates_visited.Value()));
+  counter("gbda_service_verified_total",
+          "Approximate candidates paying full verification",
+          static_cast<double>(verified_count.Value()));
+  counter("gbda_service_matches_returned_total", "Matches returned",
+          static_cast<double>(matches_returned.Value()));
+  counter("gbda_service_latency_seconds_total", "Sum of per-query latencies",
+          static_cast<double>(latency_nanos.Value()) * 1e-9);
+  counter("gbda_service_wall_seconds_total", "Sum of top-level call wall times",
+          static_cast<double>(wall_nanos.Value()) * 1e-9);
   obs::MetricPoint scan_point;
   scan_point.labels = labels;
   scan_point.histogram = scan_latency_micros.Snapshot();
@@ -122,7 +115,7 @@ void ServiceCounters::Collect(const std::string& labels,
 
 const Prefilter* GbdaService::Snapshot::EnsurePrefilter() const {
   std::call_once(prefilter_once, [this] {
-    prefilter = std::make_unique<const Prefilter>(corpus());
+    prefilter = std::make_unique<const Prefilter>(*index);
   });
   return prefilter.get();
 }
@@ -280,7 +273,7 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
   } else {
     // Retired db slots would otherwise still be scanned (their index
     // entries are intact); PrepareScan catches the tombstoned-index
-    // direction. Dynamic generations hold only live graphs.
+    // direction. A dynamic generation's dense view covers only live slots.
     if (snap->db != nullptr && snap->db->has_tombstones()) {
       return Status::FailedPrecondition(
           "database is tombstoned: the frozen scan cannot serve a mutated "
@@ -355,8 +348,13 @@ Result<std::vector<SearchResult>> GbdaService::FanOut(
   std::vector<std::unique_ptr<QueryJob>> jobs;
   jobs.reserve(num_queries);
   for (size_t qi = 0; qi < num_queries; ++qi) {
-    Result<ScanContext> ctx = PrepareScan(queries[qi], options, apply_gamma,
-                                          snap.corpus(), *snap.index);
+    // A frozen snapshot's borrowed db must still cover the index (the raw
+    // constructor defers that check to here); a query reads only the index.
+    Result<ScanContext> ctx =
+        snap.db != nullptr
+            ? PrepareScan(queries[qi], options, apply_gamma, CorpusRef(snap.db),
+                          *snap.index)
+            : PrepareScan(queries[qi], options, apply_gamma, *snap.index);
     if (!ctx.ok()) return ctx.status();
     auto job = std::make_unique<QueryJob>();
     job->ctx = std::move(*ctx);

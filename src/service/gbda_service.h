@@ -273,27 +273,24 @@ class GbdaService {
     /// Dense position -> stable id, ascending; empty means the identity
     /// (frozen serving).
     std::vector<size_t> stable_ids;
-    /// The corpus: the borrowed database (frozen serving) or, when null,
-    /// the live graphs in dense order (deque-stable pointers into a
-    /// dynamic service's database).
+    /// A frozen service's borrowed database, read only by the query-time
+    /// fail-closed checks (tombstones, graph count); null for a dynamic
+    /// generation. Queries read no Graph of it.
     const GraphDatabase* db = nullptr;
-    std::vector<const Graph*> live_graphs;
     /// The generation's branch store through the IndexReader scan
-    /// contract; non-owning for a borrowed reader.
+    /// contract — all a query reads; non-owning for a borrowed reader.
     std::shared_ptr<const IndexReader> index;
     size_t num_shards = 1;
     /// Shared by every pool worker, and by consecutive dynamic generations
     /// while both priors are unchanged (its Phi rows stay warm).
     std::shared_ptr<PosteriorEngine> engine;
 
-    CorpusRef corpus() const {
-      return db != nullptr ? CorpusRef(db) : CorpusRef(&live_graphs);
-    }
-    /// The layered prefilter over this generation's corpus, built on the
-    /// first batch with SearchOptions::use_prefilter — its only reader is
-    /// admission. Profile extraction is O(corpus) and cold-start sensitive
-    /// (a mapped v3 artifact opens in microseconds; an eager prefilter
-    /// would put a corpus-sized pass right back into startup).
+    /// The layered prefilter over this generation's index, profiled from
+    /// its branch store on the first batch with SearchOptions::use_prefilter
+    /// — its only reader is admission. Profile extraction is O(corpus) and
+    /// cold-start sensitive (a mapped v3 artifact opens in microseconds; an
+    /// eager prefilter would put a corpus-sized pass right back into
+    /// startup).
     const Prefilter* EnsurePrefilter() const;
     /// Builds (`graph` null) or adopts this generation's navigation context
     /// at most once; false when it was already initialised. The outcome is
@@ -316,7 +313,7 @@ class GbdaService {
 
   /// A generation over `index` with this service's shard count and
   /// `engine`, or a fresh engine over the index's priors when null. The
-  /// caller fills in the corpus and the stable ids, then publishes it.
+  /// caller fills in the frozen db or the stable ids, then publishes it.
   std::shared_ptr<Snapshot> NewSnapshot(
       uint64_t generation, std::shared_ptr<const IndexReader> index,
       std::shared_ptr<PosteriorEngine> engine) const;

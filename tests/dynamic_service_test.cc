@@ -459,6 +459,44 @@ TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
   EXPECT_EQ(grown->mutable_ged_prior()->num_cached_columns(), 0u);
 }
 
+TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
+  // 200 commits each add one graph and retire the oldest, so the live
+  // corpus keeps its size. A removed graph is freed at its commit: only its
+  // slot (an empty Graph under the retired stable id) and a liveness byte
+  // may stay, where retained payloads would double the database.
+  DynamicServiceOptions options;
+  options.service.num_threads = 2;
+  options.gbd_refit_fraction = 1.0;  // refits are not under test here
+  Result<std::unique_ptr<DynamicGbdaService>> created =
+      DynamicGbdaService::Create(InitialDb(dataset_->db.size()),
+                                 IndexOptions(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicGbdaService& dyn = **created;
+  const size_t live = dyn.num_live();
+  const size_t initial_bytes = dyn.db().MemoryBytes();
+  constexpr size_t kCommits = 200;
+  for (size_t step = 0; step < kCommits; ++step) {
+    ASSERT_TRUE(dyn.AddGraph(dataset_->db.graph(step % live)).ok());
+    ASSERT_TRUE(dyn.RemoveGraphs({step}).ok());
+  }
+  EXPECT_EQ(dyn.num_live(), live);
+  for (size_t id = 0; id < kCommits; ++id) {
+    EXPECT_EQ(dyn.db().graph(id).num_vertices(), 0u) << "retired id " << id;
+  }
+  // The last `live` adds cycle through every dataset graph once, so the
+  // live payload equals the initial one.
+  EXPECT_LE(dyn.db().MemoryBytes(),
+            initial_bytes + kCommits * Graph().MemoryBytes() +
+                2 * dyn.db().size());
+  // The churned corpus still serves, in stable ids past every retired one.
+  SearchOptions opts;
+  opts.tau_hat = 3;
+  Result<SearchResult> top = dyn.QueryTopK(dataset_->queries[0], 5, opts);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->matches.size(), 5u);
+  for (const SearchMatch& m : top->matches) EXPECT_GE(m.graph_id, kCommits);
+}
+
 TEST_F(DynamicServiceTest, ConcurrentQueriesAndMutationsStayConsistent) {
   const GbdaIndexOptions index_options = IndexOptions();
   DynamicServiceOptions options;

@@ -119,8 +119,8 @@ TEST(GraphDatabaseTest, RemoveGraphsValidatesAndIsAtomic) {
 }
 
 TEST(GraphDatabaseTest, GraphReferencesSurviveAppends) {
-  // The dynamic serving layer publishes snapshots holding Graph pointers
-  // while the writer appends; deque storage must keep them valid.
+  // graph(id) references to live graphs stay valid across Add (deque
+  // storage), so a caller may hold one while the corpus keeps growing.
   GraphDatabase db;
   Rng rng(21);
   GeneratorOptions opts;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/astar_ged.h"
 #include "common/rng.h"
@@ -10,6 +13,10 @@
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/generators.h"
+#include "service/dynamic_service.h"
+#include "service/gbda_service.h"
+#include "storage/index_arena.h"
+#include "storage/index_view.h"
 #include "test_util.h"
 
 namespace gbda {
@@ -67,6 +74,132 @@ TEST_P(FilterBoundSweep, NeverExceedsExactGed) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FilterBoundSweep,
                          ::testing::Values(201, 202, 203, 204, 205, 206));
+
+void ExpectSameProfile(const FilterProfile& a, const FilterProfile& b,
+                       const std::string& label) {
+  EXPECT_EQ(a.num_vertices, b.num_vertices) << label;
+  EXPECT_EQ(a.num_edges, b.num_edges) << label;
+  EXPECT_EQ(a.vertex_labels, b.vertex_labels) << label;
+  EXPECT_EQ(a.edge_labels, b.edge_labels) << label;
+}
+
+FilterProfile BranchProfile(const Graph& g) {
+  const BranchMultiset branches = ExtractBranches(g);
+  return BuildFilterProfile(BranchSetRef(branches));
+}
+
+GbdaIndexOptions SmallIndexOptions() {
+  GbdaIndexOptions options;
+  options.tau_max = 10;
+  options.gbd_prior.num_sample_pairs = 500;
+  return options;
+}
+
+TEST(BranchFilterProfileTest, EqualsGraphProfileOnEveryDatasetProfile) {
+  // The serving path profiles candidates from the branch store alone
+  // (Prefilter(const IndexReader&)) and queries from their branches
+  // (PrepareScan), and GBDA-V1 reads sizes as branch counts; the serial
+  // reference profiles Graphs. The two derivations must agree everywhere,
+  // through the owned index and through a mapped v3 view of it.
+  const std::vector<std::pair<std::string, DatasetProfile>> profiles = {
+      {"aids", AidsProfile(0.03)},
+      {"fingerprint", FingerprintProfile(0.03)},
+      {"grec", GrecProfile(0.04)},
+      {"aasd", AasdProfile(0.01)},
+      {"syn1", SynProfile(/*scale_free=*/true, {100, 200}, 10, 2)}};
+  for (const auto& [name, profile] : profiles) {
+    Result<GeneratedDataset> ds = GenerateDataset(profile);
+    ASSERT_TRUE(ds.ok()) << name << ": " << ds.status().ToString();
+    Result<GbdaIndex> index = GbdaIndex::Build(ds->db, SmallIndexOptions());
+    ASSERT_TRUE(index.ok()) << name << ": " << index.status().ToString();
+    const std::string path =
+        ::testing::TempDir() + "/branch_profile_" + name + ".v3";
+    ASSERT_TRUE(WriteArenaFile(*index, path).ok()) << name;
+    Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+    ASSERT_TRUE(view.ok()) << name << ": " << view.status().ToString();
+    const std::vector<std::pair<std::string, const IndexReader*>> readers = {
+        {name + " owned", &*index}, {name + " mapped", &*view}};
+    for (const auto& [label, reader] : readers) {
+      ASSERT_EQ(reader->num_graphs(), ds->db.size()) << label;
+      for (size_t id = 0; id < ds->db.size(); ++id) {
+        const Graph& g = ds->db.graph(id);
+        const BranchSetRef branches = reader->branch_set(id);
+        ASSERT_EQ(branches.size(), g.num_vertices())
+            << label << " graph " << id;
+        ExpectSameProfile(BuildFilterProfile(branches), BuildFilterProfile(g),
+                          label + " graph " + std::to_string(id));
+      }
+    }
+    for (size_t q = 0; q < ds->queries.size(); ++q) {
+      ExpectSameProfile(BranchProfile(ds->queries[q]),
+                        BuildFilterProfile(ds->queries[q]),
+                        name + " query " + std::to_string(q));
+    }
+  }
+}
+
+TEST(BranchFilterProfileTest, EpsilonEdgesAreInvisibleOnEveryPath) {
+  // Epsilon edges (kVirtualLabel) do not exist (Definition 2): no branch
+  // holds one, so neither profile may count one. A corpus graph equal to a
+  // query plus one epsilon edge has GBD 0 to it and must survive the
+  // prefilter at tau_hat = 0 on the serial scan and every serving path.
+  DatasetProfile profile = AidsProfile(0.03);
+  profile.seed = 77;
+  Result<GeneratedDataset> ds = GenerateDataset(profile);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const Graph& query = ds->queries[0];
+  Graph with_epsilon = query;
+  bool added = false;
+  for (uint32_t u = 0; u < query.num_vertices() && !added; ++u) {
+    for (uint32_t v = u + 1; v < query.num_vertices() && !added; ++v) {
+      added = !query.HasEdge(u, v) &&
+              with_epsilon.AddEdge(u, v, kVirtualLabel).ok();
+    }
+  }
+  ASSERT_TRUE(added) << "query 0 is a complete graph";
+  ExpectSameProfile(BranchProfile(with_epsilon),
+                    BuildFilterProfile(with_epsilon), "graph derivations");
+  ExpectSameProfile(BuildFilterProfile(with_epsilon),
+                    BuildFilterProfile(query), "epsilon edge");
+  ASSERT_EQ(Gbd(query, with_epsilon), 0u);
+
+  GraphDatabase db = ds->db;
+  const size_t target = db.Add(with_epsilon);
+  Result<GbdaIndex> index = GbdaIndex::Build(db, SmallIndexOptions());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::string path = ::testing::TempDir() + "/epsilon_edge.v3";
+  ASSERT_TRUE(WriteArenaFile(*index, path).ok());
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  SearchOptions opts;
+  opts.tau_hat = 0;
+  opts.gamma = 0.0;  // every admitted candidate is a match
+  opts.use_prefilter = true;
+  GbdaSearch search(&db, &*index);
+  GbdaService owned(&db, &*index, ServiceOptions{2, 2, {}});
+  GbdaService mapped(&db, &*view, ServiceOptions{2, 2, {}});
+  DynamicServiceOptions dynamic_options;
+  dynamic_options.service = ServiceOptions{2, 2, {}};
+  Result<std::unique_ptr<DynamicGbdaService>> dynamic =
+      DynamicGbdaService::Create(db, SmallIndexOptions(), dynamic_options);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
+
+  const std::vector<std::pair<std::string, Result<SearchResult>>> results = {
+      {"serial", search.Query(query, opts)},
+      {"owned service", owned.Query(query, opts)},
+      {"mapped service", mapped.Query(query, opts)},
+      {"dynamic snapshot", (*dynamic)->Query(query, opts)}};
+  for (const auto& [label, result] : results) {
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    std::set<size_t> admitted;
+    for (const SearchMatch& m : result->matches) admitted.insert(m.graph_id);
+    EXPECT_TRUE(admitted.count(target)) << label;
+    EXPECT_EQ(result->prefiltered_out, results[0].second->prefiltered_out)
+        << label;
+    EXPECT_GT(result->prefiltered_out, 0u) << label;
+  }
+}
 
 class PrefilterFixture : public ::testing::Test {
  protected:
