@@ -40,6 +40,7 @@ using bench::DoubleFlagOrExit;
 using bench::IntFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::ScaleFlagOrExit;
 using bench::UintFlagOrExit;
 
 namespace {
@@ -64,7 +65,7 @@ Flags Parse(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = DoubleFlagOrExit("--scale", v);
+      flags.scale = ScaleFlagOrExit(v);
     } else if (ParseFlagValue(argv[i], "--iters", &v)) {
       flags.iters = UintFlagOrExit("--iters", v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +36,7 @@ using bench::DoubleFlagOrExit;
 using bench::IntFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::ScaleFlagOrExit;
 using bench::UintFlagOrExit;
 
 namespace {
@@ -80,7 +82,7 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = DoubleFlagOrExit("--scale", v);
+      flags.scale = ScaleFlagOrExit(v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {
       flags.tau_hat = IntFlagOrExit("--tau", v);
     } else if (ParseFlagValue(argv[i], "--gamma", &v)) {
@@ -108,17 +110,20 @@ Flags ParseFlags(int argc, char** argv) {
 // Final-state equivalence gate: results of the dynamic service over its
 // published snapshot must be bit-identical (match set, ordering, counters)
 // to a fresh Build + GbdaService over a database holding exactly the live
-// graphs, mapped through stable ids.
+// graphs, mapped through stable ids. The service keeps no Graph, so
+// `source` maps each stable id to the dataset graph it was given.
 bool FinalCorpusMatchesFreshBuild(DynamicGbdaService& dyn,
+                                  const GraphDatabase& dataset_db,
+                                  const std::map<size_t, size_t>& source,
                                   const GbdaIndexOptions& index_options,
                                   const ServiceOptions& service_options,
                                   const std::vector<Graph>& queries,
                                   const SearchOptions& search_options) {
-  const std::vector<size_t> live_ids = dyn.db().LiveIds();
+  const std::vector<size_t> live_ids = dyn.live_ids();
   GraphDatabase ref_db;
-  ref_db.vertex_labels() = dyn.db().vertex_labels();
-  ref_db.edge_labels() = dyn.db().edge_labels();
-  for (size_t id : live_ids) ref_db.Add(dyn.db().graph(id));
+  ref_db.vertex_labels() = dyn.vertex_labels();
+  ref_db.edge_labels() = dyn.edge_labels();
+  for (size_t id : live_ids) ref_db.Add(dataset_db.graph(source.at(id)));
   Result<GbdaIndex> index = GbdaIndex::Build(ref_db, index_options);
   if (!index.ok()) {
     std::fprintf(stderr, "gate: %s\n", index.status().ToString().c_str());
@@ -235,13 +240,17 @@ int main(int argc, char** argv) {
 
   // Writer: alternate add-batch and remove commits. After the arrival pool
   // drains, re-add copies of retired graphs so the mix keeps churning until
-  // both the commit quota and the readers are done.
+  // both the commit quota and the readers are done. `source` records the
+  // dataset graph behind every stable id for the equivalence gate; Create
+  // gave the initial graphs ids 0..initial-1.
+  std::map<size_t, size_t> source;
+  for (size_t i = 0; i < initial; ++i) source[i] = i;
   Rng write_rng(readers.size() + 99);
   size_t next_arrival = initial;
   size_t commits = 0;
   int write_errors = 0;
   while (commits < flags.mutations || !readers_done_flag.load()) {
-    const std::vector<size_t> live = service.db().LiveIds();
+    const std::vector<size_t> live = service.live_ids();
     const bool remove = live.size() > initial / 2 && commits % 3 == 2;
     if (remove) {
       const size_t pick = live[static_cast<size_t>(write_rng.UniformInt(
@@ -249,14 +258,21 @@ int main(int argc, char** argv) {
       if (!service.RemoveGraphs({pick}).ok()) ++write_errors;
     } else {
       std::vector<Graph> batch;
+      std::vector<size_t> srcs;
       for (size_t i = 0; i < flags.write_batch; ++i) {
         const size_t src = next_arrival < total
                                ? next_arrival++
                                : static_cast<size_t>(write_rng.UniformInt(
                                      0, static_cast<int64_t>(total) - 1));
         batch.push_back(dataset->db.graph(src));
+        srcs.push_back(src);
       }
-      if (!service.AddGraphs(std::move(batch)).ok()) ++write_errors;
+      Result<std::vector<size_t>> ids = service.AddGraphs(std::move(batch));
+      if (ids.ok()) {
+        for (size_t i = 0; i < ids->size(); ++i) source[(*ids)[i]] = srcs[i];
+      } else {
+        ++write_errors;
+      }
     }
     ++commits;
   }
@@ -280,8 +296,8 @@ int main(int argc, char** argv) {
   if (flags.refit_fraction <= 0.0) {
     gate_ran = true;
     equivalence_ok = FinalCorpusMatchesFreshBuild(
-        service, index_options, options.service, dataset->queries,
-        search_options);
+        service, dataset->db, source, index_options, options.service,
+        dataset->queries, search_options);
     if (!equivalence_ok) {
       std::fprintf(stderr,
                    "EQUIVALENCE FAILURE: dynamic corpus diverges from a "

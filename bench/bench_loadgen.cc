@@ -61,6 +61,7 @@ using bench::IntFlagOrExit;
 using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::ScaleFlagOrExit;
 using bench::UintFlagOrExit;
 
 namespace {
@@ -92,7 +93,7 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = DoubleFlagOrExit("--scale", v);
+      flags.scale = ScaleFlagOrExit(v);
     } else if (ParseFlagValue(argv[i], "--connections", &v)) {
       flags.connections = UintFlagOrExit("--connections", v);
     } else if (ParseFlagValue(argv[i], "--rates", &v)) {

@@ -41,6 +41,7 @@ using bench::IntFlagOrExit;
 using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::ScaleFlagOrExit;
 using bench::UintFlagOrExit;
 
 namespace {
@@ -68,7 +69,7 @@ Flags ParseFlags(int argc, char** argv) {
     if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = DoubleFlagOrExit("--scale", v);
+      flags.scale = ScaleFlagOrExit(v);
     } else if (ParseFlagValue(argv[i], "--queries", &v)) {
       flags.num_queries = UintFlagOrExit("--queries", v);
     } else if (ParseFlagValue(argv[i], "--k", &v)) {

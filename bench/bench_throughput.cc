@@ -44,6 +44,7 @@ using bench::IntFlagOrExit;
 using bench::ListFlagOrExit;
 using bench::ParseFlagValue;
 using bench::ProfileByName;
+using bench::ScaleFlagOrExit;
 using bench::UintFlagOrExit;
 
 namespace {
@@ -119,7 +120,7 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (ParseFlagValue(argv[i], "--profile", &v)) {
       flags.profile = v;
     } else if (ParseFlagValue(argv[i], "--scale", &v)) {
-      flags.scale = DoubleFlagOrExit("--scale", v);
+      flags.scale = ScaleFlagOrExit(v);
     } else if (ParseFlagValue(argv[i], "--shards", &v)) {
       flags.shards = UintFlagOrExit("--shards", v);
     } else if (ParseFlagValue(argv[i], "--tau", &v)) {

@@ -73,6 +73,16 @@ double DoubleFlagOrExit(const char* name, const std::string& value) {
   return parsed;
 }
 
+double ScaleFlagOrExit(const std::string& value) {
+  const double scale = DoubleFlagOrExit("--scale", value);
+  if (scale <= 0.0) {
+    std::fprintf(stderr, "bad --scale value: must be > 0: %s\n",
+                 value.c_str());
+    std::exit(2);
+  }
+  return scale;
+}
+
 Result<DatasetProfile> ProfileByName(const std::string& name, double scale) {
   if (name == "fingerprint") return FingerprintProfile(scale);
   if (name == "aids") return AidsProfile(scale);

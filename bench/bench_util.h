@@ -41,6 +41,10 @@ uint64_t UintFlagOrExit(const char* name, const std::string& value,
                         uint64_t max = UINT64_MAX);
 int64_t IntFlagOrExit(const char* name, const std::string& value);
 double DoubleFlagOrExit(const char* name, const std::string& value);
+/// The --scale value of a dataset profile: DoubleFlagOrExit, and also > 0.
+/// A scale of zero or below would size the corpus from a wrapped or empty
+/// graph count, so it exits 2 as well.
+double ScaleFlagOrExit(const std::string& value);
 
 /// A comma-separated list flag, each element parsed as a double or as an
 /// unsigned integer of type T by the helpers above, so one bad element

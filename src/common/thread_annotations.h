@@ -14,9 +14,8 @@
 ///     std::mutex, so the capability is visible to the analysis.
 ///   - Private helpers that assume the lock is already held are annotated
 ///     GBDA_REQUIRES(mu) instead of re-locking.
-///   - The rare deliberate escape (e.g. an accessor documented to need
-///     external synchronization, or a move constructor whose source must
-///     be quiescent) is marked GBDA_NO_THREAD_SAFETY_ANALYSIS with a
+///   - The rare deliberate escape (e.g. a move constructor whose source
+///     must be quiescent) is marked GBDA_NO_THREAD_SAFETY_ANALYSIS with a
 ///     comment justifying it — grep for the macro to audit every escape.
 
 #pragma once

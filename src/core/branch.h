@@ -51,7 +51,7 @@ using BranchMultiset = std::vector<Branch>;
 /// ref.
 class BranchSetRef {
  public:
-  /// Empty multiset (e.g. a tombstoned slot).
+  /// Empty multiset (e.g. ScanContext::query_ref before PrepareScan sets it).
   BranchSetRef() = default;
   /// View over an owned multiset.
   explicit BranchSetRef(const BranchMultiset& owned)

@@ -1,5 +1,6 @@
 #include "core/gbda_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -32,11 +33,6 @@ size_t BranchMultisetBytes(const BranchMultiset& ms) {
 Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
                                    const GbdaIndexOptions& options) {
   if (db.empty()) return Status::InvalidArgument("index build: empty database");
-  if (db.has_tombstones()) {
-    return Status::InvalidArgument(
-        "index build: database has tombstones; Build covers the frozen "
-        "offline stage — serve a mutable corpus through DynamicGbdaService");
-  }
   if (options.tau_max < 0) {
     return Status::InvalidArgument("index build: tau_max must be >= 0");
   }
@@ -59,7 +55,6 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
         std::make_shared<const BranchMultiset>(ExtractBranches(db.graph(i))));
     index.vertex_sum_ += static_cast<double>(db.graph(i).num_vertices());
   }
-  index.num_live_ = db.size();
   index.costs_.branch_seconds = timer.Seconds();
   for (const auto& b : index.branches_) {
     index.costs_.branch_bytes += BranchMultisetBytes(*b);
@@ -112,37 +107,43 @@ size_t GbdaIndex::AddGraph(const Graph& g) {
       std::make_shared<const BranchMultiset>(ExtractBranches(g)));
   costs_.branch_bytes += BranchMultisetBytes(*branches_.back());
   vertex_sum_ += static_cast<double>(g.num_vertices());
-  ++num_live_;
   ++gbd_staleness_;
   column_cache_ = std::make_shared<ColumnCache>();
   return branches_.size() - 1;
 }
 
-Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& ids) {
-  Status valid = ValidateRemovalBatch(
-      ids, branches_.size(),
-      [this](size_t id) { return branches_[id] != nullptr; },
-      "index RemoveGraphs");
-  if (!valid.ok()) return valid;
-  for (size_t id : ids) {
-    vertex_sum_ -= static_cast<double>(branches_[id]->size());
-    costs_.branch_bytes -= BranchMultisetBytes(*branches_[id]);
-    branches_[id] = nullptr;
-    --num_live_;
-    ++gbd_staleness_;
+Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
+  std::vector<size_t> sorted = positions;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] >= branches_.size()) {
+      return Status::InvalidArgument(
+          "index RemoveGraphs: position out of range: " +
+          std::to_string(sorted[i]));
+    }
+    if (i > 0 && sorted[i - 1] == sorted[i]) {
+      return Status::InvalidArgument("index RemoveGraphs: repeated position: " +
+                                     std::to_string(sorted[i]));
+    }
   }
+  for (size_t p : sorted) {
+    vertex_sum_ -= static_cast<double>(branches_[p]->size());
+    costs_.branch_bytes -= BranchMultisetBytes(*branches_[p]);
+    branches_[p] = nullptr;
+  }
+  branches_.erase(std::remove(branches_.begin(), branches_.end(), nullptr),
+                  branches_.end());
+  gbd_staleness_ += sorted.size();
   column_cache_ = std::make_shared<ColumnCache>();
   return Status::OK();
 }
 
 Status GbdaIndex::RefitGbdPrior() {
-  std::vector<const BranchMultiset*> live;
-  live.reserve(num_live_);
-  for (const auto& b : branches_) {
-    if (b) live.push_back(b.get());
-  }
+  std::vector<const BranchMultiset*> graphs;
+  graphs.reserve(branches_.size());
+  for (const auto& b : branches_) graphs.push_back(b.get());
   Rng rng(options_.seed);
-  Result<GbdPrior> prior = GbdPrior::Fit(live, options_.gbd_prior, &rng);
+  Result<GbdPrior> prior = GbdPrior::Fit(graphs, options_.gbd_prior, &rng);
   if (!prior.ok()) return prior.status();
   gbd_prior_ = std::make_shared<const GbdPrior>(std::move(*prior));
   gbd_staleness_ = 0;
@@ -164,30 +165,6 @@ void GbdaIndex::RefreshModelLabels(int64_t num_vertex_labels,
   ged_prior_ = std::make_shared<GedPriorTable>(num_vertex_labels_,
                                                num_edge_labels_,
                                                options_.tau_max);
-}
-
-GbdaIndex GbdaIndex::CompactView(std::vector<size_t>* live_ids_out) const {
-  GbdaIndex dense;
-  dense.options_ = options_;
-  dense.num_vertex_labels_ = num_vertex_labels_;
-  dense.num_edge_labels_ = num_edge_labels_;
-  dense.vertex_sum_ = vertex_sum_;
-  dense.num_live_ = num_live_;
-  dense.gbd_staleness_ = gbd_staleness_;
-  dense.gbd_prior_ = gbd_prior_;
-  dense.ged_prior_ = ged_prior_;
-  dense.costs_ = costs_;
-  dense.branches_.reserve(num_live_);
-  if (live_ids_out) {
-    live_ids_out->clear();
-    live_ids_out->reserve(num_live_);
-  }
-  for (size_t id = 0; id < branches_.size(); ++id) {
-    if (!branches_[id]) continue;
-    dense.branches_.push_back(branches_[id]);
-    if (live_ids_out) live_ids_out->push_back(id);
-  }
-  return dense;
 }
 
 Status ValidatePersistedIndexHeader(const GbdaIndexOptions& options,
@@ -229,15 +206,6 @@ Status ValidateIndexForDatabase(const GraphDatabase& db,
         std::to_string(index.num_graphs()) + " graphs, database holds " +
         std::to_string(db.size()) +
         " (stale index artifact? rebuild or reload the matching generation)");
-  }
-  // The frozen consumers behind this check (GbdaSearch, GbdaService) scan
-  // every slot; a tombstoned pair — even a mutually consistent one — would
-  // evaluate retired slots as empty multisets and could return removed
-  // graphs as matches. Mutable corpora go through DynamicGbdaService.
-  if (db.has_tombstones() || index.num_live() != index.num_graphs()) {
-    return Status::FailedPrecondition(
-        "index/database pair is tombstoned: frozen-world consumers cannot "
-        "serve a mutated corpus — use DynamicGbdaService");
   }
   for (size_t id = 0; id < db.size(); ++id) {
     if (index.branch_set(id).size() != db.graph(id).num_vertices()) {

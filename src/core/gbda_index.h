@@ -11,14 +11,14 @@
 ///
 /// Beyond the paper's frozen-database stage, the index supports incremental
 /// maintenance for a corpus that changes under live traffic
-/// (docs/ARCHITECTURE.md, "Dynamic corpus"): AddGraph / RemoveGraphs update
-/// the per-graph branch multisets in O(1) per graph, the GED prior extends
-/// lazily to unseen sizes as it always has, and the GMM prior Lambda2
-/// tracks a staleness counter so a caller can re-fit it (RefitGbdPrior)
-/// once drift exceeds its policy threshold. Artifacts are held through
-/// shared_ptr, so CompactView can derive an immutable dense index over the
-/// live graphs in O(live) pointer copies — the snapshot primitive of
-/// DynamicGbdaService.
+/// (docs/ARCHITECTURE.md, "Dynamic corpus"): AddGraph appends one branch
+/// multiset, RemoveGraphs erases positions and keeps the order of the rest,
+/// the GED prior extends lazily to unseen sizes as it always has, and the
+/// GMM prior Lambda2 tracks a staleness counter so a caller can re-fit it
+/// (RefitGbdPrior) once drift exceeds its policy threshold. The index is
+/// always dense. Artifacts are held through shared_ptr, so a copy shares
+/// them in O(graphs) pointer copies — the snapshot primitive of
+/// DynamicGbdaService, which alone maps positions to stable ids.
 
 #pragma once
 
@@ -70,9 +70,6 @@ struct OfflineCosts {
   size_t pairs_sampled = 0;
 };
 
-/// The branch multiset of a tombstoned slot (see GbdaIndex::RemoveGraphs).
-inline const BranchMultiset kEmptyBranchMultiset{};
-
 /// The offline artifact of GBDA: precomputed branch multisets for every
 /// database graph (Section III requires them stored with the graphs), the
 /// GMM prior of GBDs (Lambda2) and the Jeffreys prior of GEDs (Lambda3).
@@ -85,27 +82,26 @@ inline const BranchMultiset kEmptyBranchMultiset{};
 /// the zero-copy GbdaIndexView (storage/index_view.h) is the other.
 class GbdaIndex : public IndexReader {
  public:
-  /// Runs the offline stage over `db`. The database must not contain
-  /// tombstones (use the dynamic serving layer for mutable corpora) and must
-  /// stay alive while the index is in use.
+  /// Runs the offline stage over `db`. The index copies what it needs, so
+  /// it borrows nothing from `db`.
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
 
   const BranchMultiset& branches(size_t graph_id) const {
-    return branches_[graph_id] ? *branches_[graph_id] : kEmptyBranchMultiset;
+    return *branches_[graph_id];
   }
   size_t num_graphs() const override { return branches_.size(); }
 
   BranchSetRef branch_set(size_t graph_id) const override {
-    return branches_[graph_id] ? BranchSetRef(*branches_[graph_id])
-                               : BranchSetRef();
+    return BranchSetRef(*branches_[graph_id]);
   }
 
   /// The SoA candidate columns, materialised lazily from the branch
   /// multisets on first use (BuildCandidateColumns) and cached. Safe for
   /// concurrent readers; AddGraph / RemoveGraphs swap in a fresh cache, so
-  /// shallow copies taken earlier (CompactView snapshots, shard replicas)
-  /// keep reading the cache that matches THEIR branch data.
+  /// shallow copies taken earlier (snapshots, shard replicas) keep reading
+  /// the cache that matches THEIR branch data, and copies of an unchanged
+  /// index share one cache.
   CandidateColumns columns() const override;
 
   const GbdPrior& gbd_prior() const override { return *gbd_prior_; }
@@ -119,11 +115,12 @@ class GbdaIndex : public IndexReader {
   int64_t num_vertex_labels() const override { return num_vertex_labels_; }
   int64_t num_edge_labels() const override { return num_edge_labels_; }
 
-  /// Mean vertex count over live database graphs (used by the GBDA-V1
+  /// Mean vertex count over the indexed graphs (used by the GBDA-V1
   /// variant).
   double avg_vertices() const override {
-    return num_live_ == 0 ? 0.0
-                          : vertex_sum_ / static_cast<double>(num_live_);
+    return branches_.empty()
+               ? 0.0
+               : vertex_sum_ / static_cast<double>(branches_.size());
   }
 
   const OfflineCosts& costs() const { return costs_; }
@@ -131,50 +128,38 @@ class GbdaIndex : public IndexReader {
 
   // -- Incremental maintenance (docs/ARCHITECTURE.md, "Dynamic corpus") ----
 
-  /// Appends the branch multiset of `g` (its id becomes num_graphs() - 1).
-  /// O(|g| log |g|) — only the new graph is touched. Lambda2 is NOT refit;
-  /// the staleness counter advances instead.
+  /// Appends the branch multiset of `g` (its position becomes
+  /// num_graphs() - 1). O(|g| log |g|) — only the new graph is touched.
+  /// Lambda2 is NOT refit; the staleness counter advances instead.
   size_t AddGraph(const Graph& g);
 
-  /// Tombstones the given slots: their multisets are dropped and they no
-  /// longer contribute to avg_vertices or Lambda2 refits. Fails without
-  /// modifying anything when an id is out of range or already removed.
-  Status RemoveGraphs(const std::vector<size_t>& ids);
-
-  /// True when `id` holds a live (non-tombstoned) branch multiset.
-  bool is_live(size_t id) const {
-    return id < branches_.size() && branches_[id] != nullptr;
-  }
-  size_t num_live() const override { return num_live_; }
+  /// Erases the graphs at the given positions; the remaining graphs keep
+  /// their relative order, so later positions shift down. Fails
+  /// (InvalidArgument) without modifying anything when a position is out of
+  /// range or repeated. Lambda2 is NOT refit; the staleness counter
+  /// advances by the number of graphs erased.
+  Status RemoveGraphs(const std::vector<size_t>& positions);
 
   /// Mutations (adds + removes) since Lambda2 was last fit.
   size_t gbd_staleness() const override { return gbd_staleness_; }
-  /// Staleness relative to the live corpus size — the drift measure of the
+  /// Staleness relative to the corpus size — the drift measure of the
   /// refit policy (DynamicServiceOptions::gbd_refit_fraction).
   double GbdStalenessFraction() const {
-    return num_live_ == 0 ? 0.0
-                          : static_cast<double>(gbd_staleness_) /
-                                static_cast<double>(num_live_);
+    return branches_.empty() ? 0.0
+                             : static_cast<double>(gbd_staleness_) /
+                                   static_cast<double>(branches_.size());
   }
 
-  /// Re-fits Lambda2 over the live branch multisets with this index's seed
-  /// and sampling options — the exact arithmetic Build would run over a
-  /// fresh database holding the live graphs in id order, so a refit index
-  /// is bit-identical to a from-scratch rebuild. Needs >= 2 live graphs.
+  /// Re-fits Lambda2 over the branch multisets with this index's seed and
+  /// sampling options — the exact arithmetic Build would run over a fresh
+  /// database holding these graphs in this order, so a refit index is
+  /// bit-identical to a from-scratch rebuild. Needs >= 2 graphs.
   Status RefitGbdPrior();
 
   /// Updates the model label-universe sizes |L_V| / |L_E| (Eq. 33), e.g.
   /// after new graphs introduced unseen labels. On change the GED prior
   /// table is replaced (rows rebuild lazily under the new universe).
   void RefreshModelLabels(int64_t num_vertex_labels, int64_t num_edge_labels);
-
-  /// Derives the dense immutable index over the live slots, sharing every
-  /// artifact (branch multisets, both priors) with this index — O(live)
-  /// shared_ptr copies. `live_ids_out`, when non-null, receives the
-  /// dense-position -> stable-id mapping. The view equals what Build would
-  /// produce over a database holding exactly the live graphs in id order,
-  /// assuming Lambda2 is fresh (gbd_staleness() == 0).
-  GbdaIndex CompactView(std::vector<size_t>* live_ids_out) const;
 
  private:
   GbdaIndex() = default;
@@ -196,12 +181,10 @@ class GbdaIndex : public IndexReader {
   GbdaIndexOptions options_;
   int64_t num_vertex_labels_ = 1;
   int64_t num_edge_labels_ = 1;
-  /// Exact sum of vertex counts over live graphs (integer-valued doubles, so
+  /// Exact sum of vertex counts over the graphs (integer-valued doubles, so
   /// incremental +/- stays bit-identical to a fresh summation).
   double vertex_sum_ = 0.0;
-  size_t num_live_ = 0;
   size_t gbd_staleness_ = 0;
-  /// nullptr marks a tombstoned slot.
   std::vector<std::shared_ptr<const BranchMultiset>> branches_;
   std::shared_ptr<const GbdPrior> gbd_prior_;
   std::shared_ptr<GedPriorTable> ged_prior_;

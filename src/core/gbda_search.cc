@@ -47,13 +47,6 @@ Result<ScanContext> PrepareScan(const Graph& query,
     return Status::InvalidArgument(
         "tau_hat outside the range supported by this index");
   }
-  // A tombstoned index would have its retired slots scanned as empty
-  // multisets here (dynamic snapshots are dense CompactViews, so they pass).
-  if (index.num_live() != index.num_graphs()) {
-    return Status::FailedPrecondition(
-        "index is tombstoned: the frozen scan cannot serve a mutated "
-        "corpus — use DynamicGbdaService");
-  }
   ScanContext ctx;
   ctx.options = options;
   ctx.apply_gamma = apply_gamma;
@@ -600,13 +593,6 @@ Result<SearchResult> GbdaSearch::Scan(const Graph& query,
                                       const SearchOptions& options,
                                       bool apply_gamma, size_t top_k) {
   WallTimer timer;
-  // Retired db slots would otherwise still be scanned (their index entries
-  // are intact); PrepareScan catches the tombstoned-index direction.
-  if (db_->has_tombstones()) {
-    return Status::FailedPrecondition(
-        "database is tombstoned: the frozen scan cannot serve a mutated "
-        "corpus — use DynamicGbdaService");
-  }
   Result<ScanContext> ctx =
       PrepareScan(query, options, apply_gamma, CorpusRef(db_), *index_);
   if (!ctx.ok()) return ctx.status();

@@ -255,8 +255,7 @@ struct ScanContext {
 /// from the query and the index alone: the query profile is read off
 /// query_ref and GBDA-V1 samples branch counts, so no corpus Graph is read.
 /// Deterministic in options.seed (the V1 sample). Fails when
-/// options.tau_hat exceeds the index's tau_max, and when the index is
-/// tombstoned.
+/// options.tau_hat exceeds the index's tau_max.
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const IndexReader& index);

@@ -88,17 +88,14 @@ class IndexReader {
  public:
   virtual ~IndexReader() = default;
 
-  /// Total id slots (dense scan range is [0, num_graphs())).
+  /// Indexed graphs (dense scan range is [0, num_graphs())).
   virtual size_t num_graphs() const = 0;
-  /// Live (non-tombstoned) slots; frozen consumers require
-  /// num_live() == num_graphs().
-  virtual size_t num_live() const = 0;
   /// Mutations absorbed since Lambda2 was last fit (always 0 for persisted
   /// artifacts: the arena writer refuses to encode a drifted prior).
   virtual size_t gbd_staleness() const = 0;
 
-  /// The branch multiset of graph `id` as a non-owning view; empty for a
-  /// tombstoned slot. Valid while the index outlives the ref.
+  /// The branch multiset of graph `id` as a non-owning view. Valid while
+  /// the index outlives the ref.
   virtual BranchSetRef branch_set(size_t id) const = 0;
 
   /// The SoA candidate columns of this backing (see CandidateColumns).
@@ -114,7 +111,7 @@ class IndexReader {
   virtual int64_t tau_max() const = 0;
   virtual int64_t num_vertex_labels() const = 0;
   virtual int64_t num_edge_labels() const = 0;
-  /// Mean vertex count over live graphs (the GBDA-V1 size estimate's
+  /// Mean vertex count over the graphs (the GBDA-V1 size estimate's
   /// database-level analogue; persisted in the arena header).
   virtual double avg_vertices() const = 0;
 

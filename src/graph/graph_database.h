@@ -1,9 +1,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "graph/graph.h"
@@ -11,17 +8,7 @@
 
 namespace gbda {
 
-/// Shared validation for tombstone-removal batches (GraphDatabase and the
-/// incremental GbdaIndex apply the same contract): every id must be in
-/// [0, size), currently live per `is_live`, and unique within the batch.
-/// Returns the first violation; callers mutate only after an OK, so a
-/// failed removal is always a no-op.
-Status ValidateRemovalBatch(const std::vector<size_t>& ids, size_t size,
-                            const std::function<bool(size_t)>& is_live,
-                            const std::string& context);
-
 /// Summary statistics of a database, matching the columns of Table III.
-/// Tombstoned (removed) graphs are excluded.
 struct DatabaseStats {
   size_t num_graphs = 0;
   size_t max_vertices = 0;   // V_m
@@ -35,41 +22,21 @@ struct DatabaseStats {
 
 /// A graph collection with shared vertex/edge label dictionaries — the
 /// database D of the similarity-search problem statement. Graphs are
-/// addressed by dense stable ids: Add appends, RemoveGraphs tombstones in
-/// place, and an id never changes meaning over the database's lifetime.
+/// append-only and addressed by dense ids in [0, size()). Retiring graphs
+/// is the dynamic serving layer's business (service/dynamic_service.h),
+/// which keeps no GraphDatabase once it has indexed the initial corpus.
 ///
-/// Storage is a deque so `graph(id)` references to live graphs stay valid
-/// across Add. RemoveGraphs frees a removed graph's payload at once —
-/// serving snapshots read only the branch store, never a Graph (see
-/// docs/ARCHITECTURE.md "Dynamic corpus") — while the slot and its stable id
-/// stay: graph(id) of a removed id is an empty Graph.
+/// Storage is a deque so `graph(id)` references stay valid across Add.
 class GraphDatabase {
  public:
   GraphDatabase() = default;
 
-  /// Appends a graph and returns its stable id. The caller must have
-  /// produced label ids from this database's dictionaries.
+  /// Appends a graph and returns its id. The caller must have produced
+  /// label ids from this database's dictionaries.
   size_t Add(Graph graph);
 
-  /// Tombstones the given ids and frees their graphs. Fails without
-  /// modifying anything when any id is out of range, already removed, or
-  /// duplicated in the call.
-  Status RemoveGraphs(const std::vector<size_t>& ids);
-
-  /// Total id slots, including tombstoned ones (ids are dense in [0, size)).
   size_t size() const { return graphs_.size(); }
   bool empty() const { return graphs_.empty(); }
-
-  /// True when `id` has not been removed. Out-of-range ids are not alive.
-  bool is_live(size_t id) const {
-    return id < graphs_.size() && (alive_.empty() || alive_[id]);
-  }
-  /// Number of live (non-tombstoned) graphs.
-  size_t num_live() const { return alive_.empty() ? graphs_.size() : num_live_; }
-  bool has_tombstones() const { return num_live() != graphs_.size(); }
-  /// Live ids in ascending order — the dense enumeration a compacted
-  /// rebuild of this database would use.
-  std::vector<size_t> LiveIds() const;
 
   const Graph& graph(size_t id) const { return graphs_[id]; }
 
@@ -78,25 +45,18 @@ class GraphDatabase {
   const LabelDict& vertex_labels() const { return vertex_labels_; }
   const LabelDict& edge_labels() const { return edge_labels_; }
 
-  /// Maximum vertex count across live graphs — the n of the complexity
-  /// analyses.
+  /// Maximum vertex count across graphs — the n of the complexity analyses.
   size_t MaxVertices() const;
 
-  /// Table III style statistics over live graphs. The scale-free flag
-  /// aggregates per-graph degree histograms and runs the power-law test of
-  /// stats.h.
+  /// Table III style statistics. The scale-free flag aggregates per-graph
+  /// degree histograms and runs the power-law test of stats.h.
   DatabaseStats Stats() const;
 
-  /// Estimated heap footprint of the stored graphs: the live payloads plus
-  /// one empty Graph per tombstoned slot (see the class comment).
+  /// Estimated heap footprint of all stored graphs.
   size_t MemoryBytes() const;
 
  private:
   std::deque<Graph> graphs_;
-  /// Liveness per id; empty means "everything alive" (the frozen-database
-  /// fast path — no removal ever happened).
-  std::vector<uint8_t> alive_;
-  size_t num_live_ = 0;
   LabelDict vertex_labels_;
   LabelDict edge_labels_;
 };

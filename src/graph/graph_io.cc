@@ -15,13 +15,6 @@ Status ParseError(size_t line_no, const std::string& detail) {
       StrFormat("transaction format, line %zu: %s", line_no, detail.c_str()));
 }
 
-Status RefuseTombstones(const GraphDatabase& db) {
-  if (!db.has_tombstones()) return Status::OK();
-  return Status::FailedPrecondition(
-      "transaction format: the database has removed graphs, which the "
-      "format cannot mark — write the live graphs from a fresh database");
-}
-
 }  // namespace
 
 Result<GraphDatabase> ReadTransactionStream(std::istream& in) {
@@ -80,7 +73,6 @@ Result<GraphDatabase> ReadTransactionFile(const std::string& path) {
 }
 
 Status WriteTransactionStream(const GraphDatabase& db, std::ostream& out) {
-  GBDA_RETURN_IF_ERROR(RefuseTombstones(db));
   for (size_t id = 0; id < db.size(); ++id) {
     const Graph& g = db.graph(id);
     out << "t # " << id << "\n";
@@ -100,8 +92,6 @@ Status WriteTransactionStream(const GraphDatabase& db, std::ostream& out) {
 }
 
 Status WriteTransactionFile(const GraphDatabase& db, const std::string& path) {
-  // Before opening: the ofstream would truncate an existing file.
-  GBDA_RETURN_IF_ERROR(RefuseTombstones(db));
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
   return WriteTransactionStream(db, out);

@@ -26,13 +26,10 @@ Result<GraphDatabase> ReadTransactionStream(std::istream& in);
 /// Parses a database from a file path.
 Result<GraphDatabase> ReadTransactionFile(const std::string& path);
 
-/// Writes all graphs of `db` in transaction format. Fails
-/// (FailedPrecondition) on a tombstoned database: the format has no
-/// tombstones, so removed slots would read back as live graphs.
+/// Writes all graphs of `db` in transaction format.
 Status WriteTransactionStream(const GraphDatabase& db, std::ostream& out);
 
-/// Fails like WriteTransactionStream on a tombstoned database, leaving an
-/// existing file at `path` untouched.
+/// Writes all graphs of `db` to a file path.
 Status WriteTransactionFile(const GraphDatabase& db, const std::string& path);
 
 }  // namespace gbda

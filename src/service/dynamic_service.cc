@@ -1,6 +1,8 @@
 #include "service/dynamic_service.h"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 #include <utility>
 
 #include "common/timer.h"
@@ -10,33 +12,33 @@ namespace gbda {
 Result<std::unique_ptr<DynamicGbdaService>> DynamicGbdaService::Create(
     GraphDatabase db, const GbdaIndexOptions& index_options,
     const DynamicServiceOptions& options) {
-  if (db.has_tombstones()) {
-    return Status::InvalidArgument(
-        "dynamic service: the initial database must be tombstone-free");
-  }
   Result<GbdaIndex> master = GbdaIndex::Build(db, index_options);
   if (!master.ok()) return master.status();
-  // Build copies everything it needs out of `db`, so moving it afterwards
-  // is safe; from here on the service owns the only mutable handle.
   return std::unique_ptr<DynamicGbdaService>(new DynamicGbdaService(
-      std::move(db), std::move(*master), index_options, options));
+      std::move(db.vertex_labels()), std::move(db.edge_labels()),
+      std::move(*master), index_options, options));
 }
 
-DynamicGbdaService::DynamicGbdaService(GraphDatabase db, GbdaIndex master,
+DynamicGbdaService::DynamicGbdaService(LabelDict vertex_labels,
+                                       LabelDict edge_labels, GbdaIndex master,
                                        const GbdaIndexOptions& index_options,
                                        const DynamicServiceOptions& options)
     : GbdaService(options.service),
       index_options_(index_options),
       gbd_refit_fraction_(options.gbd_refit_fraction),
-      db_(std::move(db)),
+      vertex_labels_(std::move(vertex_labels)),
+      edge_labels_(std::move(edge_labels)),
       master_(std::move(master)) {
   MutexLock lock(&write_mutex_);
+  stable_ids_.resize(master_.num_graphs());
+  std::iota(stable_ids_.begin(), stable_ids_.end(), size_t{0});
+  next_id_ = stable_ids_.size();
   Republish();
 }
 
 Status DynamicGbdaService::ValidateLabels(const Graph& g) const {
-  const size_t num_vertex_ids = db_.vertex_labels().size();
-  const size_t num_edge_ids = db_.edge_labels().size();
+  const size_t num_vertex_ids = vertex_labels_.size();
+  const size_t num_edge_ids = edge_labels_.size();
   for (uint32_t v = 0; v < g.num_vertices(); ++v) {
     if (g.VertexLabel(v) >= num_vertex_ids) {
       return Status::InvalidArgument(
@@ -63,11 +65,11 @@ void DynamicGbdaService::Republish(bool force_refit) {
   const int64_t lv =
       index_options_.model_vertex_labels > 0
           ? index_options_.model_vertex_labels
-          : static_cast<int64_t>(db_.vertex_labels().num_real_labels());
+          : static_cast<int64_t>(vertex_labels_.num_real_labels());
   const int64_t le =
       index_options_.model_edge_labels > 0
           ? index_options_.model_edge_labels
-          : static_cast<int64_t>(db_.edge_labels().num_real_labels());
+          : static_cast<int64_t>(edge_labels_.num_real_labels());
   master_.RefreshModelLabels(lv, le);
 
   // Lambda2 staleness policy (see DynamicServiceOptions). A refit that
@@ -80,7 +82,7 @@ void DynamicGbdaService::Republish(bool force_refit) {
   if (master_.gbd_staleness() > 0 &&
       (force_refit || gbd_refit_fraction_ <= 0.0 ||
        master_.GbdStalenessFraction() > gbd_refit_fraction_)) {
-    if (master_.num_live() >= 2) {
+    if (master_.num_graphs() >= 2) {
       Status refit = master_.RefitGbdPrior();
       refit_done = refit.ok();
       refit_failed = !refit.ok();
@@ -89,8 +91,9 @@ void DynamicGbdaService::Republish(bool force_refit) {
     }
   }
 
-  std::vector<size_t> stable_ids;
-  auto index = std::make_shared<GbdaIndex>(master_.CompactView(&stable_ids));
+  // A copy shares every artifact with the master: O(live) shared_ptr
+  // copies, and the master's column cache until its branches next change.
+  auto index = std::make_shared<GbdaIndex>(master_);
   // The engine's Phi rows depend only on the two priors, so when neither
   // prior object changed the previous generation's warm engine carries
   // over; otherwise NewSnapshot builds a fresh one against the new prior
@@ -103,7 +106,7 @@ void DynamicGbdaService::Republish(bool force_refit) {
       prev->index->mutable_ged_prior() == index->mutable_ged_prior();
   std::shared_ptr<Snapshot> snap = NewSnapshot(
       ++generation_, std::move(index), same_priors ? prev->engine : nullptr);
-  snap->stable_ids = std::move(stable_ids);
+  snap->stable_ids = stable_ids_;
 
   const double rebuild_seconds = rebuild_timer.Seconds();
   WallTimer swap_timer;
@@ -154,10 +157,10 @@ Result<std::vector<size_t>> DynamicGbdaService::AddGraphs(
   }
   std::vector<size_t> ids;
   ids.reserve(graphs.size());
-  for (Graph& g : graphs) {
-    const size_t id = db_.Add(std::move(g));
-    master_.AddGraph(db_.graph(id));
-    ids.push_back(id);
+  for (const Graph& g : graphs) {
+    master_.AddGraph(g);
+    stable_ids_.push_back(next_id_);
+    ids.push_back(next_id_++);
   }
   {
     MutexLock stats_lock(&stats_mutex_);
@@ -175,10 +178,35 @@ Status DynamicGbdaService::RemoveGraphs(const std::vector<size_t>& ids,
     return Status::OK();
   }
   MutexLock lock(&write_mutex_);
-  Status removed = db_.RemoveGraphs(ids);
-  if (!removed.ok()) return removed;  // validated up front: no-op on failure
-  Status index_removed = master_.RemoveGraphs(ids);
-  if (!index_removed.ok()) return index_removed;  // unreachable: db agreed
+  // Validated in ascending id order before anything mutates, so a failed
+  // removal is a no-op and the smallest offending id decides the code.
+  std::vector<size_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<size_t> positions;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const size_t id = sorted[i];
+    if (id >= next_id_) {
+      return Status::InvalidArgument("RemoveGraphs: id out of range: " +
+                                     std::to_string(id));
+    }
+    const auto it =
+        std::lower_bound(stable_ids_.begin(), stable_ids_.end(), id);
+    if (it == stable_ids_.end() || *it != id) {
+      return Status::NotFound("RemoveGraphs: graph already removed: " +
+                              std::to_string(id));
+    }
+    if (i > 0 && sorted[i - 1] == id) {
+      return Status::InvalidArgument("RemoveGraphs: duplicate id: " +
+                                     std::to_string(id));
+    }
+    positions.push_back(static_cast<size_t>(it - stable_ids_.begin()));
+  }
+  GBDA_RETURN_IF_ERROR(master_.RemoveGraphs(positions));
+  std::vector<size_t> kept;
+  kept.reserve(stable_ids_.size() - sorted.size());
+  std::set_difference(stable_ids_.begin(), stable_ids_.end(), sorted.begin(),
+                      sorted.end(), std::back_inserter(kept));
+  stable_ids_ = std::move(kept);
   {
     MutexLock stats_lock(&stats_mutex_);
     dynamic_stats_.graphs_removed += ids.size();
@@ -190,12 +218,12 @@ Status DynamicGbdaService::RemoveGraphs(const std::vector<size_t>& ids,
 
 LabelId DynamicGbdaService::InternVertexLabel(const std::string& name) {
   MutexLock lock(&write_mutex_);
-  return db_.vertex_labels().Intern(name);
+  return vertex_labels_.Intern(name);
 }
 
 LabelId DynamicGbdaService::InternEdgeLabel(const std::string& name) {
   MutexLock lock(&write_mutex_);
-  return db_.edge_labels().Intern(name);
+  return edge_labels_.Intern(name);
 }
 
 Status DynamicGbdaService::Flush(SnapshotInfo* published) {
@@ -219,6 +247,20 @@ std::shared_ptr<const IndexReader> DynamicGbdaService::snapshot_index() const {
 
 SnapshotInfo DynamicGbdaService::snapshot_info() const {
   return Describe(*LoadSnapshot());
+}
+
+std::vector<size_t> DynamicGbdaService::live_ids() const {
+  return LoadSnapshot()->stable_ids;
+}
+
+LabelDict DynamicGbdaService::vertex_labels() const {
+  MutexLock lock(&write_mutex_);
+  return vertex_labels_;
+}
+
+LabelDict DynamicGbdaService::edge_labels() const {
+  MutexLock lock(&write_mutex_);
+  return edge_labels_;
 }
 
 DynamicServiceStats DynamicGbdaService::dynamic_stats() const {

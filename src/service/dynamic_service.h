@@ -9,19 +9,22 @@
 /// the base class's, run against whichever snapshot is published; this
 /// class adds only the mutation side.
 ///
+/// Only this class knows that graphs retire. It keeps no Graph: the corpus
+/// is a dense master GbdaIndex, its ascending position -> stable id map,
+/// the next stable id and the two label dictionaries.
+///
 /// Concurrency model — immutable snapshots, atomically swapped:
-///   - A snapshot bundles everything one query generation needs: the
-///     dense-to-stable id map, a dense GbdaIndex view, the shard count and
-///     the PosteriorEngine every pool worker shares. It holds no Graph: its
-///     prefilter is profiled from the view's branch store and, like its
-///     navigation context, built on first use. Once published it is never
-///     modified.
+///   - A snapshot bundles everything one query generation needs: a copy of
+///     the id map, a copy of the master index, the shard count and the
+///     PosteriorEngine every pool worker shares. Its prefilter is profiled
+///     from the index's branch store and, like its navigation context,
+///     built on first use. Once published it is never modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
 ///     mutex; each commit updates the master index incrementally (O(1)
-///     branch-multiset work per touched graph), refits Lambda2 when the
-///     staleness policy below fires, derives the next snapshot in O(live)
-///     shared_ptr copies and swaps the published shared_ptr atomically.
-///     A removed graph is freed at its commit (GraphDatabase::RemoveGraphs).
+///     branch-multiset work per added graph), refits Lambda2 when the
+///     staleness policy below fires, copies the master into the next
+///     snapshot in O(live) shared_ptr copies and swaps the published
+///     shared_ptr atomically.
 ///   - The engine carries over to the next snapshot while both prior
 ///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi
 ///     rows depend on Lambda2), but the GedPriorTable — and with it every
@@ -52,6 +55,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/gbda_index.h"
+#include "graph/label_dict.h"
 #include "service/gbda_service.h"
 
 namespace gbda {
@@ -92,8 +96,9 @@ struct DynamicServiceStats {
 /// the graph's lifetime regardless of later mutations.
 class DynamicGbdaService : public GbdaService {
  public:
-  /// Takes ownership of the initial database (no tombstones; at least the
-  /// two graphs GbdaIndex::Build needs) and publishes generation 1.
+  /// Indexes the initial database (at least the two graphs
+  /// GbdaIndex::Build needs) under stable ids 0..size-1, keeps its label
+  /// dictionaries but none of its graphs, and publishes generation 1.
   static Result<std::unique_ptr<DynamicGbdaService>> Create(
       GraphDatabase db, const GbdaIndexOptions& index_options,
       const DynamicServiceOptions& options = DynamicServiceOptions());
@@ -111,8 +116,9 @@ class DynamicGbdaService : public GbdaService {
   /// Adds a batch under one commit — one snapshot swap for the whole batch.
   Result<std::vector<size_t>> AddGraphs(std::vector<Graph> graphs,
                                         SnapshotInfo* published = nullptr);
-  /// Retires graphs by stable id. Fails as a no-op when any id is unknown,
-  /// already removed, or duplicated.
+  /// Retires graphs by stable id. Fails as a no-op when any id was never
+  /// assigned or is duplicated (InvalidArgument) or was already removed
+  /// (NotFound); the smallest offending id decides.
   Status RemoveGraphs(const std::vector<size_t>& ids,
                       SnapshotInfo* published = nullptr);
   /// Interns a label for use by later AddGraph calls. The enlarged label
@@ -134,6 +140,13 @@ class DynamicGbdaService : public GbdaService {
   SnapshotInfo snapshot_info() const;
   /// Live graph count of the published generation.
   size_t num_live() const { return snapshot_info().num_live; }
+  /// The published generation's stable ids, ascending (atomic read, no
+  /// locking): position i of snapshot_index() holds stable id
+  /// live_ids()[i].
+  std::vector<size_t> live_ids() const;
+  /// Copies of the corpus label dictionaries, taken under the write lock.
+  LabelDict vertex_labels() const;
+  LabelDict edge_labels() const;
   /// The published generation's index, kept alive by the returned pointer
   /// (atomic read, no locking): which prior objects a generation serves
   /// with, and what its shared GedPriorTable has cached.
@@ -144,19 +157,9 @@ class DynamicGbdaService : public GbdaService {
   /// Zeroes both counter sets. Quiesce queries first (obs::Counter::Reset).
   void ResetStats() override;
 
-  /// The underlying database (stable-id space, including tombstoned slots,
-  /// whose graphs are freed at removal and read back empty). Queries never
-  /// read it. Reading it concurrently with mutations requires external
-  /// synchronization; prefer the query API on the serving path. The
-  /// analysis opt-out is that documented contract made visible: this
-  /// accessor deliberately hands out write_mutex_-guarded state unlocked.
-  const GraphDatabase& db() const GBDA_NO_THREAD_SAFETY_ANALYSIS {
-    return db_;
-  }
-
  private:
-  DynamicGbdaService(GraphDatabase db, GbdaIndex master,
-                     const GbdaIndexOptions& index_options,
+  DynamicGbdaService(LabelDict vertex_labels, LabelDict edge_labels,
+                     GbdaIndex master, const GbdaIndexOptions& index_options,
                      const DynamicServiceOptions& options);
 
   /// Validates that `g`'s label ids exist in the corpus dictionaries.
@@ -169,10 +172,15 @@ class DynamicGbdaService : public GbdaService {
   const double gbd_refit_fraction_;
 
   mutable Mutex write_mutex_;  // serializes mutations + publication
-  /// Stable-id space. Queries never touch these — they pin a published
+  /// The corpus. Queries never touch these — they pin a published
   /// snapshot instead — so write_mutex_ is a writer-writer lock only.
-  GraphDatabase db_ GBDA_GUARDED_BY(write_mutex_);
+  LabelDict vertex_labels_ GBDA_GUARDED_BY(write_mutex_);
+  LabelDict edge_labels_ GBDA_GUARDED_BY(write_mutex_);
   GbdaIndex master_ GBDA_GUARDED_BY(write_mutex_);
+  /// Position in master_ -> stable id, ascending.
+  std::vector<size_t> stable_ids_ GBDA_GUARDED_BY(write_mutex_);
+  /// The stable id the next added graph gets; ids are never reused.
+  size_t next_id_ GBDA_GUARDED_BY(write_mutex_) = 0;
   uint64_t generation_ GBDA_GUARDED_BY(write_mutex_) = 0;
 
   /// Mutation-side aggregates, written under the serialized commit path.

@@ -271,14 +271,6 @@ Result<std::vector<SearchResult>> GbdaService::RunBatch(
     // See core/gbda_search.h on the kScanAllMatches sentinel vs k == 0.
     results.resize(queries.size());
   } else {
-    // Retired db slots would otherwise still be scanned (their index
-    // entries are intact); PrepareScan catches the tombstoned-index
-    // direction. A dynamic generation's dense view covers only live slots.
-    if (snap->db != nullptr && snap->db->has_tombstones()) {
-      return Status::FailedPrecondition(
-          "database is tombstoned: the frozen scan cannot serve a mutated "
-          "corpus — use DynamicGbdaService");
-    }
     // Clamp so an oversized k (notably SIZE_MAX) cannot collide with the
     // kScanAllMatches sentinel and skip the ranking sort; a scan never
     // yields more matches than the snapshot has graphs, so the clamp is

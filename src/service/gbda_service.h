@@ -274,8 +274,8 @@ class GbdaService {
     /// (frozen serving).
     std::vector<size_t> stable_ids;
     /// A frozen service's borrowed database, read only by the query-time
-    /// fail-closed checks (tombstones, graph count); null for a dynamic
-    /// generation. Queries read no Graph of it.
+    /// graph-count check; null for a dynamic generation. Queries read no
+    /// Graph of it.
     const GraphDatabase* db = nullptr;
     /// The generation's branch store through the IndexReader scan
     /// contract — all a query reads; non-owning for a borrowed reader.

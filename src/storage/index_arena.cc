@@ -60,10 +60,6 @@ const char* ArenaSectionName(uint32_t id) {
 Result<std::string> BuildArena(const IndexReader& index,
                                const ProximityGraph* ann_graph) {
   const size_t num_graphs = index.num_graphs();
-  if (index.num_live() != num_graphs) {
-    return Status::FailedPrecondition(
-        "arena build: tombstoned indexes cannot be persisted");
-  }
   // The format has no staleness field, so a drifted Lambda2 must be refit
   // first. The empty index is the one exception — its prior cannot be refit
   // (a fit needs >= 2 graphs) and is vacuously consistent with the (empty)

@@ -186,9 +186,9 @@ struct ArenaInfo {
 /// Serializes `index` (any IndexReader — an owned GbdaIndex or a mapped
 /// view) into a v3 arena: the six canonical sections, the optional
 /// ann_graph, the mandatory candidate columns and, when the corpus
-/// certifies it, the exactness directory. Fails on tombstoned indexes and
-/// on a stale Lambda2 (the format carries no staleness) — except for the
-/// empty index, whose prior is vacuously unfittable and is persisted as-is.
+/// certifies it, the exactness directory. Fails on a stale Lambda2 (the
+/// format carries no staleness) — except for the empty index, whose prior
+/// is vacuously unfittable and is persisted as-is.
 /// A non-null `ann_graph` (which must cover exactly index.num_graphs()
 /// nodes) is written as section 7; null omits it.
 Result<std::string> BuildArena(const IndexReader& index,

@@ -61,7 +61,6 @@ class GbdaIndexView : public IndexReader {
 
   // -- IndexReader -----------------------------------------------------------
   size_t num_graphs() const override { return num_graphs_; }
-  size_t num_live() const override { return num_graphs_; }
   /// Persisted artifacts never encode a drifted Lambda2 (the writer
   /// refuses), so a view is always fresh.
   size_t gbd_staleness() const override { return 0; }

@@ -1,5 +1,5 @@
 // Degenerate corpora across the serving stack (ISSUE 4 satellite): the
-// empty index produced by an all-tombstoned CompactView, a GbdaIndexView
+// empty index left when every graph is removed, a GbdaIndexView
 // over a zero-graph v3 artifact, and a DynamicGbdaService whose corpus was
 // fully retired — all across variants x prefilter x shard counts. Every
 // path must answer with clean empty results, never fault or reject.
@@ -55,22 +55,18 @@ class DegenerateCorpusTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
-  /// An index whose every slot was tombstoned, compacted to zero graphs.
-  static GbdaIndex EmptyCompactView() {
+  /// An index whose every graph was removed.
+  static GbdaIndex EmptyIndex() {
     GbdaIndexOptions options;
     options.tau_max = 6;
     options.gbd_prior.num_sample_pairs = 200;
-    Result<GbdaIndex> master = GbdaIndex::Build(dataset_->db, options);
-    EXPECT_TRUE(master.ok());
-    std::vector<size_t> all_ids(master->num_graphs());
-    for (size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
-    EXPECT_TRUE(master->RemoveGraphs(all_ids).ok());
-    EXPECT_EQ(master->num_live(), 0u);
-    std::vector<size_t> live_ids;
-    GbdaIndex dense = master->CompactView(&live_ids);
-    EXPECT_EQ(dense.num_graphs(), 0u);
-    EXPECT_TRUE(live_ids.empty());
-    return dense;
+    Result<GbdaIndex> index = GbdaIndex::Build(dataset_->db, options);
+    EXPECT_TRUE(index.ok());
+    std::vector<size_t> all_positions(index->num_graphs());
+    for (size_t i = 0; i < all_positions.size(); ++i) all_positions[i] = i;
+    EXPECT_TRUE(index->RemoveGraphs(all_positions).ok());
+    EXPECT_EQ(index->num_graphs(), 0u);
+    return std::move(*index);
   }
 
   static GeneratedDataset* dataset_;
@@ -78,8 +74,8 @@ class DegenerateCorpusTest : public ::testing::Test {
 
 GeneratedDataset* DegenerateCorpusTest::dataset_ = nullptr;
 
-TEST_F(DegenerateCorpusTest, AllTombstonedCompactViewServesEmptyResults) {
-  const GbdaIndex empty_index = EmptyCompactView();
+TEST_F(DegenerateCorpusTest, AllRemovedIndexServesEmptyResults) {
+  const GbdaIndex empty_index = EmptyIndex();
   GraphDatabase empty_db;
   // Nothing to describe: the column vectors are empty, and no scan reads
   // them.
@@ -128,7 +124,7 @@ TEST_F(DegenerateCorpusTest, AllTombstonedCompactViewServesEmptyResults) {
 }
 
 TEST_F(DegenerateCorpusTest, ZeroGraphArenaRoundTripsAndServes) {
-  const GbdaIndex empty_index = EmptyCompactView();
+  const GbdaIndex empty_index = EmptyIndex();
   const std::string path = ::testing::TempDir() + "/degenerate_empty.v3";
   // The empty index is the one stale-prior exception the writer admits: its
   // Lambda2 cannot be refit over zero graphs.

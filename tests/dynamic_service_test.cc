@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,21 @@
 namespace gbda {
 namespace {
 
+// Every graph a test handed the service, by stable id. The service keeps
+// no Graph, so the fresh-build reference is assembled from this record.
+using GraphsById = std::map<size_t, Graph>;
+
+// Adds `batch` in one commit and records each graph under its stable id.
+void AddAndRecord(DynamicGbdaService& dyn, std::vector<Graph> batch,
+                  GraphsById* graphs) {
+  Result<std::vector<size_t>> ids = dyn.AddGraphs(batch);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids->size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    (*graphs)[(*ids)[i]] = std::move(batch[i]);
+  }
+}
+
 // A frozen rebuild of the dynamic corpus: exactly the live graphs in stable
 // id order, dictionaries copied, indexed from scratch. Heap-held because
 // GbdaService keeps pointers into `db`.
@@ -28,13 +45,14 @@ struct Reference {
 };
 
 std::unique_ptr<Reference> MakeReference(const DynamicGbdaService& dyn,
+                                         const GraphsById& graphs,
                                          const GbdaIndexOptions& index_options,
                                          const ServiceOptions& service_options) {
   auto ref = std::make_unique<Reference>();
-  ref->live_ids = dyn.db().LiveIds();
-  ref->db.vertex_labels() = dyn.db().vertex_labels();
-  ref->db.edge_labels() = dyn.db().edge_labels();
-  for (size_t id : ref->live_ids) ref->db.Add(dyn.db().graph(id));
+  ref->live_ids = dyn.live_ids();
+  ref->db.vertex_labels() = dyn.vertex_labels();
+  ref->db.edge_labels() = dyn.edge_labels();
+  for (size_t id : ref->live_ids) ref->db.Add(graphs.at(id));
   Result<GbdaIndex> index = GbdaIndex::Build(ref->db, index_options);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   if (!index.ok()) return nullptr;
@@ -88,6 +106,16 @@ class DynamicServiceTest : public ::testing::Test {
     return options;
   }
 
+  /// The graphs of InitialDb(initial) under the stable ids Create assigns
+  /// them.
+  static GraphsById InitialGraphs(size_t initial) {
+    GraphsById graphs;
+    for (size_t i = 0; i < initial && i < dataset_->db.size(); ++i) {
+      graphs[i] = dataset_->db.graph(i);
+    }
+    return graphs;
+  }
+
   /// Initial corpus: the first `initial` dataset graphs, full dictionaries.
   static GraphDatabase InitialDb(size_t initial) {
     GraphDatabase db;
@@ -116,13 +144,14 @@ TEST_F(DynamicServiceTest, RandomizedInterleavingMatchesFreshBuild) {
         DynamicGbdaService::Create(InitialDb(initial), index_options, options);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     DynamicGbdaService& dyn = **created;
+    GraphsById graphs = InitialGraphs(initial);
 
     Rng rng(1000 + shards);
     size_t next_pool_graph = initial;  // dataset graphs not yet added
     for (int step = 0; step < 8; ++step) {
       // One random mutation: add 1-3 held-back graphs or remove 1-2 live
       // ids (keeping enough corpus for the prior fit).
-      const std::vector<size_t> live = dyn.db().LiveIds();
+      const std::vector<size_t> live = dyn.live_ids();
       const bool can_add = next_pool_graph < dataset_->db.size();
       const bool do_add = can_add && (live.size() <= 5 || rng.Bernoulli(0.6));
       if (!do_add && live.size() <= 5) continue;  // keep the prior fit-able
@@ -133,8 +162,8 @@ TEST_F(DynamicServiceTest, RandomizedInterleavingMatchesFreshBuild) {
              ++i) {
           batch.push_back(dataset_->db.graph(next_pool_graph++));
         }
-        Result<std::vector<size_t>> added = dyn.AddGraphs(std::move(batch));
-        ASSERT_TRUE(added.ok()) << added.status().ToString();
+        AddAndRecord(dyn, std::move(batch), &graphs);
+        if (HasFatalFailure()) return;
       } else {
         const size_t count = 1 + static_cast<size_t>(rng.UniformInt(0, 1));
         std::vector<size_t> picks;
@@ -149,7 +178,7 @@ TEST_F(DynamicServiceTest, RandomizedInterleavingMatchesFreshBuild) {
       // Checkpoint: a from-scratch rebuild over the final corpus must agree
       // bit-for-bit on every variant / prefilter combination.
       std::unique_ptr<Reference> ref =
-          MakeReference(dyn, index_options, options.service);
+          MakeReference(dyn, graphs, index_options, options.service);
       ASSERT_NE(ref, nullptr);
       EXPECT_EQ(ref->live_ids.size(), dyn.num_live());
       for (GbdaVariant variant :
@@ -357,7 +386,7 @@ TEST_F(DynamicServiceTest, ValidatesMutations) {
 
   // Unknown label ids are rejected before anything mutates.
   Graph bad;
-  bad.AddVertex(static_cast<LabelId>(dyn.db().vertex_labels().size() + 10));
+  bad.AddVertex(static_cast<LabelId>(dyn.vertex_labels().size() + 10));
   EXPECT_EQ(dyn.AddGraph(bad).status().code(), StatusCode::kInvalidArgument);
 
   // Invalid removals are rejected as a whole.
@@ -368,11 +397,8 @@ TEST_F(DynamicServiceTest, ValidatesMutations) {
   EXPECT_EQ(dyn.snapshot_info().generation, generation);
   EXPECT_EQ(dyn.num_live(), 5u);
 
-  // Initial corpora must be tombstone-free and fit-able.
-  GraphDatabase tombstoned = InitialDb(5);
-  ASSERT_TRUE(tombstoned.RemoveGraphs({1}).ok());
-  EXPECT_FALSE(
-      DynamicGbdaService::Create(std::move(tombstoned), index_options).ok());
+  // Initial corpora must be fit-able: one graph gives Lambda2 no pair.
+  EXPECT_FALSE(DynamicGbdaService::Create(InitialDb(1), index_options).ok());
 
   // Flush succeeds only when the forced refit could actually run: on a
   // corpus mutated down to one live graph the snapshot still publishes,
@@ -384,6 +410,16 @@ TEST_F(DynamicServiceTest, ValidatesMutations) {
   ASSERT_FALSE(flushed.ok());
   EXPECT_EQ(flushed.code(), StatusCode::kFailedPrecondition);
   EXPECT_GT(dyn.dynamic_stats().gbd_refit_failures, 0u);
+
+  // A live id beside an out-of-range id or itself is InvalidArgument,
+  // beside a retired id NotFound: no call publishes, and the live id stays.
+  const uint64_t retired_generation = dyn.snapshot_info().generation;
+  EXPECT_EQ(dyn.RemoveGraphs({4, 99}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dyn.RemoveGraphs({4, 4}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dyn.RemoveGraphs({4, 0}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(dyn.snapshot_info().generation, retired_generation);
+  EXPECT_EQ(dyn.live_ids(), std::vector<size_t>{4});
+
   // Queries still serve against the (stale-prior) published snapshot.
   SearchOptions opts;
   opts.tau_hat = 5;
@@ -398,18 +434,20 @@ TEST_F(DynamicServiceTest, InternedLabelsExtendTheModelUniverse) {
       DynamicGbdaService::Create(InitialDb(6), index_options, options);
   ASSERT_TRUE(created.ok());
   DynamicGbdaService& dyn = **created;
+  GraphsById graphs = InitialGraphs(6);
 
   const LabelId v = dyn.InternVertexLabel("rare-metal");
   Graph g;
   g.AddVertex(v);
   g.AddVertex(v);
   ASSERT_TRUE(g.AddEdge(0, 1, kVirtualLabel + 1).ok());
-  ASSERT_TRUE(dyn.AddGraph(g).ok());
+  AddAndRecord(dyn, {g}, &graphs);
+  if (HasFatalFailure()) return;
 
   // A fresh build over the final corpus (with the grown dictionaries) must
   // still agree bit-for-bit: the commit refreshed |L_V| for the model.
   std::unique_ptr<Reference> ref =
-      MakeReference(dyn, index_options, options.service);
+      MakeReference(dyn, graphs, index_options, options.service);
   ASSERT_NE(ref, nullptr);
   SearchOptions opts;
   opts.tau_hat = 6;
@@ -461,9 +499,8 @@ TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
 
 TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
   // 200 commits each add one graph and retire the oldest, so the live
-  // corpus keeps its size. A removed graph is freed at its commit: only its
-  // slot (an empty Graph under the retired stable id) and a liveness byte
-  // may stay, where retained payloads would double the database.
+  // corpus keeps its size. A removed graph leaves nothing behind: the
+  // published index and id map hold exactly the live graphs.
   DynamicServiceOptions options;
   options.service.num_threads = 2;
   options.gbd_refit_fraction = 1.0;  // refits are not under test here
@@ -473,21 +510,16 @@ TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   DynamicGbdaService& dyn = **created;
   const size_t live = dyn.num_live();
-  const size_t initial_bytes = dyn.db().MemoryBytes();
   constexpr size_t kCommits = 200;
   for (size_t step = 0; step < kCommits; ++step) {
     ASSERT_TRUE(dyn.AddGraph(dataset_->db.graph(step % live)).ok());
     ASSERT_TRUE(dyn.RemoveGraphs({step}).ok());
   }
   EXPECT_EQ(dyn.num_live(), live);
-  for (size_t id = 0; id < kCommits; ++id) {
-    EXPECT_EQ(dyn.db().graph(id).num_vertices(), 0u) << "retired id " << id;
-  }
-  // The last `live` adds cycle through every dataset graph once, so the
-  // live payload equals the initial one.
-  EXPECT_LE(dyn.db().MemoryBytes(),
-            initial_bytes + kCommits * Graph().MemoryBytes() +
-                2 * dyn.db().size());
+  EXPECT_EQ(dyn.snapshot_index()->num_graphs(), live);
+  std::vector<size_t> expected_ids(live);
+  std::iota(expected_ids.begin(), expected_ids.end(), kCommits);
+  EXPECT_EQ(dyn.live_ids(), expected_ids);
   // The churned corpus still serves, in stable ids past every retired one.
   SearchOptions opts;
   opts.tau_hat = 3;
@@ -546,7 +578,7 @@ TEST_F(DynamicServiceTest, ConcurrentQueriesAndMutationsStayConsistent) {
     if (next < dataset_->db.size() && rng.Bernoulli(0.6)) {
       ASSERT_TRUE(dyn.AddGraph(dataset_->db.graph(next++)).ok());
     } else {
-      const std::vector<size_t> live = dyn.db().LiveIds();
+      const std::vector<size_t> live = dyn.live_ids();
       if (live.size() > 6) {
         const size_t pick =
             live[static_cast<size_t>(rng.UniformInt(

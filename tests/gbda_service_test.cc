@@ -253,19 +253,6 @@ TEST_F(GbdaServiceTest, RejectsDbIndexMismatchBothDirections) {
     auto search = GbdaSearch::Create(&smaller, &*smaller_index);
     EXPECT_TRUE(search.ok()) << search.status().ToString();
   }
-  // A consistently tombstoned pair is rejected too: the frozen scan would
-  // evaluate retired slots as empty multisets and could return removed
-  // graphs as matches — mutable corpora belong to DynamicGbdaService.
-  {
-    ASSERT_TRUE(smaller.RemoveGraphs({0}).ok());
-    ASSERT_TRUE(smaller_index->RemoveGraphs({0}).ok());
-    auto search = GbdaSearch::Create(&smaller, &*smaller_index);
-    ASSERT_FALSE(search.ok());
-    EXPECT_EQ(search.status().code(), StatusCode::kFailedPrecondition);
-    auto service = GbdaService::Create(&smaller, &*smaller_index);
-    ASSERT_FALSE(service.ok());
-    EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition);
-  }
 }
 
 TEST_F(GbdaServiceTest, StatsExactUnderConcurrentClients) {

@@ -68,56 +68,6 @@ TEST(GraphDatabaseTest, MemoryGrowsWithContent) {
   EXPECT_GT(big.MemoryBytes(), small.MemoryBytes());
 }
 
-TEST(GraphDatabaseTest, RemoveGraphsTombstonesInPlace) {
-  testutil::PaperGraphs p = testutil::MakePaperGraphs();
-  GraphDatabase db = std::move(p.db);
-  db.Add(p.g1);
-  db.Add(p.g2);
-  db.Add(p.g1);
-  EXPECT_FALSE(db.has_tombstones());
-  EXPECT_EQ(db.num_live(), 3u);
-
-  ASSERT_TRUE(db.RemoveGraphs({1}).ok());
-  EXPECT_TRUE(db.has_tombstones());
-  EXPECT_EQ(db.size(), 3u);  // slots stay dense; ids are stable
-  EXPECT_EQ(db.num_live(), 2u);
-  EXPECT_TRUE(db.is_live(0));
-  EXPECT_FALSE(db.is_live(1));
-  EXPECT_TRUE(db.is_live(2));
-  EXPECT_EQ(db.LiveIds(), (std::vector<size_t>{0, 2}));
-
-  // Stats and MaxVertices see only the live graphs (g2, the 4-vertex graph,
-  // is gone).
-  EXPECT_EQ(db.Stats().num_graphs, 2u);
-  EXPECT_EQ(db.MaxVertices(), 3u);
-
-  // Adding after a removal appends a live graph under a fresh stable id.
-  EXPECT_EQ(db.Add(p.g2), 3u);
-  EXPECT_TRUE(db.is_live(3));
-  EXPECT_EQ(db.num_live(), 3u);
-  EXPECT_EQ(db.MaxVertices(), 4u);
-}
-
-TEST(GraphDatabaseTest, RemoveGraphsValidatesAndIsAtomic) {
-  testutil::PaperGraphs p = testutil::MakePaperGraphs();
-  GraphDatabase db = std::move(p.db);
-  db.Add(p.g1);
-  db.Add(p.g2);
-
-  // Out of range: nothing removed.
-  EXPECT_EQ(db.RemoveGraphs({0, 7}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(db.num_live(), 2u);
-  // Duplicate in one call: nothing removed.
-  EXPECT_EQ(db.RemoveGraphs({1, 1}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(db.num_live(), 2u);
-  // Double removal across calls.
-  ASSERT_TRUE(db.RemoveGraphs({1}).ok());
-  EXPECT_EQ(db.RemoveGraphs({1}).code(), StatusCode::kNotFound);
-  // Mixed valid/invalid stays atomic: 0 must survive the failed call.
-  EXPECT_FALSE(db.RemoveGraphs({0, 1}).ok());
-  EXPECT_TRUE(db.is_live(0));
-}
-
 TEST(GraphDatabaseTest, GraphReferencesSurviveAppends) {
   // graph(id) references to live graphs stay valid across Add (deque
   // storage), so a caller may hold one while the corpus keeps growing.

@@ -88,28 +88,6 @@ TEST(GraphIoTest, FileRoundTrip) {
   EXPECT_EQ(loaded->graph(0).num_edges(), 3u);
 }
 
-TEST(GraphIoTest, RefusesATombstonedDatabase) {
-  // The format has no tombstones: a removed slot written as a record would
-  // read back as a live graph, so the writer refuses the database instead.
-  testutil::PaperGraphs p = testutil::MakePaperGraphs();
-  GraphDatabase db = std::move(p.db);
-  db.Add(p.g1);
-  db.Add(p.g2);
-  const std::string path = ::testing::TempDir() + "/gbda_io_tombstoned.txt";
-  ASSERT_TRUE(WriteTransactionFile(db, path).ok());
-  ASSERT_TRUE(db.RemoveGraphs({0}).ok());
-  std::ostringstream out;
-  const Status written = WriteTransactionStream(db, out);
-  EXPECT_EQ(written.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(out.str().empty());
-  // A refused file write leaves the earlier file as it was.
-  EXPECT_EQ(WriteTransactionFile(db, path).code(),
-            StatusCode::kFailedPrecondition);
-  Result<GraphDatabase> kept = ReadTransactionFile(path);
-  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
-  EXPECT_EQ(kept->size(), 2u);
-}
-
 TEST(GraphIoTest, MissingFileFails) {
   Result<GraphDatabase> db = ReadTransactionFile("/nonexistent/path/x.txt");
   EXPECT_FALSE(db.ok());

@@ -126,7 +126,6 @@ TEST_F(StorageTest, ArenaRoundTripPreservesEveryField) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   EXPECT_EQ(view->num_graphs(), index_->num_graphs());
-  EXPECT_EQ(view->num_live(), index_->num_live());
   EXPECT_EQ(view->gbd_staleness(), 0u);
   EXPECT_EQ(view->tau_max(), index_->tau_max());
   EXPECT_EQ(view->num_vertex_labels(), index_->num_vertex_labels());
@@ -213,10 +212,9 @@ TEST_F(StorageTest, ArenaFromViewIsStable) {
   }
 }
 
-TEST_F(StorageTest, WriterRejectsTombstonedAndStaleIndexes) {
-  // The format has no staleness or liveness field: persisting a drifted
-  // Lambda2 would come back as gbd_staleness() == 0 and defeat every refit
-  // policy, and a tombstoned slot would come back live.
+TEST_F(StorageTest, WriterRejectsStaleIndexes) {
+  // The format has no staleness field: persisting a drifted Lambda2 would
+  // come back as gbd_staleness() == 0 and defeat every refit policy.
   const std::string path = ::testing::TempDir() + "/storage_writer.v3";
   GbdaIndex copy = *index_;
   copy.AddGraph(dataset_->db.graph(0));
@@ -226,7 +224,7 @@ TEST_F(StorageTest, WriterRejectsTombstonedAndStaleIndexes) {
   // A refit clears the drift and the index becomes persistable again.
   ASSERT_TRUE(copy.RefitGbdPrior().ok());
   EXPECT_TRUE(WriteArenaFile(copy, path).ok());
-  // Tombstoned.
+  // A removal drifts Lambda2 too.
   ASSERT_TRUE(copy.RemoveGraphs({0}).ok());
   EXPECT_EQ(WriteArenaFile(copy, path).code(),
             StatusCode::kFailedPrecondition);

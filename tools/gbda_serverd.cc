@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -226,6 +227,11 @@ int main(int argc, char** argv) {
       flags.profile = v;
     } else if (FlagValue(argv[i], "--scale", &v)) {
       parsed = Assign(ParseDouble(v), &flags.scale);
+      // A profile scaled by nan, zero or less sizes its corpus from a
+      // wrapped or empty graph count.
+      if (parsed.ok() && !(std::isfinite(flags.scale) && flags.scale > 0.0)) {
+        parsed = Status::InvalidArgument("--scale must be finite and > 0");
+      }
     } else if (FlagValue(argv[i], "--db", &v)) {
       flags.db_path = v;
     } else if (FlagValue(argv[i], "--dynamic", &v)) {
