@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/branch.h"
+#include "core/candidate_columns.h"
 #include "core/lambda1.h"
 #include "graph/generators.h"
 #include "math/gmm.h"
@@ -93,21 +94,21 @@ void BM_IntersectionSortedMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionSortedMerge)->Range(256, 16384);
 
-size_t HashIntersection(const BranchMultiset& a, const BranchMultiset& b) {
+size_t HashIntersection(const BranchSetRef& a, const BranchSetRef& b) {
   // Strawman alternative: count via a hash multimap keyed by a cheap hash.
-  std::unordered_map<size_t, std::vector<const Branch*>> buckets;
-  auto hash = [](const Branch& br) {
-    size_t h = br.root * 1000003u;
-    for (LabelId l : br.edge_labels) h = h * 31 + l;
+  std::unordered_map<size_t, std::vector<size_t>> buckets;
+  auto hash = [](const BranchSetRef& set, size_t i) {
+    size_t h = set.root(i) * 1000003u;
+    for (LabelId l : set.edge_labels(i)) h = h * 31 + l;
     return h;
   };
-  for (const Branch& br : a) buckets[hash(br)].push_back(&br);
+  for (size_t i = 0; i < a.size(); ++i) buckets[hash(a, i)].push_back(i);
   size_t common = 0;
-  for (const Branch& br : b) {
-    auto it = buckets.find(hash(br));
+  for (size_t j = 0; j < b.size(); ++j) {
+    auto it = buckets.find(hash(b, j));
     if (it == buckets.end()) continue;
     for (auto pit = it->second.begin(); pit != it->second.end(); ++pit) {
-      if (**pit == br) {
+      if (SameBranchContent(a, *pit, b, j)) {
         it->second.erase(pit);
         ++common;
         break;

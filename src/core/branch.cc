@@ -1,150 +1,95 @@
 #include "core/branch.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "math/dense_matrix.h"
 #include "math/hungarian.h"
 
 namespace gbda {
-
-BranchMultiset ExtractBranches(const Graph& g) {
-  BranchMultiset branches;
-  branches.reserve(g.num_vertices());
-  for (uint32_t v = 0; v < g.num_vertices(); ++v) {
-    Branch b;
-    b.root = g.VertexLabel(v);
-    b.edge_labels.reserve(g.Degree(v));
-    for (const AdjEdge& e : g.Neighbors(v)) {
-      if (e.label != kVirtualLabel) b.edge_labels.push_back(e.label);
-    }
-    std::sort(b.edge_labels.begin(), b.edge_labels.end());
-    branches.push_back(std::move(b));
-  }
-  std::sort(branches.begin(), branches.end());
-  return branches;
-}
-
 namespace {
 
 /// Three-way lexicographic comparison of two ascending label runs — the
 /// exact order of std::vector<LabelId>::operator<.
-inline int CompareLabels(const LabelId* a, size_t na, const LabelId* b,
-                         size_t nb) {
-  const size_t n = std::min(na, nb);
+inline int CompareLabels(Span<const LabelId> a, Span<const LabelId> b) {
+  const size_t n = std::min(a.size(), b.size());
   for (size_t k = 0; k < n; ++k) {
     if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
   }
-  if (na != nb) return na < nb ? -1 : 1;
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   return 0;
 }
 
-/// One branch presented as raw pointers, so the merge loops below are
-/// backing-agnostic after a single per-multiset dispatch. Branch order is
-/// (root, labels) — exactly Branch::operator< — for every accessor pair, so
-/// every backing combination counts intersections bit-identically.
-struct RawBranch {
-  LabelId root;
-  const LabelId* labels;
-  size_t num_labels;
-};
+}  // namespace
 
-struct OwnedAccess {
-  const Branch* branches;
-  inline RawBranch Get(size_t i) const {
-    const Branch& b = branches[i];
-    return RawBranch{b.root, b.edge_labels.data(), b.edge_labels.size()};
+BranchMultiset ExtractBranches(const Graph& g) {
+  const uint32_t n = static_cast<uint32_t>(g.num_vertices());
+  // Each vertex's edge labels, sorted, packed vertex by vertex into one pool.
+  std::vector<LabelId> pool;
+  pool.reserve(2 * g.num_edges());
+  std::vector<uint64_t> start(n + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) {
+    for (const AdjEdge& e : g.Neighbors(v)) {
+      if (e.label != kVirtualLabel) pool.push_back(e.label);
+    }
+    std::sort(pool.begin() + static_cast<ptrdiff_t>(start[v]), pool.end());
+    start[v + 1] = pool.size();
   }
-};
+  const auto run = [&pool, &start](uint32_t v) {
+    return Span<const LabelId>(pool.data() + start[v],
+                               static_cast<size_t>(start[v + 1] - start[v]));
+  };
 
-struct FlatAccess {
-  const uint32_t* roots;
-  const uint64_t* offsets;
-  const LabelId* pool;
-  inline RawBranch Get(size_t i) const {
-    return RawBranch{roots[i], pool + offsets[i],
-                     static_cast<size_t>(offsets[i + 1] - offsets[i])};
+  // The storage order: vertices by (root, label run).
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    const LabelId rx = g.VertexLabel(x);
+    const LabelId ry = g.VertexLabel(y);
+    if (rx != ry) return rx < ry;
+    return CompareLabels(run(x), run(y)) < 0;
+  });
+
+  BranchMultiset branches;
+  branches.roots.reserve(n);
+  branches.label_offsets.reserve(n + 1);
+  branches.labels.reserve(pool.size());
+  for (uint32_t v : order) {
+    branches.roots.push_back(g.VertexLabel(v));
+    const Span<const LabelId> labels = run(v);
+    branches.labels.insert(branches.labels.end(), labels.begin(),
+                           labels.end());
+    branches.label_offsets.push_back(branches.labels.size());
   }
-};
+  return branches;
+}
 
-/// The two-pointer merge, monomorphised per backing pair. Root labels
-/// resolve most steps (one integer compare); the label runs are touched
-/// only on root ties. The current branch of each side is cached so one
-/// merge step re-reads only the side it advanced.
-template <typename AccessA, typename AccessB>
-size_t MergeCount(const AccessA& a, size_t na, const AccessB& b, size_t nb) {
+// The two-pointer merge. Root labels resolve most steps (one integer
+// compare); the label runs are touched only on root ties.
+size_t BranchIntersectionSize(const BranchSetRef& a, const BranchSetRef& b) {
   size_t i = 0, j = 0, common = 0;
-  RawBranch ba = a.Get(0);
-  RawBranch bb = b.Get(0);
-  for (;;) {
+  while (i < a.size() && j < b.size()) {
     int cmp;
-    if (ba.root != bb.root) {
-      cmp = ba.root < bb.root ? -1 : 1;
+    if (a.root(i) != b.root(j)) {
+      cmp = a.root(i) < b.root(j) ? -1 : 1;
     } else {
-      cmp = CompareLabels(ba.labels, ba.num_labels, bb.labels, bb.num_labels);
+      cmp = CompareLabels(a.edge_labels(i), b.edge_labels(j));
     }
     if (cmp == 0) {
       ++common;
       ++i;
       ++j;
-      if (i == na || j == nb) break;
-      ba = a.Get(i);
-      bb = b.Get(j);
     } else if (cmp < 0) {
-      if (++i == na) break;
-      ba = a.Get(i);
+      ++i;
     } else {
-      if (++j == nb) break;
-      bb = b.Get(j);
+      ++j;
     }
   }
   return common;
 }
 
-template <typename AccessA>
-size_t MergeCountRight(const AccessA& a, size_t na, const BranchSetRef& b) {
-  if (b.size() == 0) return 0;
-  if (b.owned() != nullptr) {
-    return MergeCount(a, na, OwnedAccess{b.owned()->data()}, b.size());
-  }
-  return MergeCount(
-      a, na,
-      FlatAccess{b.flat_roots(), b.flat_label_offsets(), b.flat_label_pool()},
-      b.size());
-}
-
-}  // namespace
-
-size_t BranchIntersectionSize(const BranchSetRef& a, const BranchSetRef& b) {
-  if (a.size() == 0) return 0;
-  if (a.owned() != nullptr) {
-    return MergeCountRight(OwnedAccess{a.owned()->data()}, a.size(), b);
-  }
-  return MergeCountRight(
-      FlatAccess{a.flat_roots(), a.flat_label_offsets(), a.flat_label_pool()},
-      a.size(), b);
-}
-
-// The owned/owned overload is the same merge through OwnedAccess — one
-// implementation to keep, so the order used here can never drift from the
-// one the mapped-artifact path uses (the bit-identity guarantee of
-// docs/ARCHITECTURE.md, "Storage engine").
-size_t BranchIntersectionSize(const BranchMultiset& a,
-                              const BranchMultiset& b) {
-  return BranchIntersectionSize(BranchSetRef(a), BranchSetRef(b));
-}
-
 size_t Gbd(const Graph& g1, const Graph& g2) {
   return GbdFromBranches(ExtractBranches(g1), ExtractBranches(g2));
-}
-
-size_t GbdFromBranches(const BranchMultiset& b1, const BranchMultiset& b2) {
-  const size_t max_size = std::max(b1.size(), b2.size());
-  return max_size - BranchIntersectionSize(b1, b2);
-}
-
-double Vgbd(const BranchMultiset& b1, const BranchMultiset& b2, double w) {
-  const double max_size = static_cast<double>(std::max(b1.size(), b2.size()));
-  return max_size - w * static_cast<double>(BranchIntersectionSize(b1, b2));
 }
 
 size_t GbdFromBranches(const BranchSetRef& b1, const BranchSetRef& b2) {
@@ -160,8 +105,7 @@ namespace {
 
 /// Multiset edit distance between two sorted label multisets:
 /// max(|A|,|B|) - |A ∩ B|.
-size_t SortedMultisetDiff(const std::vector<LabelId>& a,
-                          const std::vector<LabelId>& b) {
+size_t SortedMultisetDiff(Span<const LabelId> a, Span<const LabelId> b) {
   size_t i = 0, j = 0, common = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -180,20 +124,27 @@ size_t SortedMultisetDiff(const std::vector<LabelId>& a,
 }  // namespace
 
 double BranchGedLowerBound(const Graph& g1, const Graph& g2) {
-  const BranchMultiset b1 = ExtractBranches(g1);
-  const BranchMultiset b2 = ExtractBranches(g2);
+  const BranchMultiset m1 = ExtractBranches(g1);
+  const BranchMultiset m2 = ExtractBranches(g2);
+  const BranchSetRef b1 = m1;
+  const BranchSetRef b2 = m2;
   const size_t n = std::max(b1.size(), b2.size());
   if (n == 0) return 0.0;
-  const Branch empty;  // virtual padding branch: epsilon root, no edges
+  // The shorter side is padded with virtual branches: epsilon root, no
+  // edges.
+  const auto root = [](const BranchSetRef& b, size_t i) {
+    return i < b.size() ? b.root(i) : kVirtualLabel;
+  };
+  const auto labels = [](const BranchSetRef& b, size_t i) {
+    return i < b.size() ? b.edge_labels(i) : Span<const LabelId>();
+  };
 
   DenseMatrix cost(n, n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    const Branch& bi = i < b1.size() ? b1[i] : empty;
     for (size_t j = 0; j < n; ++j) {
-      const Branch& bj = j < b2.size() ? b2[j] : empty;
-      const double root_cost = bi.root == bj.root ? 0.0 : 1.0;
-      const double edge_cost =
-          0.5 * static_cast<double>(SortedMultisetDiff(bi.edge_labels, bj.edge_labels));
+      const double root_cost = root(b1, i) == root(b2, j) ? 0.0 : 1.0;
+      const double edge_cost = 0.5 * static_cast<double>(SortedMultisetDiff(
+                                         labels(b1, i), labels(b2, j)));
       cost.At(i, j) = root_cost + edge_cost;
     }
   }

@@ -19,9 +19,9 @@
 
 namespace gbda {
 
-/// Content equality of two branches given as (root, edge-label span) — the
-/// Branch::operator== predicate over flat storage. Used by the corpus-side
-/// collision audit here and by the query-side audit in PrepareScan.
+/// Content equality of two branches given as (root, edge-label span) —
+/// branch isomorphism (Definition 3). Used by the corpus-side collision
+/// audit here and by the query-side audit in PrepareScan.
 inline bool SameBranchContent(const BranchSetRef& a, size_t ai,
                               const BranchSetRef& b, size_t bi) {
   if (a.root(ai) != b.root(bi)) return false;
@@ -63,9 +63,7 @@ struct OwnedCandidateColumns {
 /// branch counts, per-graph sorted FNV branch fingerprints, and — when the
 /// corpus-wide fingerprint -> content audit finds no collision — the
 /// exactness directory. O(total branches) plus one hash probe per branch;
-/// deterministic in the branch data alone. Tombstoned slots contribute
-/// empty columns (their branch_set() is empty), matching how the scan
-/// already treats them.
+/// deterministic in the branch data alone.
 OwnedCandidateColumns BuildCandidateColumns(const IndexReader& index);
 
 }  // namespace gbda

@@ -4,22 +4,14 @@
 
 namespace gbda {
 
-Result<GbdPrior> GbdPrior::Fit(const std::vector<BranchMultiset>& branches,
-                               const GbdPriorOptions& options, Rng* rng) {
-  std::vector<const BranchMultiset*> ptrs;
-  ptrs.reserve(branches.size());
-  for (const BranchMultiset& b : branches) ptrs.push_back(&b);
-  return Fit(ptrs, options, rng);
-}
-
-Result<GbdPrior> GbdPrior::Fit(const std::vector<const BranchMultiset*>& branches,
+Result<GbdPrior> GbdPrior::Fit(const std::vector<BranchSetRef>& branches,
                                const GbdPriorOptions& options, Rng* rng) {
   const size_t n = branches.size();
   if (n < 2) {
     return Status::InvalidArgument("GBD prior: need at least two graphs");
   }
   size_t max_v = 0;
-  for (const auto* b : branches) max_v = std::max(max_v, b->size());
+  for (const BranchSetRef& b : branches) max_v = std::max(max_v, b.size());
 
   // Collect GBD samples over pairs.
   std::vector<double> samples;
@@ -30,7 +22,7 @@ Result<GbdPrior> GbdPrior::Fit(const std::vector<const BranchMultiset*>& branche
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         samples.push_back(
-            static_cast<double>(GbdFromBranches(*branches[i], *branches[j])));
+            static_cast<double>(GbdFromBranches(branches[i], branches[j])));
       }
     }
   } else {
@@ -42,7 +34,7 @@ Result<GbdPrior> GbdPrior::Fit(const std::vector<const BranchMultiset*>& branche
           static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
       if (i == j) continue;
       samples.push_back(
-          static_cast<double>(GbdFromBranches(*branches[i], *branches[j])));
+          static_cast<double>(GbdFromBranches(branches[i], branches[j])));
     }
   }
 

@@ -29,16 +29,9 @@ class GbdPrior {
  public:
   /// Samples pairs, computes GBDs from the precomputed branch multisets, fits
   /// the GMM and tabulates probabilities. Uses all pairs when the database
-  /// has fewer than `num_sample_pairs` of them.
-  static Result<GbdPrior> Fit(const std::vector<BranchMultiset>& branches,
-                              const GbdPriorOptions& options, Rng* rng);
-
-  /// Pointer variant used by the incremental index (docs/ARCHITECTURE.md,
-  /// "Dynamic corpus"): fits over the referenced multisets without copying
-  /// them, so a staleness-triggered refit touches only the live corpus. The
-  /// arithmetic is byte-for-byte the one of the value overload — the same
-  /// ordered inputs and seed yield the same prior.
-  static Result<GbdPrior> Fit(const std::vector<const BranchMultiset*>& branches,
+  /// has fewer than `num_sample_pairs` of them. Reads the refs only during
+  /// the call; the same ordered multisets and seed yield the same prior.
+  static Result<GbdPrior> Fit(const std::vector<BranchSetRef>& branches,
                               const GbdPriorOptions& options, Rng* rng);
 
   /// Pr[GBD = phi], floored (see GbdPriorOptions::probability_floor).

@@ -21,11 +21,9 @@ constexpr int64_t kMaxPlausibleComponents = 1 << 16;
 constexpr int64_t kMaxPlausibleIterations = 1 << 30;
 
 size_t BranchMultisetBytes(const BranchMultiset& ms) {
-  size_t bytes = sizeof(BranchMultiset);
-  for (const Branch& b : ms) {
-    bytes += sizeof(Branch) + b.edge_labels.capacity() * sizeof(LabelId);
-  }
-  return bytes;
+  return sizeof(BranchMultiset) + ms.roots.capacity() * sizeof(LabelId) +
+         ms.label_offsets.capacity() * sizeof(uint64_t) +
+         ms.labels.capacity() * sizeof(LabelId);
 }
 
 }  // namespace
@@ -139,9 +137,9 @@ Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
 }
 
 Status GbdaIndex::RefitGbdPrior() {
-  std::vector<const BranchMultiset*> graphs;
+  std::vector<BranchSetRef> graphs;
   graphs.reserve(branches_.size());
-  for (const auto& b : branches_) graphs.push_back(b.get());
+  for (const auto& b : branches_) graphs.push_back(*b);
   Rng rng(options_.seed);
   Result<GbdPrior> prior = GbdPrior::Fit(graphs, options_.gbd_prior, &rng);
   if (!prior.ok()) return prior.status();

@@ -64,6 +64,8 @@ struct OfflineCosts {
   double branch_seconds = 0.0;
   double gbd_prior_seconds = 0.0;
   double ged_prior_seconds = 0.0;
+  /// Heap bytes of the branch multisets: per graph, the BranchMultiset
+  /// struct plus the capacity of its root, label-offset and label arrays.
   size_t branch_bytes = 0;
   size_t gbd_prior_bytes = 0;
   size_t ged_prior_bytes = 0;
@@ -87,13 +89,14 @@ class GbdaIndex : public IndexReader {
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
 
+  /// The flat branch multiset of graph `graph_id` (branch_set() views it).
   const BranchMultiset& branches(size_t graph_id) const {
     return *branches_[graph_id];
   }
   size_t num_graphs() const override { return branches_.size(); }
 
   BranchSetRef branch_set(size_t graph_id) const override {
-    return BranchSetRef(*branches_[graph_id]);
+    return *branches_[graph_id];
   }
 
   /// The SoA candidate columns, materialised lazily from the branch

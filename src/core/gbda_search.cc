@@ -51,29 +51,15 @@ Result<ScanContext> PrepareScan(const Graph& query,
   ctx.options = options;
   ctx.apply_gamma = apply_gamma;
   ctx.query_branches = ExtractBranches(query);
-  // Flatten the query multiset once per query (see ScanContext::query_ref):
-  // same (root, labels) content, so the intersection count — and every
-  // score derived from it — is unchanged.
-  const size_t query_size = ctx.query_branches.size();
-  ctx.query_roots.resize(query_size);
-  ctx.query_offsets.assign(query_size + 1, 0);
-  for (size_t i = 0; i < query_size; ++i) {
-    const Branch& b = ctx.query_branches[i];
-    ctx.query_roots[i] = b.root;
-    ctx.query_pool.insert(ctx.query_pool.end(), b.edge_labels.begin(),
-                          b.edge_labels.end());
-    ctx.query_offsets[i + 1] = ctx.query_pool.size();
-  }
-  ctx.query_ref = BranchSetRef(ctx.query_roots.data(),
-                               ctx.query_offsets.data(),
-                               ctx.query_pool.data(), query_size);
+  const BranchSetRef query_branches = ctx.query_branches;
+  const size_t query_size = query_branches.size();
   // The query's sorted branch fingerprints: the query side of every kernel
   // call the scan makes. Kept as (fp, branch) pairs through the sort so the
   // audit below can map a colliding key back to its branch content.
   std::vector<std::pair<uint64_t, uint32_t>> fp_idx(query_size);
   for (size_t i = 0; i < query_size; ++i) {
-    const Span<const LabelId> labels = ctx.query_ref.edge_labels(i);
-    fp_idx[i] = {BranchFingerprint(ctx.query_roots[i], labels.data(),
+    const Span<const LabelId> labels = query_branches.edge_labels(i);
+    fp_idx[i] = {BranchFingerprint(query_branches.root(i), labels.data(),
                                    labels.size()),
                  static_cast<uint32_t>(i)};
   }
@@ -98,8 +84,8 @@ Result<ScanContext> PrepareScan(const Graph& query,
         // (a true duplicate branch). Checking adjacent pairs covers the
         // whole run, and the first pair already vetted this key against the
         // directory.
-        ctx.fp_exact = SameBranchContent(ctx.query_ref, fp_idx[i].second,
-                                         ctx.query_ref, fp_idx[i - 1].second);
+        ctx.fp_exact = SameBranchContent(query_branches, fp_idx[i].second,
+                                         query_branches, fp_idx[i - 1].second);
         continue;
       }
       const uint64_t* end = columns.fp_unique + columns.num_distinct;
@@ -111,7 +97,7 @@ Result<ScanContext> PrepareScan(const Graph& query,
         // branch with it.
         const uint64_t rep = columns.fp_rep[it - columns.fp_unique];
         ctx.fp_exact = SameBranchContent(
-            ctx.query_ref, fp_idx[i].second,
+            query_branches, fp_idx[i].second,
             index.branch_set(static_cast<size_t>(rep >> 32)),
             static_cast<size_t>(rep & 0xFFFFFFFFull));
       }
@@ -121,7 +107,7 @@ Result<ScanContext> PrepareScan(const Graph& query,
   // approximate navigation take the query side from query_fps. It is read
   // off the query's branches, as the corpus side is off the index's.
   if (options.use_prefilter) {
-    ctx.query_profile = BuildFilterProfile(ctx.query_ref);
+    ctx.query_profile = BuildFilterProfile(query_branches);
   }
 
   // GBDA-V1 replaces the pair-specific |V'1| by a database average estimated
@@ -176,7 +162,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                       PosteriorEngine* posterior, SearchResult* result,
                       ScanBounds* bounds) {
   const SearchOptions& options = ctx.options;
-  const BranchSetRef& query_branches = ctx.query_ref;
+  const BranchSetRef query_branches = ctx.query_branches;
   const size_t range = id_seq.size();
   // Resolved once per scan call: the GBDA_FORCE_SCALAR_KERNELS environment
   // override, then the per-scan knob, then cpuid (common/kernels.h). Both

@@ -200,34 +200,14 @@ struct SearchResult {
 };
 
 /// Per-query state shared by every candidate evaluation of one query:
-/// the query's branch multiset (plus its flattened form, see below), its
-/// filter profile (when the prefilter is on) and the GBDA-V1
-/// database-average size estimate. Computed once by PrepareScan, then
-/// read-only — safe to share across shard workers.
+/// the query's branch multiset, its fingerprints, its filter profile (when
+/// the prefilter is on) and the GBDA-V1 database-average size estimate.
+/// Computed once by PrepareScan, then read-only — safe to share across
+/// shard workers.
 struct ScanContext {
-  /// Move-only: query_ref points into this context's own buffers, so an
-  /// implicit copy would silently alias the source's heap storage. Moves
-  /// are safe — the vectors keep their heap buffers, so the ref stays
-  /// valid across moves (PrepareScan's return path relies on that).
-  ScanContext() = default;
-  ScanContext(ScanContext&&) = default;
-  ScanContext& operator=(ScanContext&&) = default;
-  ScanContext(const ScanContext&) = delete;
-  ScanContext& operator=(const ScanContext&) = delete;
-
   SearchOptions options;
   bool apply_gamma = true;
   BranchMultiset query_branches;
-  /// query_branches flattened into contiguous arrays (the layout a mapped
-  /// candidate already has), so the merge loop walks flat root arrays on
-  /// both sides for every one of the O(corpus * |q|) comparisons. Built
-  /// once per query here rather than per (query, shard) task.
-  std::vector<uint32_t> query_roots;
-  std::vector<uint64_t> query_offsets;  // query_branches.size() + 1 entries
-  std::vector<LabelId> query_pool;
-  /// The flat view over the three arrays above (valid across moves, see
-  /// the class comment).
-  BranchSetRef query_ref;
 
   /// The query's branch fingerprints, sorted ascending — the query side of
   /// every kernel call: the tier-2 capped intersection cut, (when fp_exact
@@ -245,16 +225,17 @@ struct ScanContext {
   /// multisets themselves).
   bool fp_exact = false;
 
-  /// Built from query_ref only when the prefilter is on: Prefilter::Passes
-  /// is its one reader (the bounds and the navigation read query_fps).
+  /// Built from query_branches only when the prefilter is on:
+  /// Prefilter::Passes is its one reader (the bounds and the navigation read
+  /// query_fps).
   FilterProfile query_profile;
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
 };
 
 /// Validates options against the index and computes the per-query state
 /// from the query and the index alone: the query profile is read off
-/// query_ref and GBDA-V1 samples branch counts, so no corpus Graph is read.
-/// Deterministic in options.seed (the V1 sample). Fails when
+/// query_branches and GBDA-V1 samples branch counts, so no corpus Graph is
+/// read. Deterministic in options.seed (the V1 sample). Fails when
 /// options.tau_hat exceeds the index's tau_max.
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,

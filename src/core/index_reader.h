@@ -9,6 +9,10 @@
 ///     v3 arena artifact that serves branch multisets in place, with zero
 ///     deserialization (docs/ARCHITECTURE.md, "Storage engine").
 ///
+/// Both hold every branch multiset in the one flat layout of core/branch.h
+/// and differ only in who owns the arrays: a GbdaIndex owns one
+/// BranchMultiset per graph, a view reads the artifact's slices.
+///
 /// Everything downstream of the offline stage — GbdaSearch and every
 /// serving snapshot (a frozen GbdaService's one, each DynamicGbdaService
 /// generation) — speaks this interface, so an owned index and a mapped
@@ -94,8 +98,8 @@ class IndexReader {
   /// artifacts: the arena writer refuses to encode a drifted prior).
   virtual size_t gbd_staleness() const = 0;
 
-  /// The branch multiset of graph `id` as a non-owning view. Valid while
-  /// the index outlives the ref.
+  /// The flat branch multiset of graph `id` as a non-owning view. Valid
+  /// while the index outlives the ref.
   virtual BranchSetRef branch_set(size_t id) const = 0;
 
   /// The SoA candidate columns of this backing (see CandidateColumns).

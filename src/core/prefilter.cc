@@ -42,11 +42,6 @@ uint64_t BranchFingerprint(LabelId root, const LabelId* edge_labels,
   return h;
 }
 
-uint64_t BranchFingerprint(LabelId root,
-                           const std::vector<LabelId>& edge_labels) {
-  return BranchFingerprint(root, edge_labels.data(), edge_labels.size());
-}
-
 FilterProfile BuildFilterProfile(const Graph& g) {
   FilterProfile p;
   p.num_vertices = static_cast<int64_t>(g.num_vertices());

@@ -39,11 +39,10 @@ struct FilterProfile {
 /// The per-graph sorted fingerprints live in one place, the fp_keys
 /// candidate column (core/candidate_columns.h); the bound-pruning scan
 /// intersects them with the query's (docs/ARCHITECTURE.md, "Bound
-/// pruning"). The raw-array overload fingerprints branches straight out of
-/// a flat label pool without materializing Branch objects.
+/// pruning"). `edge_labels` points at the branch's `count` ascending labels
+/// in a flat label pool.
 uint64_t BranchFingerprint(LabelId root, const LabelId* edge_labels,
                            size_t count);
-uint64_t BranchFingerprint(LabelId root, const std::vector<LabelId>& edge_labels);
 
 /// Vertex/edge counts and sorted label multisets of `g`, skipping epsilon
 /// edges — no branch extraction.

@@ -9,8 +9,8 @@ namespace gbda {
 namespace {
 
 size_t Scaled(size_t count, double scale) {
-  return std::max<size_t>(2, static_cast<size_t>(std::llround(
-                                 static_cast<double>(count) * scale)));
+  const double n = static_cast<double>(count) * scale;  // NaN fails both tests
+  return n >= 2.0 && n < 0x1p63 ? static_cast<size_t>(std::llround(n)) : 2;
 }
 
 /// Splits `total` into `parts` roughly equal chunks.

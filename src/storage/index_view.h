@@ -12,11 +12,11 @@
 /// share its pages through the OS page cache (bench/bench_coldstart.cc
 /// measures open -> first query and RSS).
 ///
-/// Queries through a view are bit-identical to queries through the
-/// in-memory GbdaIndex the artifact was written from
-/// (tests/index_view_equivalence_test.cc): GbdaSearch, GbdaService and
-/// DynamicGbdaService snapshots consume the IndexReader interface, so the
-/// view plugs into all of them unchanged.
+/// Queries through a view are bit-identical to queries through the owned
+/// GbdaIndex the artifact was written from (index_view_equivalence_test):
+/// branch_set() slices have an owned BranchMultiset's layout (the label
+/// offsets index the artifact's one pool), so one merge reads both, and
+/// every consumer takes the IndexReader interface the view implements.
 ///
 /// Lifetime: the view owns its mapping; BranchSetRefs handed out by
 /// branch_set() and the priors returned by gbd_prior()/mutable_ged_prior()

@@ -188,8 +188,12 @@ TEST(FingerprintStoreTest, FromIndexMatchesIndependentFingerprints) {
   ASSERT_EQ(store.size(), ds->db.size());
   for (size_t g = 0; g < ds->db.size(); ++g) {
     std::vector<uint64_t> expected;
-    for (const Branch& b : ExtractBranches(ds->db.graph(g))) {
-      expected.push_back(BranchFingerprint(b.root, b.edge_labels));
+    const BranchMultiset branches = ExtractBranches(ds->db.graph(g));
+    const BranchSetRef b = branches;
+    for (size_t i = 0; i < b.size(); ++i) {
+      const Span<const LabelId> labels = b.edge_labels(i);
+      expected.push_back(
+          BranchFingerprint(b.root(i), labels.data(), labels.size()));
     }
     std::sort(expected.begin(), expected.end());
     const Span<const uint64_t> keys = store.keys(g);
@@ -748,8 +752,11 @@ GateCorpus MakeGateCorpus(const std::string& name, const GraphDatabase& db,
   corpus.store = StoreOf(db);
   for (size_t q = 0; q < std::min<size_t>(dataset_queries.size(), 2); ++q) {
     std::vector<uint64_t> keys;
-    for (const Branch& b : ExtractBranches(dataset_queries[q])) {
-      keys.push_back(BranchFingerprint(b.root, b.edge_labels));
+    const BranchMultiset branches = ExtractBranches(dataset_queries[q]);
+    const BranchSetRef b = branches;
+    for (size_t i = 0; i < b.size(); ++i) {
+      const Span<const LabelId> labels = b.edge_labels(i);
+      keys.push_back(BranchFingerprint(b.root(i), labels.data(), labels.size()));
     }
     std::sort(keys.begin(), keys.end());
     corpus.queries.push_back(std::move(keys));

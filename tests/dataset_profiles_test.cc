@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "eval/ground_truth.h"
 
 namespace gbda {
@@ -30,6 +33,25 @@ TEST(ProfileTest, PaperScaleCountsMatchTableIII) {
   EXPECT_EQ(total, 1896u);
   EXPECT_EQ(queries, 100u);
   EXPECT_EQ(aids.rung_sizes.front(), 95u);  // V_m of Table III
+}
+
+size_t TotalGraphs(const DatasetProfile& p) {
+  size_t total = 0;
+  for (size_t c : p.graphs_per_rung) total += c;
+  return total;
+}
+
+// A scale whose product is NaN, infinite or below 2 gets the floor of 2
+// graphs instead of wrapping through an unsigned cast.
+TEST(ProfileTest, BadScalesGetTheFloorOfTwoGraphs) {
+  for (double scale : {-1.0, 0.0, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(TotalGraphs(AidsProfile(scale)), 2u) << "scale " << scale;
+  }
+  EXPECT_EQ(TotalGraphs(AasdProfile(-0.5)), 2u);
+  Result<GeneratedDataset> ds = GenerateDataset(AidsProfile(-1.0));
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_EQ(ds->db.size(), 2u);
 }
 
 TEST(ProfileTest, SynProfileCoversLargeThresholds) {

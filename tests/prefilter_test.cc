@@ -84,8 +84,7 @@ void ExpectSameProfile(const FilterProfile& a, const FilterProfile& b,
 }
 
 FilterProfile BranchProfile(const Graph& g) {
-  const BranchMultiset branches = ExtractBranches(g);
-  return BuildFilterProfile(BranchSetRef(branches));
+  return BuildFilterProfile(ExtractBranches(g));
 }
 
 GbdaIndexOptions SmallIndexOptions() {

@@ -30,6 +30,13 @@ std::vector<BranchMultiset> MakeBranchSamples(size_t count, uint64_t seed) {
   return branches;
 }
 
+/// GbdPrior::Fit over views of `branches`.
+Result<GbdPrior> FitOver(const std::vector<BranchMultiset>& branches,
+                         const GbdPriorOptions& options, Rng* rng) {
+  const std::vector<BranchSetRef> refs(branches.begin(), branches.end());
+  return GbdPrior::Fit(refs, options, rng);
+}
+
 TEST(GedPriorTest, RowsAreNormalizedDistributions) {
   GedPriorTable table(4, 3, 10);
   for (int64_t v : {3, 10, 50, 200}) {
@@ -88,7 +95,7 @@ TEST(GbdPriorTest, RequiresAtLeastTwoGraphs) {
   Rng rng(1);
   GbdPriorOptions opts;
   std::vector<BranchMultiset> one = MakeBranchSamples(1, 2);
-  EXPECT_FALSE(GbdPrior::Fit(one, opts, &rng).ok());
+  EXPECT_FALSE(FitOver(one, opts, &rng).ok());
 }
 
 TEST(GbdPriorTest, FitsAndTabulates) {
@@ -96,7 +103,7 @@ TEST(GbdPriorTest, FitsAndTabulates) {
   const std::vector<BranchMultiset> branches = MakeBranchSamples(60, 4);
   GbdPriorOptions opts;
   opts.num_sample_pairs = 500;
-  Result<GbdPrior> prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(prior.ok()) << prior.status().ToString();
   EXPECT_EQ(prior->pairs_sampled(), 500u);
   // Probabilities positive everywhere thanks to the floor.
@@ -112,7 +119,7 @@ TEST(GbdPriorTest, UsesAllPairsWhenFew) {
   const std::vector<BranchMultiset> branches = MakeBranchSamples(10, 6);
   GbdPriorOptions opts;
   opts.num_sample_pairs = 100000;
-  Result<GbdPrior> prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(prior.ok());
   EXPECT_EQ(prior->pairs_sampled(), 45u);  // C(10,2)
 }
@@ -121,7 +128,7 @@ TEST(GbdPriorTest, HistogramCountsMatchSamples) {
   Rng rng(7);
   const std::vector<BranchMultiset> branches = MakeBranchSamples(12, 8);
   GbdPriorOptions opts;
-  Result<GbdPrior> prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(prior.ok());
   size_t total = 0;
   for (size_t c : prior->sample_histogram()) total += c;
@@ -132,7 +139,7 @@ TEST(GbdPriorTest, SerializationRoundTrip) {
   Rng rng(9);
   const std::vector<BranchMultiset> branches = MakeBranchSamples(20, 10);
   GbdPriorOptions opts;
-  Result<GbdPrior> prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(prior.ok());
   BinaryWriter writer;
   prior->Serialize(&writer);
@@ -149,7 +156,7 @@ TEST(PosteriorTest, RejectsTauBeyondTableRange) {
   Rng rng(11);
   const std::vector<BranchMultiset> branches = MakeBranchSamples(20, 12);
   GbdPriorOptions opts;
-  Result<GbdPrior> gbd_prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> gbd_prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(gbd_prior.ok());
   GedPriorTable ged_prior(4, 3, 5);
   PosteriorEngine engine(4, 3, 5, &ged_prior, &*gbd_prior);
@@ -162,7 +169,7 @@ TEST(PosteriorTest, PhiIsNonNegativeAndMonotoneInTau) {
   Rng rng(13);
   const std::vector<BranchMultiset> branches = MakeBranchSamples(30, 14);
   GbdPriorOptions opts;
-  Result<GbdPrior> gbd_prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> gbd_prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(gbd_prior.ok());
   GedPriorTable ged_prior(4, 3, 8);
   PosteriorEngine engine(4, 3, 8, &ged_prior, &*gbd_prior);
@@ -226,7 +233,7 @@ void ExpectSameSweep(const PosteriorSweep& got, const PosteriorSweep& want) {
 Result<GbdPrior> SweepGbdPrior() {
   Rng rng(17);
   GbdPriorOptions opts;
-  return GbdPrior::Fit(MakeBranchSamples(30, 18), opts, &rng);
+  return FitOver(MakeBranchSamples(30, 18), opts, &rng);
 }
 
 TEST(PosteriorTest, SharedLambda1ColumnsMatchAPrivateTable) {
@@ -315,7 +322,7 @@ TEST(PosteriorTest, MemoizationKicksIn) {
   Rng rng(15);
   const std::vector<BranchMultiset> branches = MakeBranchSamples(20, 16);
   GbdPriorOptions opts;
-  Result<GbdPrior> gbd_prior = GbdPrior::Fit(branches, opts, &rng);
+  Result<GbdPrior> gbd_prior = FitOver(branches, opts, &rng);
   ASSERT_TRUE(gbd_prior.ok());
   GedPriorTable ged_prior(4, 3, 5);
   PosteriorEngine engine(4, 3, 5, &ged_prior, &*gbd_prior);

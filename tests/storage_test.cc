@@ -137,17 +137,18 @@ TEST_F(StorageTest, ArenaRoundTripPreservesEveryField) {
   EXPECT_EQ(view->options().gbd_prior.gmm.seed,
             index_->options().gbd_prior.gmm.seed);
 
-  // Every branch multiset reads back identically through the flat view.
+  // Every branch multiset reads back identically through the mapped view.
   for (size_t g = 0; g < index_->num_graphs(); ++g) {
-    const BranchMultiset& owned = index_->branches(g);
+    const BranchSetRef owned = index_->branch_set(g);
     const BranchSetRef flat = view->branch_set(g);
     ASSERT_EQ(flat.size(), owned.size()) << "graph " << g;
     for (size_t b = 0; b < owned.size(); ++b) {
-      EXPECT_EQ(flat.root(b), owned[b].root) << "graph " << g;
+      EXPECT_EQ(flat.root(b), owned.root(b)) << "graph " << g;
       const Span<const LabelId> labels = flat.edge_labels(b);
-      ASSERT_EQ(labels.size(), owned[b].edge_labels.size()) << "graph " << g;
+      const Span<const LabelId> want = owned.edge_labels(b);
+      ASSERT_EQ(labels.size(), want.size()) << "graph " << g;
       for (size_t k = 0; k < labels.size(); ++k) {
-        EXPECT_EQ(labels[k], owned[b].edge_labels[k]);
+        EXPECT_EQ(labels[k], want[k]);
       }
     }
   }
