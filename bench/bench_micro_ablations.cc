@@ -1,12 +1,15 @@
 // Ablation microbenchmarks for the design choices called out in docs/ARCHITECTURE.md:
-//  - the O(tau^3) shared-table Lambda1 evaluation vs naive per-tau
-//    recomputation (Section VI-B);
+//  - one Lambda1 matrix for every tau <= tau_max vs one matrix per tau
+//    (Section VI-B);
 //  - the Omega2 coverage recurrence vs the paper's inclusion-exclusion form;
 //  - sorted-merge branch intersection vs a hash-multiset intersection;
-//  - GMM component count K sensitivity in fit time.
+//  - GMM fit time by component count K, on integer GBD-like samples (EM
+//    runs once per distinct value) and on all-distinct continuous samples.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -19,15 +22,16 @@
 namespace gbda {
 namespace {
 
-// --- Lambda1: shared tables vs per-tau rebuild ------------------------------
+// --- Lambda1: one matrix for every tau vs one matrix per tau ----------------
 
 void BM_Lambda1SharedTables(benchmark::State& state) {
   const int64_t tau_max = state.range(0);
   const ModelParams params = MakeModelParams(500, 10, 5);
   for (auto _ : state) {
-    // One calculator serves every tau <= tau_max (the Section VI-B scheme).
+    // One matrix, derived in one pass, serves every tau <= tau_max and
+    // every phi (the Section VI-B scheme).
     const Lambda1Calculator calc(params, tau_max);
-    benchmark::DoNotOptimize(calc.Column(tau_max));
+    benchmark::DoNotOptimize(calc.Column(tau_max).data());
   }
 }
 BENCHMARK(BM_Lambda1SharedTables)->DenseRange(10, 30, 10);
@@ -36,11 +40,11 @@ void BM_Lambda1NaivePerTau(benchmark::State& state) {
   const int64_t tau_max = state.range(0);
   const ModelParams params = MakeModelParams(500, 10, 5);
   for (auto _ : state) {
-    // Naive: rebuild the tables for every tau separately.
+    // Naive: derive a separate matrix for every tau.
     double acc = 0.0;
     for (int64_t tau = 0; tau <= tau_max; ++tau) {
       const Lambda1Calculator calc(params, tau);
-      acc += calc.Column(tau_max).back();
+      acc += calc.Column(tau_max)[static_cast<size_t>(tau)];
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -129,6 +133,8 @@ BENCHMARK(BM_IntersectionHashed)->Range(256, 16384);
 
 // --- GMM fit: component count K ---------------------------------------------
 
+// Continuous samples: every value is distinct, so EM evaluates its E step
+// once per sample.
 void BM_GmmFit(benchmark::State& state) {
   Rng rng(5);
   std::vector<double> data;
@@ -143,6 +149,27 @@ void BM_GmmFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GmmFit)->DenseRange(1, 5, 1);
+
+// Integer samples shaped like sampled pair GBDs (a few rounded modes over
+// [0, 94]), the Lambda2 fit's real input: the E step runs once per distinct
+// value. Args: sample count, K.
+void BM_GmmFitIntegerGbd(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<double> data;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const double x = rng.Bernoulli(0.6) ? rng.Gaussian(20.0, 7.0)
+                                        : rng.Gaussian(50.0, 12.0);
+    data.push_back(std::clamp(std::round(x), 0.0, 94.0));
+  }
+  GmmFitOptions opts;
+  opts.num_components = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GaussianMixture::Fit(data, opts));
+  }
+}
+BENCHMARK(BM_GmmFitIntegerGbd)
+    ->ArgsProduct({{2000, 20000}, {1, 3, 5}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gbda

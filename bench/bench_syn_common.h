@@ -77,8 +77,9 @@ inline Status RunSynTimingBench(bool scale_free, const BenchFlags& flags) {
       row.push_back(TimeCell(per_pair * db_size));
     }
     // GBDA: full scans (bound pruning off, Algorithm 1 as published) with a
-    // fresh engine per query: a cold Phi memo, but Lambda1 columns that
-    // earlier queries left in the index's shared prior table are reused.
+    // fresh engine per query: a cold Phi memo, but the Lambda1 matrices
+    // that the index build or earlier queries left in the index's shared
+    // prior table are reused.
     for (int64_t tau : {10, 20, 30}) {
       double total = 0.0;
       const size_t num_queries = std::min<size_t>(ds.queries.size(), 3);

@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
         std::vector<SearchResult> pruned_results, exhaustive_results;
         // Untimed warm-up, with pruning ARMED: it triggers every lazy
         // one-off both passes depend on — the shared table's Lambda1
-        // columns, the service engine's Phi rows (values and suffix
+        // matrices, the service engine's Phi rows (values and suffix
         // maxima) and the service's O(corpus) prefilter-profile build
         // (--prefilter=1 only) — so the timed walls below measure
         // steady-state serving for both modes rather than whichever pass

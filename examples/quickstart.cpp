@@ -66,7 +66,7 @@ int main() {
   // --- Example 7: the probabilistic model ------------------------------------
   // |V'1| = max(|V1|, |V2|) = 4, |L_V| = 3, |L_E| = 3.
   const Lambda1Calculator calc(MakeModelParams(4, 3, 3), 4);
-  const std::vector<double> lambda1 = calc.Column(/*phi=*/3);
+  const Span<double> lambda1 = calc.Column(/*phi=*/3);
   std::printf("Lambda1(tau=2, phi=3) = %.4f   (paper Example 7: 0.5113)\n",
               lambda1[2]);
   std::printf("Lambda1(tau=3, phi=3) = %.4f   (paper Example 7: 0.5631)\n",

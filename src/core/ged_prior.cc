@@ -13,31 +13,29 @@ GedPriorTable::GedPriorTable(int64_t num_vertex_labels, int64_t num_edge_labels,
       num_edge_labels_(num_edge_labels),
       tau_max_(tau_max) {}
 
-std::vector<double> GedPriorTable::BuildRow(int64_t v) const {
-  // One extra tau level so the centred difference has a right neighbour at
-  // tau = tau_max.
+std::vector<double> GedPriorTable::BuildRow(
+    const Lambda1Calculator& lambda1) const {
+  // The matrix has one extra tau level, so the centred difference has a
+  // right neighbour at tau = tau_max. Column by column, phi ascending: each
+  // ln Lambda1 is taken once, and each Fisher sum adds its phi terms in
+  // ascending order.
   const int64_t tau_hi = tau_max_ + 1;
-  const ModelParams params =
-      MakeModelParams(std::max<int64_t>(v, 1), num_vertex_labels_, num_edge_labels_);
-  const Lambda1Calculator calc(params, tau_hi);
-  const std::vector<std::vector<double>> lambda1 = calc.Matrix();
-
-  auto log_at = [&](int64_t tau, int64_t phi) {
-    const double p = lambda1[static_cast<size_t>(tau)][static_cast<size_t>(phi)];
-    return p > 0.0 ? std::log(p) : NegInf();
-  };
-
+  // weights[tau] sums the Fisher information, then takes its square root.
   std::vector<double> weights(static_cast<size_t>(tau_max_ + 1), 0.0);
-  for (int64_t tau = 0; tau <= tau_max_; ++tau) {
-    double fisher = 0.0;
-    for (int64_t phi = 0; phi <= 2 * tau_hi; ++phi) {
-      const double p = lambda1[static_cast<size_t>(tau)][static_cast<size_t>(phi)];
+  std::vector<double> logs(static_cast<size_t>(tau_hi + 1));
+  for (int64_t phi = 0; phi <= 2 * tau_hi; ++phi) {
+    const Span<double> column = lambda1.Column(phi);
+    for (size_t tau = 0; tau < logs.size(); ++tau) {
+      logs[tau] = column[tau] > 0.0 ? std::log(column[tau]) : NegInf();
+    }
+    for (size_t tau = 0; tau < weights.size(); ++tau) {
+      const double p = column[tau];
       if (p <= 0.0) continue;
       // Z = d/dtau ln Lambda1 by centred difference, one-sided when a
       // neighbour has zero mass at this phi.
-      const double here = std::log(p);
-      const double left = tau > 0 ? log_at(tau - 1, phi) : NegInf();
-      const double right = log_at(tau + 1, phi);
+      const double here = logs[tau];
+      const double left = tau > 0 ? logs[tau - 1] : NegInf();
+      const double right = logs[tau + 1];
       double z;
       const bool has_left = !std::isinf(left);
       const bool has_right = !std::isinf(right);
@@ -50,10 +48,11 @@ std::vector<double> GedPriorTable::BuildRow(int64_t v) const {
       } else {
         continue;  // isolated support point: no informative derivative
       }
-      fisher += p * z * z;
+      weights[tau] += p * z * z;
     }
-    weights[static_cast<size_t>(tau)] = std::sqrt(std::max(fisher, 0.0));
   }
+
+  for (double& w : weights) w = std::sqrt(std::max(w, 0.0));
 
   double total = 0.0;
   for (double w : weights) total += w;
@@ -79,7 +78,7 @@ const std::vector<double>& GedPriorTable::Row(int64_t v) {
     auto it = rows_.find(v);
     if (it != rows_.end()) return it->second;
   }
-  std::vector<double> row = BuildRow(v);
+  std::vector<double> row = BuildRow(Lambda1(v));
   MutexLock lock(&mutex_);
   return rows_.emplace(v, std::move(row)).first->second;
 }
@@ -88,30 +87,27 @@ void GedPriorTable::EagerBuild(const std::vector<int64_t>& sizes) {
   for (int64_t v : sizes) Row(v);
 }
 
-const std::vector<double>& GedPriorTable::Lambda1Column(int64_t v,
-                                                        int64_t phi) {
-  // As in Row(), the calculator and the column are built outside the lock
-  // and inserted if absent; a racing duplicate is identical and dropped.
-  const Lambda1Calculator* calc = nullptr;
+const Lambda1Calculator& GedPriorTable::Lambda1(int64_t v) {
+  // As in Row(), the matrix is built outside the lock and inserted if
+  // absent; a racing duplicate is identical and dropped.
   {
     MutexLock lock(&mutex_);
-    auto it = columns_.find({v, phi});
-    if (it != columns_.end()) return it->second;
-    auto calc_it = calculators_.find(v);
-    if (calc_it != calculators_.end()) calc = calc_it->second.get();
+    auto it = lambda1_.find(v);
+    if (it != lambda1_.end()) return it->second;
   }
-  if (calc == nullptr) {
-    auto built = std::make_unique<const Lambda1Calculator>(
-        MakeModelParams(std::max<int64_t>(v, 1), num_vertex_labels_,
-                        num_edge_labels_),
-        tau_max_);
-    MutexLock lock(&mutex_);
-    calc = calculators_.emplace(v, std::move(built)).first->second.get();
-  }
-  std::vector<double> column = calc->Column(phi);
+  Lambda1Calculator built(
+      MakeModelParams(std::max<int64_t>(v, 1), num_vertex_labels_,
+                      num_edge_labels_),
+      tau_max_ + 1);
   MutexLock lock(&mutex_);
-  return columns_.emplace(std::make_pair(v, phi), std::move(column))
-      .first->second;
+  return lambda1_.emplace(v, std::move(built)).first->second;
+}
+
+Span<double> GedPriorTable::Lambda1Column(int64_t v, int64_t phi) {
+  // The first tau_max + 1 entries of a column are the whole column of a
+  // tau_max matrix: no entry at tau depends on the matrix's height.
+  return Span<double>(Lambda1(v).Column(phi).data(),
+                      static_cast<size_t>(tau_max_ + 1));
 }
 
 size_t GedPriorTable::num_cached_rows() const {
@@ -119,9 +115,9 @@ size_t GedPriorTable::num_cached_rows() const {
   return rows_.size();
 }
 
-size_t GedPriorTable::num_cached_columns() const {
+size_t GedPriorTable::num_cached_matrices() const {
   MutexLock lock(&mutex_);
-  return columns_.size();
+  return lambda1_.size();
 }
 
 size_t GedPriorTable::MemoryBytes() const {

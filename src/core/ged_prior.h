@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -10,6 +8,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/serialize.h"
+#include "common/span.h"
 #include "common/thread_annotations.h"
 #include "core/lambda1.h"
 
@@ -19,10 +18,10 @@ namespace gbda {
 /// and GED-prior decoders — the index loader cross-checks the two headers
 /// for equality, so the bounds must never diverge. The bound reflects what
 /// a loaded table can afford to compute, not just integer plausibility:
-/// BuildRow allocates an O(tau^2) Lambda1 matrix and spends O(tau^3+) time,
-/// so an unbounded hostile tau_max would turn the first query into an OOM
-/// or an effective hang (at 1024 the matrix is ~17 MB; the paper uses
-/// tau <= 30).
+/// each extended size's Lambda1 matrix takes O(tau^2) memory, O(tau^3)
+/// Omega4 evaluations and O(tau^4) multiply-adds, so an unbounded hostile
+/// tau_max would turn the first query into an OOM or an effective hang (at
+/// 1024 one matrix is ~17 MB; the paper uses tau <= 30).
 inline constexpr int64_t kMaxPlausibleTau = 1024;
 
 /// Jeffreys prior over GED values (Lambda3, Section V-C / Eq. 16).
@@ -37,7 +36,10 @@ inline constexpr int64_t kMaxPlausibleTau = 1024;
 /// (the paper's 1/(k1 k2) constant does not normalise the distribution).
 ///
 /// Rows are built lazily per distinct v and cached (the paper precomputes all
-/// v in [1, n]; EagerBuild does the same when asked). Thread-safe.
+/// v in [1, n]; EagerBuild does the same when asked). A row is derived from
+/// the size's Lambda1 matrix at tau_max + 1 levels (the centred difference
+/// needs tau_max + 1), which the table memoises per v and also serves
+/// Lambda1 columns from. Thread-safe.
 class GedPriorTable {
  public:
   GedPriorTable(int64_t num_vertex_labels, int64_t num_edge_labels,
@@ -51,8 +53,7 @@ class GedPriorTable {
         num_edge_labels_(other.num_edge_labels_),
         tau_max_(other.tau_max_),
         rows_(std::move(other.rows_)),
-        calculators_(std::move(other.calculators_)),
-        columns_(std::move(other.columns_)) {}
+        lambda1_(std::move(other.lambda1_)) {}
 
   /// Pr[GED = tau | extended size v]; 0 for tau outside [0, tau_max].
   double Probability(int64_t tau, int64_t v);
@@ -63,37 +64,40 @@ class GedPriorTable {
   /// Precomputes rows for every v in `sizes` (deduplicated).
   void EagerBuild(const std::vector<int64_t>& sizes);
 
-  /// Lambda1(tau, phi) for every tau in [0, tau_max] at size v (Eq. 8 / 27).
-  /// Lambda1 has the rows' key and no dependence on Lambda2, so the table
-  /// memoises it per (v, phi), over one Lambda1Calculator per v, for every
-  /// PosteriorEngine sharing it. Not persisted nor counted by MemoryBytes.
-  const std::vector<double>& Lambda1Column(int64_t v, int64_t phi);
+  /// Lambda1(tau, phi) for every tau in [0, tau_max] at size v (Eq. 8 / 27);
+  /// all +0.0 past the support. Lambda1 has the rows' key and no dependence
+  /// on Lambda2, so the column is read from the size's memoised matrix,
+  /// shared by every PosteriorEngine on the table; the span stays valid for
+  /// the table's lifetime. The matrices are not persisted nor counted by
+  /// MemoryBytes.
+  Span<double> Lambda1Column(int64_t v, int64_t phi);
 
   int64_t tau_max() const { return tau_max_; }
   int64_t num_vertex_labels() const { return num_vertex_labels_; }
   int64_t num_edge_labels() const { return num_edge_labels_; }
   size_t num_cached_rows() const;
-  size_t num_cached_columns() const;
+  /// Extended sizes whose Lambda1 matrix is memoised.
+  size_t num_cached_matrices() const;
   size_t MemoryBytes() const;
 
   void Serialize(BinaryWriter* writer) const;
   static Result<GedPriorTable> Deserialize(BinaryReader* reader);
 
  private:
-  std::vector<double> BuildRow(int64_t v) const;
+  /// The Lambda1 matrix of size v at tau_max + 1 levels, built on first use.
+  const Lambda1Calculator& Lambda1(int64_t v);
+  std::vector<double> BuildRow(const Lambda1Calculator& lambda1) const;
 
   int64_t num_vertex_labels_;
   int64_t num_edge_labels_;
   int64_t tau_max_;
   mutable Mutex mutex_;
   /// Built entries are append-only and never mutated in place, so the
-  /// references Row() and Lambda1Column() hand out stay valid outside the
-  /// lock (no container here invalidates value references on insertion).
+  /// references Row() and Lambda1() hand out stay valid outside the lock
+  /// (an unordered_map does not move its values on insertion).
   std::unordered_map<int64_t, std::vector<double>> rows_
       GBDA_GUARDED_BY(mutex_);
-  std::unordered_map<int64_t, std::unique_ptr<const Lambda1Calculator>>
-      calculators_ GBDA_GUARDED_BY(mutex_);
-  std::map<std::pair<int64_t, int64_t>, std::vector<double>> columns_
+  std::unordered_map<int64_t, Lambda1Calculator> lambda1_
       GBDA_GUARDED_BY(mutex_);
 };
 

@@ -121,7 +121,7 @@ class IndexReader {
 
   /// The GMM prior of GBD values (Lambda2). Immutable and shared.
   virtual const GbdPrior& gbd_prior() const = 0;
-  /// The Jeffreys prior table (Lambda3) and the Lambda1 columns it memoises.
+  /// The Jeffreys prior table (Lambda3) and the Lambda1 matrices it memoises.
   /// Non-const because both build lazily at query time; the table is
   /// internally synchronized, so every PosteriorEngine over it and every
   /// thread share it.

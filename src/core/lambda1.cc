@@ -5,83 +5,80 @@
 namespace gbda {
 
 Lambda1Calculator::Lambda1Calculator(const ModelParams& params, int64_t tau_max)
-    : params_(params),
-      tau_max_(tau_max),
-      m_cap_(std::min<int64_t>(2 * tau_max, params.v)),
-      omega2_(params.v, tau_max) {
-  omega1_.resize(static_cast<size_t>(tau_max + 1));
-  for (int64_t tau = 0; tau <= tau_max; ++tau) {
-    auto& row = omega1_[static_cast<size_t>(tau)];
-    row.resize(static_cast<size_t>(tau + 1), 0.0);
-    for (int64_t x = 0; x <= tau; ++x) {
-      row[static_cast<size_t>(x)] = Omega1(x, tau, params_);
+    : tau_max_(tau_max),
+      values_(static_cast<size_t>((2 * tau_max + 2) * (tau_max + 1)), 0.0) {
+  const int64_t v = params.v;
+  const size_t width = static_cast<size_t>(2 * tau_max + 1);  // phi values
+  const size_t height = static_cast<size_t>(tau_max + 1);     // tau values
+  const int64_t x_cap = std::min<int64_t>(tau_max, v);
+  const int64_t m_cap = std::min<int64_t>(2 * tau_max, v);
+  const Omega2Table omega2(v, tau_max);
+
+  // Every term below has r <= x + m <= 2 * tau_max, so phi <= r stays in
+  // the matrix; omega3[r][phi] is +0.0 for phi > r, as Omega3 is.
+  const int64_t r_cap = std::min<int64_t>(2 * tau_max, v);
+  std::vector<double> omega3(static_cast<size_t>(r_cap + 1) * width, 0.0);
+  for (int64_t r = 0; r <= r_cap; ++r) {
+    for (int64_t phi = 0; phi <= r; ++phi) {
+      omega3[static_cast<size_t>(r) * width + static_cast<size_t>(phi)] =
+          Omega3(r, phi, params);
     }
   }
-}
 
-std::vector<std::vector<double>> Lambda1Calculator::Inner2(int64_t phi) const {
-  const int64_t x_cap = std::min<int64_t>(tau_max_, params_.v);
-  std::vector<std::vector<double>> inner(
-      static_cast<size_t>(x_cap + 1),
-      std::vector<double>(static_cast<size_t>(m_cap_ + 1), 0.0));
+  std::vector<double> inner(static_cast<size_t>(m_cap + 1) * width);  // [m][phi]
+  std::vector<double> omega4;
+  std::vector<double> inner_sum(width);
+  // x ascending: each entry accumulates its x terms in the order of the
+  // per-column sum, starting from +0.0.
   for (int64_t x = 0; x <= x_cap; ++x) {
-    for (int64_t m = 0; m <= m_cap_; ++m) {
-      // R = x + m - t with overlap t in the hypergeometric support.
+    // inner2(x, m, .) for the m that some tau <= tau_max reads: m <= 2y
+    // with y = tau - x. R = x + m - t with overlap t in the hypergeometric
+    // support.
+    const int64_t m_top = std::min<int64_t>(2 * (tau_max - x), m_cap);
+    for (int64_t m = 0; m <= m_top; ++m) {
       const int64_t r_lo = std::max(x, m);
-      const int64_t r_hi = std::min(x + m, params_.v);
-      double acc = 0.0;
+      const int64_t r_hi = std::min(x + m, v);
+      omega4.clear();
       for (int64_t r = r_lo; r <= r_hi; ++r) {
-        const double o4 = Omega4(x, r, m, params_);
-        if (o4 <= 0.0) continue;
-        const double o3 = Omega3(r, phi, params_);
-        if (o3 <= 0.0) continue;
-        acc += o3 * o4;
+        omega4.push_back(Omega4(x, r, m, params));
       }
-      inner[static_cast<size_t>(x)][static_cast<size_t>(m)] = acc;
+      double* row = &inner[static_cast<size_t>(m) * width];
+      for (size_t phi = 0; phi < width; ++phi) {
+        double acc = 0.0;
+        for (int64_t r = r_lo; r <= r_hi; ++r) {
+          const double o4 = omega4[static_cast<size_t>(r - r_lo)];
+          if (o4 <= 0.0) continue;
+          const double o3 = omega3[static_cast<size_t>(r) * width + phi];
+          if (o3 <= 0.0) continue;
+          acc += o3 * o4;
+        }
+        row[phi] = acc;
+      }
     }
-  }
-  return inner;
-}
-
-std::vector<double> Lambda1Calculator::Column(int64_t phi) const {
-  std::vector<double> column(static_cast<size_t>(tau_max_ + 1), 0.0);
-  if (phi < 0) return column;
-  const std::vector<std::vector<double>> inner = Inner2(phi);
-  const int64_t x_cap = std::min<int64_t>(tau_max_, params_.v);
-  for (int64_t tau = 0; tau <= tau_max_; ++tau) {
-    double total = 0.0;
-    const auto& o1row = omega1_[static_cast<size_t>(tau)];
-    for (int64_t x = 0; x <= std::min(tau, x_cap); ++x) {
-      const double o1 = o1row[static_cast<size_t>(x)];
+    for (int64_t tau = x; tau <= tau_max; ++tau) {
+      const double o1 = Omega1(x, tau, params);
       if (o1 <= 0.0) continue;
       const int64_t y = tau - x;
-      const int64_t m_hi = std::min<int64_t>(2 * y, m_cap_);
-      double inner_sum = 0.0;
+      const int64_t m_hi = std::min<int64_t>(2 * y, m_cap);
+      std::fill(inner_sum.begin(), inner_sum.end(), 0.0);
       for (int64_t m = 0; m <= m_hi; ++m) {
-        const double o2 = omega2_.At(m, y);
+        const double o2 = omega2.At(m, y);
         if (o2 <= 0.0) continue;
-        inner_sum += o2 * inner[static_cast<size_t>(x)][static_cast<size_t>(m)];
+        const double* row = &inner[static_cast<size_t>(m) * width];
+        for (size_t phi = 0; phi < width; ++phi) inner_sum[phi] += o2 * row[phi];
       }
-      total += o1 * inner_sum;
+      for (size_t phi = 0; phi < width; ++phi) {
+        values_[phi * height + static_cast<size_t>(tau)] += o1 * inner_sum[phi];
+      }
     }
-    column[static_cast<size_t>(tau)] = total;
   }
-  return column;
 }
 
-std::vector<std::vector<double>> Lambda1Calculator::Matrix() const {
-  const int64_t phi_max = 2 * tau_max_;
-  std::vector<std::vector<double>> matrix(
-      static_cast<size_t>(tau_max_ + 1),
-      std::vector<double>(static_cast<size_t>(phi_max + 1), 0.0));
-  for (int64_t phi = 0; phi <= phi_max; ++phi) {
-    const std::vector<double> col = Column(phi);
-    for (int64_t tau = 0; tau <= tau_max_; ++tau) {
-      matrix[static_cast<size_t>(tau)][static_cast<size_t>(phi)] =
-          col[static_cast<size_t>(tau)];
-    }
-  }
-  return matrix;
+Span<double> Lambda1Calculator::Column(int64_t phi) const {
+  if (phi < 0 || phi > 2 * tau_max_) phi = 2 * tau_max_ + 1;
+  const size_t height = static_cast<size_t>(tau_max_ + 1);
+  return Span<double>(values_.data() + static_cast<size_t>(phi) * height,
+                      height);
 }
 
 }  // namespace gbda

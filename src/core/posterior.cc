@@ -23,7 +23,7 @@ PhiRow PosteriorEngine::BuildRow(int64_t v, int64_t tau_hat) const {
   // index).
   const std::vector<double>* lambda3 = nullptr;
   for (int64_t phi = 0; phi <= cap; ++phi) {
-    const std::vector<double>& lambda1 = ged_prior_->Lambda1Column(v, phi);
+    const Span<double> lambda1 = ged_prior_->Lambda1Column(v, phi);
     const double lambda2 = gbd_prior_->Probability(phi);
     double total = 0.0;
     for (int64_t tau = 0; tau <= tau_hat; ++tau) {

@@ -3,10 +3,11 @@
 /// combines the conditional Lambda1 = Pr[GBD | GED] (Eq. 8/27), the GMM
 /// prior Lambda2 = Pr[GBD] and the Jeffreys prior Lambda3 = Pr[GED] into
 /// Phi = Pr[GED <= tau_hat | GBD], the value Step 4 compares against gamma.
-/// Lambda1 columns and Lambda3 rows are memoised once in the shared
-/// GedPriorTable and each (v, tau_hat) row of Phi once in the engine, so a
-/// database scan pays O(tau_hat^3) only for distinct extended sizes, keeping
-/// the per-graph online cost at the O(nd + tau_hat^3) of Theorem 3.
+/// The Lambda1 matrix and the Lambda3 row of each extended size are
+/// memoised once in the shared GedPriorTable and each (v, tau_hat) row of
+/// Phi once in the engine, so a database scan derives Lambda1 only for
+/// distinct extended sizes, keeping the per-graph online cost at the
+/// O(nd + tau_hat^3) of Theorem 3.
 
 #pragma once
 

@@ -9,8 +9,12 @@ constexpr double kInvSqrt2 = 0.7071067811865475244;
 }  // namespace
 
 double NormalLogPdf(double x, double mean, double stddev) {
+  return NormalLogPdf(x, mean, stddev, std::log(stddev));
+}
+
+double NormalLogPdf(double x, double mean, double stddev, double log_stddev) {
   const double z = (x - mean) / stddev;
-  return -0.5 * z * z - std::log(stddev) - kLogSqrt2Pi;
+  return -0.5 * z * z - log_stddev - kLogSqrt2Pi;
 }
 
 double NormalPdf(double x, double mean, double stddev) {

@@ -8,6 +8,10 @@ double NormalPdf(double x, double mean, double stddev);
 /// Log-density of N(mean, stddev^2) at x.
 double NormalLogPdf(double x, double mean, double stddev);
 
+/// The same double, with log_stddev = std::log(stddev) supplied by a caller
+/// that evaluates many points of one component.
+double NormalLogPdf(double x, double mean, double stddev, double log_stddev);
+
 /// Cumulative distribution of N(mean, stddev^2) at x (erf-based).
 double NormalCdf(double x, double mean, double stddev);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "math/gaussian.h"
@@ -47,7 +49,12 @@ Result<GaussianMixture> GaussianMixture::Fit(const std::vector<double>& data,
   if (options.num_components <= 0) {
     return Status::InvalidArgument("GMM fit: num_components must be positive");
   }
-  const int k = options.num_components;
+  for (double x : data) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("GMM fit: non-finite sample");
+    }
+  }
+  const size_t k = static_cast<size_t>(options.num_components);
   const size_t n = data.size();
 
   double mean = 0.0;
@@ -61,50 +68,89 @@ Result<GaussianMixture> GaussianMixture::Fit(const std::vector<double>& data,
 
   Rng rng(options.seed);
   GaussianMixture model;
-  model.components_.resize(static_cast<size_t>(k));
-  const std::vector<double> centres = KMeansPlusPlusCentres(data, k, &rng);
-  for (int c = 0; c < k; ++c) {
-    model.components_[static_cast<size_t>(c)] = {1.0 / k, centres[static_cast<size_t>(c)],
-                                                 global_sd};
+  model.components_.resize(k);
+  const std::vector<double> centres =
+      KMeansPlusPlusCentres(data, options.num_components, &rng);
+  for (size_t c = 0; c < k; ++c) {
+    model.components_[c] = {1.0 / options.num_components, centres[c],
+                            global_sd};
   }
 
-  std::vector<double> resp(n * static_cast<size_t>(k));
+  // A sample's responsibilities and log-normaliser depend only on its
+  // value, and GBD samples repeat a few dozen integers, so the E step runs
+  // once per distinct value: values[slot[i]] == data[i]. Values keep their
+  // first-occurrence order, so all-distinct data reads `resp` in sequence.
+  std::vector<double> values;
+  std::vector<size_t> slot(n);
+  {
+    // Open addressing on the bit pattern (Fibonacci hashing), at most half
+    // full. Samples are finite and x + 0.0 folds -0.0 into +0.0, so equal
+    // values hash alike (and give the same E step).
+    constexpr size_t kEmpty = std::numeric_limits<size_t>::max();
+    size_t capacity = 2;
+    int shift = 63;
+    while (capacity < 2 * n) {
+      capacity <<= 1;
+      --shift;
+    }
+    std::vector<size_t> table(capacity, kEmpty);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = data[i] + 0.0;
+      uint64_t bits;
+      std::memcpy(&bits, &x, sizeof bits);
+      size_t h = static_cast<size_t>((bits * 0x9E3779B97F4A7C15ULL) >> shift);
+      while (table[h] != kEmpty && values[table[h]] != x) {
+        h = (h + 1) & (capacity - 1);
+      }
+      if (table[h] == kEmpty) {
+        table[h] = values.size();
+        values.push_back(x);
+      }
+      slot[i] = table[h];
+    }
+  }
+  std::vector<double> resp(values.size() * k);  // [value][component]
+  std::vector<double> log_norm(values.size());
+  std::vector<double> log_weight(k), log_stddev(k);
+
   double prev_ll = -std::numeric_limits<double>::infinity();
   int iter = 0;
   for (; iter < options.max_iterations; ++iter) {
     // E step: responsibilities via log-sum-exp.
-    double ll = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < k; ++c) {
+      const GmmComponent& gc = model.components_[c];
+      log_weight[c] = gc.weight > 0.0 ? std::log(gc.weight) : NegInf();
+      log_stddev[c] = std::log(gc.stddev);
+    }
+    for (size_t d = 0; d < values.size(); ++d) {
+      double* r = &resp[d * k];
       double max_log = -std::numeric_limits<double>::infinity();
-      for (int c = 0; c < k; ++c) {
-        const GmmComponent& gc = model.components_[static_cast<size_t>(c)];
-        const double lw = gc.weight > 0.0 ? std::log(gc.weight) : NegInf();
-        const double lp = lw + NormalLogPdf(data[i], gc.mean, gc.stddev);
-        resp[i * static_cast<size_t>(k) + static_cast<size_t>(c)] = lp;
-        max_log = std::max(max_log, lp);
+      for (size_t c = 0; c < k; ++c) {
+        const GmmComponent& gc = model.components_[c];
+        r[c] = log_weight[c] + NormalLogPdf(values[d], gc.mean, gc.stddev,
+                                            log_stddev[c]);
+        max_log = std::max(max_log, r[c]);
       }
       double denom = 0.0;
-      for (int c = 0; c < k; ++c) {
-        denom += std::exp(resp[i * static_cast<size_t>(k) + static_cast<size_t>(c)] - max_log);
-      }
-      const double log_denom = max_log + std::log(denom);
-      ll += log_denom;
-      for (int c = 0; c < k; ++c) {
-        double& r = resp[i * static_cast<size_t>(k) + static_cast<size_t>(c)];
-        r = std::exp(r - log_denom);
-      }
+      for (size_t c = 0; c < k; ++c) denom += std::exp(r[c] - max_log);
+      log_norm[d] = max_log + std::log(denom);
+      for (size_t c = 0; c < k; ++c) r[c] = std::exp(r[c] - log_norm[d]);
     }
+    // The log-likelihood and the M step sum over the samples in their
+    // original order, so every double is the per-sample EM's.
+    double ll = 0.0;
+    for (size_t i = 0; i < n; ++i) ll += log_norm[slot[i]];
     ll /= static_cast<double>(n);
 
     // M step.
-    for (int c = 0; c < k; ++c) {
+    for (size_t c = 0; c < k; ++c) {
       double nk = 0.0, mu = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        const double r = resp[i * static_cast<size_t>(k) + static_cast<size_t>(c)];
+        const double r = resp[slot[i] * k + c];
         nk += r;
         mu += r * data[i];
       }
-      GmmComponent& gc = model.components_[static_cast<size_t>(c)];
+      GmmComponent& gc = model.components_[c];
       if (nk < 1e-12) {
         // Dead component: park it at the global statistics with zero weight.
         gc = {0.0, mean, global_sd};
@@ -113,7 +159,7 @@ Result<GaussianMixture> GaussianMixture::Fit(const std::vector<double>& data,
       mu /= nk;
       double s2 = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        const double r = resp[i * static_cast<size_t>(k) + static_cast<size_t>(c)];
+        const double r = resp[slot[i] * k + c];
         s2 += r * (data[i] - mu) * (data[i] - mu);
       }
       s2 /= nk;
@@ -147,6 +193,11 @@ Result<GaussianMixture> GaussianMixture::FromComponents(
   }
   double wsum = 0.0;
   for (const auto& c : comps) {
+    // NaN fails every comparison, so it is rejected by name.
+    if (!std::isfinite(c.weight) || !std::isfinite(c.mean) ||
+        !std::isfinite(c.stddev)) {
+      return Status::InvalidArgument("GMM: component fields must be finite");
+    }
     if (c.stddev <= 0.0) {
       return Status::InvalidArgument("GMM: component stddev must be positive");
     }

@@ -34,13 +34,20 @@ struct GmmFitOptions {
 /// (Lambda2, Section V-B / Figure 5).
 class GaussianMixture {
  public:
-  /// Fits a mixture to `data`. Fails on empty data or non-positive K. When the
-  /// data has fewer distinct values than K, surplus components collapse onto
-  /// the floor variance and keep near-zero weight, which is harmless.
+  /// Fits a mixture to `data`. Fails on empty data, a non-finite sample or
+  /// non-positive K. When the data has fewer distinct values than K, surplus
+  /// components collapse onto the floor variance and keep near-zero weight,
+  /// which is harmless. Each iteration evaluates the E step's log and exps
+  /// once per distinct value and component (GBD samples are integers, so a
+  /// few dozen values), then sums the log-likelihood and the M step over
+  /// the n samples in order: O(n K) additions and O(d K) transcendental
+  /// calls for d distinct values.
   static Result<GaussianMixture> Fit(const std::vector<double>& data,
                                      const GmmFitOptions& options);
 
   /// Constructs a mixture directly from components (weights must sum to ~1).
+  /// Fails on a non-finite field, a non-positive stddev, a negative weight
+  /// or weights that sum to zero.
   static Result<GaussianMixture> FromComponents(std::vector<GmmComponent> comps);
 
   double Pdf(double x) const;

@@ -99,7 +99,7 @@ void DynamicGbdaService::Republish(bool force_refit) {
   // over; otherwise NewSnapshot builds a fresh one against the new prior
   // objects (kept alive by the snapshot's index). After a Lambda2 refit
   // alone the table is the old one, so the fresh engine finds every
-  // Lambda1 column and Lambda3 row already derived.
+  // Lambda1 matrix and Lambda3 row already derived.
   std::shared_ptr<const Snapshot> prev = LoadSnapshot();
   const bool same_priors =
       prev != nullptr && &prev->index->gbd_prior() == &index->gbd_prior() &&

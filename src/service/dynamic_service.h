@@ -28,7 +28,7 @@
 ///   - The engine carries over to the next snapshot while both prior
 ///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi
 ///     rows depend on Lambda2), but the GedPriorTable — and with it every
-///     Lambda1 column and Lambda3 row — carries over until the model label
+///     Lambda1 matrix and Lambda3 row — carries over until the model label
 ///     universe grows, so the first reads after a refit recompute only
 ///     O(tau_hat) Phi sums per row.
 ///   - Readers load the current shared_ptr and answer the whole query

@@ -473,8 +473,8 @@ TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
   ASSERT_TRUE(dyn.Query(dataset_->queries[0], opts).ok());
   const std::shared_ptr<const IndexReader> served = dyn.snapshot_index();
   GedPriorTable* table = served->mutable_ged_prior();
-  const size_t columns = table->num_cached_columns();
-  EXPECT_GT(columns, 0u);
+  const size_t matrices = table->num_cached_matrices();
+  EXPECT_GT(matrices, 0u);
 
   // A removal refits Lambda2, so the next generation starts fresh engines,
   // but the label universe is unchanged and the table carries over.
@@ -483,9 +483,9 @@ TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
   EXPECT_NE(&refit->gbd_prior(), &served->gbd_prior());
   EXPECT_EQ(refit->mutable_ged_prior(), table);
   // The replay's candidates are a subset of the first run's, so its cold
-  // Phi memo finds every Lambda1 column it needs in the table.
+  // Phi memo finds the Lambda1 matrix of every size it needs in the table.
   ASSERT_TRUE(dyn.Query(dataset_->queries[0], opts).ok());
-  EXPECT_EQ(table->num_cached_columns(), columns);
+  EXPECT_EQ(table->num_cached_matrices(), matrices);
 
   // A grown model universe changes Lambda1: the next snapshot gets a new,
   // empty table.
@@ -494,7 +494,7 @@ TEST_F(DynamicServiceTest, Lambda1ColumnsOutliveALambda2Refit) {
   const std::shared_ptr<const IndexReader> grown = dyn.snapshot_index();
   EXPECT_EQ(grown->num_vertex_labels(), refit->num_vertex_labels() + 1);
   EXPECT_NE(grown->mutable_ged_prior(), table);
-  EXPECT_EQ(grown->mutable_ged_prior()->num_cached_columns(), 0u);
+  EXPECT_EQ(grown->mutable_ged_prior()->num_cached_matrices(), 0u);
 }
 
 TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -10,6 +12,7 @@
 #include "core/ged_prior.h"
 #include "core/posterior.h"
 #include "graph/generators.h"
+#include "math/log_combinatorics.h"
 
 namespace gbda {
 namespace {
@@ -250,18 +253,15 @@ TEST(PosteriorTest, SharedLambda1ColumnsMatchAPrivateTable) {
   GedPriorTable shared(4, 3, kSweepTauMax);
   PosteriorEngine first(4, 3, kSweepTauMax, &shared, &*gbd_prior);
   ExpectSameSweep(Sweep(&first, /*reverse=*/true), want);
-  const size_t columns = shared.num_cached_columns();
-  size_t support = 0;
-  for (int64_t v = 1; v <= 64; ++v) {
-    support += static_cast<size_t>(std::min(v, 2 * kSweepTauMax) + 1);
-  }
-  EXPECT_EQ(support, 766u);
-  EXPECT_EQ(columns, support);
-  EXPECT_EQ(private_table.num_cached_columns(), columns);
+  // One Lambda1 matrix per swept size v in [1, 64], which serves every
+  // column the rows read (phi in [0, min(v, 2 * kSweepTauMax)]).
+  const size_t matrices = shared.num_cached_matrices();
+  EXPECT_EQ(matrices, 64u);
+  EXPECT_EQ(private_table.num_cached_matrices(), matrices);
 
   PosteriorEngine second(4, 3, kSweepTauMax, &shared, &*gbd_prior);
   ExpectSameSweep(Sweep(&second), want);
-  EXPECT_EQ(shared.num_cached_columns(), columns);
+  EXPECT_EQ(shared.num_cached_matrices(), matrices);
 }
 
 TEST(PosteriorTest, ConcurrentEnginesOnOneTableMatchTheSerialEngine) {
@@ -273,8 +273,8 @@ TEST(PosteriorTest, ConcurrentEnginesOnOneTableMatchTheSerialEngine) {
 
   // Four threads on one engine, as a service's pool workers share it, sweep
   // the same (v, phi) points — half of them in reverse — so they race to
-  // build the same Phi rows of the engine and the same calculators, columns
-  // and rows of the one table.
+  // build the same Phi rows of the engine and the same Lambda1 matrices and
+  // Lambda3 rows of the one table.
   GedPriorTable shared(4, 3, kSweepTauMax);
   PosteriorEngine engine(4, 3, kSweepTauMax, &shared, &*gbd_prior);
   constexpr size_t kThreads = 4;
@@ -288,34 +288,113 @@ TEST(PosteriorTest, ConcurrentEnginesOnOneTableMatchTheSerialEngine) {
     SCOPED_TRACE("thread " + std::to_string(t));
     ExpectSameSweep(got[t], want);
   }
-  EXPECT_EQ(shared.num_cached_columns(), private_table.num_cached_columns());
+  EXPECT_EQ(shared.num_cached_matrices(),
+            private_table.num_cached_matrices());
   EXPECT_EQ(shared.num_cached_rows(), private_table.num_cached_rows());
 }
 
 TEST(GedPriorTest, Lambda1ColumnsAreNotPersisted) {
   GedPriorTable table(4, 3, 6);
   table.EagerBuild({5, 12});
+  // Each row was derived from its size's memoised matrix.
+  EXPECT_EQ(table.num_cached_matrices(), 2u);
   BinaryWriter before;
   table.Serialize(&before);
   const size_t bytes = table.MemoryBytes();
 
-  // Columns at sizes with and without a row: the memo grows, the persisted
-  // table and its reported footprint do not.
+  // Columns at sizes with and without a row: the memo grows by the one
+  // size without a row, the persisted table and its reported footprint do
+  // not.
   for (int64_t phi = 0; phi <= 8; ++phi) {
     EXPECT_EQ(table.Lambda1Column(5, phi).size(), 7u);
     EXPECT_EQ(table.Lambda1Column(40, phi).size(), 7u);
   }
-  EXPECT_EQ(table.num_cached_columns(), 18u);
+  EXPECT_EQ(table.num_cached_matrices(), 3u);
   EXPECT_EQ(table.num_cached_rows(), 2u);
   EXPECT_EQ(table.MemoryBytes(), bytes);
   BinaryWriter after;
   table.Serialize(&after);
   EXPECT_EQ(after.buffer(), before.buffer());
 
-  // A column equals the one a calculator of the same model derives.
+  // A column equals the one a calculator of the same model derives at
+  // tau_max, though the table's matrix has tau_max + 1 levels.
   const Lambda1Calculator calc(MakeModelParams(40, 4, 3), 6);
-  EXPECT_EQ(table.Lambda1Column(40, 3), calc.Column(3));
-  EXPECT_EQ(table.num_cached_columns(), 18u);
+  const Span<double> column = table.Lambda1Column(40, 3);
+  EXPECT_EQ(std::vector<double>(column.begin(), column.end()),
+            std::vector<double>(calc.Column(3).begin(), calc.Column(3).end()));
+  EXPECT_EQ(table.num_cached_matrices(), 3u);
+}
+
+/// The Jeffreys row derived tau-major, taking ln Lambda1 afresh for each
+/// neighbour: the reference GedPriorTable::Row must reproduce bit for bit.
+/// Its Lambda1 matrix is the production one (lambda1_test pins that matrix
+/// to a per-phi reference).
+std::vector<double> ReferenceBuildRow(int64_t v, int64_t num_vertex_labels,
+                                      int64_t num_edge_labels,
+                                      int64_t tau_max) {
+  const int64_t tau_hi = tau_max + 1;
+  const Lambda1Calculator lambda1(
+      MakeModelParams(std::max<int64_t>(v, 1), num_vertex_labels,
+                      num_edge_labels),
+      tau_hi);
+  auto log_at = [&](int64_t tau, int64_t phi) {
+    const double p = lambda1.Column(phi)[static_cast<size_t>(tau)];
+    return p > 0.0 ? std::log(p) : NegInf();
+  };
+  std::vector<double> weights(static_cast<size_t>(tau_max + 1), 0.0);
+  for (int64_t tau = 0; tau <= tau_max; ++tau) {
+    double fisher = 0.0;
+    for (int64_t phi = 0; phi <= 2 * tau_hi; ++phi) {
+      const double p = lambda1.Column(phi)[static_cast<size_t>(tau)];
+      if (p <= 0.0) continue;
+      const double here = std::log(p);
+      const double left = tau > 0 ? log_at(tau - 1, phi) : NegInf();
+      const double right = log_at(tau + 1, phi);
+      double z;
+      const bool has_left = !std::isinf(left);
+      const bool has_right = !std::isinf(right);
+      if (has_left && has_right) {
+        z = 0.5 * (right - left);
+      } else if (has_right) {
+        z = right - here;
+      } else if (has_left) {
+        z = here - left;
+      } else {
+        continue;
+      }
+      fisher += p * z * z;
+    }
+    weights[static_cast<size_t>(tau)] = std::sqrt(std::max(fisher, 0.0));
+  }
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (total <= 0.0) {
+    std::fill(weights.begin(), weights.end(),
+              1.0 / static_cast<double>(tau_max + 1));
+    return weights;
+  }
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+TEST(GedPriorTest, RowsMatchTheReferenceBitForBit) {
+  // Includes v = 0 (clamped to 1), v = 1 with one vertex label (a single
+  // branch type, so the uniform fallback) and sizes past 2 * tau_max.
+  for (int64_t lv : {1, 4, 62}) {
+    for (int64_t tau_max : {0, 1, 5, 10}) {
+      GedPriorTable table(lv, 3, tau_max);
+      for (int64_t v : {0, 1, 2, 7, 23, 95, 1000}) {
+        const std::vector<double> want = ReferenceBuildRow(v, lv, 3, tau_max);
+        const std::vector<double>& got = table.Row(v);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t tau = 0; tau < want.size(); ++tau) {
+          EXPECT_EQ(std::memcmp(&got[tau], &want[tau], sizeof(double)), 0)
+              << "lv=" << lv << " tau_max=" << tau_max << " v=" << v
+              << " tau=" << tau << ": " << got[tau] << " vs " << want[tau];
+        }
+      }
+    }
+  }
 }
 
 TEST(PosteriorTest, MemoizationKicksIn) {

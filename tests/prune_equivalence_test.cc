@@ -533,7 +533,7 @@ TEST_F(PruneEquivalenceTest, PhiRowBoundsPhiAndEndsSupport) {
         ASSERT_TRUE(exact.ok());
         if (phi > cap) {
           EXPECT_EQ(*exact, 0.0) << "v=" << v << " phi=" << phi;
-          const std::vector<double>& lambda1 = ged_prior->Lambda1Column(v, phi);
+          const Span<double> lambda1 = ged_prior->Lambda1Column(v, phi);
           for (int64_t tau = 0; tau <= tau_hat; ++tau) {
             const double l1 = lambda1[static_cast<size_t>(tau)];
             EXPECT_TRUE(l1 == 0.0 && !std::signbit(l1))
