@@ -1,8 +1,8 @@
 // Cold-start bench: open -> first-query latency and resident memory of a
-// mapped v3 artifact (docs/BENCHMARKS.md, "Cold-start bench").
-// GbdaIndexView::Open maps the file, validates the header, offset tables
-// and columns, and decodes the two prior blobs; the branch arena and the
-// candidate columns are served in place.
+// mapped v4 artifact (docs/BENCHMARKS.md, "Cold-start bench").
+// GbdaIndexView::Open maps the file, validates the header and the tables,
+// hashes the branch dictionary and decodes the two prior blobs; the
+// dictionary and the candidate columns are served in place.
 //
 // The artifact is written from a freshly built in-memory index, then opened
 // and queried `--iters` times. Before any number is reported, full query
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
 
   const std::string path = flags.dir + "/gbda_coldstart_" +
                            std::to_string(static_cast<long long>(getpid())) +
-                           ".v3.idx";
+                           ".v4.idx";
   g_artifact_path = path;
   std::atexit(RemoveArtifact);
   Status saved = WriteArenaFile(*built, path);
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(flags.tau_hat));
   std::printf("  \"file_bytes\": %lld,\n",
               static_cast<long long>(file.tellg()));
-  PrintStats("v3_map", samples);
+  PrintStats("v4_map", samples);
   std::printf("  \"equivalence\": \"bit-identical\"\n}\n");
   return 0;  // artifact removed by the atexit hook
 }

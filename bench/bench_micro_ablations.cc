@@ -2,7 +2,8 @@
 //  - one Lambda1 matrix for every tau <= tau_max vs one matrix per tau
 //    (Section VI-B);
 //  - the Omega2 coverage recurrence vs the paper's inclusion-exclusion form;
-//  - sorted-merge branch intersection vs a hash-multiset intersection;
+//  - sorted-merge branch intersection vs a hash-multiset intersection vs
+//    the id intersection an index runs (one branch dictionary);
 //  - GMM fit time by component count K, on integer GBD-like samples (EM
 //    runs once per distinct value) and on all-distinct continuous samples.
 
@@ -12,9 +13,10 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "core/branch.h"
-#include "core/candidate_columns.h"
+#include "core/branch_dictionary.h"
 #include "core/lambda1.h"
 #include "graph/generators.h"
 #include "math/gmm.h"
@@ -98,8 +100,37 @@ void BM_IntersectionSortedMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionSortedMerge)->Range(256, 16384);
 
+// The same intersection as an index counts it: both multisets as ascending
+// ids of one dictionary, on the dispatched intersect_count kernel.
+void BM_IntersectionIds(benchmark::State& state) {
+  const BranchMultiset a = MakeBranches(static_cast<size_t>(state.range(0)), 1);
+  const BranchMultiset b = MakeBranches(static_cast<size_t>(state.range(0)), 2);
+  BranchDictionary dictionary;
+  const auto ids_of = [&dictionary](const BranchSetRef& set) {
+    std::vector<uint64_t> ids;
+    for (size_t i = 0; i < set.size(); ++i) {
+      ids.push_back(dictionary.Intern(set.root(i), set.edge_labels(i)));
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const std::vector<uint64_t> ia = ids_of(a);
+  const std::vector<uint64_t> ib = ids_of(b);
+  const ScanKernels& kernels =
+      GetScanKernels(ResolveKernels(KernelDispatch::kAuto));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        kernels.intersect_count(ia.data(), ia.size(), ib.data(), ib.size()));
+  }
+}
+BENCHMARK(BM_IntersectionIds)->Range(256, 16384);
+
 size_t HashIntersection(const BranchSetRef& a, const BranchSetRef& b) {
   // Strawman alternative: count via a hash multimap keyed by a cheap hash.
+  const auto same = [&a, &b](size_t i, size_t j) {
+    return CompareBranches(a.root(i), a.edge_labels(i), b.root(j),
+                           b.edge_labels(j)) == 0;
+  };
   std::unordered_map<size_t, std::vector<size_t>> buckets;
   auto hash = [](const BranchSetRef& set, size_t i) {
     size_t h = set.root(i) * 1000003u;
@@ -112,7 +143,7 @@ size_t HashIntersection(const BranchSetRef& a, const BranchSetRef& b) {
     auto it = buckets.find(hash(b, j));
     if (it == buckets.end()) continue;
     for (auto pit = it->second.begin(); pit != it->second.end(); ++pit) {
-      if (SameBranchContent(a, *pit, b, j)) {
+      if (same(*pit, j)) {
         it->second.erase(pit);
         ++common;
         break;

@@ -1,6 +1,6 @@
 // Molecule similarity search: the bio-informatics scenario of the paper's
 // introduction. Builds an AIDS-profile molecule database, runs the offline
-// stage (branch index + priors), persists the index as a v3 arena, maps it
+// stage (branch index + priors), persists the index as a v4 arena, maps it
 // back, and answers similarity queries with GBDA over the mapped artifact,
 // printing the top matches with their posterior scores.
 
@@ -49,8 +49,8 @@ int main() {
               HumanSeconds(costs.ged_prior_seconds).c_str());
 
   // Persist, then map the artifact back, as a production service would at
-  // startup: the branch arena and candidate columns are served in place.
-  const std::string path = "/tmp/gbda_molecules.v3";
+  // startup: the branch dictionary and candidate columns are served in place.
+  const std::string path = "/tmp/gbda_molecules.v4";
   if (Status st = WriteArenaFile(*index, path); !st.ok()) {
     std::fprintf(stderr, "write: %s\n", st.ToString().c_str());
     return 1;

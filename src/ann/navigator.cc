@@ -23,7 +23,7 @@ Result<AnnContext> AnnContext::Adopt(FingerprintStore store,
   if (graph.num_nodes != store.size()) {
     return Status::FailedPrecondition(
         "proximity graph covers " + std::to_string(graph.num_nodes) +
-        " nodes but the fingerprint store holds " +
+        " nodes but the key store holds " +
         std::to_string(store.size()) + " graphs");
   }
   AnnContext ctx;

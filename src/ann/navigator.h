@@ -1,6 +1,6 @@
 /// \file navigator.h
 /// The query-time half of approximate mode: AnnContext bundles everything
-/// navigation needs over one corpus (the fingerprint store plus a
+/// navigation needs over one corpus (the branch-id key store plus a
 /// proximity graph, owned or mmap-borrowed), and AnnSearchTopK runs
 /// navigate-then-verify for one prepared query — beam search picks
 /// candidates, core's ScanCandidateList scores them with the exact

@@ -2,17 +2,18 @@
 /// Sub-linear candidate generation for approximate top-k
 /// (docs/ARCHITECTURE.md, "Approximate candidate navigation"): a
 /// Vamana-style proximity graph over the corpus, with graphs embedded by
-/// their branch-fingerprint multisets (the fp_keys candidate column) and
-/// compared under
+/// their branch-id multisets (the fp_keys candidate column) and compared
+/// under
 ///   FingerprintDistance(a, b) = max(|Ka|, |Kb|) - |Ka ∩ Kb|,
-/// the fingerprint-space mirror of GBD (Definition 4). The offline builder
+/// which over dictionary ids is GBD itself (Definition 4; the name predates
+/// the dictionary). The offline builder
 /// (randomized insertion + greedy search + RobustPrune, degree-bounded)
 /// produces a CSR adjacency the beam-search navigator walks at query time;
 /// the navigator only PICKS candidates — every score the user sees comes
 /// from the exact verification path (core ScanCandidateList), so
 /// approximate mode can miss matches but never fabricates one.
 ///
-/// The CSR form serializes into the v3 arena's ann_graph section
+/// The CSR form serializes into the v4 arena's ann_graph section
 /// (storage/index_arena.h) and is consumed in place from a mapped artifact
 /// through ProximityGraphRef — the same owned/borrowed split the branch
 /// store uses.
@@ -75,17 +76,17 @@ struct ProximityGraph {
   ProximityGraphRef ref() const;
 };
 
-/// Flat per-node sorted-fingerprint store the builder and the navigator
-/// compute distances over: node i's keys are the ascending branch
-/// fingerprints of corpus graph i. One contiguous pool, so distance
-/// evaluations stay cache-friendly.
+/// Flat per-node key store the builder and the navigator compute distances
+/// over: node i's keys are the ascending branch ids of corpus graph i. One
+/// contiguous pool, so distance evaluations stay cache-friendly.
 class FingerprintStore {
  public:
   FingerprintStore() = default;
 
   /// Copies the index's fp_offsets / fp_keys columns (index.columns()) —
-  /// the keys the scan's tier 2 and PrepareScan's query_fps are built
-  /// from, so build-time and query-time geometry agree by construction.
+  /// the ids the scan intersects, under the dictionary PrepareScan maps
+  /// query_fps through, so build-time and query-time geometry agree by
+  /// construction.
   /// Works for every backing: a mapped artifact, an owned index or a
   /// dynamic snapshot.
   static FingerprintStore FromIndex(const IndexReader& index);
@@ -103,8 +104,8 @@ class FingerprintStore {
 };
 
 /// The navigation metric: max(|a|, |b|) - |a ∩ b| over two ascending
-/// fingerprint multisets — GBD's shape in fingerprint space, so graph
-/// pairs that rank well under the posterior tend to be near each other.
+/// branch-id multisets — GBD, so graph pairs that rank well under the
+/// posterior tend to be near each other.
 /// Symmetric, non-negative, 0 for identical multisets (including two empty
 /// ones). The intersection runs on the dispatched scan kernels
 /// (common/kernels.h); the default resolves them per call, while the
@@ -151,14 +152,14 @@ Result<ProximityGraph> BuildProximityGraph(const FingerprintStore& store,
 /// window. Returns the ids to hand to exact verification — every expanded
 /// node plus the final window, deduplicated, in deterministic order.
 /// Distance ties break by smaller id, so navigation is deterministic even
-/// on collision-heavy corpora (e.g. all-identical fingerprints).
+/// on tie-heavy corpora (e.g. all-identical graphs).
 /// `graph.num_nodes` must equal `store.size()`.
 std::vector<uint32_t> NavigateProximityGraph(const ProximityGraphRef& graph,
                                              const FingerprintStore& store,
                                              Span<const uint64_t> query_keys,
                                              size_t window);
 
-/// Serialized section payload (the v3 arena's ann_graph section,
+/// Serialized section payload (the v4 arena's ann_graph section,
 /// storage/index_arena.h):
 ///   u32 format_version (= kAnnGraphFormatVersion)
 ///   u32 degree_bound

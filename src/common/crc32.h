@@ -1,7 +1,7 @@
 /// \file crc32.h
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used for artifact
 /// integrity: the v2 index footer (core/gbda_index.cc) and the per-section
-/// checksums of the v3 arena format (storage/index_arena.h). Table-driven,
+/// checksums of the v4 arena format (storage/index_arena.h). Table-driven,
 /// no external dependencies; matches zlib's crc32() bit for bit so artifacts
 /// can be cross-checked with standard tooling.
 

@@ -8,10 +8,10 @@ namespace {
 
 // -- Scalar reference implementations ----------------------------------------
 // These are THE semantics: the AVX2 table (kernels_avx2.cc) and every
-// consumer (core/prefilter.cc delegates its fingerprint merges here) are
-// gated against them bit-for-bit.
+// consumer (the scan, the Lambda2 sampler and the proximity graph count
+// branch-id intersections here) are gated against them bit-for-bit.
 
-// Branchless merge: branch fingerprints are effectively random, so the
+// Branchless merge: two graphs' ids interleave unpredictably, so the
 // classic three-way if/else merge mispredicts its direction branch about
 // half the time (~15 cycles a pop — it dominated the whole scan in
 // profiles). Advancing both cursors by comparison results instead turns

@@ -6,9 +6,9 @@
 ///   (a) tier1_size_bounds — the batched tier-1 size bound |q - s_i| over a
 ///       contiguous column of per-candidate branch counts;
 ///   (b) intersect_count / intersect_at_most — multiset intersection
-///       counting over two ascending uint64 fingerprint-key arrays, plus
-///       its capped decision form (the tier-2 cut and, when the corpus
-///       certifies collision-freedom, the exact GBD intersection itself).
+///       counting over two ascending uint64 branch-id arrays, plus its
+///       capped decision form (the exact GBD intersection and the tier-2
+///       cut).
 ///
 /// Two implementations exist behind one table: a scalar reference (the
 /// semantics every other path is gated against) and an AVX2 variant
@@ -72,9 +72,8 @@ const char* KernelImplName(KernelImpl impl);
 struct ScanKernels {
   /// Multiset intersection count of two ascending uint64 key arrays:
   /// sum over distinct keys of min(multiplicity_a, multiplicity_b). Over
-  /// two graphs' sorted branch fingerprints this is the admissible
-  /// common-branch upper bound of tier 2 (core/prefilter.h,
-  /// BranchFingerprint).
+  /// two graphs' sorted branch ids this is |B_G1 ∩ B_G2| exactly
+  /// (core/branch_dictionary.h).
   int64_t (*intersect_count)(const uint64_t* a, size_t na, const uint64_t* b,
                              size_t nb);
   /// Decision form: true iff intersect_count(a, b) <= cap (cap < 0 is

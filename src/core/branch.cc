@@ -7,20 +7,19 @@
 #include "math/hungarian.h"
 
 namespace gbda {
-namespace {
 
-/// Three-way lexicographic comparison of two ascending label runs — the
-/// exact order of std::vector<LabelId>::operator<.
-inline int CompareLabels(Span<const LabelId> a, Span<const LabelId> b) {
-  const size_t n = std::min(a.size(), b.size());
+int CompareBranches(LabelId root_a, Span<const LabelId> labels_a,
+                    LabelId root_b, Span<const LabelId> labels_b) {
+  if (root_a != root_b) return root_a < root_b ? -1 : 1;
+  const size_t n = std::min(labels_a.size(), labels_b.size());
   for (size_t k = 0; k < n; ++k) {
-    if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+    if (labels_a[k] != labels_b[k]) return labels_a[k] < labels_b[k] ? -1 : 1;
   }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  if (labels_a.size() != labels_b.size()) {
+    return labels_a.size() < labels_b.size() ? -1 : 1;
+  }
   return 0;
 }
-
-}  // namespace
 
 BranchMultiset ExtractBranches(const Graph& g) {
   const uint32_t n = static_cast<uint32_t>(g.num_vertices());
@@ -44,10 +43,8 @@ BranchMultiset ExtractBranches(const Graph& g) {
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    const LabelId rx = g.VertexLabel(x);
-    const LabelId ry = g.VertexLabel(y);
-    if (rx != ry) return rx < ry;
-    return CompareLabels(run(x), run(y)) < 0;
+    return CompareBranches(g.VertexLabel(x), run(x), g.VertexLabel(y),
+                           run(y)) < 0;
   });
 
   BranchMultiset branches;
@@ -64,17 +61,12 @@ BranchMultiset ExtractBranches(const Graph& g) {
   return branches;
 }
 
-// The two-pointer merge. Root labels resolve most steps (one integer
-// compare); the label runs are touched only on root ties.
+// The two-pointer merge.
 size_t BranchIntersectionSize(const BranchSetRef& a, const BranchSetRef& b) {
   size_t i = 0, j = 0, common = 0;
   while (i < a.size() && j < b.size()) {
-    int cmp;
-    if (a.root(i) != b.root(j)) {
-      cmp = a.root(i) < b.root(j) ? -1 : 1;
-    } else {
-      cmp = CompareLabels(a.edge_labels(i), b.edge_labels(j));
-    }
+    const int cmp = CompareBranches(a.root(i), a.edge_labels(i), b.root(j),
+                                    b.edge_labels(j));
     if (cmp == 0) {
       ++common;
       ++i;

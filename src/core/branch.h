@@ -8,13 +8,11 @@
 
 namespace gbda {
 
-/// Non-owning view of one sorted branch multiset, the unit the scan contract
-/// (core/index_reader.h) hands to GBD evaluation: a root array and a
-/// label-offset array, parallel, plus a shared label pool. An owned
-/// BranchMultiset and the arena slices of a mapped v3 artifact
-/// (storage/index_view.h) both have this layout and differ only in who
-/// owns the arrays, so one merge computes every GBD, bit-identically on
-/// either backing. The viewed storage must outlive the ref.
+/// Non-owning view of a run of branches in the flat layout: a root array
+/// and a label-offset array, parallel, plus a shared label pool. An owned
+/// BranchMultiset and a branch dictionary (core/branch_dictionary.h), owned
+/// or read in place from a mapped artifact, all have this layout and differ
+/// only in who owns the arrays. The viewed storage must outlive the ref.
 class BranchSetRef {
  public:
   /// Empty multiset.
@@ -32,7 +30,6 @@ class BranchSetRef {
         size_(size) {}
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   LabelId root(size_t i) const { return roots_[i]; }
   Span<const LabelId> edge_labels(size_t i) const {
@@ -40,6 +37,11 @@ class BranchSetRef {
         label_pool_ + label_offsets_[i],
         static_cast<size_t>(label_offsets_[i + 1] - label_offsets_[i]));
   }
+
+  /// The raw arrays: size() roots, size() + 1 label offsets, and the pool.
+  const uint32_t* roots() const { return roots_; }
+  const uint64_t* label_offsets() const { return label_offsets_; }
+  const LabelId* label_pool() const { return label_pool_; }
 
  private:
   const uint32_t* roots_ = nullptr;
@@ -57,7 +59,7 @@ class BranchSetRef {
 /// virtual label. Branch isomorphism (Definition 3) is exact equality of
 /// root label and edge-label multiset.
 ///
-/// Stored flat, in the per-graph layout of the arena's branch sections:
+/// Stored flat, in the layout of the branch dictionary:
 /// branch i is roots[i] with the edge labels
 /// labels[label_offsets[i] .. label_offsets[i + 1]), and the branches
 /// ascend in (root, edge labels) lexicographic order — the paper's
@@ -88,8 +90,16 @@ struct BranchMultiset {
 /// Extracts the sorted branch multiset of `g` in O(sum of degrees + n log n).
 BranchMultiset ExtractBranches(const Graph& g);
 
+/// Three-way comparison of two branches in the multiset order: root label
+/// first, then the ascending edge-label runs lexicographically (the order
+/// of std::vector<LabelId>::operator<). 0 exactly when the branches are
+/// isomorphic (Definition 3).
+int CompareBranches(LabelId root_a, Span<const LabelId> labels_a,
+                    LabelId root_b, Span<const LabelId> labels_b);
+
 /// |A ∩ B| for two sorted branch multisets (two-pointer merge,
-/// O(|A| + |B|) branch comparisons).
+/// O(|A| + |B|) branch comparisons). Definition 4's reference: an index
+/// counts the same intersection on branch ids (core/branch_dictionary.h).
 size_t BranchIntersectionSize(const BranchSetRef& a, const BranchSetRef& b);
 
 /// Graph Branch Distance (Definition 4):

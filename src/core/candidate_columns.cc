@@ -1,76 +1,20 @@
 #include "core/candidate_columns.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
-
-#include "core/prefilter.h"
-
 namespace gbda {
 
-OwnedCandidateColumns BuildCandidateColumns(const IndexReader& index) {
+OwnedCandidateColumns BuildCandidateColumns(
+    const std::vector<Span<const uint64_t>>& graph_ids) {
   OwnedCandidateColumns cols;
-  const size_t num_graphs = index.num_graphs();
-  cols.sizes.resize(num_graphs);
-  cols.fp_offsets.assign(num_graphs + 1, 0);
-  uint64_t total_branches = 0;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    const size_t size = index.branch_set(g).size();
-    cols.sizes[g] = static_cast<uint32_t>(size);
-    total_branches += size;
-    cols.fp_offsets[g + 1] = total_branches;
-  }
-  cols.fp_keys.reserve(static_cast<size_t>(total_branches));
-
-  // Collision audit: fingerprint -> first branch observed with it (packed
-  // graph_id << 32 | branch_index). The directory certifies exactness only
-  // when every later branch with a seen fingerprint has the SAME content as
-  // the first — i.e. fingerprint -> content is injective corpus-wide.
-  std::unordered_map<uint64_t, uint64_t> first_seen;
-  first_seen.reserve(static_cast<size_t>(total_branches));
-  bool certified = num_graphs <= 0xFFFFFFFFull;
-  std::vector<uint64_t> scratch;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    const BranchSetRef set = index.branch_set(g);
-    scratch.clear();
-    scratch.reserve(set.size());
-    for (size_t b = 0; b < set.size(); ++b) {
-      const Span<const LabelId> labels = set.edge_labels(b);
-      const uint64_t fp =
-          BranchFingerprint(set.root(b), labels.data(), labels.size());
-      scratch.push_back(fp);
-      const uint64_t packed = (static_cast<uint64_t>(g) << 32) |
-                              static_cast<uint64_t>(b & 0xFFFFFFFFull);
-      const auto inserted = first_seen.emplace(fp, packed);
-      if (!inserted.second && certified) {
-        const uint64_t rep = inserted.first->second;
-        const BranchSetRef rep_set =
-            index.branch_set(static_cast<size_t>(rep >> 32));
-        if (!SameBranchContent(set, b, rep_set,
-                               static_cast<size_t>(rep & 0xFFFFFFFFull))) {
-          certified = false;
-        }
-      }
-    }
-    // The column stores each graph's keys ascending — the layout every
-    // fingerprint merge (tier-2 and the exact path) consumes directly.
-    std::sort(scratch.begin(), scratch.end());
-    cols.fp_keys.insert(cols.fp_keys.end(), scratch.begin(), scratch.end());
-  }
-
-  cols.certified = certified;
-  if (certified) {
-    std::vector<std::pair<uint64_t, uint64_t>> directory(first_seen.begin(),
-                                                         first_seen.end());
-    // Representatives are first-in-scan-order, so sorting by fingerprint
-    // makes the directory a deterministic function of the branch data.
-    std::sort(directory.begin(), directory.end());
-    cols.fp_unique.reserve(directory.size());
-    cols.fp_rep.reserve(directory.size());
-    for (const auto& entry : directory) {
-      cols.fp_unique.push_back(entry.first);
-      cols.fp_rep.push_back(entry.second);
-    }
+  cols.sizes.reserve(graph_ids.size());
+  cols.fp_offsets.reserve(graph_ids.size() + 1);
+  cols.fp_offsets.push_back(0);
+  uint64_t total = 0;
+  for (const Span<const uint64_t>& ids : graph_ids) total += ids.size();
+  cols.fp_keys.reserve(static_cast<size_t>(total));
+  for (const Span<const uint64_t>& ids : graph_ids) {
+    cols.sizes.push_back(static_cast<uint32_t>(ids.size()));
+    cols.fp_keys.insert(cols.fp_keys.end(), ids.begin(), ids.end());
+    cols.fp_offsets.push_back(cols.fp_keys.size());
   }
   return cols;
 }

@@ -1,17 +1,38 @@
 #include "core/gbd_prior.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "common/kernels.h"
 
 namespace gbda {
+namespace {
 
-Result<GbdPrior> GbdPrior::Fit(const std::vector<BranchSetRef>& branches,
+bool IsProbability(double p) { return std::isfinite(p) && p >= 0.0; }
+
+}  // namespace
+
+Result<GbdPrior> GbdPrior::Fit(const std::vector<Span<const uint64_t>>& graphs,
                                const GbdPriorOptions& options, Rng* rng) {
-  const size_t n = branches.size();
+  const size_t n = graphs.size();
   if (n < 2) {
     return Status::InvalidArgument("GBD prior: need at least two graphs");
   }
   size_t max_v = 0;
-  for (const BranchSetRef& b : branches) max_v = std::max(max_v, b.size());
+  for (const Span<const uint64_t>& g : graphs) {
+    max_v = std::max(max_v, g.size());
+  }
+  // Every dispatch counts the same intersection, so the prior does not
+  // depend on the kernel picked.
+  const ScanKernels& kernels =
+      GetScanKernels(ResolveKernels(KernelDispatch::kAuto));
+  const auto gbd = [&graphs, &kernels](size_t i, size_t j) {
+    const Span<const uint64_t> a = graphs[i], b = graphs[j];
+    return static_cast<double>(
+        std::max(a.size(), b.size()) -
+        static_cast<size_t>(kernels.intersect_count(a.data(), a.size(),
+                                                    b.data(), b.size())));
+  };
 
   // Collect GBD samples over pairs.
   std::vector<double> samples;
@@ -20,10 +41,7 @@ Result<GbdPrior> GbdPrior::Fit(const std::vector<BranchSetRef>& branches,
   if (total_pairs <= options.num_sample_pairs) {
     samples.reserve(static_cast<size_t>(total_pairs));
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        samples.push_back(
-            static_cast<double>(GbdFromBranches(branches[i], branches[j])));
-      }
+      for (size_t j = i + 1; j < n; ++j) samples.push_back(gbd(i, j));
     }
   } else {
     samples.reserve(options.num_sample_pairs);
@@ -33,8 +51,7 @@ Result<GbdPrior> GbdPrior::Fit(const std::vector<BranchSetRef>& branches,
       const size_t j =
           static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
       if (i == j) continue;
-      samples.push_back(
-          static_cast<double>(GbdFromBranches(branches[i], branches[j])));
+      samples.push_back(gbd(i, j));
     }
   }
 
@@ -98,6 +115,10 @@ Result<GbdPrior> GbdPrior::Deserialize(BinaryReader* reader) {
   prior.pairs_sampled_ = *pairs;
   Result<double> floor = reader->GetDouble();
   if (!floor.ok()) return floor.status();
+  if (!IsProbability(*floor)) {
+    return Status::InvalidArgument(
+        "GBD prior: probability floor is negative or not finite");
+  }
   prior.floor_ = *floor;
   Result<uint64_t> ncomp = reader->GetU64();
   if (!ncomp.ok()) return ncomp.status();
@@ -125,6 +146,10 @@ Result<GbdPrior> GbdPrior::Deserialize(BinaryReader* reader) {
   prior.gmm_ = std::move(*gmm);
   Result<std::vector<double>> table = reader->GetPodVector<double>();
   if (!table.ok()) return table.status();
+  if (!std::all_of(table->begin(), table->end(), IsProbability)) {
+    return Status::InvalidArgument(
+        "GBD prior: a tabulated probability is negative or not finite");
+  }
   prior.table_ = std::move(*table);
   Result<std::vector<size_t>> hist = reader->GetPodVector<size_t>();
   if (!hist.ok()) return hist.status();

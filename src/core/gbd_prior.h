@@ -6,7 +6,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "core/branch.h"
+#include "common/span.h"
 #include "math/gmm.h"
 
 namespace gbda {
@@ -27,11 +27,13 @@ struct GbdPriorOptions {
 /// correction of Eq. 14 and tabulated for phi in [0, max |V|].
 class GbdPrior {
  public:
-  /// Samples pairs, computes GBDs from the precomputed branch multisets, fits
-  /// the GMM and tabulates probabilities. Uses all pairs when the database
-  /// has fewer than `num_sample_pairs` of them. Reads the refs only during
-  /// the call; the same ordered multisets and seed yield the same prior.
-  static Result<GbdPrior> Fit(const std::vector<BranchSetRef>& branches,
+  /// Samples pairs, computes their GBDs from the graphs' ascending branch
+  /// ids (max(|a|, |b|) - |a ∩ b| on the intersect_count kernel, exact under
+  /// one branch dictionary), fits the GMM and tabulates probabilities. Uses
+  /// all pairs when the database has fewer than `num_sample_pairs` of them.
+  /// Reads the spans only during the call; the same ordered graphs and seed
+  /// yield the same prior.
+  static Result<GbdPrior> Fit(const std::vector<Span<const uint64_t>>& graphs,
                               const GbdPriorOptions& options, Rng* rng);
 
   /// Pr[GBD = phi], floored (see GbdPriorOptions::probability_floor).
@@ -47,6 +49,8 @@ class GbdPrior {
   size_t MemoryBytes() const;
 
   void Serialize(BinaryWriter* writer) const;
+  /// Rejects (InvalidArgument) a floor or tabulated probability that is
+  /// negative or not finite, which would make every Phi at that GBD NaN.
   static Result<GbdPrior> Deserialize(BinaryReader* reader);
 
  private:

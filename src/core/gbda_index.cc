@@ -20,12 +20,6 @@ constexpr int64_t kMaxPlausibleLabels = int64_t{1} << 32;  // LabelId is u32
 constexpr int64_t kMaxPlausibleComponents = 1 << 16;
 constexpr int64_t kMaxPlausibleIterations = 1 << 30;
 
-size_t BranchMultisetBytes(const BranchMultiset& ms) {
-  return sizeof(BranchMultiset) + ms.roots.capacity() * sizeof(LabelId) +
-         ms.label_offsets.capacity() * sizeof(uint64_t) +
-         ms.labels.capacity() * sizeof(LabelId);
-}
-
 }  // namespace
 
 Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
@@ -45,18 +39,31 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
           ? options.model_edge_labels
           : static_cast<int64_t>(db.edge_labels().num_real_labels());
 
-  // Branch multisets (the auxiliary structure of Section III).
+  // Branches (the auxiliary structure of Section III), interned in corpus
+  // order, then renumbered in content order. A graph's multiset is sorted
+  // by content, so its renumbered ids come out ascending.
   WallTimer timer;
-  index.branches_.reserve(db.size());
+  BranchDictionary first_seen;
+  std::vector<uint64_t> offsets = {0};
+  std::vector<uint64_t> ids;
   for (size_t i = 0; i < db.size(); ++i) {
-    index.branches_.push_back(
-        std::make_shared<const BranchMultiset>(ExtractBranches(db.graph(i))));
+    const BranchMultiset branches = ExtractBranches(db.graph(i));
+    const BranchSetRef set = branches;
+    for (size_t b = 0; b < set.size(); ++b) {
+      ids.push_back(first_seen.Intern(set.root(b), set.edge_labels(b)));
+    }
+    offsets.push_back(ids.size());
     index.vertex_sum_ += static_cast<double>(db.graph(i).num_vertices());
   }
-  index.costs_.branch_seconds = timer.Seconds();
-  for (const auto& b : index.branches_) {
-    index.costs_.branch_bytes += BranchMultisetBytes(*b);
+  index.dictionary_ = std::make_shared<const BranchDictionary>(
+      first_seen.Renumbered(offsets, &ids));
+  index.graph_ids_.reserve(db.size());
+  for (size_t i = 0; i < db.size(); ++i) {
+    index.graph_ids_.push_back(std::make_shared<const std::vector<uint64_t>>(
+        ids.begin() + static_cast<ptrdiff_t>(offsets[i]),
+        ids.begin() + static_cast<ptrdiff_t>(offsets[i + 1])));
   }
+  index.costs_.branch_seconds = timer.Seconds();
 
   // Lambda2: GMM prior over GBDs. RefitGbdPrior runs the identical
   // arithmetic later in the index's life, so incremental maintenance stays
@@ -88,11 +95,18 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
   return index;
 }
 
+std::vector<Span<const uint64_t>> GbdaIndex::GraphIdSpans() const {
+  std::vector<Span<const uint64_t>> spans;
+  spans.reserve(graph_ids_.size());
+  for (const auto& ids : graph_ids_) spans.emplace_back(*ids);
+  return spans;
+}
+
 CandidateColumns GbdaIndex::columns() const {
   ColumnCache* cache = column_cache_.get();
   MutexLock lock(&cache->mu);
   if (!cache->built) {
-    cache->columns = BuildCandidateColumns(*this);
+    cache->columns = BuildCandidateColumns(GraphIdSpans());
     cache->built = true;
   }
   // The returned pointers outlive the lock: once built, the cache object is
@@ -100,21 +114,39 @@ CandidateColumns GbdaIndex::columns() const {
   return cache->columns.View();
 }
 
-size_t GbdaIndex::AddGraph(const Graph& g) {
-  branches_.push_back(
-      std::make_shared<const BranchMultiset>(ExtractBranches(g)));
-  costs_.branch_bytes += BranchMultisetBytes(*branches_.back());
-  vertex_sum_ += static_cast<double>(g.num_vertices());
-  ++gbd_staleness_;
+void GbdaIndex::AddGraphs(Span<const Graph> graphs) {
+  // This call's private copy of the dictionary, made at the first unseen
+  // branch: copies of the index taken before the call keep theirs.
+  std::shared_ptr<BranchDictionary> grown;
+  for (const Graph& g : graphs) {
+    const BranchMultiset branches = ExtractBranches(g);
+    const BranchSetRef set = branches;
+    std::vector<uint64_t> ids(set.size());
+    for (size_t b = 0; b < set.size(); ++b) {
+      ids[b] = dictionary_->Find(set.root(b), set.edge_labels(b));
+      if (ids[b] == dictionary_->size()) {
+        if (grown == nullptr) {
+          grown = std::make_shared<BranchDictionary>(*dictionary_);
+          dictionary_ = grown;
+        }
+        ids[b] = grown->Intern(set.root(b), set.edge_labels(b));
+      }
+    }
+    // Appended ids are not in content order.
+    std::sort(ids.begin(), ids.end());
+    graph_ids_.push_back(
+        std::make_shared<const std::vector<uint64_t>>(std::move(ids)));
+    vertex_sum_ += static_cast<double>(g.num_vertices());
+    ++gbd_staleness_;
+  }
   column_cache_ = std::make_shared<ColumnCache>();
-  return branches_.size() - 1;
 }
 
 Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
   std::vector<size_t> sorted = positions;
   std::sort(sorted.begin(), sorted.end());
   for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= branches_.size()) {
+    if (sorted[i] >= graph_ids_.size()) {
       return Status::InvalidArgument(
           "index RemoveGraphs: position out of range: " +
           std::to_string(sorted[i]));
@@ -125,23 +157,20 @@ Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
     }
   }
   for (size_t p : sorted) {
-    vertex_sum_ -= static_cast<double>(branches_[p]->size());
-    costs_.branch_bytes -= BranchMultisetBytes(*branches_[p]);
-    branches_[p] = nullptr;
+    vertex_sum_ -= static_cast<double>(graph_ids_[p]->size());
+    graph_ids_[p] = nullptr;
   }
-  branches_.erase(std::remove(branches_.begin(), branches_.end(), nullptr),
-                  branches_.end());
+  graph_ids_.erase(std::remove(graph_ids_.begin(), graph_ids_.end(), nullptr),
+                   graph_ids_.end());
   gbd_staleness_ += sorted.size();
   column_cache_ = std::make_shared<ColumnCache>();
   return Status::OK();
 }
 
 Status GbdaIndex::RefitGbdPrior() {
-  std::vector<BranchSetRef> graphs;
-  graphs.reserve(branches_.size());
-  for (const auto& b : branches_) graphs.push_back(*b);
   Rng rng(options_.seed);
-  Result<GbdPrior> prior = GbdPrior::Fit(graphs, options_.gbd_prior, &rng);
+  Result<GbdPrior> prior =
+      GbdPrior::Fit(GraphIdSpans(), options_.gbd_prior, &rng);
   if (!prior.ok()) return prior.status();
   gbd_prior_ = std::make_shared<const GbdPrior>(std::move(*prior));
   gbd_staleness_ = 0;
@@ -205,8 +234,9 @@ Status ValidateIndexForDatabase(const GraphDatabase& db,
         std::to_string(db.size()) +
         " (stale index artifact? rebuild or reload the matching generation)");
   }
+  const CandidateColumns columns = index.columns();
   for (size_t id = 0; id < db.size(); ++id) {
-    if (index.branch_set(id).size() != db.graph(id).num_vertices()) {
+    if (columns.sizes[id] != db.graph(id).num_vertices()) {
       return Status::FailedPrecondition(
           "index/database mismatch: branch multiset of graph " +
           std::to_string(id) + " does not match the stored graph");

@@ -1,24 +1,26 @@
 /// \file gbda_index.h
 /// The offline stage of GBDA (Step 1* of Algorithm 1), run once per
 /// database and shared by any number of online searches. GbdaIndex stores
-/// the three precomputed artifacts the online stage consumes: the sorted
-/// branch multiset of every database graph (Section III), the GMM prior of
-/// GBD values Lambda2 (Section V-B), and the Jeffreys prior of GED values
-/// Lambda3 (Section V-C). It also records the offline time/space costs
-/// reported in Tables IV-V. Persistence lives in the storage engine: the v3
-/// arena (storage/index_arena.h) is the one artifact format, written by
+/// the three precomputed artifacts the online stage consumes: every
+/// database graph's branches (Section III) as the ascending ids of a branch
+/// dictionary (core/branch_dictionary.h), the GMM prior of GBD values
+/// Lambda2 (Section V-B), and the Jeffreys prior of GED values Lambda3
+/// (Section V-C). It also records the offline time/space costs reported in
+/// Tables IV-V. Persistence lives in the storage engine: the v4 arena
+/// (storage/index_arena.h) is the one artifact format, written by
 /// WriteArenaFile and served in place by GbdaIndexView.
 ///
 /// Beyond the paper's frozen-database stage, the index supports incremental
 /// maintenance for a corpus that changes under live traffic
-/// (docs/ARCHITECTURE.md, "Dynamic corpus"): AddGraph appends one branch
-/// multiset, RemoveGraphs erases positions and keeps the order of the rest,
-/// the GED prior extends lazily to unseen sizes as it always has, and the
-/// GMM prior Lambda2 tracks a staleness counter so a caller can re-fit it
-/// (RefitGbdPrior) once drift exceeds its policy threshold. The index is
-/// always dense. Artifacts are held through shared_ptr, so a copy shares
-/// them in O(graphs) pointer copies — the snapshot primitive of
-/// DynamicGbdaService, which alone maps positions to stable ids.
+/// (docs/ARCHITECTURE.md, "Dynamic corpus"): AddGraphs appends graphs,
+/// giving each branch the dictionary has not seen the next id, RemoveGraphs
+/// erases positions and keeps the order of the rest, the GED prior extends
+/// lazily to unseen sizes as it always has, and the GMM prior Lambda2
+/// tracks a staleness counter so a caller can re-fit it (RefitGbdPrior)
+/// once drift exceeds its policy threshold. The index is always dense.
+/// Artifacts are held through shared_ptr, so a copy shares them in
+/// O(graphs) pointer copies — the snapshot primitive of DynamicGbdaService,
+/// which alone maps positions to stable ids.
 
 #pragma once
 
@@ -30,7 +32,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "core/branch.h"
+#include "core/branch_dictionary.h"
 #include "core/candidate_columns.h"
 #include "core/gbd_prior.h"
 #include "core/ged_prior.h"
@@ -64,48 +66,43 @@ struct OfflineCosts {
   double branch_seconds = 0.0;
   double gbd_prior_seconds = 0.0;
   double ged_prior_seconds = 0.0;
-  /// Heap bytes of the branch multisets: per graph, the BranchMultiset
-  /// struct plus the capacity of its root, label-offset and label arrays.
-  size_t branch_bytes = 0;
   size_t gbd_prior_bytes = 0;
   size_t ged_prior_bytes = 0;
   size_t pairs_sampled = 0;
 };
 
-/// The offline artifact of GBDA: precomputed branch multisets for every
-/// database graph (Section III requires them stored with the graphs), the
-/// GMM prior of GBDs (Lambda2) and the Jeffreys prior of GEDs (Lambda3).
-/// Built once per database, then shared by any number of online searches.
+/// The offline artifact of GBDA: every database graph's branch ids
+/// (Section III requires the branches stored with the graphs) over one
+/// branch dictionary, the GMM prior of GBDs (Lambda2) and the Jeffreys
+/// prior of GEDs (Lambda3). Built once per database, then shared by any
+/// number of online searches.
 ///
-/// Copying an index is cheap and shallow: the branch multisets and both
-/// priors are immutable (or internally synchronized) shared artifacts.
+/// Copying an index is cheap and shallow: the id vectors, the dictionary
+/// and both priors are immutable (or internally synchronized) shared
+/// artifacts.
 ///
 /// GbdaIndex is the owning implementation of the IndexReader scan contract;
 /// the zero-copy GbdaIndexView (storage/index_view.h) is the other.
 class GbdaIndex : public IndexReader {
  public:
   /// Runs the offline stage over `db`. The index copies what it needs, so
-  /// it borrows nothing from `db`.
+  /// it borrows nothing from `db`. The dictionary numbers the distinct
+  /// branches in content order, so each graph's ids follow its multiset
+  /// order and the columns equal those of the artifact BuildArena writes.
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
 
-  /// The flat branch multiset of graph `graph_id` (branch_set() views it).
-  const BranchMultiset& branches(size_t graph_id) const {
-    return *branches_[graph_id];
-  }
-  size_t num_graphs() const override { return branches_.size(); }
+  size_t num_graphs() const override { return graph_ids_.size(); }
 
-  BranchSetRef branch_set(size_t graph_id) const override {
-    return *branches_[graph_id];
-  }
-
-  /// The SoA candidate columns, materialised lazily from the branch
-  /// multisets on first use (BuildCandidateColumns) and cached. Safe for
-  /// concurrent readers; AddGraph / RemoveGraphs swap in a fresh cache, so
+  /// The SoA candidate columns, concatenated lazily from the per-graph id
+  /// vectors on first use (BuildCandidateColumns) and cached. Safe for
+  /// concurrent readers; AddGraphs / RemoveGraphs swap in a fresh cache, so
   /// shallow copies taken earlier (snapshots, shard replicas) keep reading
   /// the cache that matches THEIR branch data, and copies of an unchanged
   /// index share one cache.
   CandidateColumns columns() const override;
+
+  const BranchDictionary& dictionary() const override { return *dictionary_; }
 
   const GbdPrior& gbd_prior() const override { return *gbd_prior_; }
   GedPriorTable& ged_prior() { return *ged_prior_; }
@@ -121,9 +118,9 @@ class GbdaIndex : public IndexReader {
   /// Mean vertex count over the indexed graphs (used by the GBDA-V1
   /// variant).
   double avg_vertices() const override {
-    return branches_.empty()
+    return graph_ids_.empty()
                ? 0.0
-               : vertex_sum_ / static_cast<double>(branches_.size());
+               : vertex_sum_ / static_cast<double>(graph_ids_.size());
   }
 
   const OfflineCosts& costs() const { return costs_; }
@@ -131,10 +128,13 @@ class GbdaIndex : public IndexReader {
 
   // -- Incremental maintenance (docs/ARCHITECTURE.md, "Dynamic corpus") ----
 
-  /// Appends the branch multiset of `g` (its position becomes
-  /// num_graphs() - 1). O(|g| log |g|) — only the new graph is touched.
-  /// Lambda2 is NOT refit; the staleness counter advances instead.
-  size_t AddGraph(const Graph& g);
+  /// Appends the graphs in order (the last lands at num_graphs() - 1).
+  /// O(|g| log |g|) per graph — only the new graphs are touched. A branch
+  /// the dictionary lacks gets the next id; the first one a call meets
+  /// copies the dictionary before appending, so copies of this index taken
+  /// earlier keep reading theirs unchanged. Lambda2 is NOT refit; the
+  /// staleness counter advances once per graph.
+  void AddGraphs(Span<const Graph> graphs);
 
   /// Erases the graphs at the given positions; the remaining graphs keep
   /// their relative order, so later positions shift down. Fails
@@ -148,12 +148,12 @@ class GbdaIndex : public IndexReader {
   /// Staleness relative to the corpus size — the drift measure of the
   /// refit policy (DynamicServiceOptions::gbd_refit_fraction).
   double GbdStalenessFraction() const {
-    return branches_.empty() ? 0.0
-                             : static_cast<double>(gbd_staleness_) /
-                                   static_cast<double>(branches_.size());
+    return graph_ids_.empty() ? 0.0
+                              : static_cast<double>(gbd_staleness_) /
+                                    static_cast<double>(graph_ids_.size());
   }
 
-  /// Re-fits Lambda2 over the branch multisets with this index's seed and
+  /// Re-fits Lambda2 over the graphs' branch ids with this index's seed and
   /// sampling options — the exact arithmetic Build would run over a fresh
   /// database holding these graphs in this order, so a refit index is
   /// bit-identical to a from-scratch rebuild. Needs >= 2 graphs.
@@ -167,10 +167,13 @@ class GbdaIndex : public IndexReader {
  private:
   GbdaIndex() = default;
 
+  /// Each graph's ids as a span, in position order.
+  std::vector<Span<const uint64_t>> GraphIdSpans() const;
+
   /// Lazily built candidate columns. Held through shared_ptr and REPLACED
   /// (never mutated in place) on branch mutations, preserving the class's
   /// cheap-shallow-copy contract: a copy sharing the old cache object stays
-  /// internally consistent because its branches_ snapshot is the one the
+  /// internally consistent because its graph_ids_ snapshot is the one the
   /// cached columns were (or will be) built from.
   struct ColumnCache {
     Mutex mu;
@@ -188,7 +191,10 @@ class GbdaIndex : public IndexReader {
   /// incremental +/- stays bit-identical to a fresh summation).
   double vertex_sum_ = 0.0;
   size_t gbd_staleness_ = 0;
-  std::vector<std::shared_ptr<const BranchMultiset>> branches_;
+  /// Per graph, its branches' ids, ascending.
+  std::vector<std::shared_ptr<const std::vector<uint64_t>>> graph_ids_;
+  std::shared_ptr<const BranchDictionary> dictionary_ =
+      std::make_shared<const BranchDictionary>();
   std::shared_ptr<const GbdPrior> gbd_prior_;
   std::shared_ptr<GedPriorTable> ged_prior_;
   std::shared_ptr<ColumnCache> column_cache_ = std::make_shared<ColumnCache>();
@@ -196,15 +202,16 @@ class GbdaIndex : public IndexReader {
 };
 
 /// The construction-time agreement check of every (database, index) consumer
-/// (GbdaSearch, GbdaService, DynamicGbdaService): an index built over a
-/// different database generation — e.g. a stale persisted artifact — would
-/// otherwise drive out-of-bounds branch and prefilter lookups during scans.
-/// Accepts any IndexReader, so a mapped v3 artifact is checked the same way
-/// as an owned index.
+/// (GbdaSearch, GbdaService, DynamicGbdaService): graph counts, and each
+/// graph's branch count (columns().sizes) against its vertex count. An
+/// index built over a different database generation — e.g. a stale
+/// persisted artifact — would otherwise drive out-of-bounds prefilter
+/// lookups during scans. Accepts any IndexReader, so a mapped v4 artifact is
+/// checked the same way as an owned index.
 Status ValidateIndexForDatabase(const GraphDatabase& db,
                                 const IndexReader& index);
 
-/// Plausibility validation of persisted index header fields, run by the v3
+/// Plausibility validation of persisted index header fields, run by the v4
 /// arena header parser (storage/index_arena.cc, ParseArenaHeader). A hostile
 /// artifact can claim any value; these bounds only need to admit every
 /// index this library can build.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "core/candidate_columns.h"
 
 namespace gbda {
 
@@ -50,59 +49,18 @@ Result<ScanContext> PrepareScan(const Graph& query,
   ScanContext ctx;
   ctx.options = options;
   ctx.apply_gamma = apply_gamma;
-  ctx.query_branches = ExtractBranches(query);
-  const BranchSetRef query_branches = ctx.query_branches;
-  const size_t query_size = query_branches.size();
-  // The query's sorted branch fingerprints: the query side of every kernel
-  // call the scan makes. Kept as (fp, branch) pairs through the sort so the
-  // audit below can map a colliding key back to its branch content.
-  std::vector<std::pair<uint64_t, uint32_t>> fp_idx(query_size);
-  for (size_t i = 0; i < query_size; ++i) {
-    const Span<const LabelId> labels = query_branches.edge_labels(i);
-    fp_idx[i] = {BranchFingerprint(query_branches.root(i), labels.data(),
-                                   labels.size()),
-                 static_cast<uint32_t>(i)};
+  // The query's branches as dictionary ids, sorted: the query side of every
+  // kernel call the scan makes. A branch the dictionary lacks maps to its
+  // size, an id no candidate holds.
+  const BranchMultiset branches = ExtractBranches(query);
+  const BranchSetRef query_branches = branches;
+  const BranchDictionary& dictionary = index.dictionary();
+  ctx.query_fps.resize(query_branches.size());
+  for (size_t i = 0; i < query_branches.size(); ++i) {
+    ctx.query_fps[i] = dictionary.Find(query_branches.root(i),
+                                       query_branches.edge_labels(i));
   }
-  std::sort(fp_idx.begin(), fp_idx.end());
-  ctx.query_fps.resize(query_size);
-  for (size_t i = 0; i < query_size; ++i) {
-    ctx.query_fps[i] = fp_idx[i].first;
-  }
-  // Query-side exactness audit (see ScanContext::fp_exact): with the corpus
-  // side already certified injective by the index's directory, fingerprint
-  // scoring is exact iff the query introduces no collision either — among
-  // its own branches, or against the directory representative of any
-  // fingerprint it shares with the corpus. Any failure just falls back to
-  // the exact branch merges; results are bit-identical either way.
-  const CandidateColumns columns = index.columns();
-  if (columns.exactness_certified() &&
-      options.variant != GbdaVariant::kWeightedGbd) {
-    ctx.fp_exact = true;
-    for (size_t i = 0; i < query_size && ctx.fp_exact; ++i) {
-      if (i > 0 && fp_idx[i].first == fp_idx[i - 1].first) {
-        // Duplicate key within the query: exact only if the contents agree
-        // (a true duplicate branch). Checking adjacent pairs covers the
-        // whole run, and the first pair already vetted this key against the
-        // directory.
-        ctx.fp_exact = SameBranchContent(query_branches, fp_idx[i].second,
-                                         query_branches, fp_idx[i - 1].second);
-        continue;
-      }
-      const uint64_t* end = columns.fp_unique + columns.num_distinct;
-      const uint64_t* it =
-          std::lower_bound(columns.fp_unique, end, fp_idx[i].first);
-      if (it != end && *it == fp_idx[i].first) {
-        // The corpus holds this key too; injectivity corpus-wide means ONE
-        // content compare against the representative settles every corpus
-        // branch with it.
-        const uint64_t rep = columns.fp_rep[it - columns.fp_unique];
-        ctx.fp_exact = SameBranchContent(
-            query_branches, fp_idx[i].second,
-            index.branch_set(static_cast<size_t>(rep >> 32)),
-            static_cast<size_t>(rep & 0xFFFFFFFFull));
-      }
-    }
-  }
+  std::sort(ctx.query_fps.begin(), ctx.query_fps.end());
   // Only the prefilter's Passes reads the profile: the bounds and the
   // approximate navigation take the query side from query_fps. It is read
   // off the query's branches, as the corpus side is off the index's.
@@ -120,9 +78,10 @@ Result<ScanContext> PrepareScan(const Graph& query,
         1, std::min(options.v1_sample_alpha, index.num_graphs()));
     const std::vector<size_t> picks =
         rng.SampleWithoutReplacement(index.num_graphs(), alpha);
+    const CandidateColumns columns = index.columns();
     double sum = 0.0;
     for (size_t id : picks) {
-      sum += static_cast<double>(index.branch_set(id).size());
+      sum += static_cast<double>(columns.sizes[id]);
     }
     ctx.v1_size = std::max<int64_t>(
         1, static_cast<int64_t>(std::llround(sum / static_cast<double>(alpha))));
@@ -152,7 +111,7 @@ struct ListedIds {
 };
 
 /// One evaluation loop for both entry points: candidate admission, the
-/// two-tier pruning bound, the branch-merge + posterior scoring
+/// two-tier pruning bound, the id-intersection + posterior scoring
 /// and the witness bookkeeping are shared verbatim, so a match appended for
 /// id X is bit-identical whichever sequence listed X — the property
 /// approximate mode's "subset with exact scores" contract rests on.
@@ -162,7 +121,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
                       PosteriorEngine* posterior, SearchResult* result,
                       ScanBounds* bounds) {
   const SearchOptions& options = ctx.options;
-  const BranchSetRef query_branches = ctx.query_branches;
   const size_t range = id_seq.size();
   // Resolved once per scan call: the GBDA_FORCE_SCALAR_KERNELS environment
   // override, then the per-scan knob, then cpuid (common/kernels.h). Both
@@ -171,10 +129,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   const ScanKernels& kernels =
       GetScanKernels(ResolveKernels(options.kernel_dispatch));
   const CandidateColumns columns = index.columns();
-  // Armed by PrepareScan's query-side audit; the column re-check guards a
-  // context paired with a different backing than it was prepared against
-  // (it can only disable, never wrongly enable).
-  const bool fp_exact = ctx.fp_exact && columns.exactness_certified();
   // Stage B skips a candidate whose Phi upper bound is strictly below a
   // floor, in one of two shapes. A ranking scan (every candidate is a
   // match) prunes against its k-th-best witness, from `bounds`. A threshold
@@ -275,7 +229,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     return max_size - common_ub;
   };
   const uint64_t* query_keys = ctx.query_fps.data();
-  const size_t query_keys_n = ctx.query_fps.size();
+  const size_t query_keys_n = ctx.query_fps.size();  // the query's |V|
 
   // The scan runs in blocks: admission (stage A), then one batched bound
   // evaluation against the block-frozen witness state (stage B), then
@@ -346,7 +300,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       // variants the bound is exactly |query size - candidate size|.
       if (options.variant != GbdaVariant::kWeightedGbd) {
         kernels.tier1_size_bounds(blk_sizes.data(), admitted,
-                                  static_cast<uint32_t>(query_branches.size()),
+                                  static_cast<uint32_t>(query_keys_n),
                                   blk_lb.data());
       }
       const double kth_phi = local_full ? local_topk.top().phi : -1.0;
@@ -375,7 +329,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         const size_t id = blk_ids[j];
         const size_t g_size = blk_sizes[j];
         const int64_t max_size =
-            static_cast<int64_t>(std::max(query_branches.size(), g_size));
+            static_cast<int64_t>(std::max(query_keys_n, g_size));
         if (g_size >= tier1_lb.size()) {
           tier1_lb.resize(g_size + 1, -1);
           tier1_ub.resize(g_size + 1, 0.0);
@@ -396,9 +350,8 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
             // bound for this block).
             const int64_t lb =
                 options.variant == GbdaVariant::kWeightedGbd
-                    ? phi_lower(max_size,
-                                static_cast<int64_t>(std::min(
-                                    query_branches.size(), g_size)))
+                    ? phi_lower(max_size, static_cast<int64_t>(
+                                              std::min(query_keys_n, g_size)))
                     : static_cast<int64_t>(blk_lb[j]);
             tier1_lb[g_size] = lb;
             tier1_ub[g_size] = (*row)->UpperBound(lb);
@@ -411,8 +364,8 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
         // still far cheaper than the full scoring it stands in for.
         bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
         if (!pruned && row_by_size[g_size] != nullptr) {
-          // The candidate's sorted fingerprints, straight from the fp_keys
-          // column (zero pointer chases).
+          // The candidate's sorted ids, straight from the fp_keys column
+          // (zero pointer chases).
           const uint64_t lo = columns.fp_offsets[id];
           const size_t cn =
               static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
@@ -459,38 +412,27 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       // Past every skip: this candidate pays the full scoring below.
       ++result->verified_count;
 
+      // GBD (Definition 4) as max(|q|, |g|) minus the id intersection, exact
+      // by the dictionary; GBDA-V2 rounds Eq. 26's VGBD, the double
+      // expression Vgbd (core/branch.h) evaluates.
+      const uint64_t lo = columns.fp_offsets[id];
+      const size_t g_size =
+          static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
+      const int64_t common = kernels.intersect_count(
+          query_keys, query_keys_n, columns.fp_keys + lo, g_size);
+      const size_t max_size = std::max(query_keys_n, g_size);
       int64_t phi;
-      size_t g_size;
-      if (fp_exact) {
-        // Exact fingerprint scoring (see ScanContext::fp_exact): under the
-        // certified-injective mapping the sorted-u64 intersection IS the
-        // branch-multiset intersection, so the lexicographic branch merge
-        // — and the candidate's branch arrays altogether — are never
-        // touched.
-        const uint64_t lo = columns.fp_offsets[id];
-        const size_t cn =
-            static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-        g_size = cn;
-        const int64_t common = kernels.intersect_count(
-            query_keys, query_keys_n, columns.fp_keys + lo, cn);
-        phi = static_cast<int64_t>(std::max(query_keys_n, cn)) - common;
+      if (options.variant == GbdaVariant::kWeightedGbd) {
+        const double vgbd = static_cast<double>(max_size) -
+                            options.vgbd_w * static_cast<double>(common);
+        phi = std::max<int64_t>(0, static_cast<int64_t>(std::llround(vgbd)));
       } else {
-        const BranchSetRef g_branches = index.branch_set(id);
-        g_size = g_branches.size();
-        if (options.variant == GbdaVariant::kWeightedGbd) {
-          const double vgbd =
-              Vgbd(query_branches, g_branches, options.vgbd_w);
-          phi = std::max<int64_t>(0, static_cast<int64_t>(std::llround(vgbd)));
-        } else {
-          phi = static_cast<int64_t>(
-              GbdFromBranches(query_branches, g_branches));
-        }
+        phi = static_cast<int64_t>(max_size) - common;
       }
 
-      const int64_t v =
-          options.variant == GbdaVariant::kAverageSize
-              ? ctx.v1_size
-              : static_cast<int64_t>(std::max(query_branches.size(), g_size));
+      const int64_t v = options.variant == GbdaVariant::kAverageSize
+                            ? ctx.v1_size
+                            : static_cast<int64_t>(max_size);
 
       // Phi is exactly +0.0 past the row's cap (see PhiRow), so only a phi
       // inside the support fetches the row. An exhaustive scan thus builds
@@ -548,7 +490,7 @@ Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
                          ScanBounds* bounds) {
   // The range scan's bounds are implicit in [0, num_graphs); a listed id is
   // caller data (the navigator, or eventually a wire client), so check it
-  // before branch_set() would read out of bounds.
+  // before the column reads would go out of bounds.
   for (uint32_t id : ids) {
     if (id >= index.num_graphs()) {
       return Status::InvalidArgument(

@@ -8,16 +8,18 @@
 /// variants (GBDA-V1 average-size, GBDA-V2 weighted VGBD of Eq. 26) and can
 /// enable the sound layered Prefilter in front of the probabilistic test.
 ///
-/// The scan is factored into PrepareScan (per-query state: branches, filter
+/// The scan is factored into PrepareScan (per-query state: branch ids, filter
 /// profile, the V1 size estimate) and ScanRange (candidate evaluation over a
 /// contiguous id range), so the serving layer (src/service/gbda_service.h)
 /// can fan the same arithmetic out over shards and stay bit-identical to
 /// the serial scan; see docs/ARCHITECTURE.md, "Serving layer".
 ///
 /// Both halves consume the index through the IndexReader contract
-/// (core/index_reader.h), so an owned GbdaIndex and a mapped v3 artifact
+/// (core/index_reader.h), so an owned GbdaIndex and a mapped v4 artifact
 /// (storage/index_view.h) serve queries through one code path with
-/// bit-identical results.
+/// bit-identical results. A candidate's GBD is max(|q|, |g|) minus the
+/// intersection of the two ascending branch-id multisets (one
+/// intersect_count), exact by the dictionary (core/branch_dictionary.h).
 
 #pragma once
 
@@ -91,7 +93,7 @@ struct SearchOptions {
   /// up to k at query time so the window can always hold a full result.
   size_t search_window_size = 64;
   /// Which scan-kernel implementation (common/kernels.h) evaluates the
-  /// batched tier-1/tier-2 cuts and fingerprint intersections: kAuto picks
+  /// batched tier-1/tier-2 cuts and branch-id intersections: kAuto picks
   /// AVX2 when the CPU supports it, the force values pin one path (the
   /// bench bit-identity gate sweeps both). Results are bit-identical either
   /// way — the kernel contract, pinned by tests/kernels_test.cc. The
@@ -200,32 +202,22 @@ struct SearchResult {
 };
 
 /// Per-query state shared by every candidate evaluation of one query:
-/// the query's branch multiset, its fingerprints, its filter profile (when
-/// the prefilter is on) and the GBDA-V1 database-average size estimate.
-/// Computed once by PrepareScan, then read-only — safe to share across
-/// shard workers.
+/// the query's branch ids, its filter profile (when the prefilter is on)
+/// and the GBDA-V1 database-average size estimate. Computed once by
+/// PrepareScan, then read-only — safe to share across shard workers.
 struct ScanContext {
   SearchOptions options;
   bool apply_gamma = true;
-  BranchMultiset query_branches;
 
-  /// The query's branch fingerprints, sorted ascending — the query side of
-  /// every kernel call: the tier-2 capped intersection cut, (when fp_exact
-  /// below holds) the exact fingerprint-scoring path, and the approximate
-  /// navigation's entry keys. Always built.
+  /// The query's branch ids under the index's dictionary, sorted ascending
+  /// (one per query vertex; a branch the dictionary lacks maps to
+  /// dictionary().size(), which no candidate holds) — the query side of
+  /// every kernel call: the tier-2 capped intersection cut, the scoring
+  /// intersection, and the approximate navigation's entry keys. The name
+  /// predates the dictionary.
   std::vector<uint64_t> query_fps;
-  /// True when fingerprint intersections against THIS index are provably
-  /// exact for this query: the index's columns carry the corpus-injectivity
-  /// directory (CandidateColumns::exactness_certified) AND the query-side
-  /// audit in PrepareScan found no collision among the query's own branches
-  /// or against the directory's representatives. The scan then scores
-  /// non-weighted variants as phi = max_size - |query_fps ∩ candidate fps|
-  /// — equal to GbdFromBranches by injectivity, at a fraction of the cost.
-  /// Never set for GbdaVariant::kWeightedGbd (Vgbd needs the branch
-  /// multisets themselves).
-  bool fp_exact = false;
 
-  /// Built from query_branches only when the prefilter is on:
+  /// Built from the query's branches only when the prefilter is on:
   /// Prefilter::Passes is its one reader (the bounds and the navigation read
   /// query_fps).
   FilterProfile query_profile;
@@ -233,17 +225,18 @@ struct ScanContext {
 };
 
 /// Validates options against the index and computes the per-query state
-/// from the query and the index alone: the query profile is read off
-/// query_branches and GBDA-V1 samples branch counts, so no corpus Graph is
-/// read. Deterministic in options.seed (the V1 sample). Fails when
+/// from the query and the index alone: the query's branches are mapped
+/// through index.dictionary(), the query profile is read off them and
+/// GBDA-V1 samples branch counts, so no corpus Graph is read.
+/// Deterministic in options.seed (the V1 sample). Fails when
 /// options.tau_hat exceeds the index's tau_max.
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const IndexReader& index);
 
 /// The same, after checking that `corpus` and the index agree on the graph
-/// count (a stale index artifact would otherwise drive out-of-bounds branch
-/// lookups in ScanRange). Reads only the corpus size.
+/// count (a stale index artifact would otherwise drive out-of-bounds
+/// prefilter lookups in ScanRange). Reads only the corpus size.
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const CorpusRef& corpus,
@@ -261,9 +254,9 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// With ctx.options.early_termination on, the scan skips a candidate —
 /// counting it in pruned_by_bound instead of scoring it — when a sound Phi
 /// upper bound proves it out. The proof pushes a GBD lower bound — from
-/// multiset sizes (tier 1, O(1)), then from branch-fingerprint
-/// intersections against the index's fp_keys column (tier 2, capped
-/// early-exit merge) — through the suffix maximum of the engine's Phi row
+/// multiset sizes (tier 1, O(1)), then from a capped early-exit
+/// intersection of branch ids against the index's fp_keys column (tier 2)
+/// — through the suffix maximum of the engine's Phi row
 /// (PhiRow::UpperBound).
 ///
 /// A threshold scan (ctx.apply_gamma) needs no `bounds`: gamma > 0 is a
@@ -289,7 +282,7 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
 /// Evaluates exactly the candidates listed in `ids` (any order; ids must be
 /// distinct — a repeated id would append its match twice) with the SAME
 /// arithmetic as ScanRange — prefilter
-/// admission, branch-multiset GBD, posterior, variant handling — so a match
+/// admission, branch-id GBD, posterior, variant handling — so a match
 /// this call appends is bit-identical to the one the exhaustive scan would
 /// append for that id. This is the verification half of approximate mode
 /// (src/ann navigates, this call scores); counters accumulate like

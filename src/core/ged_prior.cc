@@ -167,6 +167,12 @@ Result<GedPriorTable> GedPriorTable::Deserialize(BinaryReader* reader) {
     if (row->size() != static_cast<size_t>(*tau_max + 1)) {
       return Status::InvalidArgument("GED prior row has wrong length");
     }
+    for (double p : *row) {
+      if (!std::isfinite(p) || p < 0.0) {
+        return Status::InvalidArgument(
+            "GED prior: a row entry is negative or not finite");
+      }
+    }
     table.rows_.emplace(*v, std::move(*row));
   }
   return table;

@@ -81,6 +81,8 @@ class GedPriorTable {
   size_t MemoryBytes() const;
 
   void Serialize(BinaryWriter* writer) const;
+  /// Rejects (InvalidArgument) a Lambda3 row entry that is negative or not
+  /// finite, which would make every Phi of that size NaN.
   static Result<GedPriorTable> Deserialize(BinaryReader* reader);
 
  private:

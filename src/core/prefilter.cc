@@ -23,24 +23,38 @@ int64_t SortedMultisetDistance(const std::vector<LabelId>& a,
   return static_cast<int64_t>(std::max(a.size(), b.size()) - common);
 }
 
-}  // namespace
-
-// FNV-1a over the branch's root label and ascending edge-label multiset
-// (see the header contract).
-uint64_t BranchFingerprint(LabelId root, const LabelId* edge_labels,
-                           size_t count) {
-  uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  // +1 keeps label id 0 from hashing like "no label".
-  mix(static_cast<uint64_t>(root) + 1);
-  for (size_t i = 0; i < count; ++i) {
-    mix(static_cast<uint64_t>(edge_labels[i]) + 1);
+/// The profile of the branches at(0), ..., at(n - 1) of `entries`. The
+/// roots arrive ascending unless a graph holds ids appended out of content
+/// order (dynamic commits), so they are sorted only then.
+template <typename At>
+FilterProfile ProfileOfBranches(const BranchSetRef& entries, size_t n, At at) {
+  FilterProfile p;
+  p.num_vertices = static_cast<int64_t>(n);
+  p.vertex_labels.reserve(n);
+  size_t num_endpoints = 0;
+  for (size_t i = 0; i < n; ++i) {
+    num_endpoints += entries.edge_labels(at(i)).size();
   }
-  return h;
+  std::vector<LabelId> endpoint_labels;  // each edge label once per endpoint
+  endpoint_labels.reserve(num_endpoints);
+  for (size_t i = 0; i < n; ++i) {
+    p.vertex_labels.push_back(entries.root(at(i)));
+    const Span<const LabelId> labels = entries.edge_labels(at(i));
+    endpoint_labels.insert(endpoint_labels.end(), labels.begin(), labels.end());
+  }
+  if (!std::is_sorted(p.vertex_labels.begin(), p.vertex_labels.end())) {
+    std::sort(p.vertex_labels.begin(), p.vertex_labels.end());
+  }
+  std::sort(endpoint_labels.begin(), endpoint_labels.end());
+  p.edge_labels.reserve(endpoint_labels.size() / 2);
+  for (size_t i = 0; i < endpoint_labels.size(); i += 2) {
+    p.edge_labels.push_back(endpoint_labels[i]);
+  }
+  p.num_edges = static_cast<int64_t>(p.edge_labels.size());
+  return p;
 }
+
+}  // namespace
 
 FilterProfile BuildFilterProfile(const Graph& g) {
   FilterProfile p;
@@ -62,28 +76,14 @@ FilterProfile BuildFilterProfile(const Graph& g) {
 }
 
 FilterProfile BuildFilterProfile(const BranchSetRef& branches) {
-  FilterProfile p;
-  p.num_vertices = static_cast<int64_t>(branches.size());
-  p.vertex_labels.reserve(branches.size());
-  size_t num_endpoints = 0;
-  for (size_t i = 0; i < branches.size(); ++i) {
-    num_endpoints += branches.edge_labels(i).size();
-  }
-  std::vector<LabelId> endpoint_labels;  // each edge label once per endpoint
-  endpoint_labels.reserve(num_endpoints);
-  for (size_t i = 0; i < branches.size(); ++i) {
-    // A multiset is sorted by root first, so the roots arrive ascending.
-    p.vertex_labels.push_back(branches.root(i));
-    const Span<const LabelId> labels = branches.edge_labels(i);
-    endpoint_labels.insert(endpoint_labels.end(), labels.begin(), labels.end());
-  }
-  std::sort(endpoint_labels.begin(), endpoint_labels.end());
-  p.edge_labels.reserve(endpoint_labels.size() / 2);
-  for (size_t i = 0; i < endpoint_labels.size(); i += 2) {
-    p.edge_labels.push_back(endpoint_labels[i]);
-  }
-  p.num_edges = static_cast<int64_t>(p.edge_labels.size());
-  return p;
+  return ProfileOfBranches(branches, branches.size(),
+                           [](size_t i) { return i; });
+}
+
+FilterProfile BuildFilterProfile(Span<const uint64_t> ids,
+                                 const BranchDictionary& dictionary) {
+  return ProfileOfBranches(dictionary.entries(), ids.size(),
+                           [&ids](size_t i) { return ids[i]; });
 }
 
 int64_t FilterLowerBound(const FilterProfile& a, const FilterProfile& b) {
@@ -106,9 +106,13 @@ Prefilter::Prefilter(const GraphDatabase* db) {
 }
 
 Prefilter::Prefilter(const IndexReader& index) {
+  const CandidateColumns columns = index.columns();
   profiles_.reserve(index.num_graphs());
   for (size_t i = 0; i < index.num_graphs(); ++i) {
-    profiles_.push_back(BuildFilterProfile(index.branch_set(i)));
+    const uint64_t lo = columns.fp_offsets[i];
+    const size_t n = static_cast<size_t>(columns.fp_offsets[i + 1] - lo);
+    profiles_.push_back(BuildFilterProfile(
+        Span<const uint64_t>(columns.fp_keys + lo, n), index.dictionary()));
   }
 }
 

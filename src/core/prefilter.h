@@ -29,32 +29,21 @@ struct FilterProfile {
   std::vector<LabelId> edge_labels;    // ascending
 };
 
-/// 64-bit FNV-1a fingerprint of one branch: the root label followed by the
-/// ascending edge-label multiset. Deterministic and content-only, so
-/// isomorphic branches (Definition 3) always hash equal: the multiset
-/// intersection of two graphs' fingerprints can only OVERcount
-/// |B_G1 ∩ B_G2| (a collision merges distinct branch types), which makes it
-/// an admissible common-branch upper bound and, through
-/// GBD = max(|V1|, |V2|) - |B_G1 ∩ B_G2|, an admissible GBD lower bound.
-/// The per-graph sorted fingerprints live in one place, the fp_keys
-/// candidate column (core/candidate_columns.h); the bound-pruning scan
-/// intersects them with the query's (docs/ARCHITECTURE.md, "Bound
-/// pruning"). `edge_labels` points at the branch's `count` ascending labels
-/// in a flat label pool.
-uint64_t BranchFingerprint(LabelId root, const LabelId* edge_labels,
-                           size_t count);
-
 /// Vertex/edge counts and sorted label multisets of `g`, skipping epsilon
 /// edges — no branch extraction.
 FilterProfile BuildFilterProfile(const Graph& g);
 
-/// The same profile read off a graph's sorted branch multiset: the roots
-/// are the vertex labels, and since graphs have no self-loops each
-/// (non-epsilon) edge label sits in exactly the two branches of its
-/// endpoints, so the edge-label multiset is every second element of the
-/// sorted union. Equals BuildFilterProfile(g) for `branches` =
-/// ExtractBranches(g).
+/// The same profile read off a graph's branches: the roots are the vertex
+/// labels, and since graphs have no self-loops each (non-epsilon) edge
+/// label sits in exactly the two branches of its endpoints, so the
+/// edge-label multiset is every second element of the sorted union. Equals
+/// BuildFilterProfile(g) for `branches` = ExtractBranches(g).
 FilterProfile BuildFilterProfile(const BranchSetRef& branches);
+
+/// The same profile for a graph held as branch ids: entry ids[i] of
+/// `dictionary` is its i-th branch. Every id must be < dictionary.size().
+FilterProfile BuildFilterProfile(Span<const uint64_t> ids,
+                                 const BranchDictionary& dictionary);
 
 /// Admissible GED lower bound from two filter profiles:
 ///   max(|ΔV|, |ΔE|, vertex-label multiset distance + edge-label multiset
@@ -73,8 +62,9 @@ class Prefilter {
   /// Precomputes profiles for every database graph from its Graph.
   explicit Prefilter(const GraphDatabase* db);
 
-  /// Precomputes profiles for every graph of `index` from its branch
-  /// multiset — the serving snapshots' construction, which reads no Graph.
+  /// Precomputes profiles for every graph of `index` from its branch ids
+  /// and the dictionary — the serving snapshots' construction, which reads
+  /// no Graph.
   explicit Prefilter(const IndexReader& index);
 
   /// Ids of database graphs whose lower bound does not exceed tau.

@@ -2,7 +2,7 @@
 /// The network serving front-end (docs/ARCHITECTURE.md, "Network serving"):
 /// a TCP server speaking the length-prefixed binary protocol of
 /// net/codec.h in front of one GbdaService — frozen (optionally over a
-/// mapped v3 arena) or a DynamicGbdaService, whose mutation requests commit
+/// mapped v4 arena) or a DynamicGbdaService, whose mutation requests commit
 /// and swap snapshots. tools/gbda_serverd is a thin main around this class;
 /// tests drive it in-process on loopback ephemeral ports.
 ///

@@ -155,10 +155,12 @@ Result<std::vector<size_t>> DynamicGbdaService::AddGraphs(
     Status labels = ValidateLabels(g);
     if (!labels.ok()) return labels;
   }
+  // One call per commit: the dictionary is copied at most once, at the
+  // first branch it has not seen, and the published snapshot keeps its own.
+  master_.AddGraphs(graphs);
   std::vector<size_t> ids;
   ids.reserve(graphs.size());
-  for (const Graph& g : graphs) {
-    master_.AddGraph(g);
+  for (size_t i = 0; i < graphs.size(); ++i) {
     stable_ids_.push_back(next_id_);
     ids.push_back(next_id_++);
   }

@@ -20,11 +20,14 @@
 ///     from the index's branch store and, like its navigation context,
 ///     built on first use. Once published it is never modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
-///     mutex; each commit updates the master index incrementally (O(1)
-///     branch-multiset work per added graph), refits Lambda2 when the
-///     staleness policy below fires, copies the master into the next
-///     snapshot in O(live) shared_ptr copies and swaps the published
-///     shared_ptr atomically.
+///     mutex; each commit updates the master index incrementally (branch
+///     extraction and dictionary lookups for the added graphs only),
+///     refits Lambda2 when the staleness policy below fires, copies the
+///     master into the next snapshot in O(live) shared_ptr copies and swaps
+///     the published shared_ptr atomically. The master's branch dictionary
+///     is append-only and never reuses an id; a commit that meets an unseen
+///     branch appends to a private copy, so a published snapshot's
+///     dictionary never changes (copy-on-write).
 ///   - The engine carries over to the next snapshot while both prior
 ///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi
 ///     rows depend on Lambda2), but the GedPriorTable — and with it every

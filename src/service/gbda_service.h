@@ -154,7 +154,7 @@ inline ShardRange ShardOf(size_t s, size_t num_shards, size_t num_graphs) {
 /// Concurrent sharded query engine over a prebuilt index. The index is
 /// consumed through the IndexReader contract (core/index_reader.h), so the
 /// service serves equally from an owned GbdaIndex and from a zero-copy
-/// GbdaIndexView over a mapped v3 artifact (storage/index_view.h) — results
+/// GbdaIndexView over a mapped v4 artifact (storage/index_view.h) — results
 /// are bit-identical either way. Thread-safe: concurrent public calls are
 /// allowed (they share the pool and the snapshot's engine; statistics are
 /// lock-free sharded counters, see ServiceCounters).
@@ -227,7 +227,7 @@ class GbdaService {
 
   // -- Approximate navigation ------------------------------------------------
   // Ranking queries with options.approximate walk a proximity graph over
-  // branch-fingerprint similarity instead of scanning every shard, then
+  // GBD over branch ids instead of scanning every shard, then
   // verify the visited candidates exactly (ann/navigator.h): the result is
   // a subset of the exhaustive top-k with bit-exact scores. The context
   // belongs to one snapshot and is initialised at most once per snapshot —
@@ -243,7 +243,7 @@ class GbdaService {
   Status WarmAnnGraph();
 
   /// Adopts a prebuilt graph — typically GbdaIndexView::ann_graph() from a
-  /// v3 artifact written with one — into the published snapshot instead of
+  /// v4 artifact written with one — into the published snapshot instead of
   /// building. The referenced storage must outlive the service, and the
   /// graph must cover exactly the index's graphs. Fails
   /// (FailedPrecondition) once the context exists, so adopt before the
@@ -288,7 +288,7 @@ class GbdaService {
     /// The layered prefilter over this generation's index, profiled from
     /// its branch store on the first batch with SearchOptions::use_prefilter
     /// — its only reader is admission. Profile extraction is O(corpus) and
-    /// cold-start sensitive (a mapped v3 artifact opens in microseconds; an
+    /// cold-start sensitive (a mapped v4 artifact opens in microseconds; an
     /// eager prefilter would put a corpus-sized pass right back into
     /// startup).
     const Prefilter* EnsurePrefilter() const;

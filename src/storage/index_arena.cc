@@ -1,7 +1,12 @@
 #include "storage/index_arena.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "common/crc32.h"
@@ -14,47 +19,67 @@ uint64_t AlignUp(uint64_t offset) {
   return (offset + kArenaSectionAlign - 1) & ~uint64_t{kArenaSectionAlign - 1};
 }
 
-/// Reads a u64 at an arbitrary (already bounds-checked) byte offset.
-uint64_t ReadU64At(std::string_view data, size_t offset) {
-  uint64_t v;
-  std::memcpy(&v, data.data() + offset, sizeof(v));
-  return v;
+/// A section's payload as a typed array. Section offsets are 64-byte
+/// aligned (checked by ParseArenaHeader), and so is any mapping.
+template <typename T>
+const T* SectionArray(std::string_view data, const ArenaSectionInfo& sec) {
+  return reinterpret_cast<const T*>(data.data() + sec.offset);
 }
 
 Status ArenaError(const std::string& source, const std::string& what) {
   return Status::InvalidArgument("index arena: " + what + " in " + source);
 }
 
+Status IoError(const std::string& what, const std::string& path) {
+  return Status::IOError(what + ": " + path + " (" + std::strerror(errno) +
+                         ")");
+}
+
+/// Writes `bytes` to `<path>.tmp.<pid>`, fsyncs it, renames it over `path`
+/// and fsyncs the directory. The temp file is removed on any failure.
+Status PublishFile(const std::string& path, const std::string& bytes) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return IoError("cannot open for writing", tmp);
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno != EINTR) break;
+    if (n > 0) done += static_cast<size_t>(n);
+  }
+  Status status = done < bytes.size() ? IoError("write failed", tmp)
+                  : ::fsync(fd) != 0  ? IoError("fsync failed", tmp)
+                                      : Status::OK();
+  if (::close(fd) != 0 && status.ok()) status = IoError("close failed", tmp);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = IoError("cannot rename into place", path);
+  }
+  if (!status.ok()) {
+    std::remove(tmp.c_str());
+    return status;
+  }
+  // The rename is durable once the directory entry is.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? "."
+                              : path.substr(0, std::max<size_t>(slash, 1));
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
+    status = IoError("cannot sync the directory of", path);
+  }
+  if (dir_fd >= 0) ::close(dir_fd);
+  return status;
+}
+
 }  // namespace
 
 const char* ArenaSectionName(uint32_t id) {
-  switch (id) {
-    case kSecBranchStart:
-      return "branch_start";
-    case kSecRoots:
-      return "roots";
-    case kSecLabelStart:
-      return "label_start";
-    case kSecLabels:
-      return "labels";
-    case kSecGbdPrior:
-      return "gbd_prior";
-    case kSecGedPrior:
-      return "ged_prior";
-    case kSecAnnGraph:
-      return "ann_graph";
-    case kSecGraphSizes:
-      return "graph_sizes";
-    case kSecFpOffsets:
-      return "fp_offsets";
-    case kSecFpKeys:
-      return "fp_keys";
-    case kSecFpUnique:
-      return "fp_unique";
-    case kSecFpRep:
-      return "fp_rep";
-  }
-  return "unknown";
+  static const char* const kNames[] = {
+      "unknown",     "graph_offsets", "dict_roots", "dict_label_start",
+      "dict_labels", "gbd_prior",     "ged_prior",  "ann_graph",
+      "graph_sizes", "unknown",       "fp_keys"};
+  return id < sizeof(kNames) / sizeof(kNames[0]) ? kNames[id] : "unknown";
 }
 
 Result<std::string> BuildArena(const IndexReader& index,
@@ -70,29 +95,17 @@ Result<std::string> BuildArena(const IndexReader& index,
         "before persisting");
   }
 
-  // Flatten the branch store. Works from any IndexReader backing: an owned
-  // index walks its multisets, a mapped view copies its own arena slices.
-  std::vector<uint64_t> branch_start(num_graphs + 1, 0);
-  std::vector<uint32_t> roots;
-  std::vector<uint64_t> label_start;
-  std::vector<LabelId> labels;
-  uint64_t total_branches = 0;
-  for (size_t g = 0; g < num_graphs; ++g) {
-    total_branches += index.branch_set(g).size();
-    branch_start[g + 1] = total_branches;
-  }
-  roots.reserve(static_cast<size_t>(total_branches));
-  label_start.reserve(static_cast<size_t>(total_branches) + 1);
-  label_start.push_back(0);
-  for (size_t g = 0; g < num_graphs; ++g) {
-    const BranchSetRef set = index.branch_set(g);
-    for (size_t b = 0; b < set.size(); ++b) {
-      roots.push_back(set.root(b));
-      const Span<const LabelId> edge_labels = set.edge_labels(b);
-      labels.insert(labels.end(), edge_labels.begin(), edge_labels.end());
-      label_start.push_back(labels.size());
-    }
-  }
+  // The dictionary keeps the branches some graph holds, renumbered in
+  // content order, and every graph's ids follow. After a fresh Build this
+  // is the identity; after dynamic commits it drops dead entries and
+  // re-sorts the graphs that hold appended ids.
+  const CandidateColumns columns = index.columns();
+  const uint64_t total_branches = columns.fp_offsets[num_graphs];
+  std::vector<uint64_t> ids(columns.fp_keys, columns.fp_keys + total_branches);
+  const BranchDictionary dictionary = index.dictionary().Renumbered(
+      Span<const uint64_t>(columns.fp_offsets, num_graphs + 1), &ids);
+  const BranchSetRef entries = dictionary.entries();
+  const uint64_t dictionary_labels = entries.label_offsets()[entries.size()];
 
   BinaryWriter gbd_blob;
   index.gbd_prior().Serialize(&gbd_blob);
@@ -110,49 +123,28 @@ Result<std::string> BuildArena(const IndexReader& index,
     ann_blob = SerializeProximityGraph(*ann_graph);
   }
 
-  // Candidate columns come from the backing: a mapped view re-persists its
-  // own sections byte-identically, an owned index hands over its lazy
-  // cache. Both hold what BuildCandidateColumns computes — a deterministic
-  // function of the branch data.
-  const CandidateColumns columns = index.columns();
-
   struct SectionBytes {
     uint32_t id;
-    const char* data;
+    const void* data;
     uint64_t length;
   };
   std::vector<SectionBytes> sections = {
-      {kSecBranchStart, reinterpret_cast<const char*>(branch_start.data()),
-       branch_start.size() * sizeof(uint64_t)},
-      {kSecRoots, reinterpret_cast<const char*>(roots.data()),
-       roots.size() * sizeof(uint32_t)},
-      {kSecLabelStart, reinterpret_cast<const char*>(label_start.data()),
-       label_start.size() * sizeof(uint64_t)},
-      {kSecLabels, reinterpret_cast<const char*>(labels.data()),
-       labels.size() * sizeof(LabelId)},
+      {kSecGraphOffsets, columns.fp_offsets,
+       (num_graphs + 1) * sizeof(uint64_t)},
+      {kSecDictRoots, entries.roots(), entries.size() * sizeof(uint32_t)},
+      {kSecDictLabelStart, entries.label_offsets(),
+       (entries.size() + 1) * sizeof(uint64_t)},
+      {kSecDictLabels, entries.label_pool(),
+       dictionary_labels * sizeof(LabelId)},
       {kSecGbdPrior, gbd_blob.buffer().data(), gbd_blob.buffer().size()},
       {kSecGedPrior, ged_blob.buffer().data(), ged_blob.buffer().size()},
   };
   if (ann_graph != nullptr) {
     sections.push_back({kSecAnnGraph, ann_blob.data(), ann_blob.size()});
   }
-  sections.push_back({kSecGraphSizes,
-                      reinterpret_cast<const char*>(columns.sizes),
-                      num_graphs * sizeof(uint32_t)});
-  sections.push_back({kSecFpOffsets,
-                      reinterpret_cast<const char*>(columns.fp_offsets),
-                      (num_graphs + 1) * sizeof(uint64_t)});
-  sections.push_back({kSecFpKeys,
-                      reinterpret_cast<const char*>(columns.fp_keys),
-                      total_branches * sizeof(uint64_t)});
-  if (columns.exactness_certified()) {
-    sections.push_back({kSecFpUnique,
-                        reinterpret_cast<const char*>(columns.fp_unique),
-                        columns.num_distinct * sizeof(uint64_t)});
-    sections.push_back({kSecFpRep,
-                        reinterpret_cast<const char*>(columns.fp_rep),
-                        columns.num_distinct * sizeof(uint64_t)});
-  }
+  sections.push_back(
+      {kSecGraphSizes, columns.sizes, num_graphs * sizeof(uint32_t)});
+  sections.push_back({kSecFpKeys, ids.data(), ids.size() * sizeof(uint64_t)});
   const uint32_t section_count = static_cast<uint32_t>(sections.size());
   const size_t header_bytes = ArenaHeaderBytes(section_count);
 
@@ -182,7 +174,8 @@ Result<std::string> BuildArena(const IndexReader& index,
   meta.PutDouble(index.avg_vertices());
   meta.PutU64(num_graphs);
   meta.PutU64(total_branches);
-  meta.PutU64(labels.size());
+  meta.PutU64(entries.size());
+  meta.PutU64(dictionary_labels);
   for (size_t s = 0; s < section_count; ++s) {
     meta.PutU32(sections[s].id);
     meta.PutU32(0);  // reserved
@@ -208,7 +201,8 @@ Result<std::string> BuildArena(const IndexReader& index,
   for (size_t s = 0; s < section_count; ++s) {
     arena.resize(static_cast<size_t>(offsets[s]), '\0');  // alignment pad
     if (sections[s].length > 0) {
-      arena.append(sections[s].data, static_cast<size_t>(sections[s].length));
+      arena.append(static_cast<const char*>(sections[s].data),
+                   static_cast<size_t>(sections[s].length));
     }
   }
   arena.resize(static_cast<size_t>(file_bytes), '\0');
@@ -219,11 +213,7 @@ Status WriteArenaFile(const IndexReader& index, const std::string& path,
                       const ProximityGraph* ann_graph) {
   Result<std::string> arena = BuildArena(index, ann_graph);
   if (!arena.ok()) return arena.status();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
-  out.write(arena->data(), static_cast<std::streamsize>(arena->size()));
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return PublishFile(path, *arena);
 }
 
 Result<ArenaInfo> ParseArenaHeader(std::string_view data,
@@ -235,13 +225,15 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
   ArenaInfo info;
   const uint32_t magic = *reader.GetU32();
   if (magic != kArenaMagic) {
-    return Status::InvalidArgument("not a GBDA v3 arena artifact: " + source);
+    return Status::InvalidArgument("not a GBDA arena artifact: " + source);
   }
   info.version = *reader.GetU32();
   if (info.version != kArenaVersion) {
-    return Status::NotSupported("unsupported arena version " +
-                                std::to_string(info.version) + " in " +
-                                source);
+    return Status::NotSupported(
+        "index arena: " + source + " has format version " +
+        std::to_string(info.version) + ", this build reads version " +
+        std::to_string(kArenaVersion) +
+        "; rebuild the artifact from its database (gbda_indexctl build)");
   }
   const uint32_t endian = *reader.GetU32();
   if (endian != kArenaEndianTag) {
@@ -251,8 +243,8 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
   }
   // The canonical six plus the trailing sections (capped so a corrupt
   // count cannot drive a huge table read). The floor is six rather than
-  // nine so a pre-column artifact reaches the missing-section check below
-  // and its error names what to do.
+  // eight so an artifact without its columns reaches the missing-section
+  // check below and its error names what to do.
   const uint32_t section_count = *reader.GetU32();
   if (section_count < kArenaSectionCount ||
       section_count > kMaxArenaSectionCount) {
@@ -289,7 +281,8 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
   info.avg_vertices = *reader.GetDouble();
   info.num_graphs = *reader.GetU64();
   info.total_branches = *reader.GetU64();
-  info.total_labels = *reader.GetU64();
+  info.dictionary_size = *reader.GetU64();
+  info.dictionary_labels = *reader.GetU64();
   // Validated before the narrowing casts; the rest funnels through the
   // shared header plausibility check.
   if (ncomp < 1 || ncomp > std::numeric_limits<int>::max() || iters < 1 ||
@@ -305,17 +298,30 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
 
   // Count plausibility before any (num + 1) * width arithmetic can wrap.
   if (info.num_graphs > data.size() / sizeof(uint64_t) ||
-      info.total_branches > data.size() / sizeof(uint32_t) ||
-      info.total_labels > data.size() / sizeof(LabelId)) {
+      info.total_branches > data.size() / sizeof(uint64_t) ||
+      info.dictionary_size > data.size() / sizeof(uint32_t) ||
+      info.dictionary_labels > data.size() / sizeof(LabelId)) {
     return ArenaError(source, "element counts exceed file size");
   }
-  const uint64_t expected_lengths[kArenaSectionCount] = {
-      (info.num_graphs + 1) * sizeof(uint64_t),
-      info.total_branches * sizeof(uint32_t),
-      (info.total_branches + 1) * sizeof(uint64_t),
-      info.total_labels * sizeof(LabelId),
-      0,  // prior blobs: any length, bounds-checked below
-      0,
+  // The array sections' lengths follow from the header counts; the prior
+  // blobs and the optional or unknown sections may have any length.
+  constexpr uint64_t kAnyLength = ~uint64_t{0};
+  const auto expected_length = [&info](uint32_t id) {
+    switch (id) {
+      case kSecGraphOffsets:
+        return (info.num_graphs + 1) * sizeof(uint64_t);
+      case kSecDictRoots:
+        return info.dictionary_size * sizeof(uint32_t);
+      case kSecDictLabelStart:
+        return (info.dictionary_size + 1) * sizeof(uint64_t);
+      case kSecDictLabels:
+        return info.dictionary_labels * sizeof(LabelId);
+      case kSecGraphSizes:
+        return info.num_graphs * sizeof(uint32_t);
+      case kSecFpKeys:
+        return info.total_branches * sizeof(uint64_t);
+    }
+    return kAnyLength;
   };
 
   info.sections.reserve(section_count);
@@ -353,51 +359,20 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
                                     ArenaSectionName(sec.id) +
                                     "' lies outside the file");
     }
-    if (s < 4 && sec.length != expected_lengths[s]) {
+    const uint64_t expected = expected_length(sec.id);
+    if (expected != kAnyLength && sec.length != expected) {
       return ArenaError(source, std::string("section '") +
                                     ArenaSectionName(sec.id) +
                                     "' length disagrees with header counts");
-    }
-    // Known trailing sections with count-determined lengths get the same
-    // exact check as the canonical arrays; unknown ids stay length-free.
-    uint64_t expected_trailing = 0;
-    bool check_trailing = true;
-    switch (sec.id) {
-      case kSecGraphSizes:
-        expected_trailing = info.num_graphs * sizeof(uint32_t);
-        break;
-      case kSecFpOffsets:
-        expected_trailing = (info.num_graphs + 1) * sizeof(uint64_t);
-        break;
-      case kSecFpKeys:
-        expected_trailing = info.total_branches * sizeof(uint64_t);
-        break;
-      default:
-        check_trailing = false;
-        break;
-    }
-    if (check_trailing && sec.length != expected_trailing) {
-      return ArenaError(source, std::string("section '") +
-                                    ArenaSectionName(sec.id) +
-                                    "' length disagrees with header counts");
-    }
-    // The directory holds whole u64 entries for (at most) one distinct
-    // fingerprint per branch.
-    if ((sec.id == kSecFpUnique || sec.id == kSecFpRep) &&
-        (sec.length % sizeof(uint64_t) != 0 ||
-         sec.length / sizeof(uint64_t) > info.total_branches)) {
-      return ArenaError(source, std::string("section '") +
-                                    ArenaSectionName(sec.id) +
-                                    "' length is not a plausible directory");
     }
     previous_end = sec.offset + sec.length;
     info.sections.push_back(sec);
   }
 
-  // The candidate columns 8..10 are mandatory: fp_keys is the only copy of
-  // the branch fingerprints the scan and the navigator read.
+  // The columns are mandatory: fp_keys is the only copy of the graphs'
+  // branches.
   std::string missing;
-  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys}) {
+  for (const uint32_t id : {kSecGraphSizes, kSecFpKeys}) {
     if (info.FindSection(id) == nullptr) {
       missing += std::string(missing.empty() ? "" : ", ") +
                  ArenaSectionName(id) + " (" + std::to_string(id) + ")";
@@ -409,126 +384,70 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
         " lacks the mandatory candidate-column section(s) " + missing +
         "; rebuild the artifact from its database (gbda_indexctl build)");
   }
-  // The optional exactness directory is a parallel pair.
-  const ArenaSectionInfo* fp_unique = info.FindSection(kSecFpUnique);
-  const ArenaSectionInfo* fp_rep = info.FindSection(kSecFpRep);
-  if ((fp_unique != nullptr) != (fp_rep != nullptr)) {
-    return ArenaError(source, "partial exactness-directory section pair");
-  }
-  if (fp_unique != nullptr) {
-    if (fp_unique->length != fp_rep->length) {
-      return ArenaError(source,
-                        "fp_unique and fp_rep lengths disagree (the "
-                        "directory arrays are parallel)");
-    }
-  }
   return info;
 }
 
-Status ValidateArenaOffsets(std::string_view data, const ArenaInfo& info,
-                            const std::string& source) {
-  // branch_start: [0 .. total_branches], nondecreasing.
-  const ArenaSectionInfo& bs = info.sections[0];
-  uint64_t prev = ReadU64At(data, static_cast<size_t>(bs.offset));
-  if (prev != 0) {
-    return ArenaError(source, "branch_start[0] != 0");
-  }
-  for (uint64_t g = 1; g <= info.num_graphs; ++g) {
-    const uint64_t cur = ReadU64At(
-        data, static_cast<size_t>(bs.offset + g * sizeof(uint64_t)));
-    if (cur < prev) {
-      return ArenaError(source, "branch_start is not nondecreasing");
-    }
-    prev = cur;
-  }
-  if (prev != info.total_branches) {
-    return ArenaError(source,
-                      "branch_start does not end at total_branches");
-  }
-  // label_start: [0 .. total_labels], nondecreasing.
-  const ArenaSectionInfo& ls = info.sections[2];
-  prev = ReadU64At(data, static_cast<size_t>(ls.offset));
-  if (prev != 0) {
-    return ArenaError(source, "label_start[0] != 0");
-  }
-  for (uint64_t b = 1; b <= info.total_branches; ++b) {
-    const uint64_t cur = ReadU64At(
-        data, static_cast<size_t>(ls.offset + b * sizeof(uint64_t)));
-    if (cur < prev) {
-      return ArenaError(source, "label_start is not nondecreasing");
-    }
-    prev = cur;
-  }
-  if (prev != info.total_labels) {
-    return ArenaError(source, "label_start does not end at total_labels");
-  }
-  return Status::OK();
-}
-
-Status ValidateArenaColumns(std::string_view data, const ArenaInfo& info,
-                            const std::string& source) {
-  const ArenaSectionInfo* sizes = info.FindSection(kSecGraphSizes);
-  const ArenaSectionInfo* fp_offsets = info.FindSection(kSecFpOffsets);
-  const ArenaSectionInfo* branch_start = &info.sections[0];
-  // graph_sizes must be the branch_start deltas (which also proves each
-  // fits u32), and fp_offsets must BE branch_start: one fingerprint per
-  // branch is what lets the scan address fp_keys with the same ranges it
-  // uses for branches.
+Status ValidateArenaTables(std::string_view data, const ArenaInfo& info,
+                           const std::string& source) {
+  // Graphs: offsets from 0 to total_branches, sizes equal to their deltas,
+  // and each graph's ids ascending and inside the dictionary.
+  const uint64_t* offsets = SectionArray<uint64_t>(data, info.sections[0]);
+  const uint32_t* sizes =
+      SectionArray<uint32_t>(data, *info.FindSection(kSecGraphSizes));
+  const uint64_t* ids =
+      SectionArray<uint64_t>(data, *info.FindSection(kSecFpKeys));
+  if (offsets[0] != 0) return ArenaError(source, "graph_offsets[0] != 0");
   for (uint64_t g = 0; g < info.num_graphs; ++g) {
-    const uint64_t lo = ReadU64At(
-        data, static_cast<size_t>(branch_start->offset + g * sizeof(uint64_t)));
-    const uint64_t hi =
-        ReadU64At(data, static_cast<size_t>(branch_start->offset +
-                                            (g + 1) * sizeof(uint64_t)));
-    uint32_t size;
-    std::memcpy(&size,
-                data.data() + sizes->offset + g * sizeof(uint32_t),
-                sizeof(size));
-    if (static_cast<uint64_t>(size) != hi - lo) {
+    const uint64_t lo = offsets[g];
+    const uint64_t hi = offsets[g + 1];
+    if (hi < lo || hi > info.total_branches) {
       return ArenaError(source,
-                        "graph_sizes disagrees with branch_start deltas");
+                        "graph_offsets is not nondecreasing within "
+                        "total_branches");
+    }
+    if (sizes[g] != hi - lo) {
+      return ArenaError(source, "graph_sizes disagrees with graph_offsets");
+    }
+    // Ascending ids put the graph's largest id last.
+    bool descends = false;
+    for (uint64_t k = lo + 1; k < hi; ++k) descends |= ids[k] < ids[k - 1];
+    if (descends) {
+      return ArenaError(source, "fp_keys ids descend within a graph");
+    }
+    if (hi > lo && ids[hi - 1] >= info.dictionary_size) {
+      return ArenaError(source, "fp_keys holds an id outside the dictionary");
     }
   }
-  for (uint64_t g = 0; g <= info.num_graphs; ++g) {
-    const uint64_t off = ReadU64At(
-        data, static_cast<size_t>(fp_offsets->offset + g * sizeof(uint64_t)));
-    const uint64_t bs = ReadU64At(
-        data, static_cast<size_t>(branch_start->offset + g * sizeof(uint64_t)));
-    if (off != bs) {
-      return ArenaError(source, "fp_offsets disagrees with branch_start");
-    }
+  if (offsets[info.num_graphs] != info.total_branches) {
+    return ArenaError(source, "graph_offsets does not end at total_branches");
   }
 
-  const ArenaSectionInfo* fp_unique = info.FindSection(kSecFpUnique);
-  if (fp_unique == nullptr) return Status::OK();
-  const ArenaSectionInfo* fp_rep = info.FindSection(kSecFpRep);
-  const uint64_t num_distinct = fp_unique->length / sizeof(uint64_t);
-  // fp_unique strictly ascending (a set, and binary-searchable); every
-  // fp_rep entry in-bounds — the check that makes the query-side audit's
-  // branch_set() dereferences safe on an untrusted artifact.
-  uint64_t prev_key = 0;
-  for (uint64_t i = 0; i < num_distinct; ++i) {
-    const uint64_t key = ReadU64At(
-        data, static_cast<size_t>(fp_unique->offset + i * sizeof(uint64_t)));
-    if (i > 0 && key <= prev_key) {
-      return ArenaError(source, "fp_unique is not strictly ascending");
+  // Dictionary: label offsets from 0 to dictionary_labels, entries strictly
+  // ascending in content order (so distinct, and Find is unambiguous).
+  const uint64_t* label_start =
+      SectionArray<uint64_t>(data, info.sections[kSecDictLabelStart - 1]);
+  if (label_start[0] != 0) {
+    return ArenaError(source, "dict_label_start[0] != 0");
+  }
+  for (uint64_t d = 0; d < info.dictionary_size; ++d) {
+    if (label_start[d + 1] < label_start[d]) {
+      return ArenaError(source, "dict_label_start is not nondecreasing");
     }
-    prev_key = key;
-    const uint64_t rep = ReadU64At(
-        data, static_cast<size_t>(fp_rep->offset + i * sizeof(uint64_t)));
-    const uint64_t graph = rep >> 32;
-    const uint64_t branch = rep & 0xFFFFFFFFull;
-    if (graph >= info.num_graphs) {
-      return ArenaError(source, "fp_rep names an out-of-range graph");
-    }
-    const uint64_t lo = ReadU64At(
-        data,
-        static_cast<size_t>(branch_start->offset + graph * sizeof(uint64_t)));
-    const uint64_t hi =
-        ReadU64At(data, static_cast<size_t>(branch_start->offset +
-                                            (graph + 1) * sizeof(uint64_t)));
-    if (branch >= hi - lo) {
-      return ArenaError(source, "fp_rep names an out-of-range branch");
+  }
+  if (label_start[info.dictionary_size] != info.dictionary_labels) {
+    return ArenaError(source,
+                      "dict_label_start does not end at dictionary_labels");
+  }
+  const BranchSetRef entries(
+      SectionArray<uint32_t>(data, info.sections[kSecDictRoots - 1]),
+      label_start,
+      SectionArray<LabelId>(data, info.sections[kSecDictLabels - 1]),
+      static_cast<size_t>(info.dictionary_size));
+  for (size_t d = 1; d < entries.size(); ++d) {
+    if (CompareBranches(entries.root(d - 1), entries.edge_labels(d - 1),
+                        entries.root(d), entries.edge_labels(d)) >= 0) {
+      return ArenaError(source,
+                        "dictionary entries are not strictly ascending");
     }
   }
   return Status::OK();

@@ -16,15 +16,11 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
 
   Result<ArenaInfo> info = ParseArenaHeader(data, path);
   if (!info.ok()) return info.status();
-  // Serving safety: after this check every branch_set() access derived from
-  // the offset tables is in-bounds, so the scan can read unchecked.
-  Status offsets_ok = ValidateArenaOffsets(data, *info, path);
-  if (!offsets_ok.ok()) return offsets_ok;
-  // Same serving-safety standard for the candidate-column sections: after
-  // this, every column sweep and every fp_rep dereference the scan performs
-  // is in-bounds.
-  Status columns_ok = ValidateArenaColumns(data, *info, path);
-  if (!columns_ok.ok()) return columns_ok;
+  // Serving safety: after this check every column sweep, every id's
+  // dictionary read and every dictionary probe is in-bounds, so the scan,
+  // the prefilter and PrepareScan read unchecked.
+  Status tables_ok = ValidateArenaTables(data, *info, path);
+  if (!tables_ok.ok()) return tables_ok;
   if (open_options.verify_checksums) {
     Status crc_ok = VerifyArenaChecksums(data, *info, path);
     if (!crc_ok.ok()) return crc_ok;
@@ -36,36 +32,24 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   view.num_edge_labels_ = info->num_edge_labels;
   view.avg_vertices_ = info->avg_vertices;
   view.num_graphs_ = static_cast<size_t>(info->num_graphs);
-  view.total_branches_ = info->total_branches;
-  view.total_labels_ = info->total_labels;
 
   // The format guarantees 64-byte aligned section offsets, so these casts
   // yield properly aligned typed arrays.
   const char* base = data.data();
-  view.branch_start_ = reinterpret_cast<const uint64_t*>(
-      base + info->sections[0].offset);
-  view.roots_ =
-      reinterpret_cast<const uint32_t*>(base + info->sections[1].offset);
-  view.label_start_ = reinterpret_cast<const uint64_t*>(
-      base + info->sections[2].offset);
-  view.labels_ =
-      reinterpret_cast<const LabelId*>(base + info->sections[3].offset);
-
-  // Candidate columns, served in place like the branch arena (the header
-  // parse guarantees 8..10; the exactness directory is optional).
+  const auto at = [base](const ArenaSectionInfo& sec) {
+    return base + sec.offset;
+  };
+  view.columns_.fp_offsets =
+      reinterpret_cast<const uint64_t*>(at(info->sections[0]));
   view.columns_.sizes = reinterpret_cast<const uint32_t*>(
-      base + info->FindSection(kSecGraphSizes)->offset);
-  view.columns_.fp_offsets = reinterpret_cast<const uint64_t*>(
-      base + info->FindSection(kSecFpOffsets)->offset);
-  view.columns_.fp_keys = reinterpret_cast<const uint64_t*>(
-      base + info->FindSection(kSecFpKeys)->offset);
-  if (const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique)) {
-    view.columns_.fp_unique =
-        reinterpret_cast<const uint64_t*>(base + uniq->offset);
-    view.columns_.fp_rep = reinterpret_cast<const uint64_t*>(
-        base + info->FindSection(kSecFpRep)->offset);
-    view.columns_.num_distinct = uniq->length / sizeof(uint64_t);
-  }
+      at(*info->FindSection(kSecGraphSizes)));
+  view.columns_.fp_keys =
+      reinterpret_cast<const uint64_t*>(at(*info->FindSection(kSecFpKeys)));
+  view.dictionary_ = BranchDictionary(BranchSetRef(
+      reinterpret_cast<const uint32_t*>(at(info->sections[1])),
+      reinterpret_cast<const uint64_t*>(at(info->sections[2])),
+      reinterpret_cast<const LabelId*>(at(info->sections[3])),
+      static_cast<size_t>(info->dictionary_size)));
 
   // The prior blobs are the only decoded state: both are small (a GMM plus
   // probability tables, and the cached Lambda3 rows), and GedPriorTable is

@@ -1,28 +1,28 @@
 /// \file index_view.h
 /// GbdaIndexView: a non-owning, zero-deserialization implementation of the
-/// IndexReader scan contract over a mapped v3 arena artifact
+/// IndexReader scan contract over a mapped v4 arena artifact
 /// (storage/index_arena.h; docs/ARCHITECTURE.md, "Storage engine").
 ///
-/// Open() maps the file, validates the header and the two offset tables
-/// (the check that makes unchecked per-branch access in-bounds), and
-/// decodes only the two small prior blobs — the branch arena and the
-/// candidate columns, which dominate artifact size, are served in place.
-/// Cold start is therefore O(header + offsets + priors), never a
-/// per-branch decode, and concurrent replicas mapping the same artifact
-/// share its pages through the OS page cache (bench/bench_coldstart.cc
-/// measures open -> first query and RSS).
+/// Open() maps the file, validates the header and, in one pass, the tables
+/// (ValidateArenaTables: the check that makes every unchecked column and
+/// dictionary read in-bounds), builds the dictionary's hash index in
+/// O(distinct branches), and decodes only the two small prior blobs — the
+/// dictionary and the candidate columns are served in place. Cold start is
+/// therefore O(header + tables + priors), never a per-branch decode, and
+/// concurrent replicas mapping the same artifact share its pages through
+/// the OS page cache (bench/bench_coldstart.cc measures open -> first query
+/// and RSS).
 ///
 /// Queries through a view are bit-identical to queries through the owned
 /// GbdaIndex the artifact was written from (index_view_equivalence_test):
-/// branch_set() slices have an owned BranchMultiset's layout (the label
-/// offsets index the artifact's one pool), so one merge reads both, and
-/// every consumer takes the IndexReader interface the view implements.
+/// both hold a graph as ascending dictionary ids, and every consumer takes
+/// the IndexReader interface the view implements.
 ///
-/// Lifetime: the view owns its mapping; BranchSetRefs handed out by
-/// branch_set() and the priors returned by gbd_prior()/mutable_ged_prior()
-/// are valid while the view lives. A service serving from a view must keep
-/// it alive for as long as the service (exactly the contract an owned
-/// GbdaIndex already has); snapshot generations pin it via shared_ptr.
+/// Lifetime: the view owns its mapping; the columns, the dictionary and the
+/// priors returned by gbd_prior()/mutable_ged_prior() are valid while the
+/// view lives. A service serving from a view must keep it alive for as long
+/// as the service (exactly the contract an owned GbdaIndex already has);
+/// snapshot generations pin it via shared_ptr.
 
 #pragma once
 
@@ -42,8 +42,8 @@ class GbdaIndexView : public IndexReader {
     /// Verify every section's CRC32 at open. Reads every byte of the
     /// artifact — right for tooling (gbda_indexctl verify) and one-shot
     /// batch jobs, wasteful on the serving path where it defeats lazy page
-    /// faulting. Structural validation (header CRC, offset-table
-    /// monotonicity and bounds) always runs regardless.
+    /// faulting. Structural validation (header CRC, ValidateArenaTables)
+    /// always runs regardless.
     bool verify_checksums = false;
     /// Advise the kernel to fault the whole artifact in (MADV_WILLNEED).
     bool prefetch = true;
@@ -64,11 +64,6 @@ class GbdaIndexView : public IndexReader {
   /// Persisted artifacts never encode a drifted Lambda2 (the writer
   /// refuses), so a view is always fresh.
   size_t gbd_staleness() const override { return 0; }
-  BranchSetRef branch_set(size_t id) const override {
-    const uint64_t first = branch_start_[id];
-    return BranchSetRef(roots_ + first, label_start_ + first, labels_,
-                        static_cast<size_t>(branch_start_[id + 1] - first));
-  }
   const GbdaIndexOptions& options() const override { return options_; }
   int64_t tau_max() const override { return options_.tau_max; }
   int64_t num_vertex_labels() const override { return num_vertex_labels_; }
@@ -78,15 +73,16 @@ class GbdaIndexView : public IndexReader {
   GedPriorTable* mutable_ged_prior() const override {
     return ged_prior_.get();
   }
-  /// The mapped candidate-column sections, zero-copy. Validated at open by
-  /// ValidateArenaColumns.
+  /// The mapped graph_offsets, graph_sizes and fp_keys sections,
+  /// zero-copy. Validated at open by ValidateArenaTables.
   CandidateColumns columns() const override { return columns_; }
+  /// The mapped dictionary sections, with a hash index built at open.
+  const BranchDictionary& dictionary() const override { return dictionary_; }
 
   // -- View-specific ---------------------------------------------------------
   const std::string& path() const { return file_.path(); }
   size_t file_bytes() const { return file_.size(); }
-  uint64_t total_branches() const { return total_branches_; }
-  uint64_t total_labels() const { return total_labels_; }
+  uint64_t total_branches() const { return columns_.fp_offsets[num_graphs_]; }
 
   /// Whether the artifact carries a readable proximity graph (optional
   /// ann_graph section). False when the section is absent — or present but
@@ -95,7 +91,7 @@ class GbdaIndexView : public IndexReader {
   /// forward-compat contract in index_arena.h).
   bool has_ann_graph() const { return ann_graph_.offsets != nullptr; }
   /// The mapped proximity graph (empty ref unless has_ann_graph()). Valid
-  /// while the view lives; zero-copy, like branch_set().
+  /// while the view lives; zero-copy, like columns().
   const ProximityGraphRef& ann_graph() const { return ann_graph_; }
 
  private:
@@ -107,15 +103,10 @@ class GbdaIndexView : public IndexReader {
   int64_t num_edge_labels_ = 1;
   double avg_vertices_ = 0.0;
   size_t num_graphs_ = 0;
-  uint64_t total_branches_ = 0;
-  uint64_t total_labels_ = 0;
-  /// Typed pointers into the mapping (64-byte aligned by the format).
-  const uint64_t* branch_start_ = nullptr;
-  const uint32_t* roots_ = nullptr;
-  const uint64_t* label_start_ = nullptr;
-  const LabelId* labels_ = nullptr;
-  /// Typed pointers into the mapped column sections.
+  /// Typed pointers into the mapped sections (64-byte aligned by the
+  /// format).
   CandidateColumns columns_;
+  BranchDictionary dictionary_;
   /// Parsed at open when the optional ann_graph section is present and
   /// readable; points into the mapping.
   ProximityGraphRef ann_graph_;

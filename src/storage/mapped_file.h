@@ -4,7 +4,7 @@
 /// whole artifact PROT_READ / MAP_PRIVATE, optionally advising the kernel
 /// to fault pages in ahead of the first scan (MADV_WILLNEED), and unmaps on
 /// destruction. Mappings of the same artifact share physical pages through
-/// the OS page cache, so N serving replicas pay for the branch arena once.
+/// the OS page cache, so N serving replicas pay for the artifact once.
 
 #pragma once
 

@@ -1,9 +1,9 @@
-// Persistence of the proximity graph as the v3 arena's optional trailing
+// Persistence of the proximity graph as the v4 arena's optional trailing
 // ann_graph section, and the format's forward-compatibility contract: a
 // reader must validate (and CRC-cover) trailing sections it does not
 // understand but SKIP them, so an artifact written by a newer build still
-// opens here minus that section's feature. The regression test patches a
-// real artifact's trailing section id to a future one and re-opens it.
+// opens here minus that section's feature. The regression test appends a
+// section with a future id to a real artifact and re-opens it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,6 +59,48 @@ size_t SectionEntryOffset(size_t s, size_t field_offset) {
          s * kArenaSectionEntryBytes + field_offset;
 }
 
+uint64_t AlignSection(uint64_t offset) {
+  return (offset + kArenaSectionAlign - 1) / kArenaSectionAlign *
+         kArenaSectionAlign;
+}
+
+// Appends a trailing section `id` carrying `payload`, as a newer writer
+// would: the table gains an entry (every payload moves down when the
+// header outgrows its alignment pad), the payload lands 64-byte aligned at
+// the end, and the count, file_bytes and meta CRC follow.
+std::string AppendSection(const std::string& data, uint32_t id,
+                          const std::string& payload) {
+  uint32_t count = 0;
+  std::memcpy(&count, data.data() + 12, sizeof(count));
+  const uint64_t old_start = AlignSection(ArenaHeaderBytes(count));
+  const uint64_t shift = AlignSection(ArenaHeaderBytes(count + 1)) - old_start;
+  std::string out = data.substr(0, ArenaHeaderBytes(count));
+  for (size_t s = 0; s < count; ++s) {
+    uint64_t offset = 0;
+    std::memcpy(&offset, out.data() + SectionEntryOffset(s, 8), sizeof(offset));
+    offset += shift;
+    std::memcpy(&out[SectionEntryOffset(s, 8)], &offset, sizeof(offset));
+  }
+  std::string entry(kArenaSectionEntryBytes, '\0');
+  const uint64_t payload_offset = data.size() + shift;
+  const uint64_t payload_length = payload.size();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  std::memcpy(&entry[0], &id, sizeof(id));
+  std::memcpy(&entry[8], &payload_offset, sizeof(payload_offset));
+  std::memcpy(&entry[16], &payload_length, sizeof(payload_length));
+  std::memcpy(&entry[24], &crc, sizeof(crc));
+  out += entry;
+  out.resize(static_cast<size_t>(old_start + shift), '\0');
+  out += data.substr(static_cast<size_t>(old_start));
+  out += payload;
+  out.resize(static_cast<size_t>(AlignSection(out.size())), '\0');
+  PatchU32(&out, 12, count + 1);
+  const uint64_t file_bytes = out.size();
+  std::memcpy(&out[16], &file_bytes, sizeof(file_bytes));
+  FixMetaCrc(&out);
+  return out;
+}
+
 class AnnArenaTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -83,7 +125,7 @@ class AnnArenaTest : public ::testing::Test {
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = new ProximityGraph(std::move(*graph));
 
-    arena_path_ = new std::string(::testing::TempDir() + "/ann_arena.v3");
+    arena_path_ = new std::string(::testing::TempDir() + "/ann_arena.v4");
     ASSERT_TRUE(WriteArenaFile(*index_, *arena_path_, graph_).ok());
   }
   static void TearDownTestSuite() {
@@ -119,9 +161,8 @@ TEST_F(AnnArenaTest, ArenaCarriesTheAnnSection) {
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  // Canonical six + ann_graph + the candidate-column group (and, when the
-  // corpus certifies, the exactness directory pair).
-  ASSERT_GE(info->sections.size(), kArenaSectionCount + 4);
+  // Canonical six + ann_graph + graph_sizes and fp_keys.
+  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 3);
   const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph);
   ASSERT_NE(sec, nullptr);
   EXPECT_EQ(sec->offset % kArenaSectionAlign, 0u);
@@ -131,11 +172,9 @@ TEST_F(AnnArenaTest, ArenaCarriesTheAnnSection) {
 }
 
 TEST_F(AnnArenaTest, WithoutAGraphTheArenaStaysMinimal) {
-  // A null ann_graph yields no ann section; the candidate-column group is
-  // unconditional, but readers that predate either feature skip both (the
-  // unknown-trailing-id contract), so old readers keep working on new
-  // writers' files.
-  const std::string path = ::testing::TempDir() + "/ann_arena_plain.v3";
+  // A null ann_graph yields no ann section; the two columns are
+  // unconditional.
+  const std::string path = ::testing::TempDir() + "/ann_arena_plain.v4";
   ASSERT_TRUE(WriteArenaFile(*index_, path).ok());
   const std::string data = ReadFile(path);
   Result<ArenaInfo> info = ParseArenaHeader(data, path);
@@ -187,48 +226,32 @@ TEST_F(AnnArenaTest, RepersistWithoutAGraphDropsIt) {
 // ---------------------------------------------------------------------------
 
 TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
-  // Simulate an artifact from a future build: relabel the optional
-  // exactness directory (fp_unique / fp_rep, the last two entries) with ids
-  // this reader does not know (43, 44). Trailing ids must stay strictly
-  // increasing, so the tail of the table is what can take fresh ids.
-  std::string future = ReadFile(*arena_path_);
-  Result<ArenaInfo> original = ParseArenaHeader(future, *arena_path_);
-  ASSERT_TRUE(original.ok());
-  ASSERT_NE(original->FindSection(kSecFpUnique), nullptr)
-      << "the fixture corpus must certify exactness";
-  uint32_t next_id = 43;
-  for (size_t s = kArenaSectionCount; s < original->sections.size(); ++s) {
-    if (original->sections[s].id >= kSecFpUnique) {
-      PatchU32(&future, SectionEntryOffset(s, 0), next_id++);
-    }
-  }
-  ASSERT_EQ(next_id, 45u);
-  FixMetaCrc(&future);
-  const std::string path = ::testing::TempDir() + "/ann_arena_future.v3";
+  // Simulate an artifact from a future build: append a section with an id
+  // this reader does not know (43) after the mandatory columns.
+  const std::string future =
+      AppendSection(ReadFile(*arena_path_), 43, std::string(100, 'x'));
+  const std::string path = ::testing::TempDir() + "/ann_arena_future.v4";
   WriteFile(path, future);
 
   Result<ArenaInfo> info = ParseArenaHeader(future, path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_NE(info->FindSection(43), nullptr);
-  EXPECT_NE(info->FindSection(44), nullptr);
-  EXPECT_EQ(info->FindSection(kSecFpUnique), nullptr);
-  EXPECT_EQ(info->FindSection(kSecFpRep), nullptr);
-  // Checksum verification still covers the unknown payloads.
+  // Checksum verification still covers the unknown payload.
   EXPECT_TRUE(VerifyArenaChecksums(future, *info, path).ok());
+  std::string corrupt = future;
+  corrupt[static_cast<size_t>(info->FindSection(43)->offset)] ^= 0x01;
+  EXPECT_EQ(VerifyArenaChecksums(corrupt, *info, path).code(),
+            StatusCode::kDataLoss);
 
   GbdaIndexView::OpenOptions verify;
   verify.verify_checksums = true;
   Result<GbdaIndexView> view = GbdaIndexView::Open(path, verify);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_TRUE(view->has_ann_graph());
-  EXPECT_FALSE(view->columns().exactness_certified());
 
-  // Minus the skipped feature, the artifact serves bit-identically: the
-  // reference scores by fingerprint, the relabeled copy through the
-  // branch-merge path.
+  // Minus the skipped section, the artifact serves bit-identically.
   Result<GbdaIndexView> reference = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(reference.ok());
-  ASSERT_TRUE(reference->columns().exactness_certified());
   GbdaSearch future_search(&dataset_->db, &*view);
   GbdaSearch reference_search(&dataset_->db, &*reference);
   SearchOptions options;
@@ -292,7 +315,7 @@ TEST_F(AnnArenaTest, FutureAnnFormatVersionDegradesToNoGraph) {
   PatchU32(&future, SectionEntryOffset(kAnnEntry, 24),
            Crc32(future.data() + payload, static_cast<size_t>(sec->length)));
   FixMetaCrc(&future);
-  const std::string path = ::testing::TempDir() + "/ann_arena_futurefmt.v3";
+  const std::string path = ::testing::TempDir() + "/ann_arena_futurefmt.v4";
   WriteFile(path, future);
 
   GbdaIndexView::OpenOptions verify;
@@ -316,7 +339,7 @@ TEST_F(AnnArenaTest, CorruptAnnPayloadFailsTheOpen) {
   PatchU32(&corrupt, SectionEntryOffset(kAnnEntry, 24),
            Crc32(corrupt.data() + payload, static_cast<size_t>(sec->length)));
   FixMetaCrc(&corrupt);
-  const std::string path = ::testing::TempDir() + "/ann_arena_corrupt.v3";
+  const std::string path = ::testing::TempDir() + "/ann_arena_corrupt.v4";
   WriteFile(path, corrupt);
   EXPECT_FALSE(GbdaIndexView::Open(path).ok());
 }

@@ -1,7 +1,8 @@
 // The offline half of approximate candidate navigation (src/ann):
 // FingerprintDistance and its threshold form, the RobustPrune alpha cap, the
-// FingerprintStore's keys (the index's fp_keys column) against an
-// independent fingerprinting, the Vamana-style builder's invariants, the
+// FingerprintStore's keys (the index's fp_keys column of dictionary ids)
+// against an independent lookup, a graph built over ids against one built
+// over FNV branch fingerprints, the Vamana-style builder's invariants, the
 // section serialize/parse round trip and the beam navigator's
 // determinism/termination properties — including the degenerate corpora
 // (identical fingerprints, collision-heavy label soups) where a naive
@@ -29,9 +30,10 @@
 #include "ann/navigator.h"
 #include "common/rng.h"
 #include "core/branch.h"
+#include "core/branch_dictionary.h"
+#include "core/candidate_columns.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
-#include "core/prefilter.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/graph_database.h"
 
@@ -109,7 +111,7 @@ std::unique_ptr<GbdaIndex> BuildIndex(const GraphDatabase& db) {
   return std::make_unique<GbdaIndex>(std::move(*index));
 }
 
-// The fingerprint store of `db`, copied out of its index's fp_keys column
+// The key store of `db`, copied out of its index's fp_keys column
 // (FromIndex copies, so the index need not outlive the store).
 FingerprintStore StoreOf(const GraphDatabase& db) {
   const std::unique_ptr<GbdaIndex> index = BuildIndex(db);
@@ -117,7 +119,7 @@ FingerprintStore StoreOf(const GraphDatabase& db) {
 }
 
 // A corpus of `copies` structurally identical graphs: every node carries the
-// SAME fingerprint multiset, so all pairwise distances are 0 — the
+// SAME branch-id multiset, so all pairwise distances are 0 — the
 // worst case for tie-breaking in both the builder and the navigator.
 GraphDatabase IdenticalCorpus(size_t copies) {
   GraphDatabase db;
@@ -172,7 +174,19 @@ TEST(FingerprintDistanceTest, DuplicateKeysCountWithMultiplicity) {
 // FingerprintStore
 // ---------------------------------------------------------------------------
 
-TEST(FingerprintStoreTest, FromIndexMatchesIndependentFingerprints) {
+// The ascending dictionary ids of `g`'s branches (each found in `index`).
+std::vector<uint64_t> IdsOf(const GbdaIndex& index, const Graph& g) {
+  std::vector<uint64_t> ids;
+  const BranchMultiset branches = ExtractBranches(g);
+  const BranchSetRef b = branches;
+  for (size_t i = 0; i < b.size(); ++i) {
+    ids.push_back(index.dictionary().Find(b.root(i), b.edge_labels(i)));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(FingerprintStoreTest, FromIndexHoldsEachGraphsDictionaryIds) {
   DatasetProfile profile = GrecProfile(0.03);
   profile.seed = 23;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
@@ -181,26 +195,87 @@ TEST(FingerprintStoreTest, FromIndexMatchesIndependentFingerprints) {
   ASSERT_NE(index, nullptr);
   const FingerprintStore store = FingerprintStore::FromIndex(*index);
 
-  // The store copies the index's fp_keys column — the one fingerprint copy
-  // the scan's tier 2 and the navigator both read. Check it against an
-  // independent computation: fingerprint every branch of a fresh
-  // ExtractBranches of the stored graph, then sort.
+  // The store copies the index's fp_keys column — the ids the scan and the
+  // navigator both read. Check it against an independent lookup of every
+  // branch of a fresh ExtractBranches of the stored graph.
   ASSERT_EQ(store.size(), ds->db.size());
   for (size_t g = 0; g < ds->db.size(); ++g) {
-    std::vector<uint64_t> expected;
-    const BranchMultiset branches = ExtractBranches(ds->db.graph(g));
-    const BranchSetRef b = branches;
-    for (size_t i = 0; i < b.size(); ++i) {
-      const Span<const LabelId> labels = b.edge_labels(i);
-      expected.push_back(
-          BranchFingerprint(b.root(i), labels.data(), labels.size()));
-    }
-    std::sort(expected.begin(), expected.end());
+    const std::vector<uint64_t> expected = IdsOf(*index, ds->db.graph(g));
     const Span<const uint64_t> keys = store.keys(g);
     ASSERT_EQ(keys.size(), expected.size()) << "graph " << g;
     for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_LT(keys[i], index->dictionary().size());
       EXPECT_EQ(keys[i], expected[i]) << "graph " << g << " key " << i;
     }
+  }
+}
+
+// An index's graphs keyed by their sorted FNV branch fingerprints — the
+// keys the columns held before the dictionary — to feed FromIndex.
+class FnvKeyedReader : public IndexReader {
+ public:
+  FnvKeyedReader(const GbdaIndex& index, const GraphDatabase& db)
+      : index_(index) {
+    std::vector<std::vector<uint64_t>> keys(db.size());
+    for (size_t g = 0; g < db.size(); ++g) {
+      const BranchMultiset branches = ExtractBranches(db.graph(g));
+      const BranchSetRef b = branches;
+      for (size_t i = 0; i < b.size(); ++i) {
+        const Span<const LabelId> labels = b.edge_labels(i);
+        keys[g].push_back(
+            BranchFingerprint(b.root(i), labels.data(), labels.size()));
+      }
+      std::sort(keys[g].begin(), keys[g].end());
+    }
+    columns_ = BuildCandidateColumns(
+        std::vector<Span<const uint64_t>>(keys.begin(), keys.end()));
+  }
+  size_t num_graphs() const override { return index_.num_graphs(); }
+  size_t gbd_staleness() const override { return 0; }
+  CandidateColumns columns() const override { return columns_.View(); }
+  const BranchDictionary& dictionary() const override {
+    return index_.dictionary();
+  }
+  const GbdaIndexOptions& options() const override { return index_.options(); }
+  int64_t tau_max() const override { return index_.tau_max(); }
+  int64_t num_vertex_labels() const override {
+    return index_.num_vertex_labels();
+  }
+  int64_t num_edge_labels() const override { return index_.num_edge_labels(); }
+  double avg_vertices() const override { return index_.avg_vertices(); }
+  const GbdPrior& gbd_prior() const override { return index_.gbd_prior(); }
+  GedPriorTable* mutable_ged_prior() const override {
+    return index_.mutable_ged_prior();
+  }
+
+ private:
+  const GbdaIndex& index_;
+  OwnedCandidateColumns columns_;
+};
+
+TEST(FingerprintStoreTest, GraphOverIdsEqualsGraphOverFnvKeys) {
+  // Over dictionary ids the metric is GBD itself; over FNV fingerprints it
+  // was GBD whenever no two distinct branches of the corpus collide, as on
+  // these fixtures. The builds must then agree byte for byte.
+  for (const DatasetProfile& base : {GrecProfile(0.03), AidsProfile(0.03)}) {
+    DatasetProfile profile = base;
+    profile.seed = 23;
+    Result<GeneratedDataset> ds = GenerateDataset(profile);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    const std::unique_ptr<GbdaIndex> index = BuildIndex(ds->db);
+    ASSERT_NE(index, nullptr);
+    AnnBuildParams params;
+    params.graph_degree = 8;
+    params.build_window = 16;
+    Result<ProximityGraph> over_ids =
+        BuildProximityGraph(FingerprintStore::FromIndex(*index), params);
+    Result<ProximityGraph> over_fnv = BuildProximityGraph(
+        FingerprintStore::FromIndex(FnvKeyedReader(*index, ds->db)), params);
+    ASSERT_TRUE(over_ids.ok()) << over_ids.status().ToString();
+    ASSERT_TRUE(over_fnv.ok()) << over_fnv.status().ToString();
+    EXPECT_EQ(SerializeProximityGraph(*over_ids),
+              SerializeProximityGraph(*over_fnv))
+        << profile.name;
   }
 }
 
@@ -353,8 +428,8 @@ class NavigationTest : public ::testing::Test {
     graph_ = std::move(*graph);
   }
 
-  // The query's sorted branch fingerprints, exactly as the serving path
-  // hands them to the navigator.
+  // The query's sorted branch ids, exactly as the serving path hands them
+  // to the navigator.
   std::vector<uint64_t> QueryKeys(const Graph& q) const {
     Result<ScanContext> ctx = PrepareScan(q, SearchOptions(),
                                           /*apply_gamma=*/false,
@@ -749,17 +824,11 @@ GateCorpus MakeGateCorpus(const std::string& name, const GraphDatabase& db,
                           const std::vector<Graph>& dataset_queries) {
   GateCorpus corpus;
   corpus.name = name;
-  corpus.store = StoreOf(db);
+  const std::unique_ptr<GbdaIndex> index = BuildIndex(db);
+  if (index == nullptr) return corpus;
+  corpus.store = FingerprintStore::FromIndex(*index);
   for (size_t q = 0; q < std::min<size_t>(dataset_queries.size(), 2); ++q) {
-    std::vector<uint64_t> keys;
-    const BranchMultiset branches = ExtractBranches(dataset_queries[q]);
-    const BranchSetRef b = branches;
-    for (size_t i = 0; i < b.size(); ++i) {
-      const Span<const LabelId> labels = b.edge_labels(i);
-      keys.push_back(BranchFingerprint(b.root(i), labels.data(), labels.size()));
-    }
-    std::sort(keys.begin(), keys.end());
-    corpus.queries.push_back(std::move(keys));
+    corpus.queries.push_back(IdsOf(*index, dataset_queries[q]));
   }
   corpus.queries.emplace_back();
   const Span<const uint64_t> member = corpus.store.keys(db.size() / 2);

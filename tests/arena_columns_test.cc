@@ -1,9 +1,10 @@
-// The v3 arena's candidate-column sections (storage/index_arena.h ids
-// 8..12): writer emission, the mandatory 8..10 group, open-time
-// cross-section validation (ValidateArenaColumns), per-section corruption
-// detection, byte-stable re-persisting from a mapped view, and agreement
-// between mapped columns and the on-the-fly BuildCandidateColumns of the
-// same branch data.
+// The v4 arena's tables (storage/index_arena.h): the graph offsets, the
+// branch dictionary (sections 1..4) and the mandatory columns graph_sizes
+// and fp_keys (8, 10). Covers writer emission, agreement between the mapped
+// tables and the owned index they were written from, byte-stable
+// re-persisting from a mapped view, per-section corruption detection, the
+// open-time table validation (ValidateArenaTables) against hostile
+// payloads, the version-3 rebuild message and the mandatory-section check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "core/candidate_columns.h"
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "storage/index_arena.h"
@@ -33,18 +33,41 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-void PatchU32(std::string* data, size_t offset, uint32_t value) {
-  std::memcpy(&(*data)[offset], &value, sizeof(value));
-}
-
-void PatchU64(std::string* data, size_t offset, uint64_t value) {
-  std::memcpy(&(*data)[offset], &value, sizeof(value));
-}
-
-uint64_t ReadU64(const std::string& data, size_t offset) {
-  uint64_t value = 0;
+template <typename T>
+T ReadAt(const std::string& data, uint64_t offset) {
+  T value;
   std::memcpy(&value, data.data() + offset, sizeof(value));
   return value;
+}
+
+template <typename T>
+void PatchAt(std::string* data, uint64_t offset, T value) {
+  std::memcpy(&(*data)[static_cast<size_t>(offset)], &value, sizeof(value));
+}
+
+// Recomputes the meta CRC after a deliberate header edit.
+void FixMetaCrc(std::string* data) {
+  const uint32_t section_count = ReadAt<uint32_t>(*data, 12);
+  PatchAt<uint32_t>(data, 24,
+                    Crc32(data->data() + kArenaPreambleBytes,
+                          ArenaHeaderBytes(section_count) -
+                              kArenaPreambleBytes));
+}
+
+// Relabels every table entry from the first with id `from` on to fresh ids
+// 42, 43, ... (ascending, so only the mandatory-section check can object).
+void RelabelFrom(std::string* data, const ArenaInfo& info, uint32_t from) {
+  uint32_t next_id = 42;
+  bool relabeling = false;
+  for (size_t s = 0; s < info.sections.size(); ++s) {
+    relabeling = relabeling || info.sections[s].id == from;
+    if (!relabeling) continue;
+    PatchAt<uint32_t>(data,
+                      kArenaPreambleBytes + kArenaMetaScalarBytes +
+                          s * kArenaSectionEntryBytes,
+                      next_id++);
+  }
+  FixMetaCrc(data);
 }
 
 class ArenaColumnsTest : public ::testing::Test {
@@ -63,7 +86,7 @@ class ArenaColumnsTest : public ::testing::Test {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
 
-    arena_path_ = new std::string(::testing::TempDir() + "/arena_columns.v3");
+    arena_path_ = new std::string(::testing::TempDir() + "/arena_columns.v4");
     ASSERT_TRUE(WriteArenaFile(*index_, *arena_path_).ok());
   }
   static void TearDownTestSuite() {
@@ -73,6 +96,16 @@ class ArenaColumnsTest : public ::testing::Test {
     index_ = nullptr;
     dataset_ = nullptr;
     arena_path_ = nullptr;
+  }
+
+  // Writes `corrupt` and opens it with default options: the table checks
+  // must fire without checksum verification. Returns the failure message.
+  static std::string OpenFailure(const std::string& corrupt) {
+    const std::string path = ::testing::TempDir() + "/arena_columns_bad.v4";
+    WriteFile(path, corrupt);
+    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+    EXPECT_FALSE(opened.ok());
+    return opened.ok() ? std::string() : opened.status().message();
   }
 
   static GeneratedDataset* dataset_;
@@ -85,75 +118,74 @@ GbdaIndex* ArenaColumnsTest::index_ = nullptr;
 std::string* ArenaColumnsTest::arena_path_ = nullptr;
 
 // ---------------------------------------------------------------------------
-// Emission and agreement with the on-the-fly build
+// Emission and agreement with the owned index
 // ---------------------------------------------------------------------------
 
-TEST_F(ArenaColumnsTest, WriterEmitsTheColumnGroup) {
+TEST_F(ArenaColumnsTest, WriterEmitsTheTables) {
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->num_graphs, index_->num_graphs());
+  EXPECT_EQ(info->dictionary_size, index_->dictionary().size());
+  // Each distinct branch once: far fewer entries than branches.
+  EXPECT_LT(info->dictionary_size, info->total_branches);
 
   const ArenaSectionInfo* sizes = info->FindSection(kSecGraphSizes);
-  const ArenaSectionInfo* offsets = info->FindSection(kSecFpOffsets);
   const ArenaSectionInfo* keys = info->FindSection(kSecFpKeys);
   ASSERT_NE(sizes, nullptr);
-  ASSERT_NE(offsets, nullptr);
   ASSERT_NE(keys, nullptr);
   EXPECT_EQ(sizes->length, info->num_graphs * sizeof(uint32_t));
-  EXPECT_EQ(offsets->length, (info->num_graphs + 1) * sizeof(uint64_t));
   EXPECT_EQ(keys->length, info->total_branches * sizeof(uint64_t));
-  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys,
-                            kSecFpUnique, kSecFpRep}) {
-    if (const ArenaSectionInfo* sec = info->FindSection(id)) {
-      EXPECT_EQ(sec->offset % kArenaSectionAlign, 0u) << ArenaSectionName(id);
-    }
+  EXPECT_EQ(info->sections[0].length, (info->num_graphs + 1) * 8);
+  EXPECT_EQ(info->sections[1].length, info->dictionary_size * 4);
+  EXPECT_EQ(info->sections[2].length, (info->dictionary_size + 1) * 8);
+  EXPECT_EQ(info->sections[3].length, info->dictionary_labels * 4);
+  for (const ArenaSectionInfo& sec : info->sections) {
+    EXPECT_EQ(sec.offset % kArenaSectionAlign, 0u) << ArenaSectionName(sec.id);
   }
-  // The directory pair is all-or-nothing.
-  EXPECT_EQ(info->FindSection(kSecFpUnique) == nullptr,
-            info->FindSection(kSecFpRep) == nullptr);
+  // v3's duplicate offsets (9) and collision directory (11, 12) are gone.
+  for (const uint32_t retired : {9u, 11u, 12u}) {
+    EXPECT_EQ(info->FindSection(retired), nullptr) << retired;
+  }
 }
 
-TEST_F(ArenaColumnsTest, MappedColumnsMatchTheOnTheFlyBuild) {
+TEST_F(ArenaColumnsTest, MappedTablesMatchTheOwnedIndex) {
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   const CandidateColumns mapped = view->columns();
+  const CandidateColumns owned = index_->columns();
   ASSERT_TRUE(mapped.present());
-
-  const OwnedCandidateColumns built = BuildCandidateColumns(*index_);
+  ASSERT_TRUE(owned.present());
+  // A fresh Build numbers in content order, so the writer's renumbering is
+  // the identity: same ids, same dictionary.
   const size_t n = index_->num_graphs();
-  ASSERT_EQ(built.sizes.size(), n);
   for (size_t g = 0; g < n; ++g) {
-    EXPECT_EQ(mapped.sizes[g], built.sizes[g]) << "graph " << g;
-    EXPECT_EQ(mapped.fp_offsets[g], built.fp_offsets[g]) << "graph " << g;
+    EXPECT_EQ(mapped.sizes[g], owned.sizes[g]) << "graph " << g;
+    EXPECT_EQ(mapped.fp_offsets[g], owned.fp_offsets[g]) << "graph " << g;
   }
-  ASSERT_EQ(mapped.fp_offsets[n], built.fp_offsets[n]);
-  for (uint64_t i = 0; i < built.fp_offsets[n]; ++i) {
-    ASSERT_EQ(mapped.fp_keys[i], built.fp_keys[i]) << "key " << i;
+  ASSERT_EQ(mapped.fp_offsets[n], owned.fp_offsets[n]);
+  for (uint64_t i = 0; i < owned.fp_offsets[n]; ++i) {
+    ASSERT_EQ(mapped.fp_keys[i], owned.fp_keys[i]) << "id " << i;
   }
-  EXPECT_EQ(mapped.exactness_certified(), built.certified);
-  if (built.certified) {
-    ASSERT_EQ(mapped.num_distinct, built.fp_unique.size());
-    for (size_t i = 0; i < built.fp_unique.size(); ++i) {
-      ASSERT_EQ(mapped.fp_unique[i], built.fp_unique[i]) << "entry " << i;
-      ASSERT_EQ(mapped.fp_rep[i], built.fp_rep[i]) << "entry " << i;
-    }
-  }
-  // The owned index materialises the same columns lazily.
-  const CandidateColumns lazy = index_->columns();
-  ASSERT_TRUE(lazy.present());
-  EXPECT_EQ(lazy.exactness_certified(), built.certified);
-  for (size_t g = 0; g <= n; ++g) {
-    EXPECT_EQ(lazy.fp_offsets[g], built.fp_offsets[g]);
+  const BranchSetRef a = view->dictionary().entries();
+  const BranchSetRef b = index_->dictionary().entries();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t d = 0; d < a.size(); ++d) {
+    ASSERT_EQ(CompareBranches(a.root(d), a.edge_labels(d), b.root(d),
+                              b.edge_labels(d)),
+              0)
+        << "entry " << d;
+    // The mapped dictionary's hash index finds every entry.
+    EXPECT_EQ(view->dictionary().Find(a.root(d), a.edge_labels(d)), d);
   }
 }
 
-TEST_F(ArenaColumnsTest, ColumnsSurviveARepersistFromTheView) {
-  // Re-persisting a mapped view (what `gbda_indexctl graph` does) copies
-  // its column sections, and they must come back byte-identical to the
-  // owned index's lazily built ones.
+TEST_F(ArenaColumnsTest, TablesSurviveARepersistFromTheView) {
+  // Re-persisting a mapped view (what `gbda_indexctl graph` does) keeps the
+  // offsets, the dictionary and the columns byte-identical.
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
-  const std::string second = ::testing::TempDir() + "/arena_columns_rt.v3";
+  const std::string second = ::testing::TempDir() + "/arena_columns_rt.v4";
   ASSERT_TRUE(WriteArenaFile(*view, second).ok());
 
   const std::string a = ReadFile(*arena_path_);
@@ -162,35 +194,37 @@ TEST_F(ArenaColumnsTest, ColumnsSurviveARepersistFromTheView) {
   Result<ArenaInfo> info_b = ParseArenaHeader(b, "b");
   ASSERT_TRUE(info_a.ok());
   ASSERT_TRUE(info_b.ok());
-  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys,
-                            kSecFpUnique, kSecFpRep}) {
+  for (const uint32_t id : {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart,
+                            kSecDictLabels, kSecGraphSizes, kSecFpKeys}) {
     const ArenaSectionInfo* sec_a = info_a->FindSection(id);
     const ArenaSectionInfo* sec_b = info_b->FindSection(id);
-    ASSERT_EQ(sec_a == nullptr, sec_b == nullptr) << ArenaSectionName(id);
-    if (sec_a == nullptr) continue;
-    EXPECT_EQ(sec_a->length, sec_b->length) << ArenaSectionName(id);
-    EXPECT_EQ(sec_a->crc32, sec_b->crc32) << ArenaSectionName(id);
+    ASSERT_NE(sec_a, nullptr) << ArenaSectionName(id);
+    ASSERT_NE(sec_b, nullptr) << ArenaSectionName(id);
+    EXPECT_EQ(a.substr(sec_a->offset, sec_a->length),
+              b.substr(sec_b->offset, sec_b->length))
+        << ArenaSectionName(id);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Corruption: per-section bit flips and cross-section lies
+// Corruption: per-section bit flips and hostile tables
 // ---------------------------------------------------------------------------
 
-TEST_F(ArenaColumnsTest, BitFlipInEachColumnSectionIsCaught) {
-  // One regression clause per new section id: a single flipped payload bit
-  // must fail a checksum-verified open, naming the section when the
-  // checksum pass (rather than structural validation) is what trips.
+TEST_F(ArenaColumnsTest, BitFlipInEachTableIsCaught) {
+  // A single flipped payload bit must fail a checksum-verified open, naming
+  // the section when the checksum pass (rather than the table validation)
+  // is what trips.
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  const std::string path = ::testing::TempDir() + "/arena_columns_flip.v3";
+  const std::string path = ::testing::TempDir() + "/arena_columns_flip.v4";
   GbdaIndexView::OpenOptions verify;
   verify.verify_checksums = true;
-  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys,
-                            kSecFpUnique, kSecFpRep}) {
+  for (const uint32_t id : {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart,
+                            kSecDictLabels, kSecGraphSizes, kSecFpKeys}) {
     const ArenaSectionInfo* sec = info->FindSection(id);
-    if (sec == nullptr || sec->length == 0) continue;
+    ASSERT_NE(sec, nullptr);
+    if (sec->length == 0) continue;
     std::string corrupt = data;
     const size_t target = static_cast<size_t>(sec->offset + sec->length / 2);
     corrupt[target] = static_cast<char>(corrupt[target] ^ 0x10);
@@ -205,134 +239,158 @@ TEST_F(ArenaColumnsTest, BitFlipInEachColumnSectionIsCaught) {
   }
 }
 
-TEST_F(ArenaColumnsTest, CrossSectionLiesAreRejectedAtEveryOpen) {
-  // These payloads keep plausible structure, so only the cross-section
-  // validation (ValidateArenaColumns) can catch them — and it must do so
-  // on a DEFAULT open, not just under verify_checksums: the fp_rep
-  // entries are dereferenced on the serving path.
+TEST_F(ArenaColumnsTest, HostileGraphTablesAreRejectedAtEveryOpen) {
+  // Each payload keeps a plausible structure, so only ValidateArenaTables
+  // can catch it — on a DEFAULT open: the scan, the prefilter and the
+  // dictionary reads are unchecked after it.
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  const std::string path = ::testing::TempDir() + "/arena_columns_lie.v3";
-
-  const ArenaSectionInfo* sizes = info->FindSection(kSecGraphSizes);
-  ASSERT_NE(sizes, nullptr);
+  const uint64_t sizes = info->FindSection(kSecGraphSizes)->offset;
+  const uint64_t ids = info->FindSection(kSecFpKeys)->offset;
+  const uint64_t offsets = info->sections[0].offset;
   {
-    // graph_sizes[0] += 1: no longer the branch_start delta.
+    // graph_sizes[0] += 1: no longer the graph_offsets delta.
     std::string corrupt = data;
-    uint32_t size;
-    std::memcpy(&size, corrupt.data() + sizes->offset, sizeof(size));
-    PatchU32(&corrupt, static_cast<size_t>(sizes->offset), size + 1);
-    WriteFile(path, corrupt);
-    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("graph_sizes"),
-              std::string::npos)
-        << opened.status().message();
+    PatchAt<uint32_t>(&corrupt, sizes, ReadAt<uint32_t>(data, sizes) + 1);
+    EXPECT_NE(OpenFailure(corrupt).find("graph_sizes"), std::string::npos);
   }
   {
-    // fp_offsets[1] += 8: drifts off branch_start.
-    const ArenaSectionInfo* offsets = info->FindSection(kSecFpOffsets);
-    ASSERT_NE(offsets, nullptr);
+    // Graph 0's last id at the dictionary's size: still ascending, but past
+    // every entry.
     std::string corrupt = data;
-    const size_t at = static_cast<size_t>(offsets->offset + sizeof(uint64_t));
-    PatchU64(&corrupt, at, ReadU64(corrupt, at) + 8);
-    WriteFile(path, corrupt);
-    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("fp_offsets"), std::string::npos)
-        << opened.status().message();
+    const uint64_t last = ReadAt<uint64_t>(data, offsets + 8) - 1;
+    PatchAt<uint64_t>(&corrupt, ids + last * 8, info->dictionary_size);
+    EXPECT_NE(OpenFailure(corrupt).find("outside the dictionary"),
+              std::string::npos);
   }
-  const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
-  if (uniq != nullptr && uniq->length >= 2 * sizeof(uint64_t)) {
-    // fp_unique[1] := fp_unique[0]: breaks strict ascent.
+  {
+    // Descending ids in one graph: the first graph with two distinct ids
+    // gets them swapped.
+    bool patched = false;
     std::string corrupt = data;
-    PatchU64(&corrupt, static_cast<size_t>(uniq->offset + sizeof(uint64_t)),
-             ReadU64(corrupt, static_cast<size_t>(uniq->offset)));
-    WriteFile(path, corrupt);
-    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("fp_unique"), std::string::npos)
-        << opened.status().message();
+    for (uint64_t g = 0; g < info->num_graphs && !patched; ++g) {
+      const uint64_t lo = ReadAt<uint64_t>(data, offsets + g * 8);
+      const uint64_t hi = ReadAt<uint64_t>(data, offsets + (g + 1) * 8);
+      const uint64_t first = ReadAt<uint64_t>(data, ids + lo * 8);
+      const uint64_t last = ReadAt<uint64_t>(data, ids + (hi - 1) * 8);
+      if (hi - lo < 2 || first == last) continue;
+      PatchAt<uint64_t>(&corrupt, ids + lo * 8, last);
+      PatchAt<uint64_t>(&corrupt, ids + (hi - 1) * 8, first);
+      patched = true;
+    }
+    ASSERT_TRUE(patched);
+    EXPECT_NE(OpenFailure(corrupt).find("descend"), std::string::npos);
   }
-  if (const ArenaSectionInfo* rep = info->FindSection(kSecFpRep)) {
-    // fp_rep[0] := far-out-of-range graph id.
+  {
+    // graph_offsets[1] := huge — would index out of fp_keys if served.
     std::string corrupt = data;
-    PatchU64(&corrupt, static_cast<size_t>(rep->offset),
-             (info->num_graphs + 7) << 32);
-    WriteFile(path, corrupt);
-    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("fp_rep"), std::string::npos)
-        << opened.status().message();
+    PatchAt<uint64_t>(&corrupt, offsets + 8, ~uint64_t{0} / 2);
+    EXPECT_NE(OpenFailure(corrupt).find("graph_offsets"), std::string::npos);
   }
 }
 
-TEST_F(ArenaColumnsTest, ColumnlessArtifactFailsAtOpen) {
-  // A pre-column artifact: relabel every section from graph_sizes on
-  // (8..12) to ids this build does not know, keeping them strictly
-  // increasing and the meta CRC valid. The table still parses structurally,
-  // but the mandatory group is gone, so the open must fail and say which
-  // sections are missing instead of serving without columns.
-  std::string corrupt = ReadFile(*arena_path_);
-  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
+TEST_F(ArenaColumnsTest, HostileDictionariesAreRejectedAtEveryOpen) {
+  const std::string data = ReadFile(*arena_path_);
+  Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  uint32_t next_id = 42;
-  for (size_t s = 0; s < info->sections.size(); ++s) {
-    if (info->sections[s].id < kSecGraphSizes) continue;
-    PatchU32(&corrupt,
-             kArenaPreambleBytes + kArenaMetaScalarBytes +
-                 s * kArenaSectionEntryBytes,
-             next_id++);
+  ASSERT_GE(info->dictionary_size, 3u);
+  const uint64_t roots = info->sections[kSecDictRoots - 1].offset;
+  const uint64_t starts = info->sections[kSecDictLabelStart - 1].offset;
+  const uint64_t labels = info->sections[kSecDictLabels - 1].offset;
+  const auto root = [&](uint64_t d) {
+    return ReadAt<uint32_t>(data, roots + d * 4);
+  };
+  const auto start = [&](uint64_t d) {
+    return ReadAt<uint64_t>(data, starts + d * 8);
+  };
+  {
+    // A repeated entry: an adjacent pair with one root and equally many
+    // labels gets the first one's labels copied into the second.
+    bool patched = false;
+    std::string corrupt = data;
+    for (uint64_t d = 1; d < info->dictionary_size && !patched; ++d) {
+      const uint64_t len = start(d) - start(d - 1);
+      if (root(d) != root(d - 1) || start(d + 1) - start(d) != len) continue;
+      const std::string run = data.substr(
+          static_cast<size_t>(labels + start(d - 1) * 4),
+          static_cast<size_t>(len * 4));
+      corrupt.replace(static_cast<size_t>(labels + start(d) * 4),
+                      static_cast<size_t>(len * 4), run);
+      patched = true;
+    }
+    ASSERT_TRUE(patched);
+    EXPECT_NE(OpenFailure(corrupt).find("not strictly ascending"),
+              std::string::npos);
   }
-  ASSERT_GE(next_id, 45u);
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, corrupt.data() + 12, sizeof(section_count));
-  PatchU32(&corrupt, 24,
-           Crc32(corrupt.data() + kArenaPreambleBytes,
-                 ArenaHeaderBytes(section_count) - kArenaPreambleBytes));
-  const std::string path = ::testing::TempDir() + "/arena_columns_none.v3";
-  WriteFile(path, corrupt);
+  {
+    // An unsorted entry: entry 0's root past the last entry's.
+    std::string corrupt = data;
+    PatchAt<uint32_t>(&corrupt, roots,
+                      root(info->dictionary_size - 1) + 1);
+    EXPECT_NE(OpenFailure(corrupt).find("not strictly ascending"),
+              std::string::npos);
+  }
+  {
+    // Non-monotone label offsets: entry 1 starts past entry 2.
+    std::string corrupt = data;
+    PatchAt<uint64_t>(&corrupt, starts + 8, start(2) + 1);
+    EXPECT_NE(OpenFailure(corrupt).find("dict_label_start"),
+              std::string::npos);
+  }
+  {
+    // The last label offset no longer ends at dictionary_labels.
+    std::string corrupt = data;
+    PatchAt<uint64_t>(&corrupt, starts + info->dictionary_size * 8,
+                      info->dictionary_labels + 1);
+    EXPECT_NE(OpenFailure(corrupt).find("dict_label_start"),
+              std::string::npos);
+  }
+}
+
+TEST_F(ArenaColumnsTest, VersionThreeArtifactAsksForARebuild) {
+  // v3 kept per-branch content and FNV keys; its version word alone must
+  // stop the open with the rebuild command, before any section is read.
+  std::string old = ReadFile(*arena_path_);
+  PatchAt<uint32_t>(&old, 4, 3);
+  const std::string path = ::testing::TempDir() + "/arena_columns_v3.v4";
+  WriteFile(path, old);
   Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
   ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  for (const uint32_t id : {kSecGraphSizes, kSecFpOffsets, kSecFpKeys}) {
-    EXPECT_NE(opened.status().message().find(ArenaSectionName(id)),
-              std::string::npos)
-        << opened.status().message();
-  }
-  EXPECT_NE(opened.status().message().find("rebuild"), std::string::npos)
+  EXPECT_EQ(opened.status().code(), StatusCode::kNotSupported);
+  EXPECT_NE(opened.status().message().find("version 3"), std::string::npos)
+      << opened.status().message();
+  EXPECT_NE(opened.status().message().find("gbda_indexctl build"),
+            std::string::npos)
       << opened.status().message();
 }
 
-TEST_F(ArenaColumnsTest, PartialColumnGroupIsRejected) {
-  // Relabeling only fp_keys to an unknown id leaves graph_sizes/fp_offsets
-  // orphaned: the group is all-or-none, a structural error.
+TEST_F(ArenaColumnsTest, ColumnlessArtifactFailsAtOpen) {
+  // Both columns relabeled to ids this build does not know: the table
+  // still parses structurally, but the open must fail and name what is
+  // missing instead of serving without columns.
   std::string corrupt = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
   ASSERT_TRUE(info.ok());
-  // Relabel fp_keys and everything after it (keeping ids ascending so the
-  // ordering check stays quiet and the group check is what fires).
-  uint32_t next_id = 42;
-  bool relabeling = false;
-  for (size_t s = 0; s < info->sections.size(); ++s) {
-    if (info->sections[s].id == kSecFpKeys) relabeling = true;
-    if (!relabeling) continue;
-    const size_t id_at = kArenaPreambleBytes + kArenaMetaScalarBytes +
-                         s * kArenaSectionEntryBytes;
-    PatchU32(&corrupt, id_at, next_id++);
+  RelabelFrom(&corrupt, *info, kSecGraphSizes);
+  const std::string message = OpenFailure(corrupt);
+  for (const uint32_t id : {kSecGraphSizes, kSecFpKeys}) {
+    EXPECT_NE(message.find(ArenaSectionName(id)), std::string::npos)
+        << message;
   }
-  ASSERT_TRUE(relabeling);
-  // Re-CRC the edited header so the group check (not the meta checksum) is
-  // what rejects the artifact.
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, corrupt.data() + 12, sizeof(section_count));
-  PatchU32(&corrupt, 24,
-           Crc32(corrupt.data() + kArenaPreambleBytes,
-                 ArenaHeaderBytes(section_count) - kArenaPreambleBytes));
+  EXPECT_NE(message.find("gbda_indexctl build"), std::string::npos) << message;
+}
+
+TEST_F(ArenaColumnsTest, PartialColumnGroupIsRejected) {
+  // fp_keys alone relabeled: graph_sizes without ids is a structural error.
+  std::string corrupt = ReadFile(*arena_path_);
+  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
+  ASSERT_TRUE(info.ok());
+  RelabelFrom(&corrupt, *info, kSecFpKeys);
   Result<ArenaInfo> parsed = ParseArenaHeader(corrupt, "partial");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("fp_keys"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Degenerate corpora across the serving stack (ISSUE 4 satellite): the
 // empty index left when every graph is removed, a GbdaIndexView
-// over a zero-graph v3 artifact, and a DynamicGbdaService whose corpus was
+// over a zero-graph v4 artifact, and a DynamicGbdaService whose corpus was
 // fully retired — all across variants x prefilter x shard counts. Every
 // path must answer with clean empty results, never fault or reject.
 #include <gtest/gtest.h>
@@ -125,7 +125,7 @@ TEST_F(DegenerateCorpusTest, AllRemovedIndexServesEmptyResults) {
 
 TEST_F(DegenerateCorpusTest, ZeroGraphArenaRoundTripsAndServes) {
   const GbdaIndex empty_index = EmptyIndex();
-  const std::string path = ::testing::TempDir() + "/degenerate_empty.v3";
+  const std::string path = ::testing::TempDir() + "/degenerate_empty.v4";
   // The empty index is the one stale-prior exception the writer admits: its
   // Lambda2 cannot be refit over zero graphs.
   ASSERT_TRUE(WriteArenaFile(empty_index, path).ok());
@@ -136,7 +136,7 @@ TEST_F(DegenerateCorpusTest, ZeroGraphArenaRoundTripsAndServes) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->num_graphs(), 0u);
   EXPECT_EQ(view->total_branches(), 0u);
-  EXPECT_EQ(view->total_labels(), 0u);
+  EXPECT_EQ(view->dictionary().size(), 0u);
 
   GraphDatabase empty_db;
   GbdaSearch search(&empty_db, &*view);
@@ -165,9 +165,8 @@ TEST_F(DegenerateCorpusTest, ZeroGraphArenaRoundTripsAndServes) {
     }
   }
 
-  // The mandatory column group is there, with a one-entry fp_offsets.
+  // The mandatory columns are there, with a one-entry fp_offsets.
   EXPECT_EQ(view->columns().fp_offsets[0], 0u);
-  EXPECT_FALSE(view->columns().exactness_certified());
 }
 
 TEST_F(DegenerateCorpusTest, DynamicServiceSurvivesFullRetirement) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/branch_dictionary.h"
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
 #include "service/gbda_service.h"
@@ -510,6 +511,7 @@ TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   DynamicGbdaService& dyn = **created;
   const size_t live = dyn.num_live();
+  const size_t dictionary_size = dyn.snapshot_index()->dictionary().size();
   constexpr size_t kCommits = 200;
   for (size_t step = 0; step < kCommits; ++step) {
     ASSERT_TRUE(dyn.AddGraph(dataset_->db.graph(step % live)).ok());
@@ -520,6 +522,8 @@ TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
   std::vector<size_t> expected_ids(live);
   std::iota(expected_ids.begin(), expected_ids.end(), kCommits);
   EXPECT_EQ(dyn.live_ids(), expected_ids);
+  // Every re-added graph's branches were known, so no dead entry piled up.
+  EXPECT_EQ(dyn.snapshot_index()->dictionary().size(), dictionary_size);
   // The churned corpus still serves, in stable ids past every retired one.
   SearchOptions opts;
   opts.tau_hat = 3;
@@ -592,6 +596,115 @@ TEST_F(DynamicServiceTest, ConcurrentQueriesAndMutationsStayConsistent) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(dyn.dynamic_stats().snapshots_published, 20u);
   EXPECT_GT(dyn.stats().queries_served, 0u);
+}
+
+TEST_F(DynamicServiceTest, UnseenBranchCommitLeavesHeldSnapshotsUnchanged) {
+  // Copy-on-write: a commit that meets a branch the dictionary lacks grows
+  // a private copy, so the dictionary of a snapshot readers still hold —
+  // and every answer scanned against it — stays as it was while the commit
+  // runs (TSan sees any write to the held dictionary).
+  DynamicServiceOptions options;
+  options.service.num_threads = 2;
+  Result<std::unique_ptr<DynamicGbdaService>> created =
+      DynamicGbdaService::Create(InitialDb(8), IndexOptions(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicGbdaService& dyn = **created;
+  const std::shared_ptr<const IndexReader> held = dyn.snapshot_index();
+  const BranchDictionary* held_dictionary = &held->dictionary();
+  const size_t held_size = held_dictionary->size();
+
+  const LabelId v = dyn.InternVertexLabel("cow-unseen-v");
+  const LabelId e = dyn.InternEdgeLabel("cow-unseen-e");
+  Graph unseen;
+  unseen.AddVertex(v);
+  unseen.AddVertex(dataset_->db.graph(0).VertexLabel(0));
+  unseen.AddVertex(v);
+  ASSERT_TRUE(unseen.AddEdge(0, 1, e).ok());
+  ASSERT_TRUE(unseen.AddEdge(1, 2, e).ok());
+  const BranchMultiset unseen_branches = ExtractBranches(unseen);
+  const BranchSetRef unseen_set = unseen_branches;
+  ASSERT_EQ(held_dictionary->Find(unseen_set.root(0),
+                                  unseen_set.edge_labels(0)),
+            held_size);
+
+  // Index-only scans against the held snapshot: every candidate scored.
+  PosteriorEngine engine(held->num_vertex_labels(), held->num_edge_labels(),
+                         held->tau_max(), held->mutable_ged_prior(),
+                         &held->gbd_prior());
+  const auto scan = [&](const Graph& query, SearchResult* result) {
+    SearchOptions opts;
+    opts.tau_hat = 5;
+    opts.gamma = 0.0;
+    Result<ScanContext> ctx = PrepareScan(query, opts, true, *held);
+    return ctx.ok() ? ScanRange(*ctx, *held, nullptr, 0, held->num_graphs(),
+                                &engine, result)
+                    : ctx.status();
+  };
+  const std::vector<const Graph*> queries = {&dataset_->queries[0], &unseen};
+  std::vector<SearchResult> want(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(scan(*queries[q], &want[q]).ok());
+    ASSERT_EQ(want[q].matches.size(), held->num_graphs());
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r]() {
+      size_t rounds = 0;
+      while (!done.load(std::memory_order_relaxed) || rounds < 3) {
+        const size_t q = (rounds++ + static_cast<size_t>(r)) % queries.size();
+        SearchResult got;
+        if (!scan(*queries[q], &got).ok() ||
+            got.matches.size() != want[q].matches.size()) {
+          ++mismatches;
+          continue;
+        }
+        for (size_t i = 0; i < got.matches.size(); ++i) {
+          if (got.matches[i].graph_id != want[q].matches[i].graph_id ||
+              got.matches[i].phi_score != want[q].matches[i].phi_score ||
+              got.matches[i].gbd != want[q].matches[i].gbd) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  Result<size_t> added = dyn.AddGraph(unseen);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  ASSERT_TRUE(dyn.AddGraphs({unseen, dataset_->db.graph(9)}).ok());
+  ASSERT_TRUE(dyn.RemoveGraphs({*added, 0}).ok());
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  EXPECT_EQ(&held->dictionary(), held_dictionary);
+  EXPECT_EQ(held_dictionary->size(), held_size);
+  // The master appended the new branches past every existing id and
+  // reuses none after the removals.
+  const std::shared_ptr<const IndexReader> now = dyn.snapshot_index();
+  ASSERT_NE(&now->dictionary(), held_dictionary);
+  EXPECT_GT(now->dictionary().size(), held_size);
+  const uint64_t id = now->dictionary().Find(unseen_set.root(0),
+                                             unseen_set.edge_labels(0));
+  EXPECT_GE(id, held_size);
+  EXPECT_LT(id, now->dictionary().size());
+  const BranchSetRef before = held_dictionary->entries();
+  const BranchSetRef after = now->dictionary().entries();
+  for (size_t d = 0; d < held_size; ++d) {
+    ASSERT_EQ(CompareBranches(before.root(d), before.edge_labels(d),
+                              after.root(d), after.edge_labels(d)),
+              0)
+        << "entry " << d;
+  }
+  // The surviving copy of the unseen graph is found at GBD 0.
+  SearchOptions opts;
+  opts.tau_hat = 5;
+  Result<SearchResult> top = dyn.QueryTopK(unseen, 1, opts);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_EQ(top->matches.size(), 1u);
+  EXPECT_EQ(top->matches[0].gbd, 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The storage engine's serving contract (docs/ARCHITECTURE.md, "Storage
-// engine"): queries served through a GbdaIndexView over a mapped v3 arena
+// engine"): queries served through a GbdaIndexView over a mapped v4 arena
 // are bit-identical — ids, exact phi doubles, GBDs, ordering, and the
 // candidates/prefilter counters — to queries served through the in-memory
 // GbdaIndex the artifact was written from, across every variant x
@@ -52,13 +52,13 @@ class IndexViewEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
 
     // Two access paths to the same index: the owned build output (columns
-    // materialised lazily from its branch multisets) and the v3 arena
-    // written from it, mapped in place.
-    const std::string v3_path =
-        ::testing::TempDir() + "/view_equivalence.v3";
-    ASSERT_TRUE(WriteArenaFile(*built, v3_path).ok());
+    // concatenated lazily from its per-graph ids) and the v4 arena written
+    // from it, mapped in place.
+    const std::string arena_path =
+        ::testing::TempDir() + "/view_equivalence.v4";
+    ASSERT_TRUE(WriteArenaFile(*built, arena_path).ok());
     built_ = new GbdaIndex(std::move(*built));
-    Result<GbdaIndexView> view = GbdaIndexView::Open(v3_path);
+    Result<GbdaIndexView> view = GbdaIndexView::Open(arena_path);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     view_ = new GbdaIndexView(std::move(*view));
   }

@@ -98,8 +98,9 @@ TEST(BranchFilterProfileTest, EqualsGraphProfileOnEveryDatasetProfile) {
   // The serving path profiles candidates from the branch store alone
   // (Prefilter(const IndexReader&)) and queries from their branches
   // (PrepareScan), and GBDA-V1 reads sizes as branch counts; the serial
-  // reference profiles Graphs. The two derivations must agree everywhere,
-  // through the owned index and through a mapped v3 view of it.
+  // reference profiles Graphs. The two derivations must agree everywhere:
+  // through the owned index, a mapped v4 view of it, and an index whose
+  // second half was appended (its new ids are not in content order).
   const std::vector<std::pair<std::string, DatasetProfile>> profiles = {
       {"aids", AidsProfile(0.03)},
       {"fingerprint", FingerprintProfile(0.03)},
@@ -112,20 +113,38 @@ TEST(BranchFilterProfileTest, EqualsGraphProfileOnEveryDatasetProfile) {
     Result<GbdaIndex> index = GbdaIndex::Build(ds->db, SmallIndexOptions());
     ASSERT_TRUE(index.ok()) << name << ": " << index.status().ToString();
     const std::string path =
-        ::testing::TempDir() + "/branch_profile_" + name + ".v3";
+        ::testing::TempDir() + "/branch_profile_" + name + ".v4";
     ASSERT_TRUE(WriteArenaFile(*index, path).ok()) << name;
     Result<GbdaIndexView> view = GbdaIndexView::Open(path);
     ASSERT_TRUE(view.ok()) << name << ": " << view.status().ToString();
+    GraphDatabase first_half;
+    first_half.vertex_labels() = ds->db.vertex_labels();
+    first_half.edge_labels() = ds->db.edge_labels();
+    const size_t half = ds->db.size() / 2;
+    for (size_t id = 0; id < half; ++id) first_half.Add(ds->db.graph(id));
+    Result<GbdaIndex> grown = GbdaIndex::Build(first_half, SmallIndexOptions());
+    ASSERT_TRUE(grown.ok()) << name << ": " << grown.status().ToString();
+    std::vector<Graph> second_half;
+    for (size_t id = half; id < ds->db.size(); ++id) {
+      second_half.push_back(ds->db.graph(id));
+    }
+    grown->AddGraphs(second_half);
     const std::vector<std::pair<std::string, const IndexReader*>> readers = {
-        {name + " owned", &*index}, {name + " mapped", &*view}};
+        {name + " owned", &*index},
+        {name + " mapped", &*view},
+        {name + " appended", &*grown}};
     for (const auto& [label, reader] : readers) {
       ASSERT_EQ(reader->num_graphs(), ds->db.size()) << label;
+      const CandidateColumns columns = reader->columns();
       for (size_t id = 0; id < ds->db.size(); ++id) {
         const Graph& g = ds->db.graph(id);
-        const BranchSetRef branches = reader->branch_set(id);
-        ASSERT_EQ(branches.size(), g.num_vertices())
-            << label << " graph " << id;
-        ExpectSameProfile(BuildFilterProfile(branches), BuildFilterProfile(g),
+        const Span<const uint64_t> ids(
+            columns.fp_keys + columns.fp_offsets[id],
+            static_cast<size_t>(columns.fp_offsets[id + 1] -
+                                columns.fp_offsets[id]));
+        ASSERT_EQ(ids.size(), g.num_vertices()) << label << " graph " << id;
+        ExpectSameProfile(BuildFilterProfile(ids, reader->dictionary()),
+                          BuildFilterProfile(g),
                           label + " graph " + std::to_string(id));
       }
     }
@@ -166,7 +185,7 @@ TEST(BranchFilterProfileTest, EpsilonEdgesAreInvisibleOnEveryPath) {
   const size_t target = db.Add(with_epsilon);
   Result<GbdaIndex> index = GbdaIndex::Build(db, SmallIndexOptions());
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  const std::string path = ::testing::TempDir() + "/epsilon_edge.v3";
+  const std::string path = ::testing::TempDir() + "/epsilon_edge.v4";
   ASSERT_TRUE(WriteArenaFile(*index, path).ok());
   Result<GbdaIndexView> view = GbdaIndexView::Open(path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();

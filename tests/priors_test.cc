@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/branch_dictionary.h"
 #include "core/gbd_prior.h"
 #include "core/ged_prior.h"
 #include "core/posterior.h"
@@ -33,11 +34,20 @@ std::vector<BranchMultiset> MakeBranchSamples(size_t count, uint64_t seed) {
   return branches;
 }
 
-/// GbdPrior::Fit over views of `branches`.
+/// GbdPrior::Fit over `branches`, coded as the ids of one dictionary.
 Result<GbdPrior> FitOver(const std::vector<BranchMultiset>& branches,
                          const GbdPriorOptions& options, Rng* rng) {
-  const std::vector<BranchSetRef> refs(branches.begin(), branches.end());
-  return GbdPrior::Fit(refs, options, rng);
+  BranchDictionary dictionary;
+  std::vector<std::vector<uint64_t>> ids(branches.size());
+  for (size_t g = 0; g < branches.size(); ++g) {
+    const BranchSetRef set = branches[g];
+    for (size_t b = 0; b < set.size(); ++b) {
+      ids[g].push_back(dictionary.Intern(set.root(b), set.edge_labels(b)));
+    }
+    std::sort(ids[g].begin(), ids[g].end());
+  }
+  const std::vector<Span<const uint64_t>> spans(ids.begin(), ids.end());
+  return GbdPrior::Fit(spans, options, rng);
 }
 
 TEST(GedPriorTest, RowsAreNormalizedDistributions) {
@@ -92,6 +102,49 @@ TEST(GedPriorTest, SerializationRoundTrip) {
   EXPECT_EQ(loaded->num_cached_rows(), 2u);
   EXPECT_EQ(loaded->Row(4), table.Row(4));
   EXPECT_EQ(loaded->Row(9), table.Row(9));
+}
+
+TEST(GedPriorTest, DeserializeRejectsNonFiniteOrNegativeRowEntries) {
+  GedPriorTable table(7, 2, 6);
+  table.EagerBuild({4, 9});
+  BinaryWriter writer;
+  table.Serialize(&writer);
+  // Header (3 x i64) and row count, then row 0: its size and its length
+  // word, then tau_max + 1 doubles.
+  const size_t entry2 = 4 * 8 + 8 + 8 + 2 * sizeof(double);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.25}) {
+    std::string bytes = writer.buffer();
+    std::memcpy(&bytes[entry2], &bad, sizeof(bad));
+    BinaryReader reader(bytes);
+    Result<GedPriorTable> loaded = GedPriorTable::Deserialize(&reader);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(GbdPriorTest, DeserializeRejectsNonFiniteOrNegativeTables) {
+  Rng rng(9);
+  Result<GbdPrior> prior =
+      FitOver(MakeBranchSamples(20, 10), GbdPriorOptions(), &rng);
+  ASSERT_TRUE(prior.ok());
+  ASSERT_GT(prior->table_size(), 5u);
+  BinaryWriter writer;
+  prior->Serialize(&writer);
+  // pairs, floor, component count, 3 doubles per component, the table's
+  // length word, then the table.
+  const size_t floor_at = 8;
+  const size_t table5 = 3 * 8 + prior->gmm().components().size() * 24 + 8 +
+                        5 * sizeof(double);
+  for (const size_t at : {floor_at, table5}) {
+    for (double bad : {std::nan(""), HUGE_VAL, -1e-3}) {
+      std::string bytes = writer.buffer();
+      std::memcpy(&bytes[at], &bad, sizeof(bad));
+      BinaryReader reader(bytes);
+      Result<GbdPrior> loaded = GbdPrior::Deserialize(&reader);
+      ASSERT_FALSE(loaded.ok()) << "offset " << at << " value " << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(GbdPriorTest, RequiresAtLeastTwoGraphs) {

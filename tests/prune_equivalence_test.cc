@@ -71,7 +71,8 @@ class PruneEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // The size-laddered AIDS profile exercises both pruning tiers: the
-    // O(1) size tier across rungs and the fingerprint tier within a rung.
+    // O(1) size tier across rungs and the id-intersection tier within a
+    // rung.
     DatasetProfile profile = AidsProfile(0.04);
     profile.seed = 77;
     Result<GeneratedDataset> ds = GenerateDataset(profile);
@@ -85,7 +86,7 @@ class PruneEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
 
-    const std::string path = ::testing::TempDir() + "/prune_equivalence.v3";
+    const std::string path = ::testing::TempDir() + "/prune_equivalence.v4";
     ASSERT_TRUE(WriteArenaFile(*index_, path).ok());
     Result<GbdaIndexView> view = GbdaIndexView::Open(path);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
@@ -355,7 +356,7 @@ TEST_F(PruneEquivalenceTest, BatchedTopKMatchesPerQueryResults) {
 
 TEST_F(PruneEquivalenceTest, DynamicSnapshotPrunedMatchesExhaustive) {
   // Snapshot indexes carry candidate columns, so the dynamic path's pruned
-  // scans take the fingerprint tier even with use_prefilter off.
+  // scans take the id-intersection tier even with use_prefilter off.
   GbdaIndexOptions index_options;
   index_options.tau_max = 10;
   index_options.gbd_prior.num_sample_pairs = 1500;
@@ -451,7 +452,7 @@ TEST_F(PruneEquivalenceTest, ShardedThresholdMatchesSerial) {
 }
 
 TEST_F(PruneEquivalenceTest, MappedViewThresholdMatchesSerial) {
-  // The benchmark's threshold path: a service over a mapped v3 artifact.
+  // The benchmark's threshold path: a service over a mapped v4 artifact.
   ServiceOptions service_options;
   service_options.num_threads = 2;
   service_options.num_shards = 2;
@@ -611,8 +612,8 @@ TEST_F(PruneEquivalenceTest, PhiPastTheSupportIsPositiveZeroOnEveryPath) {
               c.variant == GbdaVariant::kAverageSize
                   ? contexts[q].v1_size
                   : static_cast<int64_t>(
-                        std::max(contexts[q].query_branches.size(),
-                                 index_->branch_set(m.graph_id).size()));
+                        std::max<size_t>(contexts[q].query_fps.size(),
+                                         index_->columns().sizes[m.graph_id]));
           if (m.gbd <= std::min(v, 2 * tau)) continue;
           ++past_support;
           past_32_bits = past_32_bits || m.gbd > INT64_C(0xFFFFFFFF);
@@ -670,10 +671,10 @@ TEST_F(PruneEquivalenceTest, PhiPastTheSupportIsPositiveZeroOnEveryPath) {
 
 TEST_F(PruneEquivalenceTest, FingerprintCommonBranchBoundIsAdmissible) {
   // Tier 2's inputs as the scan reads them: the index's fp_keys column
-  // through the scalar kernel. The fingerprint intersection must never
-  // undercount the true branch intersection (undercounting would overstate
-  // the GBD lower bound and break soundness), and the capped decision form
-  // must agree with the counting form at every cap.
+  // (dictionary ids) through the scalar kernel. The id intersection is the
+  // true branch intersection — an undercount would overstate the GBD lower
+  // bound and break soundness — and the capped decision form must agree
+  // with the counting form at every cap.
   const ScanKernels& scalar = GetScanKernels(KernelImpl::kScalar);
   const CandidateColumns columns = index_->columns();
   const auto keys = [&columns](size_t g, size_t* n) {
@@ -694,7 +695,7 @@ TEST_F(PruneEquivalenceTest, FingerprintCommonBranchBoundIsAdmissible) {
       const int64_t bound = scalar.intersect_count(ki, ni, kj, nj);
       const int64_t truth = static_cast<int64_t>(
           BranchIntersectionSize(branches[i], branches[j]));
-      EXPECT_GE(bound, truth) << "pair " << i << "," << j;
+      EXPECT_EQ(bound, truth) << "pair " << i << "," << j;
       EXPECT_LE(bound, static_cast<int64_t>(std::min(
                            branches[i].size(), branches[j].size())));
       for (int64_t cap : {int64_t{-1}, int64_t{0}, truth - 1, truth,

@@ -1,13 +1,17 @@
 // The storage engine (docs/ARCHITECTURE.md, "Storage engine"): MappedFile,
-// the v3 arena writer/parser, GbdaIndexView open-time validation (including
+// the v4 arena writer/parser, GbdaIndexView open-time validation (including
 // the header plausibility check and the GED-prior cross-check) and
 // corruption detection.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/crc32.h"
 #include "core/gbda_index.h"
@@ -69,7 +73,7 @@ class StorageTest : public ::testing::Test {
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     index_ = new GbdaIndex(std::move(*index));
 
-    arena_path_ = new std::string(::testing::TempDir() + "/storage_test.v3");
+    arena_path_ = new std::string(::testing::TempDir() + "/storage_test.v4");
     ASSERT_TRUE(WriteArenaFile(*index_, *arena_path_).ok());
   }
   static void TearDownTestSuite() {
@@ -137,20 +141,26 @@ TEST_F(StorageTest, ArenaRoundTripPreservesEveryField) {
   EXPECT_EQ(view->options().gbd_prior.gmm.seed,
             index_->options().gbd_prior.gmm.seed);
 
-  // Every branch multiset reads back identically through the mapped view.
-  for (size_t g = 0; g < index_->num_graphs(); ++g) {
-    const BranchSetRef owned = index_->branch_set(g);
-    const BranchSetRef flat = view->branch_set(g);
-    ASSERT_EQ(flat.size(), owned.size()) << "graph " << g;
-    for (size_t b = 0; b < owned.size(); ++b) {
-      EXPECT_EQ(flat.root(b), owned.root(b)) << "graph " << g;
-      const Span<const LabelId> labels = flat.edge_labels(b);
-      const Span<const LabelId> want = owned.edge_labels(b);
-      ASSERT_EQ(labels.size(), want.size()) << "graph " << g;
-      for (size_t k = 0; k < labels.size(); ++k) {
-        EXPECT_EQ(labels[k], want[k]);
-      }
-    }
+  // Every graph's branches read back identically through the mapped view:
+  // the same ids over the same dictionary entries.
+  const CandidateColumns owned = index_->columns();
+  const CandidateColumns mapped = view->columns();
+  const size_t n = index_->num_graphs();
+  ASSERT_EQ(mapped.fp_offsets[n], owned.fp_offsets[n]);
+  for (size_t g = 0; g < n; ++g) {
+    ASSERT_EQ(mapped.fp_offsets[g], owned.fp_offsets[g]) << "graph " << g;
+  }
+  for (uint64_t k = 0; k < owned.fp_offsets[n]; ++k) {
+    ASSERT_EQ(mapped.fp_keys[k], owned.fp_keys[k]) << "id " << k;
+  }
+  const BranchSetRef want = index_->dictionary().entries();
+  const BranchSetRef got = view->dictionary().entries();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t d = 0; d < want.size(); ++d) {
+    EXPECT_EQ(CompareBranches(got.root(d), got.edge_labels(d), want.root(d),
+                              want.edge_labels(d)),
+              0)
+        << "entry " << d;
   }
 
   // Lambda2 tabulates identically.
@@ -168,10 +178,9 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
   EXPECT_EQ(info->version, kArenaVersion);
   EXPECT_EQ(info->file_bytes, data.size());
   EXPECT_EQ(info->num_graphs, index_->num_graphs());
-  // The canonical sections lead in id order; the candidate-column group
-  // (graph_sizes / fp_offsets / fp_keys) always follows from this writer,
-  // with the exactness directory after it when the corpus certifies.
-  ASSERT_GE(info->sections.size(), kArenaSectionCount + 3);
+  // The canonical sections lead in id order; graph_sizes and fp_keys
+  // always follow from this writer.
+  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 2);
   uint64_t previous_end = 0;
   uint32_t previous_id = 0;
   for (size_t s = 0; s < info->sections.size(); ++s) {
@@ -188,17 +197,16 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
   }
   EXPECT_LE(previous_end, data.size());
   EXPECT_NE(info->FindSection(kSecGraphSizes), nullptr);
-  EXPECT_NE(info->FindSection(kSecFpOffsets), nullptr);
   EXPECT_NE(info->FindSection(kSecFpKeys), nullptr);
 }
 
 TEST_F(StorageTest, ArenaFromViewIsStable) {
-  // Writing an arena FROM a mapped view reproduces the branch sections
-  // byte-for-byte (the prior blobs may reorder cached rows, so compare the
-  // four flat sections through their CRCs).
+  // Writing an arena FROM a mapped view reproduces the offsets and the
+  // dictionary byte-for-byte (the prior blobs may reorder cached rows, so
+  // compare the four flat sections through their CRCs).
   Result<GbdaIndexView> view = GbdaIndexView::Open(*arena_path_);
   ASSERT_TRUE(view.ok());
-  const std::string second_path = ::testing::TempDir() + "/storage_rewrite.v3";
+  const std::string second_path = ::testing::TempDir() + "/storage_rewrite.v4";
   ASSERT_TRUE(WriteArenaFile(*view, second_path).ok());
   const std::string a = ReadFile(*arena_path_);
   const std::string b = ReadFile(second_path);
@@ -213,12 +221,105 @@ TEST_F(StorageTest, ArenaFromViewIsStable) {
   }
 }
 
+TEST_F(StorageTest, WriteReplacesTheFileUnderAMappedView) {
+  // The writer publishes a new inode by rename, so a view still mapping
+  // the old file keeps its bytes: its columns and answers stay intact after
+  // a different index is written to the same path. (A write in place would
+  // truncate the mapped inode under the view.)
+  const std::string path = ::testing::TempDir() + "/storage_replace.v4";
+  ASSERT_TRUE(WriteArenaFile(*index_, path).ok());
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  GbdaSearch search(&dataset_->db, &*view);
+  SearchOptions options;
+  options.tau_hat = 5;
+  Result<SearchResult> before =
+      search.QueryTopK(dataset_->queries[0], 5, options);
+  ASSERT_TRUE(before.ok());
+  const size_t n = view->num_graphs();
+  const CandidateColumns columns = view->columns();
+  const std::vector<uint64_t> keys(columns.fp_keys,
+                                   columns.fp_keys + columns.fp_offsets[n]);
+
+  GraphDatabase half;
+  half.vertex_labels() = dataset_->db.vertex_labels();
+  half.edge_labels() = dataset_->db.edge_labels();
+  for (size_t g = 0; g < dataset_->db.size() / 2; ++g) {
+    half.Add(dataset_->db.graph(g));
+  }
+  Result<GbdaIndex> other = GbdaIndex::Build(half, index_->options());
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  ASSERT_TRUE(WriteArenaFile(*other, path).ok());
+
+  Result<SearchResult> after =
+      search.QueryTopK(dataset_->queries[0], 5, options);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->matches.size(), before->matches.size());
+  for (size_t i = 0; i < before->matches.size(); ++i) {
+    EXPECT_EQ(after->matches[i].graph_id, before->matches[i].graph_id);
+    EXPECT_EQ(after->matches[i].phi_score, before->matches[i].phi_score);
+  }
+  for (size_t k = 0; k < keys.size(); ++k) {
+    ASSERT_EQ(view->columns().fp_keys[k], keys[k]) << "id " << k;
+  }
+  // The path now holds the other index, and no temp file is left over.
+  Result<GbdaIndexView> reopened = GbdaIndexView::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->num_graphs(), half.size());
+  struct stat st;
+  EXPECT_NE(::stat((path + ".tmp." + std::to_string(::getpid())).c_str(), &st),
+            0);
+}
+
+TEST_F(StorageTest, FailedPublishLeavesNoTempFile) {
+  // A directory at the target path: the rename fails, and the temp file
+  // written beside it is removed.
+  const std::string path = ::testing::TempDir() + "/storage_publish_dir.v4";
+  ::mkdir(path.c_str(), 0755);
+  const Status written = WriteArenaFile(*index_, path);
+  EXPECT_EQ(written.code(), StatusCode::kIOError) << written.ToString();
+  struct stat st;
+  EXPECT_NE(::stat((path + ".tmp." + std::to_string(::getpid())).c_str(), &st),
+            0);
+  // A directory that does not exist fails before anything is written.
+  EXPECT_EQ(WriteArenaFile(*index_, path + "/missing/dir/a.v4").code(),
+            StatusCode::kIOError);
+}
+
+TEST_F(StorageTest, PriorsWithNonFiniteEntriesFailToOpen) {
+  // The prior blobs are CRC-covered, but a default open checks no section
+  // CRC, so their decoders must refuse a NaN themselves: in Lambda2's
+  // table_[5], or in entry 2 of the first cached Lambda3 row.
+  const std::string data = ReadFile(*arena_path_);
+  Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
+  ASSERT_TRUE(info.ok());
+  const uint64_t gbd = info->FindSection(kSecGbdPrior)->offset;
+  const uint64_t ged = info->FindSection(kSecGedPrior)->offset;
+  ASSERT_GT(index_->gbd_prior().table_size(), 5u);
+  ASSERT_GT(index_->ged_prior().num_cached_rows(), 0u);
+  const size_t table5 =
+      3 * 8 + index_->gbd_prior().gmm().components().size() * 24 + 8 + 5 * 8;
+  const size_t row_entry2 = 4 * 8 + 8 + 8 + 2 * 8;
+  const std::string path = ::testing::TempDir() + "/storage_nan_prior.v4";
+  for (const uint64_t at : {gbd + table5, ged + row_entry2}) {
+    std::string corrupt = data;
+    const double nan = std::nan("");
+    std::memcpy(&corrupt[static_cast<size_t>(at)], &nan, sizeof(nan));
+    WriteFile(path, corrupt);
+    Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
+    ASSERT_FALSE(opened.ok()) << "offset " << at;
+    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("not finite"), std::string::npos)
+        << opened.status().message();
+  }
+}
+
 TEST_F(StorageTest, WriterRejectsStaleIndexes) {
   // The format has no staleness field: persisting a drifted Lambda2 would
   // come back as gbd_staleness() == 0 and defeat every refit policy.
-  const std::string path = ::testing::TempDir() + "/storage_writer.v3";
+  const std::string path = ::testing::TempDir() + "/storage_writer.v4";
   GbdaIndex copy = *index_;
-  copy.AddGraph(dataset_->db.graph(0));
+  copy.AddGraphs(std::vector<Graph>{dataset_->db.graph(0)});
   // Stale Lambda2 (one add since the fit).
   EXPECT_EQ(WriteArenaFile(copy, path).code(),
             StatusCode::kFailedPrecondition);
@@ -239,7 +340,7 @@ TEST_F(StorageTest, ChecksumVerificationCatchesBitFlipsInEverySection) {
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  const std::string path = ::testing::TempDir() + "/storage_flip.v3";
+  const std::string path = ::testing::TempDir() + "/storage_flip.v4";
   GbdaIndexView::OpenOptions verify;
   verify.verify_checksums = true;
   for (const ArenaSectionInfo& sec : info->sections) {
@@ -262,7 +363,7 @@ TEST_F(StorageTest, ChecksumVerificationCatchesBitFlipsInEverySection) {
 
 TEST_F(StorageTest, HeaderTamperingIsCaughtWithoutChecksumOption) {
   const std::string data = ReadFile(*arena_path_);
-  const std::string path = ::testing::TempDir() + "/storage_tamper.v3";
+  const std::string path = ::testing::TempDir() + "/storage_tamper.v4";
 
   // Flip one byte inside the meta block (num_graphs field): the always-on
   // header CRC catches it even with verify_checksums off.
@@ -312,7 +413,7 @@ TEST_F(StorageTest, ImplausibleHeaderFieldsAreRejected) {
   // Fields only ValidatePersistedIndexHeader checks: each feeds a later
   // Lambda2 refit, never the open itself, so nothing else would catch them.
   const std::string data = ReadFile(*arena_path_);
-  const std::string path = ::testing::TempDir() + "/storage_implausible.v3";
+  const std::string path = ::testing::TempDir() + "/storage_implausible.v4";
   std::string zero_floor = data;
   PatchMeta(&zero_floor, kMetaStddevFloor, 0.0);
   std::string huge_pairs = data;
@@ -338,7 +439,7 @@ TEST_F(StorageTest, GedPriorHeaderMustAgreeWithTheArenaHeader) {
   PatchMeta(&corrupt, kMetaTauMax, index_->tau_max() - 1);
   FixMetaCrc(&corrupt);
   ASSERT_TRUE(ParseArenaHeader(corrupt, "patched").ok());
-  const std::string path = ::testing::TempDir() + "/storage_tau.v3";
+  const std::string path = ::testing::TempDir() + "/storage_tau.v4";
   WriteFile(path, corrupt);
   Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
   ASSERT_FALSE(opened.ok());
@@ -353,9 +454,9 @@ TEST_F(StorageTest, NonMonotonicOffsetTablesAreRejectedAtOpen) {
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
   ASSERT_GE(info->num_graphs, 2u);
-  const std::string path = ::testing::TempDir() + "/storage_offsets.v3";
+  const std::string path = ::testing::TempDir() + "/storage_offsets.v4";
 
-  // branch_start[1] := huge — would index out of the roots array if served.
+  // graph_offsets[1] := huge — would index out of fp_keys if served.
   {
     std::string corrupt = data;
     const uint64_t hostile = ~uint64_t{0} / 2;
@@ -364,21 +465,22 @@ TEST_F(StorageTest, NonMonotonicOffsetTablesAreRejectedAtOpen) {
     WriteFile(path, corrupt);
     Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
     ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("branch_start"),
+    EXPECT_NE(opened.status().message().find("graph_offsets"),
               std::string::npos)
         << opened.status().message();
   }
-  // label_start last entry := 0 — no longer ends at total_labels.
-  if (info->total_labels > 0) {
+  // dict_label_start last entry := 0 — no longer ends at dictionary_labels.
+  if (info->dictionary_labels > 0) {
     std::string corrupt = data;
     const uint64_t zero = 0;
     std::memcpy(&corrupt[static_cast<size_t>(info->sections[2].offset +
-                                             info->total_branches * 8)],
+                                             info->dictionary_size * 8)],
                 &zero, sizeof(zero));
     WriteFile(path, corrupt);
     Result<GbdaIndexView> opened = GbdaIndexView::Open(path);
     ASSERT_FALSE(opened.ok());
-    EXPECT_NE(opened.status().message().find("label_start"), std::string::npos)
+    EXPECT_NE(opened.status().message().find("dict_label_start"),
+              std::string::npos)
         << opened.status().message();
   }
 }

@@ -5,15 +5,15 @@
 //                         [--tau-max=N] [--sample-pairs=N] [--seed=N]
 //                         [--eager-all-sizes] [--ann] [--ann-*=...]
 //       Runs the offline stage over a transaction-format database file and
-//       writes the v3 arena artifact (with an ann_graph section under --ann
+//       writes the v4 arena artifact (with an ann_graph section under --ann
 //       or any --ann-* knob). Numeric values must parse whole and fit their
 //       field (--tau-max <= 1024); anything else is a usage error.
 //
-//   gbda_indexctl graph   --in=<v3 artifact> --out=<v3 artifact>
+//   gbda_indexctl graph   --in=<v4 artifact> --out=<v4 artifact>
 //                         [--ann-degree=N] [--ann-window=N]
 //                         [--ann-alpha=F] [--ann-seed=N]
 //       Builds the proximity graph for approximate candidate navigation
-//       over the artifact's branch fingerprints and writes a copy carrying
+//       over the artifact's branch ids and writes a copy carrying
 //       it as the optional ann_graph section (src/ann). The canonical
 //       sections are byte-identical to the input's, so exhaustive queries
 //       through the output are bit-identical to the input. Each --ann-*
@@ -21,8 +21,8 @@
 //       uint32); anything else is a usage error.
 //
 //   gbda_indexctl inspect <artifact>
-//       Prints a JSON summary (header fields, section table, candidate
-//       columns, ann_graph details when present).
+//       Prints a JSON summary (header fields including the distinct-branch
+//       count, section table, ann_graph details when present).
 //
 //   gbda_indexctl verify <artifact>
 //       Full integrity check: structural validation plus every section's
@@ -53,7 +53,7 @@ int Usage() {
                " [--seed=N] [--eager-all-sizes]\n"
                "                        [--ann] [--ann-degree=N]"
                " [--ann-window=N] [--ann-alpha=F] [--ann-seed=N]\n"
-               "  gbda_indexctl graph   --in=<v3 path> --out=<v3 path>"
+               "  gbda_indexctl graph   --in=<v4 path> --out=<v4 path>"
                " [--ann-degree=N] [--ann-window=N]\n"
                "                        [--ann-alpha=F] [--ann-seed=N]\n"
                "  gbda_indexctl inspect <path>\n"
@@ -151,7 +151,7 @@ int RunBuild(int argc, char** argv) {
     Status written = WriteArenaFile(*index, out_path, &*graph);
     if (!written.ok()) return Fail(written);
     std::printf(
-        "built v3 artifact %s: %zu graphs, tau_max=%lld, ann_graph "
+        "built v4 artifact %s: %zu graphs, tau_max=%lld, ann_graph "
         "(degree<=%u, %llu edges)\n",
         out_path.c_str(), index->num_graphs(),
         static_cast<long long>(index->tau_max()), graph->degree_bound,
@@ -160,7 +160,7 @@ int RunBuild(int argc, char** argv) {
   }
   Status written = WriteArenaFile(*index, out_path);
   if (!written.ok()) return Fail(written);
-  std::printf("built v3 artifact %s: %zu graphs, tau_max=%lld\n",
+  std::printf("built v4 artifact %s: %zu graphs, tau_max=%lld\n",
               out_path.c_str(), index->num_graphs(),
               static_cast<long long>(index->tau_max()));
   return 0;
@@ -205,7 +205,7 @@ int RunInspect(const std::string& path) {
   if (!info.ok()) return Fail(info.status());
   std::printf(
       "{\n"
-      "  \"format\": \"v3\",\n"
+      "  \"format\": \"v%u\",\n"
       "  \"file_bytes\": %llu,\n"
       "  \"num_graphs\": %llu,\n"
       "  \"tau_max\": %lld,\n"
@@ -214,7 +214,7 @@ int RunInspect(const std::string& path) {
       "  \"avg_vertices\": %.6f,\n"
       "  \"sample_pairs\": %llu,\n"
       "  \"seed\": %llu",
-      static_cast<unsigned long long>(info->file_bytes),
+      info->version, static_cast<unsigned long long>(info->file_bytes),
       static_cast<unsigned long long>(info->num_graphs),
       static_cast<long long>(info->options.tau_max),
       static_cast<long long>(info->num_vertex_labels),
@@ -222,10 +222,11 @@ int RunInspect(const std::string& path) {
       static_cast<unsigned long long>(info->options.gbd_prior.num_sample_pairs),
       static_cast<unsigned long long>(info->options.seed));
   std::printf(
-      ",\n  \"total_branches\": %llu,\n  \"total_labels\": %llu,\n"
-      "  \"sections\": [\n",
+      ",\n  \"total_branches\": %llu,\n  \"distinct_branches\": %llu,\n"
+      "  \"dictionary_labels\": %llu,\n  \"sections\": [\n",
       static_cast<unsigned long long>(info->total_branches),
-      static_cast<unsigned long long>(info->total_labels));
+      static_cast<unsigned long long>(info->dictionary_size),
+      static_cast<unsigned long long>(info->dictionary_labels));
   for (size_t s = 0; s < info->sections.size(); ++s) {
     const ArenaSectionInfo& sec = info->sections[s];
     std::printf(
@@ -239,12 +240,6 @@ int RunInspect(const std::string& path) {
         sec.crc32, s + 1 < info->sections.size() ? "," : "");
   }
   std::printf("  ]");
-  const ArenaSectionInfo* uniq = info->FindSection(kSecFpUnique);
-  std::printf(
-      ",\n  \"columns\": {\"graph_sizes\": true, \"fp_keys\": true, "
-      "\"exactness_directory\": %s, \"num_distinct_fingerprints\": %llu}",
-      uniq != nullptr ? "true" : "false",
-      static_cast<unsigned long long>(uniq != nullptr ? uniq->length / 8 : 0));
   if (const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph)) {
     Result<ProximityGraphRef> graph = ParseProximityGraphSection(
         mapped->data() + sec->offset, static_cast<size_t>(sec->length),
@@ -271,9 +266,10 @@ int RunVerify(const std::string& path) {
   options.prefetch = true;
   Result<GbdaIndexView> view = GbdaIndexView::Open(path, options);
   if (!view.ok()) return Fail(view.status());
-  std::printf("%s: OK (v3 arena, %zu graphs, %llu branches)\n", path.c_str(),
-              view->num_graphs(),
-              static_cast<unsigned long long>(view->total_branches()));
+  std::printf("%s: OK (v%u arena, %zu graphs, %llu branches, %zu distinct)\n",
+              path.c_str(), kArenaVersion, view->num_graphs(),
+              static_cast<unsigned long long>(view->total_branches()),
+              view->dictionary().size());
   return 0;
 }
 
