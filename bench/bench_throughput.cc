@@ -538,8 +538,8 @@ int main(int argc, char** argv) {
                   "\"batch_size\": %zu, \"wall_seconds\": %.6f, "
                   "\"qps\": %.2f, \"mean_latency_seconds\": %.6f, "
                   "\"candidates_evaluated\": %zu, \"prefiltered_out\": %zu, "
-                  "\"pruned_by_bound\": %zu, \"verified_count\": %zu, "
-                  "\"matches_returned\": %zu, "
+                  "\"pruned_by_bound\": %zu, \"skipped_by_prefix\": %zu, "
+                  "\"verified_count\": %zu, \"matches_returned\": %zu, "
                   "\"speedup_vs_1thread\": %.3f, "
                   "\"speedup_vs_serial\": %.3f}",
                   first_config ? "" : ",\n", threads, service.num_shards(),
@@ -547,7 +547,8 @@ int main(int argc, char** argv) {
                   wall > 0 ? static_cast<double>(queries.size()) / wall : 0.0,
                   stats.MeanLatencySeconds(), stats.candidates_evaluated,
                   stats.prefiltered_out, stats.pruned_by_bound,
-                  stats.verified_count, stats.matches_returned, speedup_1t,
+                  stats.skipped_by_prefix, stats.verified_count,
+                  stats.matches_returned, speedup_1t,
                   wall > 0 ? serial_wall / wall : 0.0);
       first_config = false;
     }

@@ -46,6 +46,10 @@ Result<ScanContext> PrepareScan(const Graph& query,
     return Status::InvalidArgument(
         "tau_hat outside the range supported by this index");
   }
+  if (options.variant == GbdaVariant::kWeightedGbd &&
+      !std::isfinite(options.vgbd_w)) {
+    return Status::InvalidArgument("GBDA-V2 weight vgbd_w must be finite");
+  }
   ScanContext ctx;
   ctx.options = options;
   ctx.apply_gamma = apply_gamma;
@@ -89,7 +93,68 @@ Result<ScanContext> PrepareScan(const Graph& query,
   return ctx;
 }
 
+bool PrefixFilterApplies(const ScanContext& ctx) {
+  const SearchOptions& options = ctx.options;
+  const bool variant_ok = options.variant != GbdaVariant::kWeightedGbd ||
+                          (options.vgbd_w > 0.0 && options.vgbd_w <= 1.0);
+  return ctx.apply_gamma && options.early_termination &&
+         options.gamma > 0.0 && !options.use_prefilter && variant_ok &&
+         ctx.query_fps.size() > static_cast<size_t>(2 * options.tau_hat);
+}
+
+bool ArmPrefixFilter(const BranchPostings& postings, ScanContext* ctx) {
+  const size_t num_graphs = postings.num_graphs();
+  if (!PrefixFilterApplies(*ctx) ||
+      num_graphs > std::numeric_limits<uint32_t>::max()) {
+    return false;
+  }
+  // The query's ids with multiplicity, rarest first; ties by id, so the
+  // list is a function of the query and the index alone. Equal ids sort
+  // next to each other and share one posting.
+  std::vector<std::pair<size_t, uint64_t>> ranked;
+  ranked.reserve(ctx->query_fps.size());
+  for (uint64_t id : ctx->query_fps) {
+    ranked.emplace_back(postings.Posting(id).size(), id);
+  }
+  const size_t prefix = static_cast<size_t>(2 * ctx->options.tau_hat + 1);
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(prefix),
+                    ranked.end());
+  // The union through one bit per graph: O(entries + num_graphs / 64),
+  // where a sort of the entries would dominate at large tau_hat.
+  std::vector<uint64_t> bits((num_graphs + 63) / 64, 0);
+  size_t entries = 0;
+  for (size_t i = 0; i < prefix; ++i) {
+    if (i > 0 && ranked[i].second == ranked[i - 1].second) continue;
+    for (uint32_t g : postings.Posting(ranked[i].second)) {
+      bits[g / 64] |= uint64_t{1} << (g % 64);
+    }
+    entries += ranked[i].first;
+  }
+  std::vector<uint32_t>& listed = ctx->prefix_candidates.emplace();
+  listed.reserve(std::min(entries, num_graphs));
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      listed.push_back(static_cast<uint32_t>(w * 64) +
+                       static_cast<uint32_t>(__builtin_ctzll(word)));
+    }
+  }
+  return true;
+}
+
 namespace {
+
+/// GBDA-V2's phi: Eq. 26's VGBD rounded to the nearest integer, saturated
+/// where llround is unspecified — 0 for every value <= 0 (a VGBD a weight
+/// above 1 drives below zero) and INT64_MAX from 2^63 up (past every Phi
+/// row's cap, so Phi is +0.0), as a huge or negative finite weight yields.
+/// Every other value rounds exactly as llround does. Stage B's phi_lower
+/// and stage C share it, so the bound and the score cannot disagree.
+int64_t RoundVgbd(double vgbd) {
+  if (!(vgbd > 0.0)) return 0;
+  if (vgbd >= 0x1p63) return std::numeric_limits<int64_t>::max();
+  return static_cast<int64_t>(std::llround(vgbd));
+}
 
 /// The two id sequences the shared evaluation loop runs over: a contiguous
 /// [begin, begin + count) range (ScanRange) and an explicit candidate list
@@ -223,8 +288,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
               ? static_cast<double>(max_size) -
                     options.vgbd_w * static_cast<double>(common_ub)
               : static_cast<double>(max_size);
-      return std::max<int64_t>(0,
-                               static_cast<int64_t>(std::llround(vgbd_lb)));
+      return RoundVgbd(vgbd_lb);
     }
     return max_size - common_ub;
   };
@@ -425,7 +489,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       if (options.variant == GbdaVariant::kWeightedGbd) {
         const double vgbd = static_cast<double>(max_size) -
                             options.vgbd_w * static_cast<double>(common);
-        phi = std::max<int64_t>(0, static_cast<int64_t>(std::llround(vgbd)));
+        phi = RoundVgbd(vgbd);
       } else {
         phi = static_cast<int64_t>(max_size) - common;
       }
@@ -478,9 +542,25 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
                  const Prefilter* prefilter, size_t begin, size_t end,
                  PosteriorEngine* posterior, SearchResult* result,
                  ScanBounds* bounds) {
+  if (!ctx.prefix_candidates) {
+    return ScanIdSequence(ctx, index, prefilter,
+                          ContiguousIds{begin, end - begin}, posterior, result,
+                          bounds);
+  }
+  // Armed: the range's slice of the list is all that can pass stage B;
+  // every other id there is counted as the pruned candidate it would be.
+  const std::vector<uint32_t>& listed = *ctx.prefix_candidates;
+  const auto first = std::lower_bound(listed.begin(), listed.end(), begin);
+  const auto last = std::lower_bound(first, listed.end(), end);
+  const size_t count = static_cast<size_t>(last - first);
+  const size_t skipped = (end - begin) - count;
+  result->candidates_evaluated += skipped;
+  result->pruned_by_bound += skipped;
+  result->skipped_by_prefix += skipped;
   return ScanIdSequence(ctx, index, prefilter,
-                        ContiguousIds{begin, end - begin}, posterior, result,
-                        bounds);
+                        ListedIds{listed.data() + (first - listed.begin()),
+                                  count},
+                        posterior, result, bounds);
 }
 
 Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,

@@ -12,7 +12,10 @@
 /// profile, the V1 size estimate) and ScanRange (candidate evaluation over a
 /// contiguous id range), so the serving layer (src/service/gbda_service.h)
 /// can fan the same arithmetic out over shards and stay bit-identical to
-/// the serial scan; see docs/ARCHITECTURE.md, "Serving layer".
+/// the serial scan; see docs/ARCHITECTURE.md, "Serving layer". Between the
+/// two, ArmPrefixFilter may narrow a threshold scan to the candidates that
+/// share one of the query's rarest branch ids (BranchPostings), the only
+/// ones its gamma cut can keep; see "Bound pruning" there.
 ///
 /// Both halves consume the index through the IndexReader contract
 /// (core/index_reader.h), so an owned GbdaIndex and a mapped v4 artifact
@@ -28,10 +31,12 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/kernels.h"
 #include "common/result.h"
+#include "core/branch_postings.h"
 #include "core/gbda_index.h"
 #include "core/posterior.h"
 #include "core/prefilter.h"
@@ -55,7 +60,7 @@ struct SearchOptions {
   int64_t tau_hat = 5;   // similarity threshold
   double gamma = 0.9;    // probability threshold
   GbdaVariant variant = GbdaVariant::kStandard;
-  double vgbd_w = 0.5;          // V2 weight
+  double vgbd_w = 0.5;          // V2 weight; must be finite under V2
   size_t v1_sample_alpha = 100;  // V1 sample size
   uint64_t seed = 99;            // V1 sampling seed
   /// Run the layered prefilter (size + label lower bounds) before the
@@ -188,6 +193,10 @@ struct SearchResult {
   /// timing-dependent under sharding — the shared witness tightens in
   /// worker order. Excluded from the bit-identity contract either way.
   size_t pruned_by_bound = 0;
+  /// The part of pruned_by_bound an armed prefix filter skipped without
+  /// reading them (0 when unarmed; see ArmPrefixFilter). A function of the
+  /// query and the index alone, so every shard split gives the same count.
+  size_t skipped_by_prefix = 0;
   /// Approximate mode only: candidates the proximity-graph navigation
   /// visited and handed to verification (0 for exhaustive scans). Like
   /// pruned_by_bound it is a cost counter, excluded from the determinism
@@ -202,9 +211,11 @@ struct SearchResult {
 };
 
 /// Per-query state shared by every candidate evaluation of one query:
-/// the query's branch ids, its filter profile (when the prefilter is on)
-/// and the GBDA-V1 database-average size estimate. Computed once by
-/// PrepareScan, then read-only — safe to share across shard workers.
+/// the query's branch ids, its filter profile (when the prefilter is on),
+/// the GBDA-V1 database-average size estimate and, once ArmPrefixFilter
+/// armed it, the prefix filter's candidate list. Computed once by
+/// PrepareScan (and ArmPrefixFilter), then read-only — safe to share
+/// across shard workers.
 struct ScanContext {
   SearchOptions options;
   bool apply_gamma = true;
@@ -222,6 +233,11 @@ struct ScanContext {
   /// query_fps).
   FilterProfile query_profile;
   int64_t v1_size = 0;  // only meaningful for GbdaVariant::kAverageSize
+
+  /// Set by ArmPrefixFilter: the ascending, distinct graph ids that hold at
+  /// least one of the query's 2 * tau_hat + 1 rarest branch ids. ScanRange
+  /// then visits only these; unset, it visits its whole range.
+  std::optional<std::vector<uint32_t>> prefix_candidates;
 };
 
 /// Validates options against the index and computes the per-query state
@@ -229,7 +245,9 @@ struct ScanContext {
 /// through index.dictionary(), the query profile is read off them and
 /// GBDA-V1 samples branch counts, so no corpus Graph is read.
 /// Deterministic in options.seed (the V1 sample). Fails when
-/// options.tau_hat exceeds the index's tau_max.
+/// options.tau_hat exceeds the index's tau_max, and when GBDA-V2 is
+/// selected with a non-finite vgbd_w (the other variants ignore the
+/// weight).
 Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const IndexReader& index);
@@ -241,6 +259,31 @@ Result<ScanContext> PrepareScan(const Graph& query,
                                 const SearchOptions& options, bool apply_gamma,
                                 const CorpusRef& corpus,
                                 const IndexReader& index);
+
+/// Whether ArmPrefixFilter may arm `ctx`: a threshold scan
+/// (ctx.apply_gamma) with early_termination on, gamma > 0 (NaN fails), the
+/// prefilter off (stage A must visit every candidate to keep
+/// prefiltered_out exact), |q| > 2 * tau_hat, and the standard variant,
+/// GBDA-V1, or GBDA-V2 with 0 < vgbd_w <= 1.
+///
+/// Sound because stage B prunes every candidate whose phi exceeds
+/// min(v, 2 * tau_hat), where Phi is +0.0 < gamma. For standard and V1,
+/// phi = max(|q|, |g|) - common, so a survivor shares at least
+/// |q| - 2 * tau_hat branch ids with the query; for V2,
+/// round(max - w * common) <= 2 * tau_hat forces the same when
+/// 0 < w <= 1. Such a graph holds one of any 2 * tau_hat + 1 of the
+/// query's ids (counted with multiplicity).
+bool PrefixFilterApplies(const ScanContext& ctx);
+
+/// Arms `ctx` when PrefixFilterApplies holds and `postings` cover at most
+/// 2^32 - 1 graphs: ranks the query's ids, with multiplicity, by posting
+/// length (ties by id), and stores the union of the postings of the first
+/// 2 * tau_hat + 1 as ctx->prefix_candidates, through a bitmap over the
+/// corpus in O(posting entries + num_graphs / 64). An id the dictionary
+/// lacks has an empty posting, so it ranks first and only shrinks the
+/// list. Returns whether it armed. `postings` must have been built from
+/// the index the context will scan.
+bool ArmPrefixFilter(const BranchPostings& postings, ScanContext* ctx);
 
 /// Evaluates candidates with ids in [begin, end), appending accepted
 /// matches to result->matches (in ascending id order) and accumulating
@@ -263,6 +306,13 @@ Result<ScanContext> PrepareScan(const Graph& query,
 /// fixed floor, and a candidate whose bound is strictly below it is one
 /// Step 4 rejects anyway. Each skip depends on the candidate
 /// alone, so pruned_by_bound is the same however the range is split.
+///
+/// With ctx.prefix_candidates set (ArmPrefixFilter), the call binary-searches
+/// the slice of the list inside [begin, end) and runs the same evaluation
+/// over it alone. Every other id of the range is one stage B would prune
+/// (its phi is past the Phi row's cap), so it is counted in
+/// candidates_evaluated, pruned_by_bound and skipped_by_prefix without
+/// being read: matches and every other counter equal the unarmed scan's.
 ///
 /// A ranking scan (ctx.apply_gamma == false) prunes only when `bounds` is
 /// non-null with bounds->k() >= 1: the call keeps a bounded heap of the k
@@ -296,6 +346,7 @@ Status ScanRange(const ScanContext& ctx, const IndexReader& index,
 /// approximate-mode results stay a subset of the exhaustive ranking with
 /// exact scores. Thread-compatible under the same rules as ScanRange.
 /// Every id must be < index.num_graphs() (checked; out-of-range fails).
+/// ctx.prefix_candidates is ignored: the call scores exactly `ids`.
 Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
                          const Prefilter* prefilter,
                          const std::vector<uint32_t>& ids,
@@ -305,7 +356,9 @@ Status ScanCandidateList(const ScanContext& ctx, const IndexReader& index,
 /// The online stage of GBDA (Algorithm 1, Steps 2-4): per database graph,
 /// compute GBD from precomputed branches, evaluate the posterior
 /// Pr[GED <= tau_hat | GBD] and keep graphs passing the probability
-/// threshold. O(nd + tau_hat^3) per graph as analysed in Theorem 3.
+/// threshold. O(nd + tau_hat^3) per graph as analysed in Theorem 3. The
+/// serial scan never arms the prefix filter: it stays the full-range
+/// reference the serving layer's answers are checked against.
 class GbdaSearch {
  public:
   /// Checked construction: fails when `index` does not agree with `db`

@@ -26,6 +26,7 @@ void AccumulateServiceStats(const std::vector<SearchResult>& results,
     counters->candidates_evaluated.Add(r.candidates_evaluated);
     counters->prefiltered_out.Add(r.prefiltered_out);
     counters->pruned_by_bound.Add(r.pruned_by_bound);
+    counters->skipped_by_prefix.Add(r.skipped_by_prefix);
     counters->candidates_visited.Add(r.candidates_visited);
     counters->verified_count.Add(r.verified_count);
     counters->matches_returned.Add(r.matches.size());
@@ -46,6 +47,7 @@ ServiceStats ServiceCounters::Snapshot() const {
   stats.candidates_evaluated = candidates_evaluated.Value();
   stats.prefiltered_out = prefiltered_out.Value();
   stats.pruned_by_bound = pruned_by_bound.Value();
+  stats.skipped_by_prefix = skipped_by_prefix.Value();
   stats.candidates_visited = candidates_visited.Value();
   stats.verified_count = verified_count.Value();
   stats.matches_returned = matches_returned.Value();
@@ -60,6 +62,7 @@ void ServiceCounters::Reset() {
   candidates_evaluated.Reset();
   prefiltered_out.Reset();
   pruned_by_bound.Reset();
+  skipped_by_prefix.Reset();
   candidates_visited.Reset();
   verified_count.Reset();
   matches_returned.Reset();
@@ -87,6 +90,9 @@ void ServiceCounters::Collect(const std::string& labels,
   counter("gbda_service_pruned_by_bound_total",
           "Posterior evaluations skipped by bound pruning",
           static_cast<double>(pruned_by_bound.Value()));
+  counter("gbda_service_prefix_skipped_total",
+          "Candidates the threshold prefix filter skipped unread",
+          static_cast<double>(skipped_by_prefix.Value()));
   counter("gbda_service_candidates_visited_total",
           "Nodes visited by the approximate navigator",
           static_cast<double>(candidates_visited.Value()));
@@ -118,6 +124,13 @@ const Prefilter* GbdaService::Snapshot::EnsurePrefilter() const {
     prefilter = std::make_unique<const Prefilter>(*index);
   });
   return prefilter.get();
+}
+
+const BranchPostings& GbdaService::Snapshot::EnsurePostings() const {
+  std::call_once(postings_once, [this] {
+    postings = std::make_unique<const BranchPostings>(*index);
+  });
+  return *postings;
 }
 
 bool GbdaService::Snapshot::InitAnn(const AnnBuildParams& params,
@@ -348,6 +361,11 @@ Result<std::vector<SearchResult>> GbdaService::FanOut(
                           *snap.index)
             : PrepareScan(queries[qi], options, apply_gamma, *snap.index);
     if (!ctx.ok()) return ctx.status();
+    // An eligible threshold query scans only its prefix list; the
+    // snapshot's postings are built for the first one.
+    if (PrefixFilterApplies(*ctx)) {
+      ArmPrefixFilter(snap.EnsurePostings(), &*ctx);
+    }
     auto job = std::make_unique<QueryJob>();
     job->ctx = std::move(*ctx);
     job->partials.resize(num_tasks);
@@ -439,6 +457,7 @@ Result<std::vector<SearchResult>> GbdaService::FanOut(
       merged.candidates_evaluated += partial.candidates_evaluated;
       merged.prefiltered_out += partial.prefiltered_out;
       merged.pruned_by_bound += partial.pruned_by_bound;
+      merged.skipped_by_prefix += partial.skipped_by_prefix;
       merged.candidates_visited += partial.candidates_visited;
       merged.verified_count += partial.verified_count;
     }

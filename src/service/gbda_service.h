@@ -6,7 +6,9 @@
 /// Every query call pins one snapshot, fans each (query, shard) pair onto
 /// the pool and merges shard results deterministically, so the output —
 /// match set, ordering, top-k tie-breaking and the candidates/prefilter
-/// counters — is bit-identical to the serial GbdaSearch scan.
+/// counters — is bit-identical to the serial GbdaSearch scan. Threshold
+/// queries may additionally arm the prefix filter (ArmPrefixFilter), which
+/// the serial scan never does: it moves work, not answers.
 ///
 /// A frozen service publishes one generation-0 snapshot over a borrowed
 /// database and index and never replaces it. DynamicGbdaService
@@ -63,6 +65,9 @@ struct ServiceStats {
   /// Posterior evaluations skipped by bound pruning (subset of
   /// candidates_evaluated; see SearchResult::pruned_by_bound).
   size_t pruned_by_bound = 0;
+  /// The part of pruned_by_bound the threshold prefix filter skipped
+  /// unread (see SearchResult::skipped_by_prefix).
+  size_t skipped_by_prefix = 0;
   /// Nodes the approximate navigator visited (0 for exhaustive queries) and
   /// candidates that paid the full verification tail. Cost observability,
   /// like pruned_by_bound: excluded from determinism comparisons (see
@@ -109,6 +114,7 @@ struct ServiceCounters {
   obs::Counter candidates_evaluated;
   obs::Counter prefiltered_out;
   obs::Counter pruned_by_bound;
+  obs::Counter skipped_by_prefix;
   obs::Counter candidates_visited;
   obs::Counter verified_count;
   obs::Counter matches_returned;
@@ -265,9 +271,10 @@ class GbdaService {
 
  protected:
   /// One published generation: everything a query needs, immutable once
-  /// published except for the two lazily built, call_once-guarded members
-  /// at the end. A generation stays alive until its last in-flight query
-  /// drops it.
+  /// published except for the three lazily built, call_once-guarded members
+  /// at the end (prefilter, postings, navigation context). A generation
+  /// stays alive until its last in-flight query drops it, and its lazy
+  /// members with it: a dynamic commit's next generation starts cold.
   struct Snapshot {
     uint64_t generation = 0;
     /// Dense position -> stable id, ascending; empty means the identity
@@ -292,6 +299,12 @@ class GbdaService {
     /// eager prefilter would put a corpus-sized pass right back into
     /// startup).
     const Prefilter* EnsurePrefilter() const;
+    /// The inverted index over this generation's branch ids
+    /// (core/branch_postings.h), built from its index on the first batch in
+    /// which some threshold query arms the prefix filter (PrefixFilterApplies)
+    /// — about one u32 per branch, and a pass over the id column that
+    /// ranking, approximate and prefiltered reads never pay for.
+    const BranchPostings& EnsurePostings() const;
     /// Builds (`graph` null) or adopts this generation's navigation context
     /// at most once; false when it was already initialised. The outcome is
     /// sticky in ann / ann_status: a failed build is reported to every
@@ -302,6 +315,8 @@ class GbdaService {
 
     mutable std::once_flag prefilter_once;
     mutable std::unique_ptr<const Prefilter> prefilter;
+    mutable std::once_flag postings_once;
+    mutable std::unique_ptr<const BranchPostings> postings;
     mutable std::once_flag ann_once;
     mutable std::unique_ptr<const AnnContext> ann;
     mutable Status ann_status;
@@ -336,7 +351,10 @@ class GbdaService {
   /// or per query when `ann` navigates (beam navigation is a global walk,
   /// so sharding it would change which candidates it visits). top_k ==
   /// kScanAllMatches keeps every match (threshold mode); otherwise each
-  /// task and the final merge truncate to top_k.
+  /// task and the final merge truncate to top_k. Each threshold query the
+  /// prefix filter applies to is armed after PrepareScan, over the
+  /// snapshot's postings, so every shard scans only its slice of the
+  /// query's candidate list.
   Result<std::vector<SearchResult>> FanOut(const Snapshot& snap,
                                            Span<Graph> queries,
                                            const SearchOptions& options,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -289,6 +290,51 @@ TEST_F(GbdaServiceTest, StatsExactUnderConcurrentClients) {
   EXPECT_EQ(stats.candidates_evaluated, expected_queries * dataset_->db.size());
   EXPECT_GT(stats.total_latency_seconds, 0.0);
   EXPECT_GT(stats.total_wall_seconds, 0.0);
+}
+
+TEST_F(GbdaServiceTest, RacingFirstThresholdBatchesShareOnePostingsBuild) {
+  // A fresh snapshot builds its branch postings on the first threshold batch
+  // whose queries arm the prefix filter, under a once_flag. Clients racing
+  // to be that batch must all get the serial answers (under TSan, the
+  // build's publication to the losers is checked too).
+  GbdaService service(&dataset_->db, index_, ServiceOptions{3, 4, {}});
+  SearchOptions opts;
+  opts.tau_hat = 5;
+  opts.gamma = 0.5;
+  std::vector<SearchResult> serial;
+  for (const Graph& q : dataset_->queries) {
+    Result<SearchResult> r = serial_->Query(q, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    serial.push_back(std::move(*r));
+  }
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<SearchResult>> answers(kClients);
+  std::vector<int> ok(kClients, 0);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      Result<std::vector<SearchResult>> r =
+          service.QueryBatch(dataset_->queries, opts);
+      ok[c] = r.ok();
+      if (r.ok()) answers[c] = std::move(*r);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(ok[c]) << "client " << c;
+    ASSERT_EQ(answers[c].size(), serial.size());
+    for (size_t q = 0; q < serial.size(); ++q) {
+      ExpectSameResult(serial[q], answers[c][q],
+                       "client " + std::to_string(c) + " query " +
+                           std::to_string(q));
+      EXPECT_EQ(answers[c][q].pruned_by_bound, serial[q].pruned_by_bound);
+    }
+  }
+  // Every query of this corpus has more than 2 * tau_hat branches: all arm.
+  EXPECT_GT(service.stats().skipped_by_prefix, 0u);
 }
 
 TEST(ServiceStatsTest, QueriesPerSecondClampsSubTickWalls) {

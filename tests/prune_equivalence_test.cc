@@ -11,11 +11,16 @@
 // Ranking axes: variants x prefilter x shards {1, 2, 7} x k in {1, 10,
 // corpus, > corpus}. Threshold axes: variants x prefilter x tau_hat
 // {0, 2, 5, 10} x gamma {-0.5, 0, denorm_min, 0.9, a Phi the corpus attains
-// exactly, 1e300} x scalar/AVX2 dispatch.
+// exactly, 1e300} x scalar/AVX2 dispatch. The serving paths arm the prefix
+// filter on the threshold grid (ArmPrefixFilter) and must still match; a
+// guard requires skipped candidates wherever a query arms, so the grid
+// cannot pass without the prefix. GBDA-V2 weights: a non-finite one is
+// rejected, and huge or negative finite ones prune exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
@@ -200,7 +205,14 @@ class PruneEquivalenceTest : public ::testing::Test {
   /// through `run` and checks each answer against the exhaustive serial
   /// one. Returns every answer's pruned_by_bound in grid order, for the
   /// cross-path comparison.
+  ///
+  /// `arms` says whether the path arms the prefix filter (the serving
+  /// paths do, the serial GbdaSearch does not). There, every cell in which
+  /// some query arms (PrefixFilterApplies) must report skipped candidates,
+  /// so the grid cannot pass without exercising the prefix; a query that
+  /// does not arm, on any path, skips none.
   static std::vector<size_t> CheckThresholdPath(const std::string& path,
+                                                bool arms,
                                                 const ThresholdRunner& run) {
     std::vector<size_t> pruned_counts;
     for (const auto& [key, cell] : ThresholdRefs()) {
@@ -220,11 +232,30 @@ class PruneEquivalenceTest : public ::testing::Test {
           EXPECT_TRUE(got.ok()) << label << ": " << got.status().ToString();
           if (!got.ok()) continue;
           EXPECT_EQ(got->size(), cell.answers[g].size()) << label;
+          size_t arming_queries = 0;
+          size_t skipped = 0;
           for (size_t q = 0; q < got->size() && q < cell.answers[g].size();
                ++q) {
-            ExpectSameResult(cell.answers[g][q], (*got)[q],
-                             label + " query=" + std::to_string(q));
-            pruned_counts.push_back((*got)[q].pruned_by_bound);
+            const std::string query_label =
+                label + " query=" + std::to_string(q);
+            const SearchResult& answer = (*got)[q];
+            ExpectSameResult(cell.answers[g][q], answer, query_label);
+            pruned_counts.push_back(answer.pruned_by_bound);
+            Result<ScanContext> ctx =
+                PrepareScan(dataset_->queries[q], pruned, true, *index_);
+            EXPECT_TRUE(ctx.ok()) << query_label;
+            const bool query_arms =
+                arms && ctx.ok() && PrefixFilterApplies(*ctx);
+            arming_queries += query_arms;
+            skipped += answer.skipped_by_prefix;
+            EXPECT_LE(answer.skipped_by_prefix, answer.pruned_by_bound)
+                << query_label;
+            if (!query_arms) {
+              EXPECT_EQ(answer.skipped_by_prefix, 0u) << query_label;
+            }
+          }
+          if (arming_queries > 0) {
+            EXPECT_GT(skipped, 0u) << label;
           }
         }
       }
@@ -238,7 +269,7 @@ class PruneEquivalenceTest : public ::testing::Test {
     if (serial_threshold_pruned_ == nullptr) {
       GbdaSearch search(&dataset_->db, index_);
       serial_threshold_pruned_ = new std::vector<size_t>(CheckThresholdPath(
-          "serial", [&search](const SearchOptions& options) {
+          "serial", /*arms=*/false, [&search](const SearchOptions& options) {
             return SerialAnswers(&search, options);
           }));
     }
@@ -443,7 +474,7 @@ TEST_F(PruneEquivalenceTest, ShardedThresholdMatchesSerial) {
     service_options.num_shards = shards;
     GbdaService service(&dataset_->db, index_, service_options);
     const std::vector<size_t> pruned = CheckThresholdPath(
-        "shards=" + std::to_string(shards),
+        "shards=" + std::to_string(shards), /*arms=*/true,
         [&service](const SearchOptions& options) {
           return service.QueryBatch(dataset_->queries, options);
         });
@@ -458,9 +489,11 @@ TEST_F(PruneEquivalenceTest, MappedViewThresholdMatchesSerial) {
   service_options.num_shards = 2;
   GbdaService service(&dataset_->db, view_, service_options);
   const std::vector<size_t> pruned =
-      CheckThresholdPath("mapped", [&service](const SearchOptions& options) {
-        return service.QueryBatch(dataset_->queries, options);
-      });
+      CheckThresholdPath("mapped", /*arms=*/true,
+                         [&service](const SearchOptions& options) {
+                           return service.QueryBatch(dataset_->queries,
+                                                     options);
+                         });
   EXPECT_EQ(pruned, SerialThresholdPruned());
 }
 
@@ -478,9 +511,11 @@ TEST_F(PruneEquivalenceTest, DynamicSnapshotThresholdMatchesSerial) {
       std::move(db_copy), index_options, dyn_options);
   ASSERT_TRUE(dyn.ok()) << dyn.status().ToString();
   const std::vector<size_t> pruned =
-      CheckThresholdPath("dynamic", [&dyn](const SearchOptions& options) {
-        return (*dyn)->QueryBatch(dataset_->queries, options);
-      });
+      CheckThresholdPath("dynamic", /*arms=*/true,
+                         [&dyn](const SearchOptions& options) {
+                           return (*dyn)->QueryBatch(dataset_->queries,
+                                                     options);
+                         });
   EXPECT_EQ(pruned, SerialThresholdPruned());
 }
 
@@ -508,6 +543,75 @@ TEST_F(PruneEquivalenceTest, ThresholdScansActuallyPrune) {
     EXPECT_EQ(r->verified_count, r->candidates_evaluated) << "gamma=" << gamma;
     if (std::isnan(gamma)) {
       EXPECT_TRUE(r->matches.empty());
+    }
+  }
+}
+
+TEST_F(PruneEquivalenceTest, NonFiniteV2WeightIsRejected) {
+  // Stage C rounds max - w * common, which is NaN or infinite at a
+  // non-finite w, where llround is unspecified: PrepareScan refuses the
+  // weight on every path. The other variants never read it.
+  GbdaSearch search(&dataset_->db, index_);
+  GbdaService service(&dataset_->db, index_, ServiceOptions{2, 3, {}});
+  const Graph& query = dataset_->queries[0];
+  for (double w : {std::nan(""), std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    SearchOptions options;
+    options.variant = GbdaVariant::kWeightedGbd;
+    options.vgbd_w = w;
+    const std::string label = "w=" + std::to_string(w);
+    const auto expect_rejected = [&label](const Status& status) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << label;
+    };
+    expect_rejected(search.Query(query, options).status());
+    expect_rejected(search.QueryTopK(query, 10, options).status());
+    expect_rejected(service.Query(query, options).status());
+    expect_rejected(service.QueryTopK(query, 10, options).status());
+    expect_rejected(service.QueryBatch(dataset_->queries, options).status());
+    options.variant = GbdaVariant::kStandard;
+    EXPECT_TRUE(search.Query(query, options).ok()) << label;
+    EXPECT_TRUE(service.Query(query, options).ok()) << label;
+  }
+}
+
+TEST_F(PruneEquivalenceTest, ExtremeFiniteV2WeightsPruneLikeExhaustive) {
+  // A huge or negative finite weight drives max - w * common past the
+  // int64 range. Stage C and the bound share one saturating rounding
+  // (0 at or below zero, INT64_MAX from 2^63 up), so the pruned threshold
+  // and top-10 answers equal the exhaustive ones, serially and sharded.
+  GbdaSearch search(&dataset_->db, index_);
+  GbdaService service(&dataset_->db, index_, ServiceOptions{2, 3, {}});
+  for (double w : {-1e300, -2.0, 2.0, 1e300}) {
+    for (int64_t tau : {int64_t{3}, int64_t{6}}) {
+      SearchOptions exhaustive;
+      exhaustive.variant = GbdaVariant::kWeightedGbd;
+      exhaustive.vgbd_w = w;
+      exhaustive.tau_hat = tau;
+      exhaustive.gamma = 0.5;
+      exhaustive.early_termination = false;
+      SearchOptions pruned = exhaustive;
+      pruned.early_termination = true;
+      for (size_t q = 0; q < dataset_->queries.size(); ++q) {
+        const Graph& query = dataset_->queries[q];
+        char w_text[32];
+        std::snprintf(w_text, sizeof w_text, "%g", w);
+        const std::string label = std::string("w=") + w_text +
+                                  " tau=" + std::to_string(tau) +
+                                  " query=" + std::to_string(q);
+        Result<SearchResult> want = search.Query(query, exhaustive);
+        Result<SearchResult> serial = search.Query(query, pruned);
+        Result<SearchResult> sharded = service.Query(query, pruned);
+        ASSERT_TRUE(want.ok() && serial.ok() && sharded.ok()) << label;
+        ExpectSameResult(*want, *serial, "threshold serial " + label);
+        ExpectSameResult(*want, *sharded, "threshold sharded " + label);
+        Result<SearchResult> want_top = search.QueryTopK(query, 10, exhaustive);
+        Result<SearchResult> serial_top = search.QueryTopK(query, 10, pruned);
+        Result<SearchResult> sharded_top = service.QueryTopK(query, 10, pruned);
+        ASSERT_TRUE(want_top.ok() && serial_top.ok() && sharded_top.ok())
+            << label;
+        ExpectSameResult(*want_top, *serial_top, "top-10 serial " + label);
+        ExpectSameResult(*want_top, *sharded_top, "top-10 sharded " + label);
+      }
     }
   }
 }
