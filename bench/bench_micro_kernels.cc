@@ -195,32 +195,6 @@ BENCHMARK(BM_KernelIntersectAtMost)
                    {static_cast<int64_t>(KernelImpl::kScalar),
                     static_cast<int64_t>(KernelImpl::kAvx2)}});
 
-void BM_KernelTier1SizeBounds(benchmark::State& state) {
-  const KernelImpl impl = static_cast<KernelImpl>(state.range(1));
-  if (impl == KernelImpl::kAvx2 && !CpuSupportsAvx2()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
-  const ScanKernels& kernels = GetScanKernels(impl);
-  state.SetLabel(kernels.name);
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(25);
-  std::vector<uint32_t> sizes(n);
-  for (uint32_t& s : sizes) s = 8 + (rng.NextUint64() % 120);
-  std::vector<uint32_t> out(n);
-  for (auto _ : state) {
-    kernels.tier1_size_bounds(sizes.data(), n, 64, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_KernelTier1SizeBounds)
-    ->ArgsProduct({{128, 1024, 16384},
-                   {static_cast<int64_t>(KernelImpl::kScalar),
-                    static_cast<int64_t>(KernelImpl::kAvx2)}});
-
 void BM_ExactGedSmall(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Graph a = MakeGraph(n, false, 12);

@@ -1,7 +1,8 @@
 /// \file navigator.h
 /// The query-time half of approximate mode: AnnContext bundles everything
-/// navigation needs over one corpus (the branch-id key store plus a
-/// proximity graph, owned or mmap-borrowed), and AnnSearchTopK runs
+/// navigation needs over one corpus (a view of the index's branch-id
+/// columns plus a proximity graph, owned or mmap-borrowed), and
+/// AnnSearchTopK runs
 /// navigate-then-verify for one prepared query — beam search picks
 /// candidates, core's ScanCandidateList scores them with the exact
 /// posterior arithmetic and the admissible pruning bounds. The serving layer
@@ -24,7 +25,8 @@ namespace gbda {
 /// Immutable per-corpus navigation state. Thread-safe for concurrent
 /// readers after construction (everything is read-only). Movable; the
 /// graph ref tracks the owned graph across moves (vector buffers are
-/// stable under move).
+/// stable under move). The key store views the index it was made from
+/// (FingerprintStore::FromIndex), so that index must outlive the context.
 class AnnContext {
  public:
   /// Builds the proximity graph offline over `store` (BuildProximityGraph)

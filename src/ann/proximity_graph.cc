@@ -23,11 +23,11 @@ ProximityGraphRef ProximityGraph::ref() const {
 }
 
 FingerprintStore FingerprintStore::FromIndex(const IndexReader& index) {
-  FingerprintStore store;
-  const size_t n = index.num_graphs();
   const CandidateColumns columns = index.columns();
-  store.offsets_.assign(columns.fp_offsets, columns.fp_offsets + n + 1);
-  store.pool_.assign(columns.fp_keys, columns.fp_keys + columns.fp_offsets[n]);
+  FingerprintStore store;
+  store.offsets_ = columns.fp_offsets;
+  store.keys_ = columns.fp_keys;
+  store.size_ = index.num_graphs();
   return store;
 }
 

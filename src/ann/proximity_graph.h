@@ -76,31 +76,33 @@ struct ProximityGraph {
   ProximityGraphRef ref() const;
 };
 
-/// Flat per-node key store the builder and the navigator compute distances
-/// over: node i's keys are the ascending branch ids of corpus graph i. One
-/// contiguous pool, so distance evaluations stay cache-friendly.
+/// The per-node keys the builder and the navigator compute distances over:
+/// node i's keys are the ascending branch ids of corpus graph i. A view of
+/// an index's fp_offsets / fp_keys columns, read in place (one contiguous
+/// pool, so distance evaluations stay cache-friendly); it owns no id.
 class FingerprintStore {
  public:
   FingerprintStore() = default;
 
-  /// Copies the index's fp_offsets / fp_keys columns (index.columns()) —
+  /// Views the index's fp_offsets / fp_keys columns (index.columns()) —
   /// the ids the scan intersects, under the dictionary PrepareScan maps
   /// query_fps through, so build-time and query-time geometry agree by
-  /// construction.
-  /// Works for every backing: a mapped artifact, an owned index or a
-  /// dynamic snapshot.
+  /// construction. Works for every backing: a mapped artifact, an owned
+  /// index or a dynamic snapshot. The index must outlive the store and
+  /// must not be mutated while the store is in use.
   static FingerprintStore FromIndex(const IndexReader& index);
 
-  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  size_t size() const { return size_; }
   Span<const uint64_t> keys(size_t id) const {
-    return Span<const uint64_t>(pool_.data() + offsets_[id],
+    return Span<const uint64_t>(keys_ + offsets_[id],
                                 static_cast<size_t>(offsets_[id + 1] -
                                                     offsets_[id]));
   }
 
  private:
-  std::vector<uint64_t> pool_;
-  std::vector<uint64_t> offsets_;  // size() + 1 entries
+  const uint64_t* offsets_ = nullptr;  // size() + 1 entries
+  const uint64_t* keys_ = nullptr;
+  size_t size_ = 0;
 };
 
 /// The navigation metric: max(|a|, |b|) - |a ∩ b| over two ascending

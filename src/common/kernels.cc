@@ -54,18 +54,9 @@ bool IntersectAtMostScalar(const uint64_t* a, size_t na, const uint64_t* b,
   return common <= cap;
 }
 
-void Tier1SizeBoundsScalar(const uint32_t* sizes, size_t n,
-                           uint32_t query_size, uint32_t* out_lb) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t s = sizes[i];
-    out_lb[i] = s >= query_size ? s - query_size : query_size - s;
-  }
-}
-
 const ScanKernels kScalarKernels = {
     &IntersectCountScalar,
     &IntersectAtMostScalar,
-    &Tier1SizeBoundsScalar,
     "scalar",
 };
 

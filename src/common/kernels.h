@@ -1,14 +1,10 @@
 /// \file kernels.h
-/// Runtime-dispatched scan kernels: the two batched primitives the online
-/// scan's hot loops reduce to once candidate data is laid out as columns
-/// (docs/ARCHITECTURE.md, "Scan kernels & column layout"):
-///
-///   (a) tier1_size_bounds — the batched tier-1 size bound |q - s_i| over a
-///       contiguous column of per-candidate branch counts;
-///   (b) intersect_count / intersect_at_most — multiset intersection
-///       counting over two ascending uint64 branch-id arrays, plus its
-///       capped decision form (the exact GBD intersection and the tier-2
-///       cut).
+/// Runtime-dispatched scan kernels: the primitive the online scan's hot
+/// loops reduce to once candidate data is laid out as columns
+/// (docs/ARCHITECTURE.md, "Scan kernels & column layout") —
+/// intersect_count / intersect_at_most, multiset intersection counting over
+/// two ascending uint64 branch-id arrays plus its capped decision form (the
+/// exact GBD intersection and the tier-2 cut).
 ///
 /// Two implementations exist behind one table: a scalar reference (the
 /// semantics every other path is gated against) and an AVX2 variant
@@ -84,12 +80,6 @@ struct ScanKernels {
   /// still return the identical boolean.
   bool (*intersect_at_most)(const uint64_t* a, size_t na, const uint64_t* b,
                             size_t nb, int64_t cap);
-  /// Batched tier-1 size bound: out_lb[i] = |query_size - sizes[i]| for
-  /// i in [0, n) — the GBD lower bound from multiset sizes alone
-  /// (GBD >= max(|B1|,|B2|) - min(|B1|,|B2|)). `out_lb` may not alias
-  /// `sizes`.
-  void (*tier1_size_bounds)(const uint32_t* sizes, size_t n,
-                            uint32_t query_size, uint32_t* out_lb);
   const char* name;
 };
 

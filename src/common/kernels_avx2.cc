@@ -193,28 +193,9 @@ bool IntersectAtMostAvx2(const uint64_t* a, size_t na, const uint64_t* b,
   return common <= cap;
 }
 
-void Tier1SizeBoundsAvx2(const uint32_t* sizes, size_t n, uint32_t query_size,
-                         uint32_t* out_lb) {
-  const __m256i vq = _mm256_set1_epi32(static_cast<int>(query_size));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vs =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sizes + i));
-    // |s - q| on unsigned lanes as max(s, q) - min(s, q).
-    const __m256i d = _mm256_sub_epi32(_mm256_max_epu32(vs, vq),
-                                       _mm256_min_epu32(vs, vq));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_lb + i), d);
-  }
-  for (; i < n; ++i) {
-    const uint32_t s = sizes[i];
-    out_lb[i] = s >= query_size ? s - query_size : query_size - s;
-  }
-}
-
 const ScanKernels kAvx2Kernels = {
     &IntersectCountAvx2,
     &IntersectAtMostAvx2,
-    &Tier1SizeBoundsAvx2,
     "avx2",
 };
 

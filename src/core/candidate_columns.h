@@ -1,7 +1,9 @@
 /// \file candidate_columns.h
-/// The owned form of the SoA candidate columns (core/index_reader.h): an
-/// owned GbdaIndex — including every dynamic snapshot — concatenates its
-/// per-graph id vectors into them lazily on first use. The v4 arena writer
+/// The owned form of the SoA candidate columns (core/index_reader.h): the
+/// owned GbdaIndex's only store of branch ids, and so of every dynamic
+/// snapshot's. GbdaIndex::Build lays them out as it interns the branches,
+/// and each AddGraphs / RemoveGraphs lays out a fresh object in place of
+/// the old one, so a reader never builds them. The v4 arena writer
 /// (storage/index_arena.cc) persists the same layout, with the ids
 /// renumbered in content order, which a fresh Build's ids already are.
 /// See docs/ARCHITECTURE.md, "Scan kernels & column layout".
@@ -11,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/span.h"
 #include "core/index_reader.h"
 
 namespace gbda {
@@ -31,10 +32,5 @@ struct OwnedCandidateColumns {
     return c;
   }
 };
-
-/// Concatenates the graphs' ascending id multisets, in order, into the
-/// columns. O(total branches).
-OwnedCandidateColumns BuildCandidateColumns(
-    const std::vector<Span<const uint64_t>>& graph_ids);
 
 }  // namespace gbda

@@ -20,6 +20,36 @@ constexpr int64_t kMaxPlausibleLabels = int64_t{1} << 32;  // LabelId is u32
 constexpr int64_t kMaxPlausibleComponents = 1 << 16;
 constexpr int64_t kMaxPlausibleIterations = 1 << 30;
 
+/// The graphs of `columns` but the ascending positions `erased`, in order,
+/// with room for `more_graphs` graphs holding `more_ids` ids after them.
+OwnedCandidateColumns CopyExcept(const OwnedCandidateColumns& columns,
+                                 const std::vector<size_t>& erased,
+                                 size_t more_graphs, size_t more_ids) {
+  size_t erased_ids = 0;
+  for (size_t p : erased) erased_ids += columns.sizes[p];
+  const size_t graphs = columns.sizes.size() - erased.size() + more_graphs;
+  OwnedCandidateColumns out;
+  out.sizes.reserve(graphs);
+  out.fp_offsets.reserve(graphs + 1);
+  out.fp_offsets.push_back(0);
+  out.fp_keys.reserve(columns.fp_keys.size() - erased_ids + more_ids);
+  auto next_erased = erased.begin();
+  for (size_t g = 0; g < columns.sizes.size(); ++g) {
+    if (next_erased != erased.end() && *next_erased == g) {
+      ++next_erased;
+      continue;
+    }
+    out.sizes.push_back(columns.sizes[g]);
+    out.fp_keys.insert(
+        out.fp_keys.end(),
+        columns.fp_keys.begin() + static_cast<ptrdiff_t>(columns.fp_offsets[g]),
+        columns.fp_keys.begin() +
+            static_cast<ptrdiff_t>(columns.fp_offsets[g + 1]));
+    out.fp_offsets.push_back(out.fp_keys.size());
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
@@ -40,29 +70,32 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
           : static_cast<int64_t>(db.edge_labels().num_real_labels());
 
   // Branches (the auxiliary structure of Section III), interned in corpus
-  // order, then renumbered in content order. A graph's multiset is sorted
-  // by content, so its renumbered ids come out ascending.
+  // order straight into the candidate columns, then renumbered in content
+  // order. A graph's multiset is sorted by content, so its renumbered ids
+  // come out ascending. A graph has one branch per vertex.
   WallTimer timer;
+  size_t total_branches = 0;
+  for (size_t i = 0; i < db.size(); ++i) {
+    total_branches += db.graph(i).num_vertices();
+  }
+  OwnedCandidateColumns columns;
+  columns.fp_offsets.push_back(0);
+  columns.fp_keys.reserve(total_branches);
   BranchDictionary first_seen;
-  std::vector<uint64_t> offsets = {0};
-  std::vector<uint64_t> ids;
   for (size_t i = 0; i < db.size(); ++i) {
     const BranchMultiset branches = ExtractBranches(db.graph(i));
     const BranchSetRef set = branches;
     for (size_t b = 0; b < set.size(); ++b) {
-      ids.push_back(first_seen.Intern(set.root(b), set.edge_labels(b)));
+      columns.fp_keys.push_back(
+          first_seen.Intern(set.root(b), set.edge_labels(b)));
     }
-    offsets.push_back(ids.size());
-    index.vertex_sum_ += static_cast<double>(db.graph(i).num_vertices());
+    columns.sizes.push_back(static_cast<uint32_t>(set.size()));
+    columns.fp_offsets.push_back(columns.fp_keys.size());
   }
   index.dictionary_ = std::make_shared<const BranchDictionary>(
-      first_seen.Renumbered(offsets, &ids));
-  index.graph_ids_.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    index.graph_ids_.push_back(std::make_shared<const std::vector<uint64_t>>(
-        ids.begin() + static_cast<ptrdiff_t>(offsets[i]),
-        ids.begin() + static_cast<ptrdiff_t>(offsets[i + 1])));
-  }
+      first_seen.Renumbered(columns.fp_offsets, &columns.fp_keys));
+  index.columns_ =
+      std::make_shared<const OwnedCandidateColumns>(std::move(columns));
   index.costs_.branch_seconds = timer.Seconds();
 
   // Lambda2: GMM prior over GBDs. RefitGbdPrior runs the identical
@@ -95,58 +128,44 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
   return index;
 }
 
-std::vector<Span<const uint64_t>> GbdaIndex::GraphIdSpans() const {
-  std::vector<Span<const uint64_t>> spans;
-  spans.reserve(graph_ids_.size());
-  for (const auto& ids : graph_ids_) spans.emplace_back(*ids);
-  return spans;
-}
-
-CandidateColumns GbdaIndex::columns() const {
-  ColumnCache* cache = column_cache_.get();
-  MutexLock lock(&cache->mu);
-  if (!cache->built) {
-    cache->columns = BuildCandidateColumns(GraphIdSpans());
-    cache->built = true;
-  }
-  // The returned pointers outlive the lock: once built, the cache object is
-  // immutable — mutations swap in a whole new cache instead.
-  return cache->columns.View();
-}
-
 void GbdaIndex::AddGraphs(Span<const Graph> graphs) {
+  size_t added_branches = 0;
+  for (const Graph& g : graphs) added_branches += g.num_vertices();
+  OwnedCandidateColumns next =
+      CopyExcept(*columns_, {}, graphs.size(), added_branches);
   // This call's private copy of the dictionary, made at the first unseen
   // branch: copies of the index taken before the call keep theirs.
   std::shared_ptr<BranchDictionary> grown;
   for (const Graph& g : graphs) {
     const BranchMultiset branches = ExtractBranches(g);
     const BranchSetRef set = branches;
-    std::vector<uint64_t> ids(set.size());
+    const size_t first = next.fp_keys.size();
     for (size_t b = 0; b < set.size(); ++b) {
-      ids[b] = dictionary_->Find(set.root(b), set.edge_labels(b));
-      if (ids[b] == dictionary_->size()) {
+      uint64_t id = dictionary_->Find(set.root(b), set.edge_labels(b));
+      if (id == dictionary_->size()) {
         if (grown == nullptr) {
           grown = std::make_shared<BranchDictionary>(*dictionary_);
           dictionary_ = grown;
         }
-        ids[b] = grown->Intern(set.root(b), set.edge_labels(b));
+        id = grown->Intern(set.root(b), set.edge_labels(b));
       }
+      next.fp_keys.push_back(id);
     }
     // Appended ids are not in content order.
-    std::sort(ids.begin(), ids.end());
-    graph_ids_.push_back(
-        std::make_shared<const std::vector<uint64_t>>(std::move(ids)));
-    vertex_sum_ += static_cast<double>(g.num_vertices());
+    std::sort(next.fp_keys.begin() + static_cast<ptrdiff_t>(first),
+              next.fp_keys.end());
+    next.sizes.push_back(static_cast<uint32_t>(set.size()));
+    next.fp_offsets.push_back(next.fp_keys.size());
     ++gbd_staleness_;
   }
-  column_cache_ = std::make_shared<ColumnCache>();
+  columns_ = std::make_shared<const OwnedCandidateColumns>(std::move(next));
 }
 
 Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
   std::vector<size_t> sorted = positions;
   std::sort(sorted.begin(), sorted.end());
   for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= graph_ids_.size()) {
+    if (sorted[i] >= num_graphs()) {
       return Status::InvalidArgument(
           "index RemoveGraphs: position out of range: " +
           std::to_string(sorted[i]));
@@ -156,21 +175,33 @@ Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
                                      std::to_string(sorted[i]));
     }
   }
-  for (size_t p : sorted) {
-    vertex_sum_ -= static_cast<double>(graph_ids_[p]->size());
-    graph_ids_[p] = nullptr;
+  OwnedCandidateColumns next = CopyExcept(*columns_, sorted, 0, 0);
+  // The erased graphs' branches stay in the dictionary as dead entries.
+  // Once fewer than half of its entries are held, the held ones are
+  // renumbered into a fresh dictionary, as Build does; copies taken
+  // earlier keep the old object.
+  std::vector<uint8_t> held(dictionary_->size(), 0);
+  for (uint64_t id : next.fp_keys) held[id] = 1;
+  if (2 * static_cast<size_t>(std::count(held.begin(), held.end(), 1)) <
+      dictionary_->size()) {
+    dictionary_ = std::make_shared<const BranchDictionary>(
+        dictionary_->Renumbered(next.fp_offsets, &next.fp_keys));
   }
-  graph_ids_.erase(std::remove(graph_ids_.begin(), graph_ids_.end(), nullptr),
-                   graph_ids_.end());
+  columns_ = std::make_shared<const OwnedCandidateColumns>(std::move(next));
   gbd_staleness_ += sorted.size();
-  column_cache_ = std::make_shared<ColumnCache>();
   return Status::OK();
 }
 
 Status GbdaIndex::RefitGbdPrior() {
+  const OwnedCandidateColumns& columns = *columns_;
+  std::vector<Span<const uint64_t>> graphs;
+  graphs.reserve(columns.sizes.size());
+  for (size_t g = 0; g < columns.sizes.size(); ++g) {
+    graphs.emplace_back(columns.fp_keys.data() + columns.fp_offsets[g],
+                        columns.sizes[g]);
+  }
   Rng rng(options_.seed);
-  Result<GbdPrior> prior =
-      GbdPrior::Fit(GraphIdSpans(), options_.gbd_prior, &rng);
+  Result<GbdPrior> prior = GbdPrior::Fit(graphs, options_.gbd_prior, &rng);
   if (!prior.ok()) return prior.status();
   gbd_prior_ = std::make_shared<const GbdPrior>(std::move(*prior));
   gbd_staleness_ = 0;

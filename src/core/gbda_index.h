@@ -18,9 +18,10 @@
 /// lazily to unseen sizes as it always has, and the GMM prior Lambda2
 /// tracks a staleness counter so a caller can re-fit it (RefitGbdPrior)
 /// once drift exceeds its policy threshold. The index is always dense.
-/// Artifacts are held through shared_ptr, so a copy shares them in
-/// O(graphs) pointer copies — the snapshot primitive of DynamicGbdaService,
-/// which alone maps positions to stable ids.
+/// Every mutation lays out the next candidate columns itself, and every
+/// artifact is held through shared_ptr, so a copy is a few pointer copies —
+/// the snapshot primitive of DynamicGbdaService, which alone maps
+/// positions to stable ids.
 
 #pragma once
 
@@ -29,9 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "core/branch_dictionary.h"
 #include "core/candidate_columns.h"
 #include "core/gbd_prior.h"
@@ -77,9 +76,10 @@ struct OfflineCosts {
 /// prior of GEDs (Lambda3). Built once per database, then shared by any
 /// number of online searches.
 ///
-/// Copying an index is cheap and shallow: the id vectors, the dictionary
-/// and both priors are immutable (or internally synchronized) shared
-/// artifacts.
+/// Copying an index is cheap and shallow: the candidate columns, the
+/// dictionary and both priors are immutable (or internally synchronized)
+/// shared artifacts. A mutation replaces what it changes instead of
+/// writing to it, so the index takes no lock of its own.
 ///
 /// GbdaIndex is the owning implementation of the IndexReader scan contract;
 /// the zero-copy GbdaIndexView (storage/index_view.h) is the other.
@@ -92,15 +92,14 @@ class GbdaIndex : public IndexReader {
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
 
-  size_t num_graphs() const override { return graph_ids_.size(); }
+  size_t num_graphs() const override { return columns_->sizes.size(); }
 
-  /// The SoA candidate columns, concatenated lazily from the per-graph id
-  /// vectors on first use (BuildCandidateColumns) and cached. Safe for
-  /// concurrent readers; AddGraphs / RemoveGraphs swap in a fresh cache, so
-  /// shallow copies taken earlier (snapshots, shard replicas) keep reading
-  /// the cache that matches THEIR branch data, and copies of an unchanged
-  /// index share one cache.
-  CandidateColumns columns() const override;
+  /// The SoA candidate columns, the index's only store of branch ids. A
+  /// lock-free view: Build lays the columns out, and AddGraphs /
+  /// RemoveGraphs each lay out a fresh object in place of the old one, so
+  /// the pointers stay the same until this index next mutates, and copies
+  /// taken earlier (snapshots) keep reading their own.
+  CandidateColumns columns() const override { return columns_->View(); }
 
   const BranchDictionary& dictionary() const override { return *dictionary_; }
 
@@ -116,11 +115,13 @@ class GbdaIndex : public IndexReader {
   int64_t num_edge_labels() const override { return num_edge_labels_; }
 
   /// Mean vertex count over the indexed graphs (used by the GBDA-V1
-  /// variant).
+  /// variant). A graph has one branch per vertex, so the vertex total is
+  /// the last column offset, an exact integer.
   double avg_vertices() const override {
-    return graph_ids_.empty()
+    return num_graphs() == 0
                ? 0.0
-               : vertex_sum_ / static_cast<double>(graph_ids_.size());
+               : static_cast<double>(columns_->fp_offsets.back()) /
+                     static_cast<double>(num_graphs());
   }
 
   const OfflineCosts& costs() const { return costs_; }
@@ -129,18 +130,22 @@ class GbdaIndex : public IndexReader {
   // -- Incremental maintenance (docs/ARCHITECTURE.md, "Dynamic corpus") ----
 
   /// Appends the graphs in order (the last lands at num_graphs() - 1).
-  /// O(|g| log |g|) per graph — only the new graphs are touched. A branch
-  /// the dictionary lacks gets the next id; the first one a call meets
-  /// copies the dictionary before appending, so copies of this index taken
-  /// earlier keep reading theirs unchanged. Lambda2 is NOT refit; the
-  /// staleness counter advances once per graph.
+  /// Branch extraction and lookups touch only the new graphs
+  /// (O(|g| log |g|) each); laying out the next columns copies the current
+  /// ids once. A branch the dictionary lacks gets the next id; the first
+  /// one a call meets copies the dictionary before appending, so copies of
+  /// this index taken earlier keep reading theirs unchanged. Lambda2 is NOT
+  /// refit; the staleness counter advances once per graph.
   void AddGraphs(Span<const Graph> graphs);
 
   /// Erases the graphs at the given positions; the remaining graphs keep
   /// their relative order, so later positions shift down. Fails
   /// (InvalidArgument) without modifying anything when a position is out of
-  /// range or repeated. Lambda2 is NOT refit; the staleness counter
-  /// advances by the number of graphs erased.
+  /// range or repeated. The dictionary keeps the erased graphs' branches
+  /// until fewer than half of its entries are held by some graph; then it
+  /// is replaced by the held entries renumbered (BranchDictionary::
+  /// Renumbered), so churn cannot grow it without bound. Lambda2 is NOT
+  /// refit; the staleness counter advances by the number of graphs erased.
   Status RemoveGraphs(const std::vector<size_t>& positions);
 
   /// Mutations (adds + removes) since Lambda2 was last fit.
@@ -148,9 +153,9 @@ class GbdaIndex : public IndexReader {
   /// Staleness relative to the corpus size — the drift measure of the
   /// refit policy (DynamicServiceOptions::gbd_refit_fraction).
   double GbdStalenessFraction() const {
-    return graph_ids_.empty() ? 0.0
-                              : static_cast<double>(gbd_staleness_) /
-                                    static_cast<double>(graph_ids_.size());
+    return num_graphs() == 0 ? 0.0
+                             : static_cast<double>(gbd_staleness_) /
+                                   static_cast<double>(num_graphs());
   }
 
   /// Re-fits Lambda2 over the graphs' branch ids with this index's seed and
@@ -167,37 +172,16 @@ class GbdaIndex : public IndexReader {
  private:
   GbdaIndex() = default;
 
-  /// Each graph's ids as a span, in position order.
-  std::vector<Span<const uint64_t>> GraphIdSpans() const;
-
-  /// Lazily built candidate columns. Held through shared_ptr and REPLACED
-  /// (never mutated in place) on branch mutations, preserving the class's
-  /// cheap-shallow-copy contract: a copy sharing the old cache object stays
-  /// internally consistent because its graph_ids_ snapshot is the one the
-  /// cached columns were (or will be) built from.
-  struct ColumnCache {
-    Mutex mu;
-    bool built GBDA_GUARDED_BY(mu) = false;
-    /// Guarded only during the build: columns() hands out views after
-    /// setting `built` under `mu`, and from then on the object is immutable
-    /// (mutations swap in a whole new ColumnCache instead).
-    OwnedCandidateColumns columns GBDA_GUARDED_BY(mu);
-  };
-
   GbdaIndexOptions options_;
   int64_t num_vertex_labels_ = 1;
   int64_t num_edge_labels_ = 1;
-  /// Exact sum of vertex counts over the graphs (integer-valued doubles, so
-  /// incremental +/- stays bit-identical to a fresh summation).
-  double vertex_sum_ = 0.0;
   size_t gbd_staleness_ = 0;
-  /// Per graph, its branches' ids, ascending.
-  std::vector<std::shared_ptr<const std::vector<uint64_t>>> graph_ids_;
-  std::shared_ptr<const BranchDictionary> dictionary_ =
-      std::make_shared<const BranchDictionary>();
+  /// Every graph's branch ids, ascending per graph (see columns()).
+  /// Immutable once laid out: a mutation swaps in a fresh object.
+  std::shared_ptr<const OwnedCandidateColumns> columns_;
+  std::shared_ptr<const BranchDictionary> dictionary_;
   std::shared_ptr<const GbdPrior> gbd_prior_;
   std::shared_ptr<GedPriorTable> ged_prior_;
-  std::shared_ptr<ColumnCache> column_cache_ = std::make_shared<ColumnCache>();
   OfflineCosts costs_;
 };
 

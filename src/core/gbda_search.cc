@@ -295,9 +295,9 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   const uint64_t* query_keys = ctx.query_fps.data();
   const size_t query_keys_n = ctx.query_fps.size();  // the query's |V|
 
-  // The scan runs in blocks: admission (stage A), then one batched bound
-  // evaluation against the block-frozen witness state (stage B), then
-  // scoring of the survivors (stage C). Freezing the witnesses for a block
+  // The scan runs in blocks: admission (stage A), then the bounds of the
+  // admitted candidates against the block-frozen witness state (stage B),
+  // then scoring of the survivors (stage C). Freezing the witnesses for a block
   // prunes a SUBSET of what per-candidate refresh would prune, and pruning
   // only ever removes candidates provably outside the top-k, so the final
   // ranking stays bit-identical (the same argument that makes the
@@ -318,8 +318,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   constexpr size_t kScanBlockMax = 128;
   std::vector<size_t> blk_ids;
   blk_ids.reserve(kScanBlockMax);
-  std::vector<uint32_t> blk_sizes(kScanBlockMax);
-  std::vector<uint32_t> blk_lb(kScanBlockMax);
   std::vector<char> blk_keep(kScanBlockMax);
 
   size_t block_size = 16;
@@ -346,7 +344,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     if (blk_ids.empty()) continue;
     const size_t admitted = blk_ids.size();
 
-    // -- Stage B: batched bounds under the block-frozen witness ------------
+    // -- Stage B: bounds under the block-frozen witness --------------------
     // phi_floor: gamma on a threshold scan, the cross-shard k-th-best phi
     // on a ranking scan, -infinity when disarmed.
     bool local_full = false;
@@ -357,16 +355,6 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     const bool do_prune = local_full || phi_floor >= 0.0;
     if (do_prune) {
-      for (size_t j = 0; j < admitted; ++j) {
-        blk_sizes[j] = columns.sizes[blk_ids[j]];
-      }
-      // Tier 1 for the whole block in one kernel sweep: for non-weighted
-      // variants the bound is exactly |query size - candidate size|.
-      if (options.variant != GbdaVariant::kWeightedGbd) {
-        kernels.tier1_size_bounds(blk_sizes.data(), admitted,
-                                  static_cast<uint32_t>(query_keys_n),
-                                  blk_lb.data());
-      }
       const double kth_phi = local_full ? local_topk.top().phi : -1.0;
       const int64_t kth_gbd = local_full ? local_topk.top().gbd : -1;
       if (kth_phi != last_kth_phi || kth_gbd != last_kth_gbd ||
@@ -391,7 +379,7 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       for (size_t j = 0; j < admitted; ++j) {
         blk_keep[j] = 1;
         const size_t id = blk_ids[j];
-        const size_t g_size = blk_sizes[j];
+        const size_t g_size = columns.sizes[id];
         const int64_t max_size =
             static_cast<int64_t>(std::max(query_keys_n, g_size));
         if (g_size >= tier1_lb.size()) {
@@ -409,14 +397,11 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
             Result<const PhiRow*> row = row_for(v);
             if (!row.ok()) return row.status();
             row_by_size[g_size] = *row;
-            // Tier 1: the common count never exceeds the smaller multiset
-            // (the kernel sweep above already computed the non-weighted
-            // bound for this block).
-            const int64_t lb =
-                options.variant == GbdaVariant::kWeightedGbd
-                    ? phi_lower(max_size, static_cast<int64_t>(
-                                              std::min(query_keys_n, g_size)))
-                    : static_cast<int64_t>(blk_lb[j]);
+            // Tier 1: the common count never exceeds the smaller multiset,
+            // so outside GBDA-V2 the bound is |query size - candidate size|.
+            const int64_t lb = phi_lower(
+                max_size,
+                static_cast<int64_t>(std::min(query_keys_n, g_size)));
             tier1_lb[g_size] = lb;
             tier1_ub[g_size] = (*row)->UpperBound(lb);
           } else {

@@ -98,7 +98,7 @@ struct SearchOptions {
   /// up to k at query time so the window can always hold a full result.
   size_t search_window_size = 64;
   /// Which scan-kernel implementation (common/kernels.h) evaluates the
-  /// batched tier-1/tier-2 cuts and branch-id intersections: kAuto picks
+  /// tier-2 cuts and branch-id intersections: kAuto picks
   /// AVX2 when the CPU supports it, the force values pin one path (the
   /// bench bit-identity gate sweeps both). Results are bit-identical either
   /// way — the kernel contract, pinned by tests/kernels_test.cc. The

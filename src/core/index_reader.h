@@ -41,9 +41,9 @@ struct GbdaIndexOptions;
 ///
 ///   - a mapped v4 arena exposes its sections in place (64-byte aligned by
 ///     the format; storage/index_view.h);
-///   - an owned GbdaIndex (and thus every dynamic snapshot) concatenates
-///     its per-graph id vectors, lazily and once
-///     (core/candidate_columns.h).
+///   - an owned GbdaIndex (and thus every dynamic snapshot) holds them as
+///     its only store of branch ids, laid out by Build and by each
+///     mutation (core/candidate_columns.h).
 ///
 /// All pointers are non-owning; they stay valid while the index lives and
 /// is not mutated. The names say "fp" for fingerprint, which the keys were

@@ -91,8 +91,8 @@ void DynamicGbdaService::Republish(bool force_refit) {
     }
   }
 
-  // A copy shares every artifact with the master: O(live) shared_ptr
-  // copies, and the master's column cache until its branches next change.
+  // A copy shares every artifact with the master, the columns the commit
+  // laid out included: a few pointer copies.
   auto index = std::make_shared<GbdaIndex>(master_);
   // The engine's Phi rows depend only on the two priors, so when neither
   // prior object changed the previous generation's warm engine carries

@@ -21,12 +21,15 @@
 ///     built on first use. Once published it is never modified.
 ///   - Writers (AddGraph / AddGraphs / RemoveGraphs) are serialized by a
 ///     mutex; each commit updates the master index incrementally (branch
-///     extraction and dictionary lookups for the added graphs only),
-///     refits Lambda2 when the staleness policy below fires, copies the
-///     master into the next snapshot in O(live) shared_ptr copies and swaps
-///     the published shared_ptr atomically. The master's branch dictionary
-///     is append-only and never reuses an id; a commit that meets an unseen
-///     branch appends to a private copy, so a published snapshot's
+///     extraction and dictionary lookups for the added graphs only) and
+///     lays out the next generation's candidate columns, so no reader
+///     builds them. It refits Lambda2 when the staleness policy below
+///     fires, copies the master into the next snapshot in a few pointer
+///     copies and swaps the published shared_ptr atomically. The master's
+///     branch dictionary is append-only until compaction: a commit that
+///     meets an unseen branch appends to a private copy, and a removal
+///     that leaves fewer than half of its entries held replaces it with
+///     the held entries renumbered. Either way a published snapshot's
 ///     dictionary never changes (copy-on-write).
 ///   - The engine carries over to the next snapshot while both prior
 ///     objects are unchanged. A Lambda2 refit gets a fresh engine (its Phi

@@ -139,7 +139,9 @@ bool GbdaService::Snapshot::InitAnn(const AnnBuildParams& params,
   std::call_once(ann_once, [this, &params, graph, &ran] {
     ran = true;
     // Built from the snapshot's own index: the dense ids the graph
-    // navigates are exactly this generation's corpus positions.
+    // navigates are exactly this generation's corpus positions, and the
+    // key store reads that index's columns in place (the snapshot holds
+    // the index for as long as the context).
     FingerprintStore store = FingerprintStore::FromIndex(*index);
     Result<AnnContext> ctx = graph != nullptr
                                  ? AnnContext::Adopt(std::move(store), *graph)

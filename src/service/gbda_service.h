@@ -236,7 +236,8 @@ class GbdaService {
   // GBD over branch ids instead of scanning every shard, then
   // verify the visited candidates exactly (ann/navigator.h): the result is
   // a subset of the exhaustive top-k with bit-exact scores. The context
-  // belongs to one snapshot and is initialised at most once per snapshot —
+  // reads the snapshot index's branch-id columns in place, holds no copy of
+  // them, and belongs to that one snapshot. It is initialised at most once —
   // lazily on its first approximate query, eagerly via WarmAnnGraph, or
   // adopted from a mapped artifact. A dynamic service's next commit
   // therefore starts cold again.

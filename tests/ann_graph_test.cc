@@ -36,6 +36,8 @@
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
 #include "graph/graph_database.h"
+#include "storage/index_arena.h"
+#include "storage/index_view.h"
 
 namespace gbda {
 namespace {
@@ -111,11 +113,18 @@ std::unique_ptr<GbdaIndex> BuildIndex(const GraphDatabase& db) {
   return std::make_unique<GbdaIndex>(std::move(*index));
 }
 
-// The key store of `db`, copied out of its index's fp_keys column
-// (FromIndex copies, so the index need not outlive the store).
-FingerprintStore StoreOf(const GraphDatabase& db) {
-  const std::unique_ptr<GbdaIndex> index = BuildIndex(db);
-  return index ? FingerprintStore::FromIndex(*index) : FingerprintStore();
+// The key store of `db`: a view of its index's fp_keys column, kept beside
+// the index it reads.
+struct IndexedStore {
+  std::unique_ptr<GbdaIndex> index;
+  FingerprintStore store;
+};
+
+IndexedStore StoreOf(const GraphDatabase& db) {
+  IndexedStore out;
+  out.index = BuildIndex(db);
+  if (out.index != nullptr) out.store = FingerprintStore::FromIndex(*out.index);
+  return out;
 }
 
 // A corpus of `copies` structurally identical graphs: every node carries the
@@ -186,26 +195,38 @@ std::vector<uint64_t> IdsOf(const GbdaIndex& index, const Graph& g) {
   return ids;
 }
 
-TEST(FingerprintStoreTest, FromIndexHoldsEachGraphsDictionaryIds) {
+TEST(FingerprintStoreTest, FromIndexViewsEachGraphsDictionaryIds) {
   DatasetProfile profile = GrecProfile(0.03);
   profile.seed = 23;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const std::unique_ptr<GbdaIndex> index = BuildIndex(ds->db);
   ASSERT_NE(index, nullptr);
-  const FingerprintStore store = FingerprintStore::FromIndex(*index);
+  const std::string path = ::testing::TempDir() + "/ann_graph_store.v4";
+  ASSERT_TRUE(WriteArenaFile(*index, path).ok());
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
 
-  // The store copies the index's fp_keys column — the ids the scan and the
-  // navigator both read. Check it against an independent lookup of every
-  // branch of a fresh ExtractBranches of the stored graph.
-  ASSERT_EQ(store.size(), ds->db.size());
-  for (size_t g = 0; g < ds->db.size(); ++g) {
-    const std::vector<uint64_t> expected = IdsOf(*index, ds->db.graph(g));
-    const Span<const uint64_t> keys = store.keys(g);
-    ASSERT_EQ(keys.size(), expected.size()) << "graph " << g;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_LT(keys[i], index->dictionary().size());
-      EXPECT_EQ(keys[i], expected[i]) << "graph " << g << " key " << i;
+  // The store reads the index's fp_keys column in place, holding no id of
+  // its own, over an owned index and a mapped artifact alike — the ids the
+  // scan and the navigator both read. Check them against an independent
+  // lookup of every branch of a fresh ExtractBranches of the stored graph
+  // (a fresh Build's ids are the artifact's).
+  const std::vector<const IndexReader*> readers = {index.get(), &*view};
+  for (const IndexReader* reader : readers) {
+    const CandidateColumns columns = reader->columns();
+    const FingerprintStore store = FingerprintStore::FromIndex(*reader);
+    ASSERT_EQ(store.size(), ds->db.size());
+    for (size_t g = 0; g < ds->db.size(); ++g) {
+      const std::vector<uint64_t> expected = IdsOf(*index, ds->db.graph(g));
+      const Span<const uint64_t> keys = store.keys(g);
+      EXPECT_EQ(keys.data(), columns.fp_keys + columns.fp_offsets[g])
+          << "graph " << g;
+      ASSERT_EQ(keys.size(), expected.size()) << "graph " << g;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_LT(keys[i], reader->dictionary().size());
+        EXPECT_EQ(keys[i], expected[i]) << "graph " << g << " key " << i;
+      }
     }
   }
 }
@@ -216,19 +237,20 @@ class FnvKeyedReader : public IndexReader {
  public:
   FnvKeyedReader(const GbdaIndex& index, const GraphDatabase& db)
       : index_(index) {
-    std::vector<std::vector<uint64_t>> keys(db.size());
+    columns_.fp_offsets.push_back(0);
     for (size_t g = 0; g < db.size(); ++g) {
       const BranchMultiset branches = ExtractBranches(db.graph(g));
       const BranchSetRef b = branches;
       for (size_t i = 0; i < b.size(); ++i) {
         const Span<const LabelId> labels = b.edge_labels(i);
-        keys[g].push_back(
+        columns_.fp_keys.push_back(
             BranchFingerprint(b.root(i), labels.data(), labels.size()));
       }
-      std::sort(keys[g].begin(), keys[g].end());
+      std::sort(columns_.fp_keys.end() - static_cast<ptrdiff_t>(b.size()),
+                columns_.fp_keys.end());
+      columns_.sizes.push_back(static_cast<uint32_t>(b.size()));
+      columns_.fp_offsets.push_back(columns_.fp_keys.size());
     }
-    columns_ = BuildCandidateColumns(
-        std::vector<Span<const uint64_t>>(keys.begin(), keys.end()));
   }
   size_t num_graphs() const override { return index_.num_graphs(); }
   size_t gbd_staleness() const override { return 0; }
@@ -267,10 +289,11 @@ TEST(FingerprintStoreTest, GraphOverIdsEqualsGraphOverFnvKeys) {
     AnnBuildParams params;
     params.graph_degree = 8;
     params.build_window = 16;
+    const FnvKeyedReader fnv(*index, ds->db);
     Result<ProximityGraph> over_ids =
         BuildProximityGraph(FingerprintStore::FromIndex(*index), params);
-    Result<ProximityGraph> over_fnv = BuildProximityGraph(
-        FingerprintStore::FromIndex(FnvKeyedReader(*index, ds->db)), params);
+    Result<ProximityGraph> over_fnv =
+        BuildProximityGraph(FingerprintStore::FromIndex(fnv), params);
     ASSERT_TRUE(over_ids.ok()) << over_ids.status().ToString();
     ASSERT_TRUE(over_fnv.ok()) << over_fnv.status().ToString();
     EXPECT_EQ(SerializeProximityGraph(*over_ids),
@@ -284,7 +307,8 @@ TEST(FingerprintStoreTest, GraphOverIdsEqualsGraphOverFnvKeys) {
 // ---------------------------------------------------------------------------
 
 TEST(ProximityGraphBuildTest, RejectsInvalidParams) {
-  const FingerprintStore store = StoreOf(IdenticalCorpus(4));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(4));
+  const FingerprintStore& store = indexed.store;
 
   AnnBuildParams params;
   params.graph_degree = 0;
@@ -305,7 +329,8 @@ TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
   profile.seed = 31;
   Result<GeneratedDataset> ds = GenerateDataset(profile);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  const FingerprintStore store = StoreOf(ds->db);
+  const IndexedStore indexed = StoreOf(ds->db);
+  const FingerprintStore& store = indexed.store;
 
   AnnBuildParams params;
   params.graph_degree = 8;
@@ -326,7 +351,8 @@ TEST(ProximityGraphBuildTest, InvariantsAndDeterminismOnRealCorpus) {
 TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
   // Every pairwise distance is 0: the builder must still produce a valid,
   // fully reachable, deterministic graph (ties broken by id).
-  const FingerprintStore store = StoreOf(IdenticalCorpus(12));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(12));
+  const FingerprintStore& store = indexed.store;
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -340,7 +366,8 @@ TEST(ProximityGraphBuildTest, IdenticalFingerprintCorpus) {
 
 TEST(ProximityGraphBuildTest, TinyCorpus) {
   // Fewer nodes than the degree bound: the graph degenerates gracefully.
-  const FingerprintStore store = StoreOf(IdenticalCorpus(2));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(2));
+  const FingerprintStore& store = indexed.store;
   Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   ExpectCsrInvariants(*graph, 2);
@@ -351,7 +378,8 @@ TEST(ProximityGraphBuildTest, TinyCorpus) {
 // ---------------------------------------------------------------------------
 
 TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
-  const FingerprintStore store = StoreOf(IdenticalCorpus(9));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(9));
+  const FingerprintStore& store = indexed.store;
   AnnBuildParams params;
   params.graph_degree = 3;
   params.build_window = 6;
@@ -375,7 +403,8 @@ TEST(ProximityGraphSerializeTest, RoundTripPreservesEverything) {
 }
 
 TEST(ProximityGraphSerializeTest, RejectsHostilePayloads) {
-  const FingerprintStore store = StoreOf(IdenticalCorpus(5));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(5));
+  const FingerprintStore& store = indexed.store;
   Result<ProximityGraph> graph = BuildProximityGraph(store, AnnBuildParams());
   ASSERT_TRUE(graph.ok());
   const std::string payload = SerializeProximityGraph(*graph);
@@ -489,7 +518,8 @@ TEST_F(NavigationTest, EmptyQueryKeysTerminate) {
 TEST_F(NavigationTest, AllTiedDistancesTerminate) {
   // Identical-fingerprint corpus: every candidate ties at distance 0 from a
   // matching query. Termination rests purely on the id tie-break.
-  const FingerprintStore store = StoreOf(IdenticalCorpus(16));
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(16));
+  const FingerprintStore& store = indexed.store;
   AnnBuildParams params;
   params.graph_degree = 4;
   params.build_window = 8;
@@ -811,11 +841,12 @@ std::vector<uint32_t> Navigate(const ProximityGraphRef& graph,
 
 }  // namespace reference
 
-// One gate corpus: the store plus the query key sets navigated over it —
-// dataset queries (when the corpus has any), the empty multiset, and a
-// corpus member's own keys.
+// One gate corpus: the store, the index it views, and the query key sets
+// navigated over it — dataset queries (when the corpus has any), the empty
+// multiset, and a corpus member's own keys.
 struct GateCorpus {
   std::string name;
+  std::unique_ptr<GbdaIndex> index;
   FingerprintStore store;
   std::vector<std::vector<uint64_t>> queries;
 };
@@ -824,11 +855,11 @@ GateCorpus MakeGateCorpus(const std::string& name, const GraphDatabase& db,
                           const std::vector<Graph>& dataset_queries) {
   GateCorpus corpus;
   corpus.name = name;
-  const std::unique_ptr<GbdaIndex> index = BuildIndex(db);
-  if (index == nullptr) return corpus;
-  corpus.store = FingerprintStore::FromIndex(*index);
+  corpus.index = BuildIndex(db);
+  if (corpus.index == nullptr) return corpus;
+  corpus.store = FingerprintStore::FromIndex(*corpus.index);
   for (size_t q = 0; q < std::min<size_t>(dataset_queries.size(), 2); ++q) {
-    corpus.queries.push_back(IdsOf(*index, dataset_queries[q]));
+    corpus.queries.push_back(IdsOf(*corpus.index, dataset_queries[q]));
   }
   corpus.queries.emplace_back();
   const Span<const uint64_t> member = corpus.store.keys(db.size() / 2);
@@ -934,8 +965,8 @@ TEST(ProximityGraphGateTest, BuildsAndNavigationsMatchTheReference) {
 // ---------------------------------------------------------------------------
 
 TEST(AnnContextTest, BuildOwnsAValidGraph) {
-  const GraphDatabase db = IdenticalCorpus(6);
-  Result<AnnContext> ctx = AnnContext::Build(StoreOf(db), AnnBuildParams());
+  const IndexedStore indexed = StoreOf(IdenticalCorpus(6));
+  Result<AnnContext> ctx = AnnContext::Build(indexed.store, AnnBuildParams());
   ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
   EXPECT_EQ(ctx->store().size(), 6u);
   EXPECT_EQ(ctx->owned_graph().num_nodes(), 6u);
@@ -943,13 +974,13 @@ TEST(AnnContextTest, BuildOwnsAValidGraph) {
 }
 
 TEST(AnnContextTest, AdoptRejectsNodeCountMismatch) {
-  const GraphDatabase small = IdenticalCorpus(4);
-  const GraphDatabase big = IdenticalCorpus(7);
+  const IndexedStore small = StoreOf(IdenticalCorpus(4));
+  const IndexedStore big = StoreOf(IdenticalCorpus(7));
   Result<ProximityGraph> graph =
-      BuildProximityGraph(StoreOf(small), AnnBuildParams());
+      BuildProximityGraph(small.store, AnnBuildParams());
   ASSERT_TRUE(graph.ok());
-  EXPECT_FALSE(AnnContext::Adopt(StoreOf(big), graph->ref()).ok());
-  EXPECT_TRUE(AnnContext::Adopt(StoreOf(small), graph->ref()).ok());
+  EXPECT_FALSE(AnnContext::Adopt(big.store, graph->ref()).ok());
+  EXPECT_TRUE(AnnContext::Adopt(small.store, graph->ref()).ok());
 }
 
 }  // namespace

@@ -533,6 +533,85 @@ TEST_F(DynamicServiceTest, ChurnFreesRemovedGraphs) {
   for (const SearchMatch& m : top->matches) EXPECT_GE(m.graph_id, kCommits);
 }
 
+// The distinct branch ids `index` holds.
+size_t HeldIds(const IndexReader& index) {
+  const CandidateColumns columns = index.columns();
+  const uint64_t total = columns.fp_offsets[index.num_graphs()];
+  std::vector<bool> held(index.dictionary().size(), false);
+  size_t distinct = 0;
+  for (uint64_t k = 0; k < total; ++k) {
+    if (!held[columns.fp_keys[k]]) {
+      held[columns.fp_keys[k]] = true;
+      ++distinct;
+    }
+  }
+  return distinct;
+}
+
+TEST_F(DynamicServiceTest, ChurnOfUnseenBranchesKeepsTheDictionaryBounded) {
+  // 400 rounds each add one graph carrying a fresh vertex label, so a
+  // branch no live graph has, and retire the oldest graph. The retired
+  // graphs' branches are dead entries; once they outnumber the held ones
+  // the dictionary is compacted, so it stays within twice what the live
+  // corpus holds instead of growing by one entry a round.
+  DatasetProfile profile = GrecProfile(0.03);
+  profile.seed = 42;
+  Result<GeneratedDataset> ds = GenerateDataset(profile);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  constexpr size_t kLive = 20;
+  ASSERT_GE(ds->db.size(), kLive);
+  GraphDatabase initial;
+  initial.vertex_labels() = ds->db.vertex_labels();
+  initial.edge_labels() = ds->db.edge_labels();
+  for (size_t g = 0; g < kLive; ++g) initial.Add(ds->db.graph(g));
+  DynamicServiceOptions options;
+  options.service.num_threads = 2;
+  options.gbd_refit_fraction = 1.0;  // refits are not under test here
+  Result<std::unique_ptr<DynamicGbdaService>> created =
+      DynamicGbdaService::Create(std::move(initial), IndexOptions(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  DynamicGbdaService& dyn = **created;
+  GraphsById graphs;
+  for (size_t g = 0; g < kLive; ++g) graphs[g] = ds->db.graph(g);
+
+  constexpr size_t kRounds = 400;
+  for (size_t step = 0; step < kRounds; ++step) {
+    Graph fresh = ds->db.graph(step % kLive);
+    ASSERT_TRUE(fresh
+                    .RelabelVertex(0, dyn.InternVertexLabel(
+                                          "churn-" + std::to_string(step)))
+                    .ok());
+    AddAndRecord(dyn, {fresh}, &graphs);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(dyn.RemoveGraphs({step}).ok());
+    const std::shared_ptr<const IndexReader> now = dyn.snapshot_index();
+    ASSERT_LE(now->dictionary().size(), 2 * HeldIds(*now)) << "step " << step;
+  }
+  EXPECT_EQ(dyn.num_live(), kLive);
+
+  // The compacted corpus answers as a fresh build over its live graphs.
+  std::unique_ptr<Reference> ref =
+      MakeReference(dyn, graphs, IndexOptions(), options.service);
+  ASSERT_NE(ref, nullptr);
+  ASSERT_TRUE(dyn.Flush().ok());
+  SearchOptions opts;
+  opts.tau_hat = 3;
+  opts.gamma = 0.3;
+  for (size_t q = 0; q < 2 && q < ds->queries.size(); ++q) {
+    Result<SearchResult> expect = ref->service->Query(ds->queries[q], opts);
+    Result<SearchResult> got = dyn.Query(ds->queries[q], opts);
+    ASSERT_TRUE(expect.ok() && got.ok());
+    ExpectBitIdentical(*expect, *got, ref->live_ids,
+                       "query " + std::to_string(q));
+    Result<SearchResult> expect_topk =
+        ref->service->QueryTopK(ds->queries[q], 5, opts);
+    Result<SearchResult> got_topk = dyn.QueryTopK(ds->queries[q], 5, opts);
+    ASSERT_TRUE(expect_topk.ok() && got_topk.ok());
+    ExpectBitIdentical(*expect_topk, *got_topk, ref->live_ids,
+                       "topk query " + std::to_string(q));
+  }
+}
+
 TEST_F(DynamicServiceTest, ConcurrentQueriesAndMutationsStayConsistent) {
   const GbdaIndexOptions index_options = IndexOptions();
   DynamicServiceOptions options;

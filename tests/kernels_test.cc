@@ -1,12 +1,12 @@
 // Property suite for the runtime-dispatched scan kernels (common/kernels.h):
 // the scalar table is the reference, and the AVX2 table must agree with it
-// EXACTLY — same counts, same capped decisions, same tier-1 bound columns —
-// over randomized sorted-key sets covering the shapes the scan produces:
-// empty sides, identical sides, collision-heavy multisets (few distinct
-// keys, high multiplicities), unaligned lengths 0..257 straddling the 4-lane
-// and 8-lane vector widths, and saturating at_most caps (negative, 0, exact
-// count, count +/- 1, huge). Dispatch resolution and the
-// GBDA_FORCE_SCALAR_KERNELS override are pinned here too.
+// EXACTLY — same counts, same capped decisions — over randomized sorted-key
+// sets covering the shapes the scan produces: empty sides, identical sides,
+// collision-heavy multisets (few distinct keys, high multiplicities),
+// unaligned lengths 0..257 straddling the 4-lane vector width, and
+// saturating at_most caps (negative, 0, exact count, count +/- 1, huge).
+// Dispatch resolution and the GBDA_FORCE_SCALAR_KERNELS override are pinned
+// here too.
 
 #include "common/kernels.h"
 
@@ -139,29 +139,6 @@ TEST(KernelsTest, IntersectSignBitStraddle) {
   ExpectKernelAgreement(a, b);
   EXPECT_EQ(3, Scalar().intersect_count(a.data(), a.size(), b.data(),
                                         b.size()));
-}
-
-TEST(KernelsTest, Tier1SizeBoundsMatchesScalarOnUnalignedLengths) {
-  Rng rng(7);
-  for (size_t n = 0; n <= 67; ++n) {
-    std::vector<uint32_t> sizes(n);
-    for (auto& s : sizes) {
-      s = static_cast<uint32_t>(rng.UniformInt(0, 1 << 20));
-    }
-    for (uint32_t q : {0u, 1u, 37u, 1u << 19, ~0u}) {
-      std::vector<uint32_t> scalar_lb(n, 0xDEADBEEF), avx2_lb(n, 0xDEADBEEF);
-      Scalar().tier1_size_bounds(sizes.data(), n, q, scalar_lb.data());
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t want = std::llabs(static_cast<int64_t>(sizes[i]) -
-                                        static_cast<int64_t>(q));
-        EXPECT_EQ(want, static_cast<int64_t>(scalar_lb[i]));
-      }
-      if (Avx2Available()) {
-        Avx2().tier1_size_bounds(sizes.data(), n, q, avx2_lb.data());
-        EXPECT_EQ(scalar_lb, avx2_lb);
-      }
-    }
-  }
 }
 
 TEST(KernelsTest, DispatchResolution) {
