@@ -1,6 +1,7 @@
 /// \file candidate_columns.h
-/// The owned form of the SoA candidate columns (core/index_reader.h): the
-/// owned GbdaIndex's only store of branch ids, and so of every dynamic
+/// The owned form of the SoA candidate columns (core/index_reader.h), the
+/// graph offsets and the packed ids (a graph's size is its offsets delta):
+/// the owned GbdaIndex's only store of branch ids, and so of every dynamic
 /// snapshot's. GbdaIndex::Build lays them out as it interns the branches,
 /// and each AddGraphs / RemoveGraphs lays out a fresh object in place of
 /// the old one, so a reader never builds them. The v4 arena writer
@@ -20,13 +21,11 @@ namespace gbda {
 /// Heap-owning candidate columns plus the accessor that views them through
 /// the non-owning CandidateColumns contract.
 struct OwnedCandidateColumns {
-  std::vector<uint32_t> sizes;       // [num_graphs]
   std::vector<uint64_t> fp_offsets;  // [num_graphs + 1]
   std::vector<uint64_t> fp_keys;     // per-graph ascending ids, packed
 
   CandidateColumns View() const {
     CandidateColumns c;
-    c.sizes = sizes.data();
     c.fp_offsets = fp_offsets.data();
     c.fp_keys = fp_keys.data();
     return c;

@@ -25,21 +25,21 @@ constexpr int64_t kMaxPlausibleIterations = 1 << 30;
 OwnedCandidateColumns CopyExcept(const OwnedCandidateColumns& columns,
                                  const std::vector<size_t>& erased,
                                  size_t more_graphs, size_t more_ids) {
+  const size_t num_graphs = columns.fp_offsets.size() - 1;
   size_t erased_ids = 0;
-  for (size_t p : erased) erased_ids += columns.sizes[p];
-  const size_t graphs = columns.sizes.size() - erased.size() + more_graphs;
+  for (size_t p : erased) {
+    erased_ids += columns.fp_offsets[p + 1] - columns.fp_offsets[p];
+  }
   OwnedCandidateColumns out;
-  out.sizes.reserve(graphs);
-  out.fp_offsets.reserve(graphs + 1);
+  out.fp_offsets.reserve(num_graphs - erased.size() + more_graphs + 1);
   out.fp_offsets.push_back(0);
   out.fp_keys.reserve(columns.fp_keys.size() - erased_ids + more_ids);
   auto next_erased = erased.begin();
-  for (size_t g = 0; g < columns.sizes.size(); ++g) {
+  for (size_t g = 0; g < num_graphs; ++g) {
     if (next_erased != erased.end() && *next_erased == g) {
       ++next_erased;
       continue;
     }
-    out.sizes.push_back(columns.sizes[g]);
     out.fp_keys.insert(
         out.fp_keys.end(),
         columns.fp_keys.begin() + static_cast<ptrdiff_t>(columns.fp_offsets[g]),
@@ -89,7 +89,6 @@ Result<GbdaIndex> GbdaIndex::Build(const GraphDatabase& db,
       columns.fp_keys.push_back(
           first_seen.Intern(set.root(b), set.edge_labels(b)));
     }
-    columns.sizes.push_back(static_cast<uint32_t>(set.size()));
     columns.fp_offsets.push_back(columns.fp_keys.size());
   }
   index.dictionary_ = std::make_shared<const BranchDictionary>(
@@ -154,7 +153,6 @@ void GbdaIndex::AddGraphs(Span<const Graph> graphs) {
     // Appended ids are not in content order.
     std::sort(next.fp_keys.begin() + static_cast<ptrdiff_t>(first),
               next.fp_keys.end());
-    next.sizes.push_back(static_cast<uint32_t>(set.size()));
     next.fp_offsets.push_back(next.fp_keys.size());
     ++gbd_staleness_;
   }
@@ -195,10 +193,10 @@ Status GbdaIndex::RemoveGraphs(const std::vector<size_t>& positions) {
 Status GbdaIndex::RefitGbdPrior() {
   const OwnedCandidateColumns& columns = *columns_;
   std::vector<Span<const uint64_t>> graphs;
-  graphs.reserve(columns.sizes.size());
-  for (size_t g = 0; g < columns.sizes.size(); ++g) {
+  graphs.reserve(num_graphs());
+  for (size_t g = 0; g < num_graphs(); ++g) {
     graphs.emplace_back(columns.fp_keys.data() + columns.fp_offsets[g],
-                        columns.sizes[g]);
+                        columns.fp_offsets[g + 1] - columns.fp_offsets[g]);
   }
   Rng rng(options_.seed);
   Result<GbdPrior> prior = GbdPrior::Fit(graphs, options_.gbd_prior, &rng);
@@ -265,9 +263,9 @@ Status ValidateIndexForDatabase(const GraphDatabase& db,
         std::to_string(db.size()) +
         " (stale index artifact? rebuild or reload the matching generation)");
   }
-  const CandidateColumns columns = index.columns();
+  const uint64_t* offsets = index.columns().fp_offsets;
   for (size_t id = 0; id < db.size(); ++id) {
-    if (columns.sizes[id] != db.graph(id).num_vertices()) {
+    if (offsets[id + 1] - offsets[id] != db.graph(id).num_vertices()) {
       return Status::FailedPrecondition(
           "index/database mismatch: branch multiset of graph " +
           std::to_string(id) + " does not match the stored graph");

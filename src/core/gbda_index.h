@@ -92,7 +92,10 @@ class GbdaIndex : public IndexReader {
   static Result<GbdaIndex> Build(const GraphDatabase& db,
                                  const GbdaIndexOptions& options);
 
-  size_t num_graphs() const override { return columns_->sizes.size(); }
+  /// One more column offset than graphs, so never 0 - 1.
+  size_t num_graphs() const override {
+    return columns_->fp_offsets.size() - 1;
+  }
 
   /// The SoA candidate columns, the index's only store of branch ids. A
   /// lock-free view: Build lays the columns out, and AddGraphs /
@@ -187,9 +190,9 @@ class GbdaIndex : public IndexReader {
 
 /// The construction-time agreement check of every (database, index) consumer
 /// (GbdaSearch, GbdaService, DynamicGbdaService): graph counts, and each
-/// graph's branch count (columns().sizes) against its vertex count. An
-/// index built over a different database generation — e.g. a stale
-/// persisted artifact — would otherwise drive out-of-bounds prefilter
+/// graph's branch count (its columns().fp_offsets delta) against its vertex
+/// count. An index built over a different database generation — e.g. a
+/// stale persisted artifact — would otherwise drive out-of-bounds prefilter
 /// lookups during scans. Accepts any IndexReader, so a mapped v4 artifact is
 /// checked the same way as an owned index.
 Status ValidateIndexForDatabase(const GraphDatabase& db,

@@ -82,10 +82,10 @@ Result<ScanContext> PrepareScan(const Graph& query,
         1, std::min(options.v1_sample_alpha, index.num_graphs()));
     const std::vector<size_t> picks =
         rng.SampleWithoutReplacement(index.num_graphs(), alpha);
-    const CandidateColumns columns = index.columns();
+    const uint64_t* offsets = index.columns().fp_offsets;
     double sum = 0.0;
     for (size_t id : picks) {
-      sum += static_cast<double>(columns.sizes[id]);
+      sum += static_cast<double>(offsets[id + 1] - offsets[id]);
     }
     ctx.v1_size = std::max<int64_t>(
         1, static_cast<int64_t>(std::llround(sum / static_cast<double>(alpha))));
@@ -155,6 +155,28 @@ int64_t RoundVgbd(double vgbd) {
   if (vgbd >= 0x1p63) return std::numeric_limits<int64_t>::max();
   return static_cast<int64_t>(std::llround(vgbd));
 }
+
+constexpr int64_t kCapUnset = std::numeric_limits<int64_t>::min();
+
+/// Everything stage B needs for a candidate is determined by its multiset
+/// size alone (the query side is fixed), so it is derived once per
+/// distinct size and tier 1 collapses to one entry load and two compares.
+/// A size whose extended v < 1 (empty query AND candidate) gets ub = +inf
+/// and no row, i.e. never prunes and skips tier 2, exactly matching the
+/// exhaustive scan's evaluation (which fails identically either way).
+///
+/// `cap` is the tier-2 cut: the largest common-branch count that still
+/// proves "strictly worse" (kCapUnset = not yet derived, -1 = nothing
+/// provable). It is valid only for the floor and witness it was derived
+/// from; those only tighten, so a stale cap is sound — it merely prunes
+/// less — and the scan resets every cap whenever either moves. The gamma
+/// floor never moves, so a threshold scan derives each size's cap once.
+struct SizeBound {
+  int64_t lb = -1;  // tier 1's phi lower bound; -1 = not yet derived
+  double ub = 0.0;  // the row's Phi upper bound at lb
+  const PhiRow* row = nullptr;
+  int64_t cap = kCapUnset;
+};
 
 /// The two id sequences the shared evaluation loop runs over: a contiguous
 /// [begin, begin + count) range (ScanRange) and an explicit candidate list
@@ -244,26 +266,10 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
     }
     return row;
   };
-  // Everything tier 1 needs is determined by the candidate's multiset size
-  // alone (the query side is fixed), so it is computed once per distinct
-  // size and the per-candidate check collapses to two array loads and two
-  // compares. tier1_lb[s] == -1 marks an uncomputed slot; a size whose
-  // extended v < 1 (empty query AND candidate) gets ub = +inf / row =
-  // nullptr, i.e. never prunes and skips tier 2, exactly matching the
-  // exhaustive scan's evaluation (which fails identically either way).
-  std::vector<int64_t> tier1_lb;
-  std::vector<double> tier1_ub;
-  std::vector<const PhiRow*> row_by_size;
-  // Tier-2 cut per size: the largest common-branch count that still proves
-  // "strictly worse" (kCapUnset = not yet derived, -1 = nothing provable).
-  // Valid only for the witness it was derived from; witnesses only improve
-  // (tighten), so a stale cap is sound — it merely prunes less — and the
-  // cache is invalidated whenever the witness moves. The gamma floor never
-  // moves, so a threshold scan derives each size's cap once.
-  constexpr int64_t kCapUnset = std::numeric_limits<int64_t>::min();
-  std::vector<int64_t> tier2_cap;
-  double last_kth_phi = -1.0;
-  int64_t last_kth_gbd = -1;
+  // Stage B's state per candidate size (see SizeBound), derived at the
+  // first candidate of that size the bound meets.
+  std::vector<SizeBound> by_size;
+  Witness last_kth{-1.0, -1};
   double last_floor = -std::numeric_limits<double>::infinity();
   // Only the no-gamma, no-prefilter scan has a known match count (every
   // candidate); under the gamma cut or the prefilter the accepted set is
@@ -295,56 +301,38 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
   const uint64_t* query_keys = ctx.query_fps.data();
   const size_t query_keys_n = ctx.query_fps.size();  // the query's |V|
 
-  // The scan runs in blocks: admission (stage A), then the bounds of the
-  // admitted candidates against the block-frozen witness state (stage B),
-  // then scoring of the survivors (stage C). Freezing the witnesses for a block
-  // prunes a SUBSET of what per-candidate refresh would prune, and pruning
-  // only ever removes candidates provably outside the top-k, so the final
-  // ranking stays bit-identical (the same argument that makes the
-  // cross-shard witness — stale in exactly the same way — sound).
-  // candidates_evaluated / prefiltered_out are stage-A facts and keep
-  // their determinism contract; on ranking scans pruned_by_bound /
-  // verified_count move with the block boundary but were already excluded
-  // from the bit-identity gates (see SearchResult). The gamma floor is the
-  // same in every block, so threshold counts do not move.
-  //
-  // Warm-up schedule: blocks double from 16 to 128. The witness only arms
-  // at a block boundary, so a fixed 128 would leave small corpora (or the
-  // head of any scan) entirely unpruned; starting small activates pruning
-  // within the first dozen-odd candidates while steady state still runs
-  // full-width batches. The schedule is a pure function of the iteration
-  // count — independent of dispatch and of the data — so it cannot perturb
-  // the bit-identity contract.
-  constexpr size_t kScanBlockMax = 128;
-  std::vector<size_t> blk_ids;
-  blk_ids.reserve(kScanBlockMax);
-  std::vector<char> blk_keep(kScanBlockMax);
-
-  size_t block_size = 16;
-  for (size_t base = 0; base < range;
-       block_size = std::min(kScanBlockMax, block_size * 2)) {
-    const size_t block_begin = base;
-    const size_t block_end = std::min(range, base + block_size);
-    base = block_end;
+  // One pass per candidate: admission (stage A), the bounds against gamma
+  // or the witness as it stands after the previous candidate (stage B),
+  // then scoring (stage C). Every skip is provably outside the answer, so
+  // the matches are those of the exhaustive scan (see ScanRange), and
+  // candidates_evaluated / prefiltered_out are stage-A facts that keep
+  // their determinism contract. On a ranking scan pruned_by_bound /
+  // verified_count follow the witness, which tightens as matches arrive
+  // (excluded from the bit-identity gates; see SearchResult).
+  for (size_t i = 0; i < range; ++i) {
+    const size_t id = id_seq[i];
     // -- Stage A: admission ------------------------------------------------
-    blk_ids.clear();
-    for (size_t i = block_begin; i < block_end; ++i) {
-      const size_t id = id_seq[i];
-      if (options.use_prefilter &&
-          !prefilter->Passes(ctx.query_profile, id, options.tau_hat)) {
-        ++result->prefiltered_out;
-        continue;
-      }
-      // Deterministic by design: pruned candidates still count, so this
-      // counter stays bit-identical to the exhaustive scan (see
-      // SearchResult).
-      ++result->candidates_evaluated;
-      blk_ids.push_back(id);
+    if (options.use_prefilter &&
+        !prefilter->Passes(ctx.query_profile, id, options.tau_hat)) {
+      ++result->prefiltered_out;
+      continue;
     }
-    if (blk_ids.empty()) continue;
-    const size_t admitted = blk_ids.size();
+    // Deterministic by design: pruned candidates still count, so this
+    // counter stays bit-identical to the exhaustive scan (see SearchResult).
+    ++result->candidates_evaluated;
+    // The candidate's sorted ids, straight from the fp_keys column (zero
+    // pointer chases); their count is its size.
+    const uint64_t lo = columns.fp_offsets[id];
+    const size_t g_size = static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
+    const uint64_t* ck = columns.fp_keys + lo;
+    const int64_t max_size =
+        static_cast<int64_t>(std::max(query_keys_n, g_size));
+    // The extended size the Phi row is read at, exact from sizes alone.
+    const int64_t v = options.variant == GbdaVariant::kAverageSize
+                          ? ctx.v1_size
+                          : max_size;
 
-    // -- Stage B: bounds under the block-frozen witness --------------------
+    // -- Stage B: bounds ---------------------------------------------------
     // phi_floor: gamma on a threshold scan, the cross-shard k-th-best phi
     // on a ranking scan, -infinity when disarmed.
     bool local_full = false;
@@ -353,15 +341,12 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       local_full = local_topk.size() >= bounds->k();
       phi_floor = bounds->threshold();
     }
-    const bool do_prune = local_full || phi_floor >= 0.0;
-    if (do_prune) {
-      const double kth_phi = local_full ? local_topk.top().phi : -1.0;
-      const int64_t kth_gbd = local_full ? local_topk.top().gbd : -1;
-      if (kth_phi != last_kth_phi || kth_gbd != last_kth_gbd ||
+    if (local_full || phi_floor >= 0.0) {
+      const Witness kth = local_full ? local_topk.top() : Witness{-1.0, -1};
+      if (kth.phi != last_kth.phi || kth.gbd != last_kth.gbd ||
           phi_floor != last_floor) {
-        std::fill(tier2_cap.begin(), tier2_cap.end(), kCapUnset);
-        last_kth_phi = kth_phi;
-        last_kth_gbd = kth_gbd;
+        for (SizeBound& entry : by_size) entry.cap = kCapUnset;
+        last_kth = kth;
         last_floor = phi_floor;
       }
       // True when the candidate's best reachable phi_score is strictly
@@ -373,147 +358,110 @@ Status ScanIdSequence(const ScanContext& ctx, const IndexReader& index,
       const auto strictly_worse = [&](double phi_ub, int64_t phi_lb) {
         if (phi_ub < phi_floor) return true;
         if (!local_full) return false;
-        const Witness& kth = local_topk.top();
         return phi_ub < kth.phi || (phi_ub == kth.phi && phi_lb > kth.gbd);
       };
-      for (size_t j = 0; j < admitted; ++j) {
-        blk_keep[j] = 1;
-        const size_t id = blk_ids[j];
-        const size_t g_size = columns.sizes[id];
-        const int64_t max_size =
-            static_cast<int64_t>(std::max(query_keys_n, g_size));
-        if (g_size >= tier1_lb.size()) {
-          tier1_lb.resize(g_size + 1, -1);
-          tier1_ub.resize(g_size + 1, 0.0);
-          row_by_size.resize(g_size + 1, nullptr);
-          tier2_cap.resize(g_size + 1, kCapUnset);
+      if (g_size >= by_size.size()) by_size.resize(g_size + 1);
+      SizeBound& bound = by_size[g_size];
+      if (bound.lb < 0) {
+        // First candidate of this size.
+        if (v >= 1) {
+          Result<const PhiRow*> row = row_for(v);
+          if (!row.ok()) return row.status();
+          bound.row = *row;
+          // Tier 1: the common count never exceeds the smaller multiset,
+          // so outside GBDA-V2 the bound is |query size - candidate size|.
+          bound.lb = phi_lower(
+              max_size,
+              static_cast<int64_t>(std::min(query_keys_n, g_size)));
+          bound.ub = bound.row->UpperBound(bound.lb);
+        } else {
+          bound.lb = std::numeric_limits<int64_t>::max();
+          bound.ub = std::numeric_limits<double>::infinity();
         }
-        if (tier1_lb[g_size] < 0) {
-          // First candidate of this size: v is exact from sizes alone.
-          const int64_t v = options.variant == GbdaVariant::kAverageSize
-                                ? ctx.v1_size
-                                : max_size;
-          if (v >= 1) {
-            Result<const PhiRow*> row = row_for(v);
-            if (!row.ok()) return row.status();
-            row_by_size[g_size] = *row;
-            // Tier 1: the common count never exceeds the smaller multiset,
-            // so outside GBDA-V2 the bound is |query size - candidate size|.
-            const int64_t lb = phi_lower(
-                max_size,
-                static_cast<int64_t>(std::min(query_keys_n, g_size)));
-            tier1_lb[g_size] = lb;
-            tier1_ub[g_size] = (*row)->UpperBound(lb);
-          } else {
-            tier1_lb[g_size] = std::numeric_limits<int64_t>::max();
-            tier1_ub[g_size] = std::numeric_limits<double>::infinity();
-          }
-        }
-        // Tier 1 costs two array loads; tier 2 a capped kernel merge,
-        // still far cheaper than the full scoring it stands in for.
-        bool pruned = strictly_worse(tier1_ub[g_size], tier1_lb[g_size]);
-        if (!pruned && row_by_size[g_size] != nullptr) {
-          // The candidate's sorted ids, straight from the fp_keys column
-          // (zero pointer chases).
-          const uint64_t lo = columns.fp_offsets[id];
-          const size_t cn =
-              static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-          const uint64_t* ck = columns.fp_keys + lo;
-          if (options.variant == GbdaVariant::kWeightedGbd) {
-            // VGBD's rounding makes the phi_lb <-> common-cap inversion
-            // fiddly; take the exact counting merge instead.
-            const int64_t lb2 = phi_lower(
-                max_size,
-                kernels.intersect_count(query_keys, query_keys_n, ck, cn));
-            pruned = strictly_worse(row_by_size[g_size]->UpperBound(lb2), lb2);
-          } else {
-            // phi_lb = max_size - common exactly, and strictly_worse is
-            // monotone in phi_lb (the suffix max is non-increasing), so
-            // "prune" is equivalent to common <= cap for the per-size cut
-            // below — decidable by an early-exiting capped kernel merge.
-            int64_t cap = tier2_cap[g_size];
-            if (cap == kCapUnset) {
-              const PhiRow& row = *row_by_size[g_size];
-              // Tier 1 failed at tier1_lb, so the cut lies strictly above.
-              int64_t p = tier1_lb[g_size] + 1;
-              while (p <= max_size) {
-                if (strictly_worse(row.UpperBound(p), p)) break;
-                ++p;
-              }
-              cap = p > max_size ? -1 : max_size - p;
-              tier2_cap[g_size] = cap;
+      }
+      // Tier 1 costs one entry load; tier 2 a capped kernel merge, still
+      // far cheaper than the full scoring it stands in for.
+      bool pruned = strictly_worse(bound.ub, bound.lb);
+      if (!pruned && bound.row != nullptr) {
+        if (options.variant == GbdaVariant::kWeightedGbd) {
+          // VGBD's rounding makes the phi_lb <-> common-cap inversion
+          // fiddly; take the exact counting merge instead.
+          const int64_t lb2 = phi_lower(
+              max_size, kernels.intersect_count(query_keys, query_keys_n, ck,
+                                                g_size));
+          pruned = strictly_worse(bound.row->UpperBound(lb2), lb2);
+        } else {
+          // phi_lb = max_size - common exactly, and strictly_worse is
+          // monotone in phi_lb (the suffix max is non-increasing), so
+          // "prune" is equivalent to common <= cap for the per-size cut
+          // below — decidable by an early-exiting capped kernel merge.
+          if (bound.cap == kCapUnset) {
+            // Tier 1 failed at lb, so the cut lies strictly above.
+            int64_t p = bound.lb + 1;
+            while (p <= max_size) {
+              if (strictly_worse(bound.row->UpperBound(p), p)) break;
+              ++p;
             }
-            pruned = cap >= 0 && kernels.intersect_at_most(
-                                     query_keys, query_keys_n, ck, cn, cap);
+            bound.cap = p > max_size ? -1 : max_size - p;
           }
+          pruned = bound.cap >= 0 &&
+                   kernels.intersect_at_most(query_keys, query_keys_n, ck,
+                                             g_size, bound.cap);
         }
-        if (pruned) {
-          ++result->pruned_by_bound;
-          blk_keep[j] = 0;
-        }
+      }
+      if (pruned) {
+        ++result->pruned_by_bound;
+        continue;
       }
     }
 
-    // -- Stage C: score the survivors --------------------------------------
-    for (size_t j = 0; j < admitted; ++j) {
-      if (do_prune && !blk_keep[j]) continue;
-      const size_t id = blk_ids[j];
-      // Past every skip: this candidate pays the full scoring below.
-      ++result->verified_count;
+    // -- Stage C: score ----------------------------------------------------
+    // Past every skip: this candidate pays the full scoring below.
+    ++result->verified_count;
+    // GBD (Definition 4) as max(|q|, |g|) minus the id intersection, exact
+    // by the dictionary; GBDA-V2 rounds Eq. 26's VGBD, the double
+    // expression Vgbd (core/branch.h) evaluates.
+    const int64_t common =
+        kernels.intersect_count(query_keys, query_keys_n, ck, g_size);
+    int64_t phi;
+    if (options.variant == GbdaVariant::kWeightedGbd) {
+      const double vgbd = static_cast<double>(max_size) -
+                          options.vgbd_w * static_cast<double>(common);
+      phi = RoundVgbd(vgbd);
+    } else {
+      phi = max_size - common;
+    }
 
-      // GBD (Definition 4) as max(|q|, |g|) minus the id intersection, exact
-      // by the dictionary; GBDA-V2 rounds Eq. 26's VGBD, the double
-      // expression Vgbd (core/branch.h) evaluates.
-      const uint64_t lo = columns.fp_offsets[id];
-      const size_t g_size =
-          static_cast<size_t>(columns.fp_offsets[id + 1] - lo);
-      const int64_t common = kernels.intersect_count(
-          query_keys, query_keys_n, columns.fp_keys + lo, g_size);
-      const size_t max_size = std::max(query_keys_n, g_size);
-      int64_t phi;
-      if (options.variant == GbdaVariant::kWeightedGbd) {
-        const double vgbd = static_cast<double>(max_size) -
-                            options.vgbd_w * static_cast<double>(common);
-        phi = RoundVgbd(vgbd);
-      } else {
-        phi = static_cast<int64_t>(max_size) - common;
-      }
-
-      const int64_t v = options.variant == GbdaVariant::kAverageSize
-                            ? ctx.v1_size
-                            : static_cast<int64_t>(max_size);
-
-      // Phi is exactly +0.0 past the row's cap (see PhiRow), so only a phi
-      // inside the support fetches the row. An exhaustive scan thus builds
-      // the Lambda3 rows (persisted with the index) only for sizes where
-      // some candidate lands inside the support.
-      double score = 0.0;
-      if (phi <= PhiRow::Cap(v, options.tau_hat)) {
-        Result<const PhiRow*> row = row_for(v);
-        if (!row.ok()) return row.status();
-        score = (*row)->Phi(phi);
-      }
-      if (!ctx.apply_gamma || score >= options.gamma) {
-        result->matches.push_back(SearchMatch{id, score, phi});
-        if (rank_prune) {
-          // Fold the match into the local top-k and publish the k-th-best
-          // phi whenever the full heap's root improves — one shard's strong
-          // hits then prune the other shards' tails through the shared
-          // bound. (Only phi is shared: a two-field witness would need a
-          // 16-byte atomic to stay tear-free; the local heap keeps the full
-          // (phi, gbd) pair for the tie-break test.) The improved witness
-          // takes effect at the next block boundary.
-          const Witness candidate{score, phi};
-          if (local_topk.size() < bounds->k()) {
-            local_topk.push(candidate);
-            if (local_topk.size() == bounds->k()) {
-              bounds->Publish(local_topk.top().phi);
-            }
-          } else if (witness_rank_before(candidate, local_topk.top())) {
-            local_topk.pop();
-            local_topk.push(candidate);
+    // Phi is exactly +0.0 past the row's cap (see PhiRow), so only a phi
+    // inside the support fetches the row. An exhaustive scan thus builds
+    // the Lambda3 rows (persisted with the index) only for sizes where
+    // some candidate lands inside the support.
+    double score = 0.0;
+    if (phi <= PhiRow::Cap(v, options.tau_hat)) {
+      Result<const PhiRow*> row = row_for(v);
+      if (!row.ok()) return row.status();
+      score = (*row)->Phi(phi);
+    }
+    if (!ctx.apply_gamma || score >= options.gamma) {
+      result->matches.push_back(SearchMatch{id, score, phi});
+      if (rank_prune) {
+        // Fold the match into the local top-k and publish the k-th-best
+        // phi whenever the full heap's root improves — one shard's strong
+        // hits then prune the other shards' tails through the shared
+        // bound. (Only phi is shared: a two-field witness would need a
+        // 16-byte atomic to stay tear-free; the local heap keeps the full
+        // (phi, gbd) pair for the tie-break test.) The improved witness
+        // bounds the very next candidate.
+        const Witness candidate{score, phi};
+        if (local_topk.size() < bounds->k()) {
+          local_topk.push(candidate);
+          if (local_topk.size() == bounds->k()) {
             bounds->Publish(local_topk.top().phi);
           }
+        } else if (witness_rank_before(candidate, local_topk.top())) {
+          local_topk.pop();
+          local_topk.push(candidate);
+          bounds->Publish(local_topk.top().phi);
         }
       }
     }

@@ -318,8 +318,9 @@ bool ArmPrefixFilter(const BranchPostings& postings, ScanContext* ctx);
 /// non-null with bounds->k() >= 1: the call keeps a bounded heap of the k
 /// best (phi_score, gbd) pairs it has appended under
 /// SearchMatchRankBefore, and skips a candidate that provably ranks
-/// strictly after that witness (or after the cross-shard phi witness in
-/// bounds->threshold()); a tie in the bounded phi falls through to the gbd
+/// strictly after that witness as it stands after the previous candidate
+/// (or after the cross-shard phi witness in bounds->threshold(), read per
+/// candidate); a tie in the bounded phi falls through to the gbd
 /// tie-break, so pruning stays live even when the k-th best phi_score is
 /// exactly 0. Every skip is provably outside the query's global top-k, so
 /// downstream SortTopK truncation reproduces the exhaustive ranking

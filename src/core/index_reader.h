@@ -33,11 +33,13 @@ class GbdPrior;
 class GedPriorTable;
 struct GbdaIndexOptions;
 
-/// The structure-of-arrays candidate columns the batched scan kernels
-/// (common/kernels.h) feed on — per-graph scalars and branch ids laid out
-/// contiguously so a shard's candidates are evaluated as column sweeps
-/// instead of per-graph pointer chases (docs/ARCHITECTURE.md, "Scan kernels
-/// & column layout"). Two backings share this one view:
+/// The structure-of-arrays candidate columns the scan kernels
+/// (common/kernels.h) feed on — every graph's branch ids laid out
+/// contiguously, delimited by one offsets column, so a candidate's ids are
+/// one slice instead of a per-graph pointer chase (docs/ARCHITECTURE.md,
+/// "Scan kernels & column layout"). A graph's size, its branch count (=
+/// |V_g| for ordinary graphs), is its slice length: fp_offsets[g + 1] -
+/// fp_offsets[g]. Two backings share this one view:
 ///
 ///   - a mapped v4 arena exposes its sections in place (64-byte aligned by
 ///     the format; storage/index_view.h);
@@ -49,9 +51,6 @@ struct GbdaIndexOptions;
 /// is not mutated. The names say "fp" for fingerprint, which the keys were
 /// before the dictionary; they now hold dictionary ids.
 struct CandidateColumns {
-  /// sizes[g] = |B_g| (= |V_g| for ordinary graphs), the branch count of
-  /// graph g; num_graphs() entries. The tier-1 size-bound column.
-  const uint32_t* sizes = nullptr;
   /// fp_offsets[g] .. fp_offsets[g+1] bound graph g's ids in fp_keys;
   /// num_graphs() + 1 entries.
   const uint64_t* fp_offsets = nullptr;
@@ -59,13 +58,11 @@ struct CandidateColumns {
   /// each < dictionary().size()); total-branch entries.
   const uint64_t* fp_keys = nullptr;
 
-  /// All three column pointers are non-null. False only for a backing
-  /// with no branches to describe (e.g. a zero-graph owned index, whose
-  /// column vectors are empty); every range a scan would read through a
-  /// null pointer there is empty.
-  bool present() const {
-    return sizes != nullptr && fp_offsets != nullptr && fp_keys != nullptr;
-  }
+  /// Both column pointers are non-null. False only for a backing with no
+  /// branches to describe (e.g. a zero-graph owned index, whose fp_keys
+  /// vector is empty); every range a scan would read through a null
+  /// pointer there is empty.
+  bool present() const { return fp_offsets != nullptr && fp_keys != nullptr; }
 };
 
 class IndexReader {

@@ -78,7 +78,7 @@ const char* ArenaSectionName(uint32_t id) {
   static const char* const kNames[] = {
       "unknown",     "graph_offsets", "dict_roots", "dict_label_start",
       "dict_labels", "gbd_prior",     "ged_prior",  "ann_graph",
-      "graph_sizes", "unknown",       "fp_keys"};
+      "unknown",     "unknown",       "fp_keys"};
   return id < sizeof(kNames) / sizeof(kNames[0]) ? kNames[id] : "unknown";
 }
 
@@ -142,8 +142,6 @@ Result<std::string> BuildArena(const IndexReader& index,
   if (ann_graph != nullptr) {
     sections.push_back({kSecAnnGraph, ann_blob.data(), ann_blob.size()});
   }
-  sections.push_back(
-      {kSecGraphSizes, columns.sizes, num_graphs * sizeof(uint32_t)});
   sections.push_back({kSecFpKeys, ids.data(), ids.size() * sizeof(uint64_t)});
   const uint32_t section_count = static_cast<uint32_t>(sections.size());
   const size_t header_bytes = ArenaHeaderBytes(section_count);
@@ -243,8 +241,8 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
   }
   // The canonical six plus the trailing sections (capped so a corrupt
   // count cannot drive a huge table read). The floor is six rather than
-  // eight so an artifact without its columns reaches the missing-section
-  // check below and its error names what to do.
+  // seven so an artifact without its ids reaches the missing-section check
+  // below and its error names what to do.
   const uint32_t section_count = *reader.GetU32();
   if (section_count < kArenaSectionCount ||
       section_count > kMaxArenaSectionCount) {
@@ -316,8 +314,6 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
         return (info.dictionary_size + 1) * sizeof(uint64_t);
       case kSecDictLabels:
         return info.dictionary_labels * sizeof(LabelId);
-      case kSecGraphSizes:
-        return info.num_graphs * sizeof(uint32_t);
       case kSecFpKeys:
         return info.total_branches * sizeof(uint64_t);
     }
@@ -369,31 +365,21 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
     info.sections.push_back(sec);
   }
 
-  // The columns are mandatory: fp_keys is the only copy of the graphs'
-  // branches.
-  std::string missing;
-  for (const uint32_t id : {kSecGraphSizes, kSecFpKeys}) {
-    if (info.FindSection(id) == nullptr) {
-      missing += std::string(missing.empty() ? "" : ", ") +
-                 ArenaSectionName(id) + " (" + std::to_string(id) + ")";
-    }
-  }
-  if (!missing.empty()) {
+  // fp_keys is mandatory: it is the only copy of the graphs' branches.
+  if (info.FindSection(kSecFpKeys) == nullptr) {
     return Status::InvalidArgument(
         "index arena: " + source +
-        " lacks the mandatory candidate-column section(s) " + missing +
-        "; rebuild the artifact from its database (gbda_indexctl build)");
+        " lacks the mandatory candidate-column section fp_keys (10); "
+        "rebuild the artifact from its database (gbda_indexctl build)");
   }
   return info;
 }
 
 Status ValidateArenaTables(std::string_view data, const ArenaInfo& info,
                            const std::string& source) {
-  // Graphs: offsets from 0 to total_branches, sizes equal to their deltas,
-  // and each graph's ids ascending and inside the dictionary.
+  // Graphs: offsets from 0 to total_branches, and each graph's ids
+  // ascending and inside the dictionary.
   const uint64_t* offsets = SectionArray<uint64_t>(data, info.sections[0]);
-  const uint32_t* sizes =
-      SectionArray<uint32_t>(data, *info.FindSection(kSecGraphSizes));
   const uint64_t* ids =
       SectionArray<uint64_t>(data, *info.FindSection(kSecFpKeys));
   if (offsets[0] != 0) return ArenaError(source, "graph_offsets[0] != 0");
@@ -404,9 +390,6 @@ Status ValidateArenaTables(std::string_view data, const ArenaInfo& info,
       return ArenaError(source,
                         "graph_offsets is not nondecreasing within "
                         "total_branches");
-    }
-    if (sizes[g] != hi - lo) {
-      return ArenaError(source, "graph_sizes disagrees with graph_offsets");
     }
     // Ascending ids put the graph's largest id last.
     bool descends = false;

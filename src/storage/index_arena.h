@@ -7,7 +7,7 @@
 ///
 ///   offset 0                                    (all integers little-endian)
 ///   +--------------------------------------------------------------+
-///   | magic 'GBA3' | version 4 | endian tag | section count N >= 8 |
+///   | magic 'GBA3' | version 4 | endian tag | section count N >= 7 |
 ///   | file_bytes u64 | meta_crc u32 | reserved u32                 |
 ///   +-- meta block (covered by meta_crc) --------------------------+
 ///   | tau_max, GbdPriorOptions fields, seed, |L_V|, |L_E|,         |
@@ -24,21 +24,21 @@
 ///   | 6 ged_prior     serialized GedPriorTable blob (Lambda3)      |
 ///   | 7 ann_graph     optional proximity graph (ann/proximity_-    |
 ///   |                 graph.h payload), mmap'd by approximate mode |
-///   | 8 graph_sizes   u32[num_graphs]       per-graph branch counts|
 ///   | 10 fp_keys      u64[total_branches]   per-graph ascending    |
-///   |                 branch ids — MANDATORY, like 8               |
+///   |                 branch ids — MANDATORY                       |
 ///   +--------------------------------------------------------------+
 ///
 /// The first six sections are canonical (ids 1..6 in order); trailing
-/// sections follow with strictly increasing ids. Of those, graph_sizes and
-/// fp_keys are mandatory: an artifact without them fails at open with a
-/// request to rebuild. Everything else trailing is OPTIONAL. A reader
-/// structurally validates (and CRC-covers) every trailing section but SKIPS
-/// ids it does not know — forward compatibility: an artifact written by a
-/// newer build with an extra section still opens here, minus that
-/// section's feature. A known-id optional section with an unreadable
-/// payload (e.g. an ann_graph from a future format revision) degrades the
-/// same way on the serving path instead of failing the open.
+/// sections follow with strictly increasing ids. Of those, fp_keys is
+/// mandatory: an artifact without it fails at open with a request to
+/// rebuild. Everything else trailing is OPTIONAL. A reader structurally
+/// validates (and CRC-covers) every trailing section but SKIPS ids it does
+/// not know — forward compatibility: an artifact written by a newer build
+/// with an extra section still opens here, minus that section's feature,
+/// and one written by an older build with the retired graph_sizes section
+/// (id 8) opens as if it were absent. A known-id optional section with an
+/// unreadable payload (e.g. an ann_graph from a future format revision)
+/// degrades the same way on the serving path instead of failing the open.
 ///
 /// Graph g's branches are the ids fp_keys[graph_offsets[g] ..
 /// graph_offsets[g + 1]), ascending; id d is the branch dict_roots[d] with
@@ -46,11 +46,12 @@
 /// 1]). The dictionary is strictly ascending in content order (the branch
 /// multiset order of core/branch.h), so each distinct branch is stored
 /// once and an artifact is a deterministic function of branch content.
-/// graph_offsets also serves as columns().fp_offsets. Opening costs header
-/// validation, one pass over the tables, a hash index over the dictionary
-/// and the (small) prior decodes. Offsets are file-absolute and the arena
-/// is position-independent: any base address works. Version 3 (per-branch
-/// content and FNV fingerprint keys) is not read: rebuild it.
+/// graph_offsets also serves as columns().fp_offsets, and its deltas are
+/// the graphs' branch counts. Opening costs header validation, one pass
+/// over the tables, a hash index over the dictionary and the (small) prior
+/// decodes. Offsets are file-absolute and the arena is position-independent:
+/// any base address works. Version 3 (per-branch content and FNV
+/// fingerprint keys) is not read: rebuild it.
 ///
 /// Contract (also documented in docs/ARCHITECTURE.md):
 ///   - little-endian only; the endian tag makes a foreign-order artifact
@@ -85,8 +86,7 @@ inline constexpr uint32_t kArenaVersion = 4;
 /// Written as 0x01020304; a big-endian writer would produce 0x04030201.
 inline constexpr uint32_t kArenaEndianTag = 0x01020304;
 /// The canonical sections every artifact leads with (ids 1..6, in order;
-/// the mandatory graph_sizes and fp_keys follow among the trailing
-/// sections).
+/// the mandatory fp_keys follows among the trailing sections).
 inline constexpr uint32_t kArenaSectionCount = 6;
 /// Sanity cap on the declared section count: far above anything this
 /// format family will ever need, low enough that a corrupt count cannot
@@ -95,9 +95,12 @@ inline constexpr uint32_t kMaxArenaSectionCount = 64;
 inline constexpr size_t kArenaSectionAlign = 64;
 
 /// Section ids. Ids 1..6 appear first in exactly this order; higher ids are
-/// trailing sections in strictly increasing order. 8 and 10 are mandatory;
-/// the rest are optional (unknown ones are skipped by readers — see the
-/// file comment). Id 9 (v3's copy of the graph offsets) is retired.
+/// trailing sections in strictly increasing order. 10 is mandatory; the
+/// rest are optional (unknown ones are skipped by readers — see the file
+/// comment). Ids 8 (graph_sizes: each graph's branch count, which the
+/// graph_offsets deltas already give) and 9 (v3's copy of the graph
+/// offsets) are retired: an artifact that still carries 8 opens, and
+/// readers skip it like any unknown section.
 enum ArenaSectionId : uint32_t {
   kSecGraphOffsets = 1,
   kSecDictRoots = 2,
@@ -109,9 +112,9 @@ enum ArenaSectionId : uint32_t {
   /// approximate candidate navigation; present only when the artifact was
   /// built with one (gbda_indexctl build --ann / graph).
   kSecAnnGraph = 7,
-  /// The SoA candidate columns (core/index_reader.h, CandidateColumns)
-  /// beside graph_offsets; the batched scan kernels read them in place.
-  kSecGraphSizes = 8,
+  /// The ids of the SoA candidate columns (core/index_reader.h,
+  /// CandidateColumns), delimited by graph_offsets; the scan kernels read
+  /// them in place.
   kSecFpKeys = 10,
 };
 
@@ -130,7 +133,7 @@ constexpr size_t ArenaHeaderBytes(uint32_t section_count) {
          section_count * kArenaSectionEntryBytes;
 }
 /// Header size of the six canonical entries alone: a lower bound on every
-/// artifact's header (each also lists the two mandatory columns).
+/// artifact's header (each also lists the mandatory fp_keys).
 inline constexpr size_t kArenaHeaderBytes = ArenaHeaderBytes(kArenaSectionCount);
 
 // -- Parsed header -----------------------------------------------------------
@@ -164,7 +167,7 @@ struct ArenaInfo {
 
   /// The table entry with the given id, or nullptr when absent (optional
   /// trailing sections; the canonical six are always sections[id - 1], and
-  /// a parsed header always holds 8 and 10).
+  /// a parsed header always holds 10).
   const ArenaSectionInfo* FindSection(uint32_t id) const {
     for (const ArenaSectionInfo& sec : sections) {
       if (sec.id == id) return &sec;
@@ -177,7 +180,7 @@ struct ArenaInfo {
 
 /// Serializes `index` (any IndexReader — an owned GbdaIndex or a mapped
 /// view) into a v4 arena: the six canonical sections, the optional
-/// ann_graph and the mandatory columns. The dictionary keeps only the
+/// ann_graph and the mandatory fp_keys. The dictionary keeps only the
 /// branches some graph holds, renumbered in content order, and each
 /// graph's ids are rewritten to match — the identity after a fresh Build,
 /// the removal of dead entries after dynamic commits. Fails on a stale
@@ -201,10 +204,10 @@ Status WriteArenaFile(const IndexReader& index, const std::string& path,
 /// (core ValidatePersistedIndexHeader), and the section table's structural
 /// invariants (canonical order for the leading six, strictly increasing
 /// ids / 64-byte alignment / in-bounds for trailing sections, lengths
-/// consistent with the header counts, graph_sizes and fp_keys present —
-/// InvalidArgument naming the missing sections otherwise). Another version
-/// fails with NotSupported and a request to rebuild. Unknown trailing
-/// sections pass — they are recorded in the table and otherwise skipped
+/// consistent with the header counts, fp_keys present — InvalidArgument
+/// naming it otherwise). Another version fails with NotSupported and a
+/// request to rebuild. Unknown trailing sections, the retired id 8
+/// included, pass — they are recorded in the table and otherwise skipped
 /// (forward compatibility). Does NOT touch section payloads.
 Result<ArenaInfo> ParseArenaHeader(std::string_view data,
                                    const std::string& source);
@@ -212,11 +215,10 @@ Result<ArenaInfo> ParseArenaHeader(std::string_view data,
 /// The serving-safety check behind every unchecked read of a view, run at
 /// every open (and by `gbda_indexctl verify`) in one pass over the tables:
 /// graph_offsets and dict_label_start start at 0, are nondecreasing and end
-/// at total_branches / dictionary_labels; graph_sizes equals the
-/// graph_offsets deltas; the dictionary is strictly ascending in content
-/// order (so its entries are distinct); and every id is below
-/// dictionary_size and ascends within its graph. `info` must come from
-/// ParseArenaHeader.
+/// at total_branches / dictionary_labels; the dictionary is strictly
+/// ascending in content order (so its entries are distinct); and every id
+/// is below dictionary_size and ascends within its graph. `info` must come
+/// from ParseArenaHeader.
 Status ValidateArenaTables(std::string_view data, const ArenaInfo& info,
                            const std::string& source);
 

@@ -41,8 +41,6 @@ Result<GbdaIndexView> GbdaIndexView::Open(const std::string& path,
   };
   view.columns_.fp_offsets =
       reinterpret_cast<const uint64_t*>(at(info->sections[0]));
-  view.columns_.sizes = reinterpret_cast<const uint32_t*>(
-      at(*info->FindSection(kSecGraphSizes)));
   view.columns_.fp_keys =
       reinterpret_cast<const uint64_t*>(at(*info->FindSection(kSecFpKeys)));
   view.dictionary_ = BranchDictionary(BranchSetRef(

@@ -73,8 +73,8 @@ class GbdaIndexView : public IndexReader {
   GedPriorTable* mutable_ged_prior() const override {
     return ged_prior_.get();
   }
-  /// The mapped graph_offsets, graph_sizes and fp_keys sections,
-  /// zero-copy. Validated at open by ValidateArenaTables.
+  /// The mapped graph_offsets and fp_keys sections, zero-copy. Validated
+  /// at open by ValidateArenaTables.
   CandidateColumns columns() const override { return columns_; }
   /// The mapped dictionary sections, with a hash index built at open.
   const BranchDictionary& dictionary() const override { return dictionary_; }

@@ -2,19 +2,19 @@
 // ann_graph section, and the format's forward-compatibility contract: a
 // reader must validate (and CRC-cover) trailing sections it does not
 // understand but SKIP them, so an artifact written by a newer build still
-// opens here minus that section's feature. The regression test appends a
-// section with a future id to a real artifact and re-opens it.
+// opens here minus that section's feature. The regression test adds a
+// section with a future id, and one with the retired graph_sizes id, to a
+// real artifact and re-opens it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "ann/navigator.h"
 #include "ann/proximity_graph.h"
+#include "arena_test_util.h"
 #include "common/crc32.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
@@ -36,70 +36,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-void PatchU32(std::string* data, size_t offset, uint32_t value) {
-  std::memcpy(&(*data)[offset], &value, sizeof(value));
-}
-
-// Recomputes the header CRC after a deliberate header edit, so the tests
-// below exercise the section-table validation rather than tripping the
-// always-on meta checksum. Mirrors the writer: the CRC at preamble offset
-// 24 covers [kArenaPreambleBytes, ArenaHeaderBytes(section_count)).
-void FixMetaCrc(std::string* data) {
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, data->data() + 12, sizeof(section_count));
-  const size_t header_bytes = ArenaHeaderBytes(section_count);
-  const uint32_t crc = Crc32(data->data() + kArenaPreambleBytes,
-                             header_bytes - kArenaPreambleBytes);
-  PatchU32(data, 24, crc);
-}
-
-// Byte offset of trailing table entry `s` (0-based) field `field_offset`.
-size_t SectionEntryOffset(size_t s, size_t field_offset) {
-  return kArenaPreambleBytes + kArenaMetaScalarBytes +
-         s * kArenaSectionEntryBytes + field_offset;
-}
-
-uint64_t AlignSection(uint64_t offset) {
-  return (offset + kArenaSectionAlign - 1) / kArenaSectionAlign *
-         kArenaSectionAlign;
-}
-
-// Appends a trailing section `id` carrying `payload`, as a newer writer
-// would: the table gains an entry (every payload moves down when the
-// header outgrows its alignment pad), the payload lands 64-byte aligned at
-// the end, and the count, file_bytes and meta CRC follow.
-std::string AppendSection(const std::string& data, uint32_t id,
-                          const std::string& payload) {
-  uint32_t count = 0;
-  std::memcpy(&count, data.data() + 12, sizeof(count));
-  const uint64_t old_start = AlignSection(ArenaHeaderBytes(count));
-  const uint64_t shift = AlignSection(ArenaHeaderBytes(count + 1)) - old_start;
-  std::string out = data.substr(0, ArenaHeaderBytes(count));
-  for (size_t s = 0; s < count; ++s) {
-    uint64_t offset = 0;
-    std::memcpy(&offset, out.data() + SectionEntryOffset(s, 8), sizeof(offset));
-    offset += shift;
-    std::memcpy(&out[SectionEntryOffset(s, 8)], &offset, sizeof(offset));
-  }
-  std::string entry(kArenaSectionEntryBytes, '\0');
-  const uint64_t payload_offset = data.size() + shift;
-  const uint64_t payload_length = payload.size();
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  std::memcpy(&entry[0], &id, sizeof(id));
-  std::memcpy(&entry[8], &payload_offset, sizeof(payload_offset));
-  std::memcpy(&entry[16], &payload_length, sizeof(payload_length));
-  std::memcpy(&entry[24], &crc, sizeof(crc));
-  out += entry;
-  out.resize(static_cast<size_t>(old_start + shift), '\0');
-  out += data.substr(static_cast<size_t>(old_start));
-  out += payload;
-  out.resize(static_cast<size_t>(AlignSection(out.size())), '\0');
-  PatchU32(&out, 12, count + 1);
-  const uint64_t file_bytes = out.size();
-  std::memcpy(&out[16], &file_bytes, sizeof(file_bytes));
-  FixMetaCrc(&out);
-  return out;
-}
+using testutil::FixMetaCrc;
+using testutil::PatchAt;
+using testutil::SectionEntryAt;
 
 class AnnArenaTest : public ::testing::Test {
  protected:
@@ -161,8 +100,8 @@ TEST_F(AnnArenaTest, ArenaCarriesTheAnnSection) {
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  // Canonical six + ann_graph + graph_sizes and fp_keys.
-  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 3);
+  // Canonical six + ann_graph + fp_keys.
+  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 2);
   const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph);
   ASSERT_NE(sec, nullptr);
   EXPECT_EQ(sec->offset % kArenaSectionAlign, 0u);
@@ -172,8 +111,7 @@ TEST_F(AnnArenaTest, ArenaCarriesTheAnnSection) {
 }
 
 TEST_F(AnnArenaTest, WithoutAGraphTheArenaStaysMinimal) {
-  // A null ann_graph yields no ann section; the two columns are
-  // unconditional.
+  // A null ann_graph yields no ann section; fp_keys is unconditional.
   const std::string path = ::testing::TempDir() + "/ann_arena_plain.v4";
   ASSERT_TRUE(WriteArenaFile(*index_, path).ok());
   const std::string data = ReadFile(path);
@@ -226,51 +164,65 @@ TEST_F(AnnArenaTest, RepersistWithoutAGraphDropsIt) {
 // ---------------------------------------------------------------------------
 
 TEST_F(AnnArenaTest, UnknownTrailingSectionIsValidatedButSkipped) {
-  // Simulate an artifact from a future build: append a section with an id
-  // this reader does not know (43) after the mandatory columns.
-  const std::string future =
-      AppendSection(ReadFile(*arena_path_), 43, std::string(100, 'x'));
-  const std::string path = ::testing::TempDir() + "/ann_arena_future.v4";
-  WriteFile(path, future);
-
-  Result<ArenaInfo> info = ParseArenaHeader(future, path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_NE(info->FindSection(43), nullptr);
-  // Checksum verification still covers the unknown payload.
-  EXPECT_TRUE(VerifyArenaChecksums(future, *info, path).ok());
-  std::string corrupt = future;
-  corrupt[static_cast<size_t>(info->FindSection(43)->offset)] ^= 0x01;
-  EXPECT_EQ(VerifyArenaChecksums(corrupt, *info, path).code(),
-            StatusCode::kDataLoss);
-
-  GbdaIndexView::OpenOptions verify;
-  verify.verify_checksums = true;
-  Result<GbdaIndexView> view = GbdaIndexView::Open(path, verify);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_TRUE(view->has_ann_graph());
-
-  // Minus the skipped section, the artifact serves bit-identically.
-  Result<GbdaIndexView> reference = GbdaIndexView::Open(*arena_path_);
-  ASSERT_TRUE(reference.ok());
-  GbdaSearch future_search(&dataset_->db, &*view);
-  GbdaSearch reference_search(&dataset_->db, &*reference);
+  // Two sections this reader does not know, each added to a real artifact:
+  // a future id (43) after the mandatory fp_keys, as a newer build would
+  // write it, and the retired graph_sizes (8) before fp_keys, as older
+  // builds wrote it.
+  const std::string current = ReadFile(*arena_path_);
+  const std::pair<uint32_t, std::string> unknown[] = {
+      {43, testutil::InsertSection(current, 43, std::string(100, 'x'))},
+      {testutil::kRetiredGraphSizes, testutil::WithRetiredGraphSizes(current)},
+  };
+  GbdaSearch owned_search(&dataset_->db, index_);
   SearchOptions options;
   options.tau_hat = 5;
-  const size_t num_queries = std::min<size_t>(dataset_->queries.size(), 3);
-  for (size_t q = 0; q < num_queries; ++q) {
-    Result<SearchResult> a =
-        future_search.QueryTopK(dataset_->queries[q], 5, options);
-    Result<SearchResult> b =
-        reference_search.QueryTopK(dataset_->queries[q], 5, options);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->matches.size(), b->matches.size()) << "query " << q;
-    for (size_t i = 0; i < a->matches.size(); ++i) {
-      EXPECT_EQ(a->matches[i].graph_id, b->matches[i].graph_id);
-      EXPECT_EQ(a->matches[i].phi_score, b->matches[i].phi_score);
-      EXPECT_EQ(a->matches[i].gbd, b->matches[i].gbd);
+  size_t threshold_matches = 0;
+  for (const auto& [id, artifact] : unknown) {
+    SCOPED_TRACE("section " + std::to_string(id));
+    const std::string path = ::testing::TempDir() + "/ann_arena_unknown.v4";
+    WriteFile(path, artifact);
+
+    Result<ArenaInfo> info = ParseArenaHeader(artifact, path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    ASSERT_NE(info->FindSection(id), nullptr);
+    // Checksum verification still covers the unknown payload.
+    EXPECT_TRUE(VerifyArenaChecksums(artifact, *info, path).ok());
+    std::string corrupt = artifact;
+    corrupt[static_cast<size_t>(info->FindSection(id)->offset)] ^= 0x01;
+    EXPECT_EQ(VerifyArenaChecksums(corrupt, *info, path).code(),
+              StatusCode::kDataLoss);
+
+    EXPECT_TRUE(GbdaIndexView::Open(path).ok());
+    GbdaIndexView::OpenOptions verify;
+    verify.verify_checksums = true;
+    Result<GbdaIndexView> view = GbdaIndexView::Open(path, verify);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_TRUE(view->has_ann_graph());
+
+    // Minus the skipped section, the artifact answers as the owned index
+    // does, threshold and top-k, counters included.
+    GbdaSearch mapped_search(&dataset_->db, &*view);
+    for (const Graph& query : dataset_->queries) {
+      Result<SearchResult> want = owned_search.Query(query, options);
+      Result<SearchResult> got = mapped_search.Query(query, options);
+      Result<SearchResult> want_top = owned_search.QueryTopK(query, 5, options);
+      Result<SearchResult> got_top = mapped_search.QueryTopK(query, 5, options);
+      ASSERT_TRUE(want.ok() && got.ok() && want_top.ok() && got_top.ok());
+      threshold_matches += want->matches.size();
+      for (const auto& [a, b] : {std::make_pair(&*want, &*got),
+                                 std::make_pair(&*want_top, &*got_top)}) {
+        ASSERT_EQ(a->matches.size(), b->matches.size());
+        for (size_t i = 0; i < a->matches.size(); ++i) {
+          EXPECT_EQ(a->matches[i].graph_id, b->matches[i].graph_id);
+          EXPECT_EQ(a->matches[i].phi_score, b->matches[i].phi_score);
+          EXPECT_EQ(a->matches[i].gbd, b->matches[i].gbd);
+        }
+        EXPECT_EQ(a->candidates_evaluated, b->candidates_evaluated);
+        EXPECT_EQ(a->pruned_by_bound, b->pruned_by_bound);
+      }
     }
   }
+  EXPECT_GT(threshold_matches, 0u);  // the threshold leg compares answers
 }
 
 TEST_F(AnnArenaTest, TrailingSectionIdsMustStrictlyIncrease) {
@@ -278,7 +230,7 @@ TEST_F(AnnArenaTest, TrailingSectionIdsMustStrictlyIncrease) {
   // structural error, not a skippable unknown.
   for (uint32_t hostile : {uint32_t{0}, uint32_t{3}, uint32_t{6}}) {
     std::string corrupt = ReadFile(*arena_path_);
-    PatchU32(&corrupt, SectionEntryOffset(kAnnEntry, 0), hostile);
+    PatchAt<uint32_t>(&corrupt, SectionEntryAt(kAnnEntry), hostile);
     FixMetaCrc(&corrupt);
     Result<ArenaInfo> info = ParseArenaHeader(corrupt, "corrupt");
     ASSERT_FALSE(info.ok()) << "id " << hostile;
@@ -290,7 +242,7 @@ TEST_F(AnnArenaTest, MetaCrcCoversTheTrailingTableEntry) {
   // The same id patch without the CRC fix must trip the always-on header
   // checksum — a flipped byte in a trailing entry is never silent.
   std::string corrupt = ReadFile(*arena_path_);
-  PatchU32(&corrupt, SectionEntryOffset(kAnnEntry, 0), 42);
+  PatchAt<uint32_t>(&corrupt, SectionEntryAt(kAnnEntry), 42);
   Result<ArenaInfo> info = ParseArenaHeader(corrupt, "corrupt");
   ASSERT_FALSE(info.ok());
   EXPECT_EQ(info.status().code(), StatusCode::kDataLoss);
@@ -310,9 +262,9 @@ TEST_F(AnnArenaTest, FutureAnnFormatVersionDegradesToNoGraph) {
   const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph);
   ASSERT_NE(sec, nullptr);
   const size_t payload = static_cast<size_t>(sec->offset);
-  PatchU32(&future, payload, kAnnGraphFormatVersion + 1);
+  PatchAt<uint32_t>(&future, payload, kAnnGraphFormatVersion + 1);
   // Keep the artifact internally consistent: re-CRC the edited section.
-  PatchU32(&future, SectionEntryOffset(kAnnEntry, 24),
+  PatchAt<uint32_t>(&future, SectionEntryAt(kAnnEntry) + 24,
            Crc32(future.data() + payload, static_cast<size_t>(sec->length)));
   FixMetaCrc(&future);
   const std::string path = ::testing::TempDir() + "/ann_arena_futurefmt.v4";
@@ -335,8 +287,8 @@ TEST_F(AnnArenaTest, CorruptAnnPayloadFailsTheOpen) {
   const ArenaSectionInfo* sec = info->FindSection(kSecAnnGraph);
   ASSERT_NE(sec, nullptr);
   const size_t payload = static_cast<size_t>(sec->offset);
-  PatchU32(&corrupt, payload + 8, 1u << 30);  // entry_point
-  PatchU32(&corrupt, SectionEntryOffset(kAnnEntry, 24),
+  PatchAt<uint32_t>(&corrupt, payload + 8, 1u << 30);  // entry_point
+  PatchAt<uint32_t>(&corrupt, SectionEntryAt(kAnnEntry) + 24,
            Crc32(corrupt.data() + payload, static_cast<size_t>(sec->length)));
   FixMetaCrc(&corrupt);
   const std::string path = ::testing::TempDir() + "/ann_arena_corrupt.v4";

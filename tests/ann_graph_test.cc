@@ -248,7 +248,6 @@ class FnvKeyedReader : public IndexReader {
       }
       std::sort(columns_.fp_keys.end() - static_cast<ptrdiff_t>(b.size()),
                 columns_.fp_keys.end());
-      columns_.sizes.push_back(static_cast<uint32_t>(b.size()));
       columns_.fp_offsets.push_back(columns_.fp_keys.size());
     }
   }

@@ -1,19 +1,18 @@
 // The v4 arena's tables (storage/index_arena.h): the graph offsets, the
-// branch dictionary (sections 1..4) and the mandatory columns graph_sizes
-// and fp_keys (8, 10). Covers writer emission, agreement between the mapped
-// tables and the owned index they were written from, byte-stable
-// re-persisting from a mapped view, per-section corruption detection, the
-// open-time table validation (ValidateArenaTables) against hostile
-// payloads, the version-3 rebuild message and the mandatory-section check.
+// branch dictionary (sections 1..4) and the mandatory ids fp_keys (10).
+// Covers writer emission, agreement between the mapped tables and the owned
+// index they were written from, byte-stable re-persisting from a mapped
+// view, per-section corruption detection, the open-time table validation
+// (ValidateArenaTables) against hostile payloads, the version-3 rebuild
+// message, the mandatory-section check, and an artifact that still carries
+// the retired graph_sizes section (8), as older writers laid it out.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "common/crc32.h"
+#include "arena_test_util.h"
 #include "core/gbda_index.h"
 #include "datagen/dataset_profiles.h"
 #include "storage/index_arena.h"
@@ -33,26 +32,12 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-template <typename T>
-T ReadAt(const std::string& data, uint64_t offset) {
-  T value;
-  std::memcpy(&value, data.data() + offset, sizeof(value));
-  return value;
-}
-
-template <typename T>
-void PatchAt(std::string* data, uint64_t offset, T value) {
-  std::memcpy(&(*data)[static_cast<size_t>(offset)], &value, sizeof(value));
-}
-
-// Recomputes the meta CRC after a deliberate header edit.
-void FixMetaCrc(std::string* data) {
-  const uint32_t section_count = ReadAt<uint32_t>(*data, 12);
-  PatchAt<uint32_t>(data, 24,
-                    Crc32(data->data() + kArenaPreambleBytes,
-                          ArenaHeaderBytes(section_count) -
-                              kArenaPreambleBytes));
-}
+using testutil::FixMetaCrc;
+using testutil::kRetiredGraphSizes;
+using testutil::PatchAt;
+using testutil::ReadAt;
+using testutil::SectionEntryAt;
+using testutil::WithRetiredGraphSizes;
 
 // Relabels every table entry from the first with id `from` on to fresh ids
 // 42, 43, ... (ascending, so only the mandatory-section check can object).
@@ -62,10 +47,7 @@ void RelabelFrom(std::string* data, const ArenaInfo& info, uint32_t from) {
   for (size_t s = 0; s < info.sections.size(); ++s) {
     relabeling = relabeling || info.sections[s].id == from;
     if (!relabeling) continue;
-    PatchAt<uint32_t>(data,
-                      kArenaPreambleBytes + kArenaMetaScalarBytes +
-                          s * kArenaSectionEntryBytes,
-                      next_id++);
+    PatchAt<uint32_t>(data, SectionEntryAt(s), next_id++);
   }
   FixMetaCrc(data);
 }
@@ -130,11 +112,8 @@ TEST_F(ArenaColumnsTest, WriterEmitsTheTables) {
   // Each distinct branch once: far fewer entries than branches.
   EXPECT_LT(info->dictionary_size, info->total_branches);
 
-  const ArenaSectionInfo* sizes = info->FindSection(kSecGraphSizes);
   const ArenaSectionInfo* keys = info->FindSection(kSecFpKeys);
-  ASSERT_NE(sizes, nullptr);
   ASSERT_NE(keys, nullptr);
-  EXPECT_EQ(sizes->length, info->num_graphs * sizeof(uint32_t));
   EXPECT_EQ(keys->length, info->total_branches * sizeof(uint64_t));
   EXPECT_EQ(info->sections[0].length, (info->num_graphs + 1) * 8);
   EXPECT_EQ(info->sections[1].length, info->dictionary_size * 4);
@@ -143,8 +122,9 @@ TEST_F(ArenaColumnsTest, WriterEmitsTheTables) {
   for (const ArenaSectionInfo& sec : info->sections) {
     EXPECT_EQ(sec.offset % kArenaSectionAlign, 0u) << ArenaSectionName(sec.id);
   }
-  // v3's duplicate offsets (9) and collision directory (11, 12) are gone.
-  for (const uint32_t retired : {9u, 11u, 12u}) {
+  // The branch counts (8) are the graph_offsets deltas; v3's duplicate
+  // offsets (9) and collision directory (11, 12) are gone too.
+  for (const uint32_t retired : {kRetiredGraphSizes, 9u, 11u, 12u}) {
     EXPECT_EQ(info->FindSection(retired), nullptr) << retired;
   }
 }
@@ -157,10 +137,10 @@ TEST_F(ArenaColumnsTest, MappedTablesMatchTheOwnedIndex) {
   ASSERT_TRUE(mapped.present());
   ASSERT_TRUE(owned.present());
   // A fresh Build numbers in content order, so the writer's renumbering is
-  // the identity: same ids, same dictionary.
+  // the identity: same offsets (so same sizes), same ids, same dictionary.
   const size_t n = index_->num_graphs();
+  ASSERT_EQ(view->num_graphs(), n);
   for (size_t g = 0; g < n; ++g) {
-    EXPECT_EQ(mapped.sizes[g], owned.sizes[g]) << "graph " << g;
     EXPECT_EQ(mapped.fp_offsets[g], owned.fp_offsets[g]) << "graph " << g;
   }
   ASSERT_EQ(mapped.fp_offsets[n], owned.fp_offsets[n]);
@@ -195,7 +175,7 @@ TEST_F(ArenaColumnsTest, TablesSurviveARepersistFromTheView) {
   ASSERT_TRUE(info_a.ok());
   ASSERT_TRUE(info_b.ok());
   for (const uint32_t id : {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart,
-                            kSecDictLabels, kSecGraphSizes, kSecFpKeys}) {
+                            kSecDictLabels, kSecFpKeys}) {
     const ArenaSectionInfo* sec_a = info_a->FindSection(id);
     const ArenaSectionInfo* sec_b = info_b->FindSection(id);
     ASSERT_NE(sec_a, nullptr) << ArenaSectionName(id);
@@ -221,7 +201,7 @@ TEST_F(ArenaColumnsTest, BitFlipInEachTableIsCaught) {
   GbdaIndexView::OpenOptions verify;
   verify.verify_checksums = true;
   for (const uint32_t id : {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart,
-                            kSecDictLabels, kSecGraphSizes, kSecFpKeys}) {
+                            kSecDictLabels, kSecFpKeys}) {
     const ArenaSectionInfo* sec = info->FindSection(id);
     ASSERT_NE(sec, nullptr);
     if (sec->length == 0) continue;
@@ -246,15 +226,8 @@ TEST_F(ArenaColumnsTest, HostileGraphTablesAreRejectedAtEveryOpen) {
   const std::string data = ReadFile(*arena_path_);
   Result<ArenaInfo> info = ParseArenaHeader(data, *arena_path_);
   ASSERT_TRUE(info.ok());
-  const uint64_t sizes = info->FindSection(kSecGraphSizes)->offset;
   const uint64_t ids = info->FindSection(kSecFpKeys)->offset;
   const uint64_t offsets = info->sections[0].offset;
-  {
-    // graph_sizes[0] += 1: no longer the graph_offsets delta.
-    std::string corrupt = data;
-    PatchAt<uint32_t>(&corrupt, sizes, ReadAt<uint32_t>(data, sizes) + 1);
-    EXPECT_NE(OpenFailure(corrupt).find("graph_sizes"), std::string::npos);
-  }
   {
     // Graph 0's last id at the dictionary's size: still ascending, but past
     // every entry.
@@ -366,31 +339,54 @@ TEST_F(ArenaColumnsTest, VersionThreeArtifactAsksForARebuild) {
 }
 
 TEST_F(ArenaColumnsTest, ColumnlessArtifactFailsAtOpen) {
-  // Both columns relabeled to ids this build does not know: the table
-  // still parses structurally, but the open must fail and name what is
-  // missing instead of serving without columns.
-  std::string corrupt = ReadFile(*arena_path_);
-  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
-  ASSERT_TRUE(info.ok());
-  RelabelFrom(&corrupt, *info, kSecGraphSizes);
-  const std::string message = OpenFailure(corrupt);
-  for (const uint32_t id : {kSecGraphSizes, kSecFpKeys}) {
-    EXPECT_NE(message.find(ArenaSectionName(id)), std::string::npos)
+  // fp_keys relabeled to an id this build does not know: the table is
+  // otherwise sound, but the header parse must reject it as InvalidArgument
+  // and the open must name what is missing instead of serving without ids
+  // — also when the artifact still carries the retired graph_sizes, which
+  // cannot stand in for them.
+  const std::string current = ReadFile(*arena_path_);
+  for (std::string corrupt : {current, WithRetiredGraphSizes(current)}) {
+    Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    RelabelFrom(&corrupt, *info, kSecFpKeys);
+    Result<ArenaInfo> parsed = ParseArenaHeader(corrupt, "columnless");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("fp_keys"), std::string::npos);
+    const std::string message = OpenFailure(corrupt);
+    EXPECT_NE(message.find(ArenaSectionName(kSecFpKeys)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("gbda_indexctl build"), std::string::npos)
         << message;
   }
-  EXPECT_NE(message.find("gbda_indexctl build"), std::string::npos) << message;
 }
 
-TEST_F(ArenaColumnsTest, PartialColumnGroupIsRejected) {
-  // fp_keys alone relabeled: graph_sizes without ids is a structural error.
-  std::string corrupt = ReadFile(*arena_path_);
-  Result<ArenaInfo> info = ParseArenaHeader(corrupt, *arena_path_);
-  ASSERT_TRUE(info.ok());
-  RelabelFrom(&corrupt, *info, kSecFpKeys);
-  Result<ArenaInfo> parsed = ParseArenaHeader(corrupt, "partial");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("fp_keys"), std::string::npos);
+TEST_F(ArenaColumnsTest, RetiredSizesSectionIsNotWrittenBack) {
+  // An artifact that still carries graph_sizes (8) opens (ann_arena_test
+  // checks that it serves); re-persisting the view drops the section and
+  // keeps every other table byte for byte.
+  const std::string current = ReadFile(*arena_path_);
+  const std::string path = ::testing::TempDir() + "/arena_columns_sizes.v4";
+  WriteFile(path, WithRetiredGraphSizes(current));
+  Result<GbdaIndexView> view = GbdaIndexView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  Result<std::string> rewritten = BuildArena(*view);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  Result<ArenaInfo> again = ParseArenaHeader(*rewritten, "rewritten");
+  Result<ArenaInfo> fresh = ParseArenaHeader(current, "current");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(again->FindSection(kRetiredGraphSizes), nullptr);
+  EXPECT_EQ(again->sections.size(), fresh->sections.size());
+  for (const uint32_t id : {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart,
+                            kSecDictLabels, kSecFpKeys}) {
+    const ArenaSectionInfo* a = fresh->FindSection(id);
+    const ArenaSectionInfo* b = again->FindSection(id);
+    ASSERT_NE(b, nullptr) << ArenaSectionName(id);
+    EXPECT_EQ(current.substr(a->offset, a->length),
+              rewritten->substr(b->offset, b->length))
+        << ArenaSectionName(id);
+  }
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST_F(GbdaIndexTest, MaintainedIndexEqualsBuild) {
   // maintained index cached for sizes it no longer has.
   for (const uint32_t id :
        {kSecGraphOffsets, kSecDictRoots, kSecDictLabelStart, kSecDictLabels,
-        kSecGbdPrior, kSecGraphSizes, kSecFpKeys}) {
+        kSecGbdPrior, kSecFpKeys}) {
     EXPECT_EQ(SectionBytes(*maintained_arena, id),
               SectionBytes(*built_arena, id))
         << ArenaSectionName(id);
@@ -160,9 +160,8 @@ GraphDatabase DatabaseOf(const GraphDatabase& labels,
   return db;
 }
 
-// The columns as values: sizes, offsets and ids.
+// The columns as values: offsets and ids.
 struct ColumnValues {
-  std::vector<uint32_t> sizes;
   std::vector<uint64_t> offsets;
   std::vector<uint64_t> keys;
 };
@@ -170,8 +169,7 @@ struct ColumnValues {
 ColumnValues ValuesOf(const IndexReader& index) {
   const CandidateColumns c = index.columns();
   const size_t n = index.num_graphs();
-  return {std::vector<uint32_t>(c.sizes, c.sizes + n),
-          std::vector<uint64_t>(c.fp_offsets, c.fp_offsets + n + 1),
+  return {std::vector<uint64_t>(c.fp_offsets, c.fp_offsets + n + 1),
           std::vector<uint64_t>(c.fp_keys, c.fp_keys + c.fp_offsets[n])};
 }
 
@@ -259,12 +257,10 @@ TEST_F(GbdaIndexTest, CopyKeepsItsColumnsWhileTheOriginalMutates) {
   // The copy reads what it read before, from the same pointers, and
   // repeated calls hand out the same view.
   for (const CandidateColumns now : {copy.columns(), copy.columns()}) {
-    EXPECT_EQ(now.sizes, held.sizes);
     EXPECT_EQ(now.fp_offsets, held.fp_offsets);
     EXPECT_EQ(now.fp_keys, held.fp_keys);
   }
   const ColumnValues copy_values = ValuesOf(copy);
-  EXPECT_EQ(copy_values.sizes, held_values.sizes);
   EXPECT_EQ(copy_values.offsets, held_values.offsets);
   EXPECT_EQ(copy_values.keys, held_values.keys);
   EXPECT_EQ(&copy.dictionary(), held_dictionary);
@@ -282,7 +278,6 @@ TEST_F(GbdaIndexTest, CopyKeepsItsColumnsWhileTheOriginalMutates) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   const ColumnValues mutated_values = ValuesOf(*original);
   const ColumnValues rebuilt_values = ValuesOf(*rebuilt);
-  EXPECT_EQ(mutated_values.sizes, rebuilt_values.sizes);
   EXPECT_EQ(mutated_values.offsets, rebuilt_values.offsets);
   EXPECT_EQ(original->avg_vertices(), rebuilt->avg_vertices());
 }

@@ -443,6 +443,65 @@ TEST_F(PruneEquivalenceTest, PrunedScansActuallyPrune) {
   EXPECT_LE(r->pruned_by_bound, r->candidates_evaluated);
 }
 
+TEST_F(PruneEquivalenceTest, RankingBoundsTheCandidateAfterTheHeapFills) {
+  // k copies of the query, then graphs more than 2 * tau_hat vertices away
+  // from it: once the k copies fill the heap, tier 1 proves every later
+  // graph out (its GBD is past the Phi row's cap, so its Phi is +0.0 and
+  // its GBD above the witnesses'). Only the copies are scored, however
+  // few candidates follow them.
+  const Graph& query = dataset_->queries[0];
+  constexpr int64_t kTau = 2;
+  constexpr size_t kK = 3;
+  GraphDatabase db;
+  db.vertex_labels() = dataset_->db.vertex_labels();
+  db.edge_labels() = dataset_->db.edge_labels();
+  for (size_t i = 0; i < kK; ++i) db.Add(query);
+  const size_t q_size = query.num_vertices();
+  for (size_t g = 0; g < dataset_->db.size() && db.size() < 12; ++g) {
+    const size_t g_size = dataset_->db.graph(g).num_vertices();
+    if (std::max(g_size, q_size) - std::min(g_size, q_size) >
+        static_cast<size_t>(2 * kTau)) {
+      db.Add(dataset_->db.graph(g));
+    }
+  }
+  ASSERT_EQ(db.size(), 12u);
+  GbdaIndexOptions index_options;
+  index_options.tau_max = kTau;
+  index_options.gbd_prior.num_sample_pairs = 50;
+  Result<GbdaIndex> index = GbdaIndex::Build(db, index_options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  SearchOptions pruned;
+  pruned.tau_hat = kTau;
+  SearchOptions exhaustive = pruned;
+  exhaustive.early_termination = false;
+  GbdaSearch search(&db, &*index);
+  Result<SearchResult> want = search.QueryTopK(query, kK, exhaustive);
+  Result<SearchResult> got = search.QueryTopK(query, kK, pruned);
+  ASSERT_TRUE(want.ok() && got.ok());
+  ExpectSameResult(*want, *got, "serial");
+  EXPECT_EQ(got->verified_count, kK);
+  EXPECT_EQ(got->pruned_by_bound, db.size() - kK);
+
+  Result<ScanContext> ctx =
+      PrepareScan(query, pruned, /*apply_gamma=*/false, *index);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  std::vector<uint32_t> ids(db.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<uint32_t>(i);
+  PosteriorEngine engine(index->num_vertex_labels(), index->num_edge_labels(),
+                         index->tau_max(), index->mutable_ged_prior(),
+                         &index->gbd_prior());
+  ScanBounds bounds(kK);
+  SearchResult listed;
+  ASSERT_TRUE(ScanCandidateList(*ctx, *index, nullptr, ids, &engine, &listed,
+                                &bounds)
+                  .ok());
+  SortTopK(&listed.matches, kK);
+  ExpectSameResult(*want, listed, "listed");
+  EXPECT_EQ(listed.verified_count, kK);
+  EXPECT_EQ(listed.pruned_by_bound, db.size() - kK);
+}
+
 TEST_F(PruneEquivalenceTest, SerialThresholdPrunedMatchesExhaustive) {
   EXPECT_FALSE(SerialThresholdPruned().empty());
   // The attained-gamma case only tests the tie if some candidate scores
@@ -708,16 +767,18 @@ TEST_F(PruneEquivalenceTest, PhiPastTheSupportIsPositiveZeroOnEveryPath) {
       }
       size_t past_support = 0;
       bool past_32_bits = false;
+      const uint64_t* offsets = index_->columns().fp_offsets;
       const auto check = [&](const SearchResult& want, const SearchResult& got,
                              size_t q, const std::string& label) {
         ExpectSameResult(want, got, label);
         for (const SearchMatch& m : got.matches) {
+          const size_t g_size =
+              offsets[m.graph_id + 1] - offsets[m.graph_id];
           const int64_t v =
               c.variant == GbdaVariant::kAverageSize
                   ? contexts[q].v1_size
-                  : static_cast<int64_t>(
-                        std::max<size_t>(contexts[q].query_fps.size(),
-                                         index_->columns().sizes[m.graph_id]));
+                  : static_cast<int64_t>(std::max<size_t>(
+                        contexts[q].query_fps.size(), g_size));
           if (m.gbd <= std::min(v, 2 * tau)) continue;
           ++past_support;
           past_32_bits = past_32_bits || m.gbd > INT64_C(0xFFFFFFFF);

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
+#include "arena_test_util.h"
 #include "core/gbda_index.h"
 #include "core/gbda_search.h"
 #include "datagen/dataset_profiles.h"
@@ -41,16 +41,9 @@ void PatchMeta(std::string* data, size_t meta_offset, T value) {
               sizeof(value));
 }
 
-// Recomputes the header CRC after a deliberate meta edit, so the validator
-// under test — not the always-on meta checksum — is what rejects the file.
-void FixMetaCrc(std::string* data) {
-  uint32_t section_count = 0;
-  std::memcpy(&section_count, data->data() + 12, sizeof(section_count));
-  const uint32_t crc = Crc32(data->data() + kArenaPreambleBytes,
-                             ArenaHeaderBytes(section_count) -
-                                 kArenaPreambleBytes);
-  std::memcpy(&(*data)[24], &crc, sizeof(crc));
-}
+// After a deliberate meta edit, so the validator under test — not the
+// always-on meta checksum — is what rejects the file.
+using testutil::FixMetaCrc;
 
 // Byte offsets of meta scalars (after the preamble), in writer order.
 constexpr size_t kMetaTauMax = 0 * 8;
@@ -178,9 +171,9 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
   EXPECT_EQ(info->version, kArenaVersion);
   EXPECT_EQ(info->file_bytes, data.size());
   EXPECT_EQ(info->num_graphs, index_->num_graphs());
-  // The canonical sections lead in id order; graph_sizes and fp_keys
-  // always follow from this writer.
-  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 2);
+  // The canonical sections lead in id order; fp_keys always follows from
+  // this writer.
+  ASSERT_EQ(info->sections.size(), kArenaSectionCount + 1);
   uint64_t previous_end = 0;
   uint32_t previous_id = 0;
   for (size_t s = 0; s < info->sections.size(); ++s) {
@@ -196,7 +189,6 @@ TEST_F(StorageTest, ArenaHeaderInspection) {
     previous_end = sec.offset + sec.length;
   }
   EXPECT_LE(previous_end, data.size());
-  EXPECT_NE(info->FindSection(kSecGraphSizes), nullptr);
   EXPECT_NE(info->FindSection(kSecFpKeys), nullptr);
 }
 
